@@ -47,7 +47,6 @@ from .oracle import (
 )
 from .hyperseries import (
     CharExponent,
-    DomainSpec,
     ResonanceReport,
     SeriesValue,
     SolutionVector,

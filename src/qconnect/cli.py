@@ -15,7 +15,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import ConfigError, QConnectError
 from .qkernel import (
     ParamSet,
     QContext,
+    _rel_maxnorm,
     perm_compose,
     perm_identity,
     perm_transposition,
@@ -129,11 +131,9 @@ class RunConfig:
         return DEFAULT_TOL[suite]
 
     def context(self) -> QContext:
-        kw = {"q": complex(self.q), "series_cap": 200, "seed": self.seed}
+        kw = {"q": complex(self.q), "series_cap": 200}
         if self.tail_tol is not None:
             kw["tail_tol"] = self.tail_tol
-        if self.cmp_tol is not None:
-            kw["cmp_tol"] = self.cmp_tol
         return QContext(**kw)
 
     def as_dict(self) -> dict:
@@ -166,11 +166,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key in raw:
             kw[key] = int(raw[key])
     if "suites" in raw:
-        suites = raw["suites"]
-        if suites == "all":
-            kw["suites"] = SUITES
-        else:
-            kw["suites"] = tuple(str(s) for s in suites)
+        names = [raw["suites"]] if isinstance(raw["suites"], str) else raw["suites"]
+        kw["suites"] = SUITES if names == ["all"] else tuple(str(s) for s in names)
     tols = raw.get("tolerances") or {}
     if "tail_tol" in tols and tols["tail_tol"] is not None:
         kw["tail_tol"] = float(tols["tail_tol"])
@@ -337,254 +334,212 @@ def _format_table(rep: Report) -> str:
 
 # ---------------------------------------------------------------------------
 # suite runners
+#
+# A runner handles one sample; run_suite loops over the samples. Every draw
+# goes through _draw and every evaluation through _run_check, so a library,
+# sampling or arithmetic error becomes a failing record and never leaves
+# run_suite.
+
+
+class _SampleAbort(Exception):
+    """Ends the current sample after its failed draw was recorded."""
+
+
+def _sha12(obj) -> str:
+    return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _digest(p: ParamSet) -> str:
-    blob = json.dumps(
-        {
-            "alpha": [_cplx_out(v) for v in p.alpha],
-            "beta": [_cplx_out(v) for v in p.beta],
-            "gamma": [_cplx_out(v) for v in p.gamma],
-            "q": _cplx_out(complex(p.q)),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
+    fields = {k: [_cplx_out(v) for v in getattr(p, k)] for k in ("alpha", "beta", "gamma")}
+    return _sha12({**fields, "q": _cplx_out(complex(p.q))})
 
 
-def _run_check(records, cfg, suite, check, digest, point, fn, margin=None):
-    """Execute one check; any library or sampling error becomes an explicit
-    failing record instead of aborting the run."""
-    start = time.perf_counter()
-    try:
-        residual = float(fn())
-    except (QConnectError, SamplingError, ArithmeticError) as exc:
-        records.append(
-            CheckRecord(
-                suite=suite,
-                check=check,
-                digest=digest,
-                point=tuple(point),
-                residual=None,
-                passed=False,
-                margin=margin,
-                timing=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
-        return
+def _record(records, suite, check, digest, point, start, **outcome) -> None:
     records.append(
         CheckRecord(
-            suite=suite,
-            check=check,
-            digest=digest,
-            point=tuple(point),
-            residual=residual,
-            passed=residual < cfg.tol(suite),
-            margin=margin,
-            timing=time.perf_counter() - start,
+            suite=suite, check=check, digest=digest, point=tuple(point),
+            timing=time.perf_counter() - start, **outcome,
         )
     )
 
 
-def _suite_series(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-        t = sampling.sample_interior_point(cfg.M, rng)
+def _attempt(records, suite, check, digest, point, fn):
+    """(True, fn()); or, when fn raises a check error, (False, None) after
+    appending the failing record that names the error."""
+    start = time.perf_counter()
+    try:
+        return True, fn()
+    except (QConnectError, SamplingError, ArithmeticError) as exc:
+        _record(
+            records, suite, check, digest, point, start, residual=None,
+            passed=False, error=f"{type(exc).__name__}: {exc}",
+        )
+        return False, None
 
-        def dual_route(p=p, t=t):
-            lhs = eval_FNM(p, t, ctx).value
-            rhs = eval_FNM_reference(p, t, ctx)
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
-        _run_check(records, cfg, "series", "two-route value", _digest(p), t, dual_route)
+def _run_check(records, cfg, suite, check, digest, point, fn, margin=None, passes=None):
+    """Execute one check and record its residual. It passes below the suite
+    tolerance, or where the passes predicate holds. Returns the residual, or
+    None when the check raised."""
+    start = time.perf_counter()
+    ok, residual = _attempt(records, suite, check, digest, point, lambda: float(fn()))
+    if ok:
+        _record(
+            records, suite, check, digest, point, start, residual=residual,
+            passed=passes(residual) if passes else residual < cfg.tol(suite),
+            margin=margin,
+        )
+    return residual
+
+
+def _draw(records, suite, check, sampler, digest="-"):
+    """Run a sampler for the named check. When it fails, record the failure
+    under that check and end the sample."""
+    ok, value = _attempt(records, suite, check, digest, (), sampler)
+    if not ok:
+        raise _SampleAbort
+    return value
+
+
+def _generic_sample(cfg, ctx, rng):
+    p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
+    return p, sampling.sample_interior_point(cfg.M, rng)
+
+
+def _two_route(p, t, ctx):
+    lhs = eval_FNM(p, t, ctx).value
+    rhs = eval_FNM_reference(p, t, ctx)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+# suite -> (check, residual of a generic parameter set at an interior point)
+_ONE_RESIDUAL = {
+    "series": ("two-route value", _two_route),
+    "duality": ("role swap", lambda p, t, ctx: check_duality(p, t, ctx).residual),
+    "jackson": ("nested q-integral", lambda p, t, ctx: check_jackson(p, t, ctx).residual),
+}
+
+
+def _suite_one_residual(suite, cfg, ctx, rng, records):
+    check, residual = _ONE_RESIDUAL[suite]
+    p, t = _draw(records, suite, check, lambda: _generic_sample(cfg, ctx, rng))
+    _run_check(records, cfg, suite, check, _digest(p), t, lambda: residual(p, t, ctx))
 
 
 def _suite_system(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-        t = sampling.sample_interior_point(cfg.M, rng)
-        dg = _digest(p)
-        f = lambda tt, p=p: eval_FNM(p, tt, ctx).value
-        for s in range(1, cfg.M + 1):
+    p, t = _draw(records, "system", "coupled slot 1", lambda: _generic_sample(cfg, ctx, rng))
+    dg = _digest(p)
+    f = lambda tt: eval_FNM(p, tt, ctx).value
+    for s in range(1, cfg.M + 1):
+        _run_check(
+            records, cfg, "system", f"coupled slot {s}", dg, t,
+            lambda: residual_eqn1(f, p, s, t, ctx),
+        )
+    for r in range(1, cfg.M + 1):
+        for s in range(r + 1, cfg.M + 1):
             _run_check(
-                records, cfg, "system", f"coupled slot {s}", dg, t,
-                lambda s=s, p=p, t=t, f=f: residual_eqn1(f, p, s, t, ctx),
+                records, cfg, "system", f"pairwise ({r},{s})", dg, t,
+                lambda: residual_eqn2(f, p, r, s, t, ctx),
             )
-        for r in range(1, cfg.M + 1):
-            for s in range(r + 1, cfg.M + 1):
-                _run_check(
-                    records, cfg, "system", f"pairwise ({r},{s})", dg, t,
-                    lambda r=r, s=s, p=p, t=t, f=f: residual_eqn2(f, p, r, s, t, ctx),
-                )
-
-
-def _suite_duality(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-        t = sampling.sample_interior_point(cfg.M, rng)
-        _run_check(
-            records, cfg, "duality", "role swap", _digest(p), t,
-            lambda p=p, t=t: check_duality(p, t, ctx).residual,
-        )
-
-
-def _suite_jackson(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-        t = sampling.sample_interior_point(cfg.M, rng)
-        _run_check(
-            records, cfg, "jackson", "nested q-integral", _digest(p), t,
-            lambda p=p, t=t: check_jackson(p, t, ctx).residual,
-        )
 
 
 def _suite_watson(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        try:
-            upper, lower, t = sampling.sample_watson(cfg.N, ctx.q, rng)
-        except SamplingError as exc:
-            records.append(
-                CheckRecord(
-                    suite="watson", check="one-variable connection",
-                    digest="-", point=(), residual=None, passed=False,
-                    error=f"SamplingError: {exc}",
-                )
-            )
-            continue
-        dg = hashlib.sha1(
-            json.dumps(
-                [_cplx_out(v) for v in (*upper, *lower)]
-            ).encode()
-        ).hexdigest()[:12]
-        _run_check(
-            records, cfg, "watson", "one-variable connection", dg, (t,),
-            lambda u=upper, l=lower, t=t: check_watson(u, l, t, ctx).residual,
-        )
+    check = "one-variable connection"
+    upper, lower, t = _draw(
+        records, "watson", check, lambda: sampling.sample_watson(cfg.N, ctx.q, rng)
+    )
+    _run_check(
+        records, cfg, "watson", check, _sha12([_cplx_out(v) for v in (*upper, *lower)]),
+        (t,), lambda: check_watson(upper, lower, t, ctx).residual,
+    )
 
 
 def _overlap_params(cfg, ctx, rng) -> ParamSet:
-    return sampling.sample_params(
-        cfg.N, cfg.M, ctx.q, rng, coupling_cap=0.16, min_b=0.5
-    )
+    return sampling.sample_params(cfg.N, cfg.M, ctx.q, rng, coupling_cap=0.16, min_b=0.5)
 
 
 def _suite_connection(cfg, ctx, rng, records):
     sig = perm_identity(cfg.M)
-    for _ in range(cfg.samples):
-        p = _overlap_params(cfg, ctx, rng)
-        dg = _digest(p)
-        L = int(rng.integers(0, cfg.M))
-        try:
-            t = sampling.sample_level_overlap(p, L, sig, ctx, rng)
-        except SamplingError as exc:
-            records.append(
-                CheckRecord(
-                    suite="connection", check=f"split step L={L}", digest=dg,
-                    point=(), residual=None, passed=False,
-                    error=f"SamplingError: {exc}",
-                )
-            )
-            continue
+    p = _draw(records, "connection", "split step", lambda: _overlap_params(cfg, ctx, rng))
+    dg = _digest(p)
+    L = int(rng.integers(0, cfg.M))
+    t = _draw(
+        records, "connection", f"split step L={L}",
+        lambda: sampling.sample_level_overlap(p, L, sig, ctx, rng), dg,
+    )
 
-        def step_down(p=p, L=L, t=t):
-            lo = build_solution_vector(p, L, sig, t, ctx)
-            hi = build_solution_vector(p, L + 1, sig, t, ctx)
-            A = build_A(p, L, sig, t, ctx)
-            return verify_connection(lo, A, hi, ctx)
+    def level_step(build, level, down):
+        lo = build_solution_vector(p, L, sig, t, ctx)
+        hi = build_solution_vector(p, L + 1, sig, t, ctx)
+        dst, src = (lo, hi) if down else (hi, lo)
+        return verify_connection(dst, build(p, level, sig, t, ctx), src, ctx)
 
-        def step_up(p=p, L=L, t=t):
-            lo = build_solution_vector(p, L, sig, t, ctx)
-            hi = build_solution_vector(p, L + 1, sig, t, ctx)
-            B = build_B(p, L + 1, sig, t, ctx)
-            return verify_connection(hi, B, lo, ctx)
+    _run_check(
+        records, cfg, "connection", f"split step L={L}", dg, t,
+        lambda: level_step(build_A, L, True),
+    )
+    _run_check(
+        records, cfg, "connection", f"merge step L={L + 1}", dg, t,
+        lambda: level_step(build_B, L + 1, False),
+    )
+    if cfg.M < 2:
+        return
+    r = int(rng.integers(1, cfg.M))
+    t2 = _draw(
+        records, "connection", f"swap step r={r}",
+        lambda: sampling.sample_swap_overlap(p, r, sig, ctx, rng), dg,
+    )
 
-        _run_check(records, cfg, "connection", f"split step L={L}", dg, t, step_down)
-        _run_check(records, cfg, "connection", f"merge step L={L + 1}", dg, t, step_up)
-        if cfg.M < 2:
-            continue
-        r = int(rng.integers(1, cfg.M))
-        try:
-            t2 = sampling.sample_swap_overlap(p, r, sig, ctx, rng)
-        except SamplingError as exc:
-            records.append(
-                CheckRecord(
-                    suite="connection", check=f"swap step r={r}", digest=dg,
-                    point=(), residual=None, passed=False,
-                    error=f"SamplingError: {exc}",
-                )
-            )
-            continue
+    def swap_step():
+        sw = perm_compose(sig, perm_transposition(cfg.M, r))
+        u_id = build_solution_vector(p, cfg.M, sig, t2, ctx)
+        u_sw = build_solution_vector(p, cfg.M, sw, t2, ctx)
+        S = build_S(p, r, sig, t2, ctx)
+        return verify_connection(u_sw, S, u_id, ctx)
 
-        def swap_step(p=p, r=r, t2=t2):
-            sw = perm_compose(sig, perm_transposition(cfg.M, r))
-            u_id = build_solution_vector(p, cfg.M, sig, t2, ctx)
-            u_sw = build_solution_vector(p, cfg.M, sw, t2, ctx)
-            S = build_S(p, r, sig, t2, ctx)
-            return verify_connection(u_sw, S, u_id, ctx)
-
-        _run_check(records, cfg, "connection", f"swap step r={r}", dg, t2, swap_step)
+    _run_check(records, cfg, "connection", f"swap step r={r}", dg, t2, swap_step)
 
 
 def _suite_theorem1(cfg, ctx, rng, records):
+    first = "composite path" if cfg.M >= 2 else "round trip"
+    p = _draw(records, "theorem1", first, lambda: _overlap_params(cfg, ctx, rng))
+    dg = _digest(p)
     if cfg.M < 2:
         # no swaps exist; exercise the composite machinery on the round trip
         sig = perm_identity(1)
-        for _ in range(cfg.samples):
-            p = _overlap_params(cfg, ctx, rng)
-            dg = _digest(p)
-            try:
-                t = sampling.sample_level_overlap(p, 0, sig, ctx, rng)
-            except SamplingError as exc:
-                records.append(
-                    CheckRecord(
-                        suite="theorem1", check="round trip", digest=dg,
-                        point=(), residual=None, passed=False,
-                        error=f"SamplingError: {exc}",
-                    )
-                )
-                continue
+        t = _draw(
+            records, "theorem1", "round trip",
+            lambda: sampling.sample_level_overlap(p, 0, sig, ctx, rng), dg,
+        )
 
-            def round_trip(p=p, t=t):
-                C = compose_connection(p, 0, sig, 0, sig, t, ctx)
-                u0 = build_solution_vector(p, 0, sig, t, ctx)
-                return verify_connection(u0, C, u0, ctx)
+        def round_trip():
+            C = compose_connection(p, 0, sig, 0, sig, t, ctx)
+            u0 = build_solution_vector(p, 0, sig, t, ctx)
+            return verify_connection(u0, C, u0, ctx)
 
-            _run_check(records, cfg, "theorem1", "round trip", dg, t, round_trip)
+        _run_check(records, cfg, "theorem1", "round trip", dg, t, round_trip)
         return
     sig1 = perm_identity(cfg.M)
     sig2 = perm_compose(sig1, perm_transposition(cfg.M, 1))
     L = cfg.M - 1
-    for _ in range(cfg.samples):
-        p = _overlap_params(cfg, ctx, rng)
-        dg = _digest(p)
-        try:
-            t = sampling.sample_family_overlap(p, (L, sig1), (L, sig2), ctx, rng)
-        except SamplingError as exc:
-            records.append(
-                CheckRecord(
-                    suite="theorem1", check="composite path", digest=dg,
-                    point=(), residual=None, passed=False,
-                    error=f"SamplingError: {exc}",
-                )
-            )
-            continue
+    t = _draw(
+        records, "theorem1", "composite path",
+        lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), ctx, rng), dg,
+    )
 
-        def composite(p=p, t=t):
-            C = compose_connection(p, L, sig1, L, sig2, t, ctx)
-            src = build_solution_vector(p, L, sig1, t, ctx)
-            dst = build_solution_vector(p, L, sig2, t, ctx)
-            return verify_connection(dst, C, src, ctx)
+    def composite():
+        C = compose_connection(p, L, sig1, L, sig2, t, ctx)
+        src = build_solution_vector(p, L, sig1, t, ctx)
+        dst = build_solution_vector(p, L, sig2, t, ctx)
+        return verify_connection(dst, C, src, ctx)
 
-        def word_agreement(p=p, t=t):
-            C1 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1])
-            C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1])
-            diff = float(np.abs(C1.entries - C2.entries).max())
-            scale = float(max(np.abs(C1.entries).max(), np.abs(C2.entries).max()))
-            return diff / scale
+    def word_agreement():
+        C1 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1])
+        C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1])
+        return _rel_maxnorm(C1.entries, C2.entries)
 
-        _run_check(records, cfg, "theorem1", "composite path", dg, t, composite)
-        _run_check(records, cfg, "theorem1", "word agreement", dg, t, word_agreement)
+    _run_check(records, cfg, "theorem1", "composite path", dg, t, composite)
+    _run_check(records, cfg, "theorem1", "word agreement", dg, t, word_agreement)
 
 
 def _node_proxy(p: ParamSet, L: int, m, ctx: QContext) -> float:
@@ -614,6 +569,21 @@ def _shift_candidates(M: int, n_rows: int, q: complex):
     return [(a,) * (M - 1) + (-b,) for a in (1, 2, 3) for b in bs]
 
 
+def _independence_params(cfg, ctx, rng, L, cands, proxy_floor):
+    """(params, shift, proxy) of the best-separated of up to 60 generic
+    draws, stopping at the first whose proxy reaches the floor."""
+    best = (None, None, -1.0)
+    for _ in range(60):
+        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
+        m = max(cands, key=lambda mm: _node_proxy(p, L, mm, ctx))
+        prox = _node_proxy(p, L, m, ctx)
+        if prox > best[2]:
+            best = (p, m, prox)
+        if prox >= proxy_floor:
+            break
+    return best
+
+
 def _suite_independence(cfg, ctx, rng, records):
     sig = perm_identity(cfg.M)
     L = cfg.M - 1
@@ -623,121 +593,88 @@ def _suite_independence(cfg, ctx, rng, records):
     # product over all node pairs
     proxy_floor = 0.34 ** (n * (n - 1) / 2)
     cands = _shift_candidates(cfg.M, n, ctx.q)
-    for _ in range(cfg.samples):
-        best_p, best_m, best_proxy = None, None, -1.0
-        for _try in range(60):
-            p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-            m = max(cands, key=lambda mm: _node_proxy(p, L, mm, ctx))
-            prox = _node_proxy(p, L, m, ctx)
-            if prox > best_proxy:
-                best_p, best_m, best_proxy = p, m, prox
-            if prox >= proxy_floor:
-                break
-        p, shift, prox = best_p, best_m, best_proxy
-        dg = _digest(p)
-        try:
-            t = sampling.sample_domain_point(p, L, sig, ctx, rng)
-        except SamplingError as exc:
-            records.append(
-                CheckRecord(
-                    suite="independence", check="scaled determinant", digest=dg,
-                    point=(), residual=None, passed=False,
-                    error=f"SamplingError: {exc}",
-                )
-            )
-            continue
-        funcs = [
-            (lambda tt, c=c: local_solution(p, L, sig, c, tt, ctx))
-            for c in comps
-        ]
+    check = "scaled determinant"
+    p, shift, prox = _draw(
+        records, "independence", check,
+        lambda: _independence_params(cfg, ctx, rng, L, cands, proxy_floor),
+    )
+    dg = _digest(p)
+    t = _draw(
+        records, "independence", check,
+        lambda: sampling.sample_domain_point(p, L, sig, ctx, rng), dg,
+    )
+    funcs = [(lambda tt, c=c: local_solution(p, L, sig, c, tt, ctx)) for c in comps]
+    # dependent column: a combination of columns that stay in the matrix
+    # (only the first survives when n = 2)
+    if n >= 3:
+        forge_fn = lambda tt: 2.0 * funcs[0](tt) + 0.5 * funcs[1](tt)
+    else:
+        forge_fn = lambda tt: 2.0 * funcs[0](tt)
+    forged: list[float] = []
 
-        start = time.perf_counter()
-        try:
-            det = abs(casorati_independence(funcs, shift, t, ctx).det)
-            # dependent column: a combination of columns that stay in the
-            # matrix (only the first survives when n = 2)
-            if n >= 3:
-                forge_fn = lambda tt: 2.0 * funcs[0](tt) + 0.5 * funcs[1](tt)
-            else:
-                forge_fn = lambda tt: 2.0 * funcs[0](tt)
-            forged = funcs[:-1] + [forge_fn]
-            det_forged = abs(casorati_independence(forged, shift, t, ctx).det)
-        except (QConnectError, ArithmeticError) as exc:
-            records.append(
-                CheckRecord(
-                    suite="independence", check="scaled determinant", digest=dg,
-                    point=t, residual=None, passed=False,
-                    timing=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        elapsed = time.perf_counter() - start
-        # the det scales with the node separation; for well-separated draws
-        # this is at least the configured threshold
-        threshold = min(cfg.tol("independence"), 0.05 * prox)
-        records.append(
-            CheckRecord(
-                suite="independence", check="scaled determinant", digest=dg,
-                point=t, residual=det, passed=det > threshold,
-                margin=threshold, timing=elapsed,
-            )
-        )
-        records.append(
-            CheckRecord(
-                suite="independence", check="forged dependence", digest=dg,
-                point=t, residual=det_forged, passed=det_forged < 1e-10,
-                timing=0.0,
-            )
+    def dets():
+        det = abs(casorati_independence(funcs, shift, t, ctx).det)
+        forged.append(abs(casorati_independence(funcs[:-1] + [forge_fn], shift, t, ctx).det))
+        return det
+
+    # the det scales with the node separation; for well-separated draws
+    # this is at least the configured threshold
+    threshold = min(cfg.tol("independence"), 0.05 * prox)
+    if _run_check(
+        records, cfg, "independence", check, dg, t, dets,
+        margin=threshold, passes=lambda det: det > threshold,
+    ) is not None:
+        _run_check(
+            records, cfg, "independence", "forged dependence", dg, t,
+            lambda: forged[0], passes=lambda det: det < 1e-10,
         )
 
 
 def _suite_ybe(cfg, ctx, rng, records):
-    M_eff = max(cfg.M, 3)
     r = 1
-    for _ in range(cfg.samples):
-        p = sampling.sample_params(cfg.N, M_eff, ctx.q, rng)
-        u = sampling.sample_spectral(rng)
-        v = sampling.sample_spectral(rng)
-        _run_check(
-            records, cfg, "ybe", f"braid move r={r}", _digest(p), (u, v),
-            lambda p=p, u=u, v=v: ybe_residual(p, r, u, v, ctx),
-        )
+    check = f"braid move r={r}"
+    p = _draw(
+        records, "ybe", check,
+        lambda: sampling.sample_params(cfg.N, max(cfg.M, 3), ctx.q, rng),
+    )
+    u = sampling.sample_spectral(rng)
+    v = sampling.sample_spectral(rng)
+    _run_check(
+        records, cfg, "ybe", check, _digest(p), (u, v),
+        lambda: ybe_residual(p, r, u, v, ctx),
+    )
 
 
 def _suite_facemodel(cfg, ctx, rng, records):
-    for _ in range(cfg.samples):
-        al = sampling.draw_exponent(rng)
-        be = sampling.draw_exponent(rng)
-        u = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
-        dg = hashlib.sha1(
-            json.dumps([_cplx_out(al), _cplx_out(be)]).encode()
-        ).hexdigest()[:12]
+    al = sampling.draw_exponent(rng)
+    be = sampling.draw_exponent(rng)
+    u = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
+    dg = _sha12([_cplx_out(al), _cplx_out(be)])
 
-        def conjugacy(al=al, be=be, u=u):
-            W = build_W_akm(al, be, u, ctx).as_array()
-            Wt = build_Wtilde(al, be, u, ctx).as_array()
-            f = conj_f(al, be, ctx)
-            A = np.diag([1.0 + 0j, f])
-            B = np.diag([f, 1.0 + 0j])
-            scale = np.abs(W).max()
-            d1 = np.abs(W - np.linalg.inv(A) @ Wt @ A).max()
-            d2 = np.abs(W - B @ Wt @ np.linalg.inv(B)).max()
-            return max(d1, d2) / scale
+    def conjugacy():
+        W = build_W_akm(al, be, u, ctx).as_array()
+        Wt = build_Wtilde(al, be, u, ctx).as_array()
+        f = conj_f(al, be, ctx)
+        A = np.diag([1.0 + 0j, f])
+        B = np.diag([f, 1.0 + 0j])
+        scale = np.abs(W).max()
+        d1 = np.abs(W - np.linalg.inv(A) @ Wt @ A).max()
+        d2 = np.abs(W - B @ Wt @ np.linalg.inv(B)).max()
+        return max(d1, d2) / scale
 
-        _run_check(records, cfg, "facemodel", "weight conjugacy", dg, (u,), conjugacy)
-        x = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
-        _run_check(
-            records, cfg, "facemodel", "gauge transfer", dg, (x,),
-            lambda al=al, be=be, x=x: wprime_gauge_residual(al, be, x, ctx),
-        )
+    _run_check(records, cfg, "facemodel", "weight conjugacy", dg, (u,), conjugacy)
+    x = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
+    _run_check(
+        records, cfg, "facemodel", "gauge transfer", dg, (x,),
+        lambda: wprime_gauge_residual(al, be, x, ctx),
+    )
 
 
 _RUNNERS = {
-    "series": _suite_series,
+    "series": partial(_suite_one_residual, "series"),
     "system": _suite_system,
-    "duality": _suite_duality,
-    "jackson": _suite_jackson,
+    "duality": partial(_suite_one_residual, "duality"),
+    "jackson": partial(_suite_one_residual, "jackson"),
     "watson": _suite_watson,
     "connection": _suite_connection,
     "theorem1": _suite_theorem1,
@@ -753,11 +690,15 @@ def run_suite(cfg: RunConfig) -> Report:
     cfg.validate()
     ctx = cfg.context()
     records: list[CheckRecord] = []
-    for suite in SUITES:
+    for index, suite in enumerate(SUITES):
         if suite not in cfg.suites:
             continue
-        rng = np.random.default_rng([cfg.seed, SUITES.index(suite)])
-        _RUNNERS[suite](cfg, ctx, rng, records)
+        rng = np.random.default_rng([cfg.seed, index])
+        for _ in range(cfg.samples):
+            try:
+                _RUNNERS[suite](cfg, ctx, rng, records)
+            except _SampleAbort:
+                pass
     records.sort(key=_record_key)
     return Report(
         config=cfg.as_dict(),
@@ -786,26 +727,24 @@ def eval_spec(spec: dict) -> dict:
     if kind == "nphi":
         upper = _parse_cplx_list(spec["upper"])
         lower = _parse_cplx_list(spec["lower"])
-        t = _cplx_in(spec["t"])
-        sv = eval_nphi(upper, lower, t, ctx)
-        return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
-    if kind not in ("FNM", "FNM_L", "FNM_Lkl", "GNM_Lkl"):
+        sv = eval_nphi(upper, lower, _cplx_in(spec["t"]), ctx)
+    elif kind in ("FNM", "FNM_L", "FNM_Lkl", "GNM_Lkl"):
+        p = ParamSet(
+            alpha=_parse_cplx_list(spec["alpha"]),
+            beta=_parse_cplx_list(spec["beta"]),
+            gamma=_parse_cplx_list(spec["gamma"]),
+            q=q,
+        )
+        t = _parse_cplx_list(spec["t"])
+        if kind == "FNM":
+            sv = eval_FNM(p, t, ctx)
+        elif kind == "FNM_L":
+            sv = eval_FNM_L(p, int(spec["L"]), t, ctx)
+        else:
+            fn = eval_FNM_Lkl if kind == "FNM_Lkl" else eval_GNM_Lkl
+            sv = fn(p, int(spec["L"]), int(spec["k"]), int(spec["l"]), t, ctx)
+    else:
         raise ConfigError(f"unknown series kind {kind!r}")
-    p = ParamSet(
-        alpha=_parse_cplx_list(spec["alpha"]),
-        beta=_parse_cplx_list(spec["beta"]),
-        gamma=_parse_cplx_list(spec["gamma"]),
-        q=q,
-    )
-    t = _parse_cplx_list(spec["t"])
-    if kind == "FNM":
-        sv = eval_FNM(p, t, ctx)
-        return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
-    if kind == "FNM_L":
-        sv = eval_FNM_L(p, int(spec["L"]), t, ctx)
-        return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
-    fn = eval_FNM_Lkl if kind == "FNM_Lkl" else eval_GNM_Lkl
-    sv = fn(p, int(spec["L"]), int(spec["k"]), int(spec["l"]), t, ctx)
     return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
 
 
@@ -900,56 +839,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _split_cplx_csv(s: str) -> tuple[complex, ...]:
-    return tuple(complex(part.replace(" ", "")) for part in s.split(","))
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    kw: dict = {}
-    if args.q is not None:
-        kw["q"] = complex(args.q.replace(" ", ""))
-    if args.N is not None:
-        kw["N"] = args.N
-    if args.M is not None:
-        kw["M"] = args.M
+def _with_flags(raw, args):
+    """The config dict with the run flags laid over it, in the same shape."""
+    if not isinstance(raw, dict):
+        return raw  # config_from_dict rejects it
+    out = dict(raw)
+    for key, value in (("q", args.q), ("N", args.N), ("M", args.M),
+                       ("samples", args.samples), ("seed", args.seed),
+                       ("output", args.out)):
+        if value is not None:
+            out[key] = value
     if args.suite is not None:
-        names: list[str] = []
-        for item in args.suite:
-            names.extend(s.strip() for s in item.split(",") if s.strip())
-        kw["suites"] = SUITES if names == ["all"] else tuple(names)
-    if args.samples is not None:
-        kw["samples"] = args.samples
-    if args.seed is not None:
-        kw["seed"] = args.seed
+        out["suites"] = [s.strip() for item in args.suite for s in item.split(",") if s.strip()]
     if args.tol is not None:
+        tols = dict(raw.get("tolerances") or {})
         for item in args.tol:
-            if "=" in item:
-                key, _, val = item.partition("=")
-                key = key.strip()
-                if key in ("cmp", "cmp_tol"):
-                    kw["cmp_tol"] = float(val)
-                elif key in ("tail", "tail_tol"):
-                    kw["tail_tol"] = float(val)
-                else:
-                    raise ConfigError(f"unknown tolerance {key!r}")
-            else:
-                kw["cmp_tol"] = float(item)
-    if args.out is not None:
-        kw["output"] = args.out
-    return replace(cfg, **kw) if kw else cfg
+            key, sep, val = item.partition("=")
+            if not sep:
+                key, val = "cmp", item
+            key = key.strip()
+            if key not in ("cmp", "cmp_tol", "tail", "tail_tol"):
+                raise ConfigError(f"unknown tolerance {key!r}")
+            tols[key.removesuffix("_tol") + "_tol"] = val
+        out["tolerances"] = tols
+    return out
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
+            raw = {}
             if args.config is not None:
                 with open(args.config) as fh:
-                    cfg = config_from_dict(json.load(fh))
-            else:
-                cfg = RunConfig()
-            cfg = _apply_overrides(cfg, args)
-            cfg.validate()
+                    raw = json.load(fh)
+            cfg = config_from_dict(_with_flags(raw, args))
             rep = run_suite(cfg)
             print(
                 emit_report(rep, format=args.format, with_timing=args.with_timing)
@@ -974,10 +898,10 @@ def main(argv=None) -> int:
                 N=args.N,
                 M=args.M,
                 L=args.L,
-                alpha=_split_cplx_csv(args.alpha) if args.alpha else None,
-                beta=_split_cplx_csv(args.beta) if args.beta else None,
-                gamma=_split_cplx_csv(args.gamma) if args.gamma else None,
-                q=complex(args.q.replace(" ", "")),
+                alpha=_parse_cplx_list(args.alpha.split(",")) if args.alpha else None,
+                beta=_parse_cplx_list(args.beta.split(",")) if args.beta else None,
+                gamma=_parse_cplx_list(args.gamma.split(",")) if args.gamma else None,
+                q=_cplx_in(args.q),
                 seed=args.seed,
             )
             print(json.dumps(out, indent=2, sort_keys=True))

@@ -23,9 +23,9 @@ from .errors import DomainError, PoleError, WordError
 from .qkernel import (
     ParamSet,
     QContext,
+    _rel_maxnorm,
     cpow,
     perm_compose,
-    perm_identity,
     perm_inverse,
     perm_transposition,
     permute_seq,
@@ -322,34 +322,28 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
     Entries depend on the coordinates only through the ratio of the two
     swapped ones, so simultaneous rescaling of both leaves the matrix fixed.
     """
-    N, M = p.N, p.M
+    M = p.M
     if not 1 <= r <= M - 1:
         raise IndexError(f"swap position {r} outside [1, {M - 1}]")
     sigma = tuple(int(v) for v in sigma)
-    pp = p.permuted(sigma)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     if tt[r] == 0:
         raise DomainError("swap ratio undefined: lower coordinate vanishes")
-    u = tt[r - 1] / tt[r]
-    size = N * M + 1
-    S = np.eye(size, dtype=complex)
-    for k in range(1, N + 1):
-        s11, s12, s21, s22 = _swap_block(p, pp.beta, pp.b, k, r, u, ctx)
-        i = component_index((k, r), M)
-        j = component_index((k, r + 1), M)
-        S[i, i] = s11
-        S[i, j] = s12
-        S[j, i] = s21
-        S[j, j] = s22
-    return ConnMatrix(
-        kind="S",
-        L=M,
-        sigma=sigma,
-        r=r,
-        entries=S,
-        eval_point=(u,),
-        t=tuple(complex(v) for v in t),
-    )
+    return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], tuple(complex(v) for v in t), ctx)
+
+
+def _swap_matrix(
+    p: ParamSet, r: int, sigma: tuple[int, ...], u: complex, t, ctx: QContext
+) -> ConnMatrix:
+    """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
+    at the coordinate ratio u; t is the point recorded with it."""
+    pp = p.permuted(sigma)
+    S = np.eye(p.N * p.M + 1, dtype=complex)
+    for k in range(1, p.N + 1):
+        i = component_index((k, r), p.M)
+        j = component_index((k, r + 1), p.M)
+        S[i, i], S[i, j], S[j, i], S[j, j] = _swap_block(p, pp.beta, pp.b, k, r, u, ctx)
+    return ConnMatrix(kind="S", L=p.M, sigma=sigma, r=r, entries=S, eval_point=(u,), t=t)
 
 
 def transposition_word(rho) -> list[int]:
@@ -445,9 +439,4 @@ def verify_connection(
             f"point outside sector intersection (margins {margin_l:.3g}, "
             f"{margin_r:.3g})"
         )
-    left = lhs.as_array()
-    right = C.entries @ rhs.as_array()
-    scale = max(np.max(np.abs(left)), np.max(np.abs(right)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(left - right)) / scale)
+    return _rel_maxnorm(lhs.as_array(), C.entries @ rhs.as_array())

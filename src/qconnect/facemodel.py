@@ -19,6 +19,7 @@ from .errors import DomainError, PoleError
 from .qkernel import (
     ParamSet,
     QContext,
+    _rel_maxnorm,
     cpow,
     perm_compose,
     perm_identity,
@@ -26,8 +27,7 @@ from .qkernel import (
     qpoch_inf,
     theta,
 )
-from .connection import ConnMatrix, _swap_block, _theta_quot
-from .hyperseries import component_index
+from .connection import ConnMatrix, _swap_matrix
 
 __all__ = [
     "FaceWeight2x2",
@@ -76,33 +76,13 @@ def build_Stilde(
     """Adjacent-swap matrix with the coordinate ratio freed to an arbitrary
     spectral argument. Entries are those of build_S with slot ordering sigma,
     evaluated at ratio instead of an actual coordinate quotient."""
-    N, M = p.N, p.M
+    M = p.M
     if not 1 <= r <= M - 1:
         raise IndexError(f"swap position {r} outside [1, {M - 1}]")
     ratio = complex(ratio)
     if ratio == 0:
         raise DomainError("spectral argument must be nonzero")
-    sigma = tuple(int(v) for v in sigma)
-    pp = p.permuted(sigma)
-    size = N * M + 1
-    S = np.eye(size, dtype=complex)
-    for k in range(1, N + 1):
-        s11, s12, s21, s22 = _swap_block(p, pp.beta, pp.b, k, r, ratio, ctx)
-        i = component_index((k, r), M)
-        j = component_index((k, r + 1), M)
-        S[i, i] = s11
-        S[i, j] = s12
-        S[j, i] = s21
-        S[j, j] = s22
-    return ConnMatrix(
-        kind="S",
-        L=M,
-        sigma=sigma,
-        r=r,
-        entries=S,
-        eval_point=(ratio,),
-        t=(),
-    )
+    return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, (), ctx)
 
 
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:
@@ -127,8 +107,7 @@ def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> 
         @ build_Stilde(p, r, sr1, u * v, ctx).entries
         @ build_Stilde(p, r + 1, ident, u, ctx).entries
     )
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _rel_maxnorm(lhs, rhs)
 
 
 def _theta_pow(z: complex, ctx: QContext) -> complex:
@@ -255,8 +234,7 @@ def akm_ybe_residual(
         @ akm_P(alpha, beta, n, i, u * v, ctx)
         @ akm_P(alpha, beta, n, i + 1, u, ctx)
     )
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _rel_maxnorm(lhs, rhs)
 
 
 def bracket(x: complex, ctx: QContext) -> complex:
@@ -362,8 +340,7 @@ def wprime_path_ybe_residual(
         @ _path_operator(a_mult, unit_mult, n, i, u * v, ctx)
         @ _path_operator(a_mult, unit_mult, n, i + 1, u, ctx)
     )
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _rel_maxnorm(lhs, rhs)
 
 
 GAUGE_TWIST_DEFAULT = "balanced"
@@ -409,5 +386,4 @@ def wprime_gauge_residual(
     if abs(den) <= _BRACKET_TOL:
         raise PoleError("theta normalization vanished")
     rhs = theta(x * qp(-beta), ctx) / den * build_W_akm(alpha, beta, x, ctx).as_array()
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _rel_maxnorm(lhs, rhs)

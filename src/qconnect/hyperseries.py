@@ -38,7 +38,6 @@ from .qkernel import (
 __all__ = [
     "SeriesValue",
     "SolutionVector",
-    "DomainSpec",
     "CharExponent",
     "ResonanceReport",
     "eval_FNM",
@@ -475,7 +474,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
         pref = 1.0 + 0j
         for i in range(L + 1, M + 1):
             pref *= cpow(tt[i - 1], -pp.beta[i - 1])
-        return pref * _shell_value(eval_FNM_L(pp, L, tt, ctx))
+        return pref * eval_FNM_L(pp, L, tt, ctx).value
     k, l = comp
     if l <= L:
         expo = 1.0 + beta_tail(l) - pp.gamma[k - 1]
@@ -486,11 +485,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
     pref = cpow(tt[l - 1], expo)
     for i in range(l + 1, M + 1):
         pref *= cpow(tt[i - 1], -pp.beta[i - 1])
-    return pref * _shell_value(series)
-
-
-def _shell_value(sv: SeriesValue) -> complex:
-    return sv.value
+    return pref * series.value
 
 
 @dataclass(frozen=True)
@@ -535,51 +530,25 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
 # domains, exponents, resonance
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Convergence sector of the solution family at split level L and slot
-    ordering sigma: reordered coordinates 1..L small, the rest large, with
-    pairwise separation conditions."""
-
-    L: int
-    sigma: tuple[int, ...]
-
-    def slacks(self, p: ParamSet, t, ctx: QContext) -> list[tuple[str, float]]:
-        tt = permute_seq(tuple(complex(v) for v in t), self.sigma)
-        bb = permute_seq(p.b, self.sigma)
-        q = p.q
-        big = math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * q
-        out: list[tuple[str, float]] = []
-        for i in range(1, self.L + 1):
-            out.append((f"small coordinate {i}", 1.0 - abs(tt[i - 1])))
-        for i in range(self.L + 1, len(tt) + 1):
-            out.append(
-                (
-                    f"large coordinate {i}",
-                    1.0 - _abs_ratio(big, bb[i - 1] * tt[i - 1]),
-                )
-            )
-        for i in range(1, len(tt) + 1):
-            for j in range(i + 1, len(tt) + 1):
-                out.append(
-                    (
-                        f"separation ({i}, {j})",
-                        1.0 - _abs_ratio(q * tt[i - 1], bb[j - 1] * tt[j - 1]),
-                    )
-                )
-        return out
-
-    def check(self, p: ParamSet, t, ctx: QContext) -> tuple[bool, float]:
-        slacks = self.slacks(p, t, ctx)
-        margin = min(s for _, s in slacks)
-        return margin > 0.0, margin
-
-
 def in_domain(L: int, sigma, p: ParamSet, t, ctx: QContext) -> tuple[bool, float]:
-    """Strict membership test for the solution family's sector; the margin is
-    the smallest slack (negative when outside)."""
-    spec = DomainSpec(L=L, sigma=tuple(int(v) for v in sigma))
-    return spec.check(p, t, ctx)
+    """Strict membership test for the convergence sector of the solution
+    family at split level L and slot ordering sigma: reordered coordinates
+    1..L small, the rest large, with pairwise separation conditions. The
+    margin is the smallest slack (negative when outside)."""
+    sigma = tuple(int(v) for v in sigma)
+    tt = permute_seq(tuple(complex(v) for v in t), sigma)
+    bb = permute_seq(p.b, sigma)
+    q = p.q
+    big = math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * q
+    slacks = [1.0 - abs(tt[i]) for i in range(L)]
+    slacks += [1.0 - _abs_ratio(big, bb[i] * tt[i]) for i in range(L, len(tt))]
+    slacks += [
+        1.0 - _abs_ratio(q * tt[i], bb[j] * tt[j])
+        for i in range(len(tt))
+        for j in range(i + 1, len(tt))
+    ]
+    margin = min(slacks)
+    return margin > 0.0, margin
 
 
 @dataclass(frozen=True)

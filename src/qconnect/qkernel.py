@@ -59,16 +59,12 @@ class QContext:
     prod_terms   number of factors kept in infinite products
     series_cap   maximum shell (total degree) in multi-series evaluation
     tail_tol     relative shell size below which a series is considered done
-    cmp_tol      default comparison tolerance for checks
-    seed         seed for any randomized sampling driven by this context
     """
 
     q: complex
     prod_terms: int | None = None
     series_cap: int = 80
     tail_tol: float = 1e-12
-    cmp_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self) -> None:
         q = complex(self.q)
@@ -157,6 +153,14 @@ def cpow(t: complex, alpha: complex) -> complex:
             return 0j
         raise DomainError("0**alpha is undefined for Re(alpha) <= 0")
     return cmath.exp(alpha * cmath.log(t))
+
+
+def _rel_maxnorm(lhs, rhs) -> float:
+    """max|lhs - rhs| / max(max|lhs|, max|rhs|); 0.0 when both vanish."""
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 def lattice_hit(

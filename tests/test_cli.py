@@ -83,6 +83,22 @@ def test_run_suite_deterministic():
     assert rep1.passed
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(q=0.7, suites=("connection",), samples=1),
+        dict(q=0.7, suites=("theorem1",), samples=1),
+        dict(N=1, M=6, suites=("connection",), samples=1),
+    ],
+)
+def test_failed_draw_becomes_failing_record(kw):
+    text = emit_report(run_suite(RunConfig(**kw)))
+    assert emit_report(run_suite(RunConfig(**kw))) == text
+    failing = [r for r in json.loads(text)["records"] if not r["pass"]]
+    assert failing
+    assert all(r["error"].startswith("SamplingError: ") for r in failing)
+
+
 def test_report_round_trip_and_timing():
     rep = run_suite(small_cfg())
     d = report_to_dict(rep)
@@ -153,6 +169,8 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--suite", "duality", "--samples", "2",
                  "--out", "/nonexistent/dir/x.json"]) == 3
     capsys.readouterr()
+    assert main(["run", "--q", "0.7", "--suite", "connection", "--samples", "1"]) == 1
+    assert "SamplingError: " in capsys.readouterr().out
 
 
 def test_eval_spec_frozen_values():
