@@ -14,12 +14,10 @@ from .errors import (
     WordError,
 )
 from .qkernel import (
-    MultiIndex,
     ParamSet,
     QContext,
     cpow,
     lattice_hit,
-    mindex_nl,
     perm_compose,
     perm_identity,
     perm_inverse,

@@ -124,6 +124,10 @@ class RunConfig:
             )
         if not 0.0 < abs(complex(self.q)) < 1.0:
             raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(complex(self.q))}")
+        try:
+            self.context()
+        except ValueError as exc:
+            raise ConfigError(f"tolerances: {exc}") from exc
 
     def tol(self, suite: str) -> float:
         if self.cmp_tol is not None:
@@ -164,15 +168,16 @@ def config_from_dict(raw: dict) -> RunConfig:
         kw["q"] = _cplx_in(raw["q"])
     for key in ("N", "M", "samples", "seed"):
         if key in raw:
-            kw[key] = int(raw[key])
+            kw[key] = _parsed(int, raw[key], key)
     if "suites" in raw:
         names = [raw["suites"]] if isinstance(raw["suites"], str) else raw["suites"]
-        kw["suites"] = SUITES if names == ["all"] else tuple(str(s) for s in names)
+        kw["suites"] = SUITES if names == ["all"] else _parsed(tuple, names, "suites")
     tols = raw.get("tolerances") or {}
-    if "tail_tol" in tols and tols["tail_tol"] is not None:
-        kw["tail_tol"] = float(tols["tail_tol"])
-    if "cmp_tol" in tols and tols["cmp_tol"] is not None:
-        kw["cmp_tol"] = float(tols["cmp_tol"])
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    for key in ("tail_tol", "cmp_tol"):
+        if tols.get(key) is not None:
+            kw[key] = _parsed(float, tols[key], key)
     if raw.get("output") is not None:
         kw["output"] = str(raw["output"])
     cfg = RunConfig(**kw)
@@ -215,11 +220,29 @@ def _cplx_out(z: complex) -> list[float]:
 
 
 def _cplx_in(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, str):
-        return complex(v.replace(" ", ""))
-    return complex(v)
+    try:
+        if isinstance(v, (list, tuple)):
+            return complex(float(v[0]), float(v[1]))
+        if isinstance(v, str):
+            return complex(v.replace(" ", ""))
+        return complex(v)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"not a complex number: {v!r}") from exc
+
+
+def _parsed(parse, v, name: str):
+    """parse(v), with a malformed input value (JSON text included) reported
+    as a ConfigError."""
+    try:
+        return parse(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: cannot parse {v!r} ({exc})") from exc
+
+
+def _read_json(path: str):
+    """Parsed JSON file; OSError surfaces when it cannot be read."""
+    with open(path) as fh:
+        return _parsed(json.loads, fh.read(), path)
 
 
 def _record_key(r: CheckRecord):
@@ -721,28 +744,34 @@ def eval_spec(spec: dict) -> dict:
     upper/lower values directly."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("series spec must be a JSON object with a 'kind'")
+
+    def field(key, parse):
+        if key not in spec:
+            raise ConfigError(f"series spec of kind {kind!r} needs {key!r}")
+        return _parsed(parse, spec[key], key)
+
     kind = spec["kind"]
     q = _cplx_in(spec.get("q", 0.3))
     ctx = QContext(q=q, series_cap=200)
     if kind == "nphi":
-        upper = _parse_cplx_list(spec["upper"])
-        lower = _parse_cplx_list(spec["lower"])
-        sv = eval_nphi(upper, lower, _cplx_in(spec["t"]), ctx)
+        upper = field("upper", _parse_cplx_list)
+        lower = field("lower", _parse_cplx_list)
+        sv = eval_nphi(upper, lower, field("t", _cplx_in), ctx)
     elif kind in ("FNM", "FNM_L", "FNM_Lkl", "GNM_Lkl"):
         p = ParamSet(
-            alpha=_parse_cplx_list(spec["alpha"]),
-            beta=_parse_cplx_list(spec["beta"]),
-            gamma=_parse_cplx_list(spec["gamma"]),
+            alpha=field("alpha", _parse_cplx_list),
+            beta=field("beta", _parse_cplx_list),
+            gamma=field("gamma", _parse_cplx_list),
             q=q,
         )
-        t = _parse_cplx_list(spec["t"])
+        t = field("t", _parse_cplx_list)
         if kind == "FNM":
             sv = eval_FNM(p, t, ctx)
         elif kind == "FNM_L":
-            sv = eval_FNM_L(p, int(spec["L"]), t, ctx)
+            sv = eval_FNM_L(p, field("L", int), t, ctx)
         else:
             fn = eval_FNM_Lkl if kind == "FNM_Lkl" else eval_GNM_Lkl
-            sv = fn(p, int(spec["L"]), int(spec["k"]), int(spec["l"]), t, ctx)
+            sv = fn(p, field("L", int), field("k", int), field("l", int), t, ctx)
     else:
         raise ConfigError(f"unknown series kind {kind!r}")
     return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
@@ -869,10 +898,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            raw = {}
-            if args.config is not None:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
+            raw = {} if args.config is None else _read_json(args.config)
             cfg = config_from_dict(_with_flags(raw, args))
             rep = run_suite(cfg)
             print(
@@ -886,11 +912,7 @@ def main(argv=None) -> int:
             return 0 if rep.passed else 1
         if args.command == "eval":
             raw = args.spec.strip()
-            if raw.startswith("{"):
-                spec = json.loads(raw)
-            else:
-                with open(raw) as fh:
-                    spec = json.load(fh)
+            spec = _parsed(json.loads, raw, "spec") if raw.startswith("{") else _read_json(raw)
             print(json.dumps(eval_spec(spec), indent=2, sort_keys=True))
             return 0
         if args.command == "exponents":

@@ -28,6 +28,7 @@ from .errors import (
     ResonanceError,
 )
 from .qkernel import (
+    LATTICE_RANGE,
     ParamSet,
     QContext,
     cpow,
@@ -84,8 +85,6 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
 def _axis_table(nums, dens, x: complex, cap: int, ctx: QContext) -> np.ndarray:
     """Weight table w[0..cap] with w[0] = 1 and
     w[k+1]/w[k] = x * prod(1 - n q^k) / prod(1 - d q^k)."""
-    if cap == 0:
-        return np.ones(1, dtype=complex)
     qp = np.power(ctx.q, np.arange(cap))
     num = np.ones(cap, dtype=complex)
     for u in nums:
@@ -107,7 +106,8 @@ def _axis_table(nums, dens, x: complex, cap: int, ctx: QContext) -> np.ndarray:
 
 def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray:
     """Coupling table g[n] for n in [-down, up] (stored with offset `down`),
-    g(0) = 1 and g(n) = prod_j (nums_j)_n / (dens_j)_n."""
+    g(0) = 1 and g(n) = prod_j (nums_j)_n / (dens_j)_n; nums and dens have
+    equal length."""
     q = ctx.q
     g = np.empty(up + down + 1, dtype=complex)
     g[down] = 1.0
@@ -127,30 +127,20 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
         g[down + n + 1] = g[down + n] * num / den
         qk *= q
     qk = 1.0 / q
-    pairs = min(len(nums), len(dens))
+    # factors are paired before dividing: each quotient tends to a finite
+    # constant as q^{-n} grows, while the separate products overflow long
+    # before the table index range is exhausted
+    pairs = tuple(zip(nums, dens, strict=True))
     for n in range(down):
-        # factors are paired before dividing: each quotient tends to a
-        # finite constant as q^{-n} grows, while the separate products
-        # overflow long before the table index range is exhausted
         ratio = 1.0 + 0j
-        for j in range(pairs):
-            fden = 1.0 - nums[j] * qk
-            if abs(fden) <= _DEN_TOL * max(1.0, abs(nums[j] * qk)):
-                raise ResonanceError(
-                    f"coupling denominator vanished at index {-n - 1} "
-                    "(parameter ratio on the q-power lattice)"
-                )
-            ratio *= (1.0 - dens[j] * qk) / fden
-        for v in dens[pairs:]:
-            ratio *= 1.0 - v * qk
-        for u in nums[pairs:]:
+        for u, v in pairs:
             fden = 1.0 - u * qk
             if abs(fden) <= _DEN_TOL * max(1.0, abs(u * qk)):
                 raise ResonanceError(
                     f"coupling denominator vanished at index {-n - 1} "
                     "(parameter ratio on the q-power lattice)"
                 )
-            ratio /= fden
+            ratio *= (1.0 - v * qk) / fden
         g[down - n - 1] = g[down - n] * ratio
         qk /= q
     return g
@@ -177,13 +167,10 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
     small = 0
     recent: list[float] = []
     for s in range(cap + 1):
-        j0 = max(0, s - down)
-        j1 = min(s, up)
-        if j0 > j1:
-            shell = 0j
-        else:
-            js = np.arange(j0, j1 + 1)
-            shell = complex(np.sum(cp[js] * cm[s - js] * g[down + 2 * js - s]))
+        # up and down are each 0 or cap, and at least one axis exists, so
+        # the index range is never empty
+        js = np.arange(max(0, s - down), min(s, up) + 1)
+        shell = complex(np.sum(cp[js] * cm[s - js] * g[down + 2 * js - s]))
         total += shell
         mag = max(mag, abs(total))
         rel = abs(shell) / mag
@@ -210,16 +197,11 @@ def _plain_axis(b: complex, x: complex, q: complex):
 
 def eval_FNM(p: ParamSet, t, ctx: QContext) -> SeriesValue:
     """Principal multi-series: coupling (a_1..a_N | c_1..c_N) over the total
-    degree, one plain axis (b_i; t_i) per lower slot. Requires |t_i| < 1."""
-    _check_base(p, ctx)
-    t = tuple(complex(v) for v in t)
-    if len(t) != p.M:
-        raise ValueError(f"expected {p.M} coordinates, got {len(t)}")
-    bad = [i for i, v in enumerate(t, start=1) if abs(v) >= 1.0]
-    if bad:
-        raise DomainError(f"|t_i| < 1 required; violated at i = {bad}")
-    plus = [_plain_axis(p.b[i], t[i], p.q) for i in range(p.M)]
-    return _shell_series(plus, [], p.a, p.c, ctx)
+    degree, one plain axis (b_i; t_i) per lower slot. Requires |t_i| < 1.
+
+    This is the split series at L = M: every axis expands in t_i and the
+    coupling quotient B is the empty product 1."""
+    return eval_FNM_L(p, p.M, t, ctx)
 
 
 def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
@@ -236,7 +218,7 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
     if abs(t) >= 1.0:
         raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
     for j, lv in enumerate(lower, start=1):
-        k = lattice_hit(lv, ctx.q, kmin=-64, kmax=0)
+        k = lattice_hit(lv, ctx.q, kmin=-LATTICE_RANGE, kmax=0)
         if k is not None:
             raise ResonanceError(f"lower parameter {j} sits at q^{k}")
     q = ctx.q
@@ -445,8 +427,9 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
     slot ordering sigma.
 
     The b/t slots are reordered by sigma first; prefactors are principal
-    powers of the reordered coordinates, the series factor is the matching
-    split series. Emits BranchWarning when a coordinate carrying a power
+    powers of the reordered coordinates with the component's leading
+    exponents (char_exponents), the series factor is the matching split
+    series. Emits BranchWarning when a coordinate carrying a power
     prefactor lies outside the sector |Arg| < pi/4 (power laws for the
     composite shifts are then no longer guaranteed).
     """
@@ -469,22 +452,16 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
             BranchWarning,
             stacklevel=2,
         )
-    beta_tail = lambda l: sum(pp.beta[l:])  # noqa: E731  sum over i > l
     if comp == 0:
-        pref = 1.0 + 0j
-        for i in range(L + 1, M + 1):
-            pref *= cpow(tt[i - 1], -pp.beta[i - 1])
-        return pref * eval_FNM_L(pp, L, tt, ctx).value
-    k, l = comp
-    if l <= L:
-        expo = 1.0 + beta_tail(l) - pp.gamma[k - 1]
-        series = eval_GNM_Lkl(pp, L, k, l, tt, ctx)
+        series = eval_FNM_L(pp, L, tt, ctx)
+    elif comp[1] <= L:
+        series = eval_GNM_Lkl(pp, L, *comp, tt, ctx)
     else:
-        expo = -pp.alpha[k - 1] + beta_tail(l)
-        series = eval_FNM_Lkl(pp, L, k, l, tt, ctx)
-    pref = cpow(tt[l - 1], expo)
-    for i in range(l + 1, M + 1):
-        pref *= cpow(tt[i - 1], -pp.beta[i - 1])
+        series = eval_FNM_Lkl(pp, L, *comp, tt, ctx)
+    delta = char_exponents(pp, L)[component_index(comp, M)].delta
+    pref = 1.0 + 0j
+    for i in range(start, M + 1):
+        pref *= cpow(tt[i - 1], delta[i - 1])
     return pref * series.value
 
 
@@ -594,6 +571,22 @@ class ResonanceReport:
         return not self.violations
 
 
+def _resonance_ratios(p: ParamSet, products):
+    """(label, value) for every ratio the solution theory requires off the
+    q-power lattice: upper/upper and coupling/coupling first, then each
+    upper and coupling value against every (name, product) of b-values in
+    products."""
+    for j in range(p.N):
+        for k in range(p.N):
+            if j != k:
+                yield f"a_{j + 1}/a_{k + 1}", p.a[j] / p.a[k]
+                yield f"c_{j + 1}/c_{k + 1}", p.c[j] / p.c[k]
+    for name, prod in products:
+        for j in range(p.N):
+            yield f"a_{j + 1}/{name}", p.a[j] / prod
+            yield f"c_{j + 1}/{name}", p.c[j] / prod
+
+
 def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
     """Scan the ratios that the solution theory requires off the q-power
     lattice: upper/upper, coupling/coupling, and each upper or coupling value
@@ -601,26 +594,12 @@ def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
     included)."""
     sigma = tuple(int(v) for v in sigma)
     bb = permute_seq(p.b, sigma)
-    q = p.q
-    bad: list[tuple[str, complex, int]] = []
-
-    def scan(label: str, value: complex) -> None:
-        k = lattice_hit(value, q)
+    suffixes = [(f"suffix({len(bb) + 1})", 1.0 + 0j)]
+    for i in range(len(bb), 0, -1):
+        suffixes.append((f"suffix({i})", suffixes[-1][1] * bb[i - 1]))
+    bad = []
+    for label, value in _resonance_ratios(p, suffixes):
+        k = lattice_hit(value, p.q)
         if k is not None:
             bad.append((label, value, k))
-
-    for j in range(p.N):
-        for k in range(p.N):
-            if j != k:
-                scan(f"a_{j + 1}/a_{k + 1}", p.a[j] / p.a[k])
-                scan(f"c_{j + 1}/c_{k + 1}", p.c[j] / p.c[k])
-    suffix = 1.0 + 0j
-    suffixes = [(len(bb) + 1, suffix)]
-    for i in range(len(bb), 0, -1):
-        suffix = suffix * bb[i - 1]
-        suffixes.append((i, suffix))
-    for i, prod in suffixes:
-        for j in range(p.N):
-            scan(f"a_{j + 1}/suffix({i})", p.a[j] / prod)
-            scan(f"c_{j + 1}/suffix({i})", p.c[j] / prod)
     return ResonanceReport(sigma=sigma, violations=tuple(bad))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .qkernel import ParamSet, QContext, lattice_hit, qpoch_inf, theta
+from .qkernel import LATTICE_RANGE, ParamSet, QContext, lattice_hit, qpoch_inf, theta
 from .hyperseries import eval_FNM, eval_nphi
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _DEN_TOL = 1e-12
+_JACKSON_CAP = 400  # terms per q-integral level table
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,22 @@ def _shift_all(t, q: complex, power: int) -> tuple[complex, ...]:
 
 def _shift_coord(t, q: complex, s: int) -> tuple[complex, ...]:
     return tuple(v * q if i == s - 1 else v for i, v in enumerate(t))
+
+
+def _shift_points(t, q: complex, N: int, M: int) -> list[tuple[complex, ...]]:
+    """Every point residual_eqn1 (any slot) and residual_eqn2 (any pair)
+    evaluate at: uniform shifts by q^p (p <= N), each with at most one
+    extra single-coordinate shift, then the double shifts of the pairwise
+    check."""
+    pts = []
+    for pw in range(N + 1):
+        base = _shift_all(t, q, pw)
+        pts.append(base)
+        pts += [_shift_coord(base, q, s) for s in range(1, M + 1)]
+    for r in range(1, M + 1):
+        for s in range(r + 1, M + 1):
+            pts.append(_shift_coord(_shift_coord(t, q, r), q, s))
+    return pts
 
 
 def _factored_coeffs(mults) -> np.ndarray:
@@ -140,17 +157,16 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
 # reference enumeration (independent of the convolution engine)
 
 
-def _enum_series(a, b, c, t, ctx: QContext, cap: int | None = None) -> complex:
+def _enum_series(a, b, c, t, ctx: QContext) -> complex:
     """sum_m prod_j (a_j)_{|m|}/(c_j)_{|m|} prod_i (b_i)_{m_i}/(q)_{m_i} t^m
     by explicit walk over every multi-index, shell by shell.
 
-    The walk costs nothing per shell beyond the term count, so the default
-    cap is generous for one or two axes (arguments near the unit circle need
+    The walk costs nothing per shell beyond the term count, so the cap is
+    generous for one or two axes (arguments near the unit circle need
     hundreds of shells to clear the tail tolerance)."""
     q = ctx.q
     M = len(t)
-    if cap is None:
-        cap = 400 if M <= 2 else max(ctx.series_cap, 160)
+    cap = 400 if M <= 2 else max(ctx.series_cap, 160)
     ws = []
     for bi, ti in zip(b, t):
         w = np.empty(cap + 1, dtype=complex)
@@ -240,7 +256,7 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> DualityReport:
     if bad:
         raise DomainError(f"|t_i| < 1 required; violated at i = {bad}")
     for i in range(p.M):
-        k = lattice_hit(p.b[i] * t[i], p.q, kmin=-64, kmax=0)
+        k = lattice_hit(p.b[i] * t[i], p.q, kmin=-LATTICE_RANGE, kmax=0)
         if k is not None:
             raise ResonanceError(
                 f"b_{i + 1} t_{i + 1} sits at q^{k}; swapped coupling degenerates"
@@ -270,7 +286,7 @@ class JacksonReport:
     residual: float
 
 
-def check_jackson(p: ParamSet, t, ctx: QContext, level_cap: int = 400) -> JacksonReport:
+def check_jackson(p: ParamSet, t, ctx: QContext) -> JacksonReport:
     """Iterated q-integral representation: N nested geometric sums over the
     grid z = q^m (m >= 0, endpoint included) against the series value.
 
@@ -294,7 +310,7 @@ def check_jackson(p: ParamSet, t, ctx: QContext, level_cap: int = 400) -> Jackso
         w = [1.0 + 0j]
         qm = 1.0 + 0j
         peak = 1.0
-        for m in range(level_cap):
+        for m in range(_JACKSON_CAP):
             nxt = w[-1] * p.a[j] * (1.0 - ratio_param * qm) / (1.0 - q * qm)
             w.append(nxt)
             qm *= q

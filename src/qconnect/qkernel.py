@@ -20,12 +20,10 @@ from .errors import DomainError, PoleError, ResonanceError
 __all__ = [
     "QContext",
     "ParamSet",
-    "MultiIndex",
     "qpoch_inf",
     "qpoch",
     "theta",
     "cpow",
-    "mindex_nl",
     "lattice_hit",
     "perm_identity",
     "perm_compose",
@@ -183,46 +181,6 @@ def lattice_hit(
             return k
         qk *= q
     return None
-
-
-# ---------------------------------------------------------------------------
-# integer multi-indices
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Nonnegative integer multi-index."""
-
-    m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = tuple(int(v) for v in self.m)
-        if any(v < 0 for v in m):
-            raise ValueError("multi-index entries must be nonnegative")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def total(self) -> int:
-        return sum(self.m)
-
-    def nl(self, l: int, primed: bool = False) -> int:
-        return mindex_nl(self.m, l, primed=primed)
-
-
-def mindex_nl(m, l: int, primed: bool = False) -> int:
-    """Signed partial sum of a multi-index.
-
-    Plain variant: sum of the first l entries minus the sum of the rest.
-    Primed variant: same but entry l+1 is skipped entirely.
-    l must lie in [0, len(m)].
-    """
-    seq = tuple(int(v) for v in (m.m if isinstance(m, MultiIndex) else m))
-    size = len(seq)
-    if not 0 <= l <= size:
-        raise IndexError(f"split position {l} outside [0, {size}]")
-    head = sum(seq[:l])
-    tail = sum(seq[l + 1 :]) if primed else sum(seq[l:])
-    return head - tail
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ from .qkernel import (
     QContext,
     lattice_hit,
     perm_compose,
+    perm_inverse,
     perm_transposition,
     permute_seq,
     theta,
 )
-from .hyperseries import in_domain
+from .hyperseries import _resonance_ratios, in_domain
+from .oracle import _shift_points
 
 __all__ = [
     "EXPONENT_RE",
@@ -45,9 +47,15 @@ __all__ = [
 
 EXPONENT_RE = (0.1, 0.9)
 EXPONENT_IM = (-0.2, 0.2)
-_LATTICE_RANGE = 64
 _PHASE = 0.6
 _THETA_CLEAR = 1e-6
+_INTERIOR = (0.2, 0.55)  # modulus range of sample_interior_point
+# draws per point sampler, and the in_domain margin each accepted point keeps
+_TRIES = 100
+_FAMILY_TRIES = 500
+_WATSON_TRIES = 200
+_LADDER_MARGIN = 0.02
+_OVERLAP_MARGIN = 0.03
 
 
 class SamplingError(RuntimeError):
@@ -61,33 +69,22 @@ def draw_exponent(rng: np.random.Generator) -> complex:
     )
 
 
-def _on_lattice(x: complex, q: complex) -> bool:
-    return lattice_hit(x, q, -_LATTICE_RANGE, _LATTICE_RANGE) is not None
+def _subset_products(b):
+    """(subset(mask), product of the b_i whose bit is set in mask)."""
+    for mask in range(1 << len(b)):
+        prod = 1.0 + 0j
+        for i in range(len(b)):
+            if mask & (1 << i):
+                prod *= b[i]
+        yield f"subset({mask})", prod
 
 
 def strong_nonresonant(p: ParamSet) -> bool:
-    """Check every ratio the solution bases divide by, over all slot
-    orderings at once: pairwise a and c ratios, and a_j, c_k against the
-    product of b over every subset of slots (suffix products of any
-    ordering are subsets)."""
-    q = p.q
-    for j in range(p.N):
-        for k in range(p.N):
-            if j != k:
-                if _on_lattice(p.a[j] / p.a[k], q):
-                    return False
-                if _on_lattice(p.c[j] / p.c[k], q):
-                    return False
-    M = p.M
-    for mask in range(1 << M):
-        prod = 1.0 + 0j
-        for i in range(M):
-            if mask & (1 << i):
-                prod *= p.b[i]
-        for j in range(p.N):
-            if _on_lattice(p.a[j] / prod, q) or _on_lattice(p.c[j] / prod, q):
-                return False
-    return True
+    """check_resonance for every slot ordering at once: the ratios are
+    taken against the product of b over every subset of slots (suffix
+    products of any ordering are subsets)."""
+    ratios = _resonance_ratios(p, _subset_products(p.b))
+    return all(lattice_hit(value, p.q) is None for _, value in ratios)
 
 
 def sample_params(
@@ -131,12 +128,10 @@ def _polar(rng: np.random.Generator, modulus: float) -> complex:
     return modulus * complex(math.cos(phase), math.sin(phase))
 
 
-def sample_interior_point(
-    M: int, rng: np.random.Generator, lo: float = 0.2, hi: float = 0.55
-) -> tuple[complex, ...]:
+def sample_interior_point(M: int, rng: np.random.Generator) -> tuple[complex, ...]:
     """Point with every coordinate well inside the unit disc; shifts by
     positive q-powers only shrink it, so no extra margin is needed."""
-    return tuple(_polar(rng, rng.uniform(lo, hi)) for _ in range(M))
+    return tuple(_polar(rng, rng.uniform(*_INTERIOR)) for _ in range(M))
 
 
 def _coupling_floor(p: ParamSet) -> float:
@@ -146,71 +141,67 @@ def _coupling_floor(p: ParamSet) -> float:
     )
 
 
-def _shift_points(t, q, N, M):
-    """All points the operator residual checks evaluate at: uniform shifts
-    by q^p (p <= N) with at most one extra single-coordinate shift, and the
-    single/double single-coordinate shifts of the pairwise check."""
-    pts = []
-    for pw in range(N + 1):
-        base = tuple(x * q**pw for x in t)
-        pts.append(base)
-        for s in range(M):
-            pts.append(tuple(x * q if i == s else x for i, x in enumerate(base)))
-    for r in range(M):
-        for s in range(r + 1, M):
-            pts.append(
-                tuple(x * q if i in (r, s) else x for i, x in enumerate(t))
-            )
-    return pts
+def _accept(draw, p: ParamSet, families, ctx: QContext, tries: int, margin: float,
+            failure: str, points=lambda t: (t,)) -> tuple[complex, ...]:
+    """The one acceptance rule: the first of `tries` draws t for which every
+    point in points(t) lies in every (L, sigma) family's sector with
+    in_domain margin at least `margin`."""
+    for _ in range(tries):
+        t = draw()
+        if all(
+            in_domain(L, sigma, p, pt, ctx)[1] >= margin
+            for pt in points(t)
+            for L, sigma in families
+        ):
+            return t
+    raise SamplingError(failure)
+
+
+def _place(rng: np.random.Generator, mods, sigma) -> tuple[complex, ...]:
+    """Point whose reordered coordinate i has modulus mods[i] (sigma maps
+    reordered slots to original coordinates)."""
+    return permute_seq([_polar(rng, m) for m in mods], perm_inverse(sigma))
+
+
+def _ladder_above(mods, start: int, prev: float, Cq: float, bp, lift: float,
+                  rng: np.random.Generator) -> None:
+    """Fill mods[start:] upward: each slot clears the coupling floor
+    (inflated by lift) and sits a b-dependent ratio above the previous one."""
+    for i in range(start, len(mods)):
+        floor_i = Cq / abs(bp[i]) * lift / 0.9
+        b_ratio = 3.6 / abs(bp[i]) * rng.uniform(1.0, 1.3)
+        mods[i] = max(floor_i, prev * b_ratio) * rng.uniform(1.0, 1.15)
+        prev = mods[i]
 
 
 def sample_domain_point(
-    p: ParamSet,
-    L: int,
-    sigma,
-    ctx: QContext,
-    rng: np.random.Generator,
-    tries: int = 100,
-    margin: float = 0.02,
+    p: ParamSet, L: int, sigma, ctx: QContext, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Geometric ladder inside the convergence sector of the (L, sigma)
     family, placed so the whole shift set of the operator residual checks
     stays inside with margin. Small coordinates descend by a fixed ratio;
     large ones start above the coupling floor inflated by the worst
     uniform shift and spread by a ratio that dominates the pair bounds."""
-    M = p.M
-    N = p.N
+    M, N = p.M, p.N
     sigma = tuple(int(v) for v in sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)
-    aq = abs(p.q)
-    for _ in range(tries):
+    lift = abs(p.q) ** -(N + 1)
+
+    def draw():
         s_ratio = rng.uniform(0.25, 0.35)
         s_top = rng.uniform(0.25, 0.45)
         mods = [0.0] * M
         for i in range(L - 1, -1, -1):
             mods[i] = s_top * s_ratio ** (L - 1 - i)
-        big_prev = 0.0
-        for i in range(L, M):
-            floor_i = Cq / abs(bp[i]) * aq ** -(N + 1) / 0.9
-            b_ratio = 3.6 / abs(bp[i]) * rng.uniform(1.0, 1.3)
-            base = max(floor_i, big_prev * b_ratio)
-            mods[i] = base * rng.uniform(1.0, 1.15)
-            big_prev = mods[i]
-        tt_perm = [_polar(rng, m) for m in mods]
-        inv = [0] * M
-        for pos, coord in enumerate(sigma):
-            inv[coord - 1] = pos
-        t = tuple(tt_perm[inv[i]] for i in range(M))
-        ok = True
-        for pt in _shift_points(t, p.q, N, M):
-            good, m = in_domain(L, sigma, p, pt, ctx)
-            if not good or m < margin:
-                ok = False
-                break
-        if ok:
-            return t
-    raise SamplingError(f"no ladder point found for level {L}, sigma {sigma}")
+        _ladder_above(mods, L, 0.0, Cq, bp, lift, rng)
+        return _place(rng, mods, sigma)
+
+    return _accept(
+        draw, p, [(L, sigma)], ctx, _TRIES, _LADDER_MARGIN,
+        f"no ladder point found for level {L}, sigma {sigma}",
+        points=lambda t: _shift_points(t, p.q, N, M),
+    )
 
 
 def _annulus_mid(lo: float, hi: float, rng: np.random.Generator) -> float:
@@ -219,57 +210,37 @@ def _annulus_mid(lo: float, hi: float, rng: np.random.Generator) -> float:
 
 
 def sample_level_overlap(
-    p: ParamSet,
-    L: int,
-    sigma,
-    ctx: QContext,
-    rng: np.random.Generator,
-    tries: int = 100,
-    margin: float = 0.03,
+    p: ParamSet, L: int, sigma, ctx: QContext, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Point inside both the (L, sigma) and (L+1, sigma) sectors: the
     coordinate that changes roles sits near the log-midpoint of its
     annulus (balancing the two series' convergence rates), smaller slots
     ladder below it, larger ones ladder above the coupling floor."""
-    M, N = p.M, p.N
+    M = p.M
     if not 0 <= L <= M - 1:
         raise IndexError(f"level {L} outside [0, {M - 1}]")
     sigma = tuple(int(v) for v in sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)
-    for _ in range(tries):
+
+    def draw():
         mods = [0.0] * M
         lo = Cq / abs(bp[L])
         mods[L] = min(max(_annulus_mid(lo, 1.0, rng), 1.12 * lo), 0.62)
         s_ratio = rng.uniform(0.25, 0.35)
         for i in range(L - 1, -1, -1):
             mods[i] = mods[i + 1] * s_ratio
-        big_prev = mods[L]
-        for i in range(L + 1, M):
-            floor_i = Cq / abs(bp[i]) / 0.9
-            b_ratio = 3.6 / abs(bp[i]) * rng.uniform(1.0, 1.3)
-            mods[i] = max(floor_i, big_prev * b_ratio) * rng.uniform(1.0, 1.15)
-            big_prev = mods[i]
-        tt_perm = [_polar(rng, m) for m in mods]
-        inv = [0] * M
-        for pos, coord in enumerate(sigma):
-            inv[coord - 1] = pos
-        t = tuple(tt_perm[inv[i]] for i in range(M))
-        ok_a, m_a = in_domain(L, sigma, p, t, ctx)
-        ok_b, m_b = in_domain(L + 1, sigma, p, t, ctx)
-        if ok_a and ok_b and min(m_a, m_b) >= margin:
-            return t
-    raise SamplingError(f"no overlap point for levels {L}/{L + 1}, sigma {sigma}")
+        _ladder_above(mods, L + 1, mods[L], Cq, bp, 1.0, rng)
+        return _place(rng, mods, sigma)
+
+    return _accept(
+        draw, p, [(L, sigma), (L + 1, sigma)], ctx, _TRIES, _OVERLAP_MARGIN,
+        f"no overlap point for levels {L}/{L + 1}, sigma {sigma}",
+    )
 
 
 def sample_swap_overlap(
-    p: ParamSet,
-    r: int,
-    sigma,
-    ctx: QContext,
-    rng: np.random.Generator,
-    tries: int = 100,
-    margin: float = 0.03,
+    p: ParamSet, r: int, sigma, ctx: QContext, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Point inside the fully split sectors of both sigma and sigma o s_r:
     all coordinates small, with the swapped pair's ratio near the
@@ -281,7 +252,8 @@ def sample_swap_overlap(
     swapped = perm_compose(sigma, perm_transposition(M, r))
     bp = permute_seq(p.b, sigma)
     aq = abs(p.q)
-    for _ in range(tries):
+
+    def draw():
         mods = [rng.uniform(0.3, 0.5) for _ in range(M)]
         for i in range(1, M):
             mods[i] = min(mods[i], mods[i - 1] * rng.uniform(0.9, 1.1))
@@ -290,16 +262,12 @@ def sample_swap_overlap(
         if mods[r - 1] >= 0.62:
             scale = 0.62 / mods[r - 1]
             mods = [m * scale for m in mods]
-        tt_perm = [_polar(rng, m) for m in mods]
-        inv = [0] * M
-        for pos, coord in enumerate(sigma):
-            inv[coord - 1] = pos
-        t = tuple(tt_perm[inv[i]] for i in range(M))
-        ok_a, m_a = in_domain(M, sigma, p, t, ctx)
-        ok_b, m_b = in_domain(M, swapped, p, t, ctx)
-        if ok_a and ok_b and min(m_a, m_b) >= margin:
-            return t
-    raise SamplingError(f"no swap overlap point at position {r}, sigma {sigma}")
+        return _place(rng, mods, sigma)
+
+    return _accept(
+        draw, p, [(M, sigma), (M, swapped)], ctx, _TRIES, _OVERLAP_MARGIN,
+        f"no swap overlap point at position {r}, sigma {sigma}",
+    )
 
 
 def sample_family_overlap(
@@ -308,41 +276,36 @@ def sample_family_overlap(
     fam2: tuple[int, tuple[int, ...]],
     ctx: QContext,
     rng: np.random.Generator,
-    tries: int = 500,
-    margin: float = 0.03,
 ) -> tuple[complex, ...]:
     """Point inside the sectors of two arbitrary families, by rejection
     from per-coordinate annuli balanced against the coupling floor. Works
     when both families keep every coordinate near the unit circle's
     inside (all levels close to M)."""
-    M = p.M
-    L1, s1 = fam1
-    L2, s2 = fam2
-    s1 = tuple(int(v) for v in s1)
-    s2 = tuple(int(v) for v in s2)
+    families = [(L, tuple(int(v) for v in s)) for L, s in (fam1, fam2)]
     Cq = _coupling_floor(p)
-    for _ in range(tries):
+
+    def draw():
         t = []
-        for i in range(M):
+        for i in range(p.M):
             lo = max(math.sqrt(Cq / abs(p.b[i])), 0.35)
             t.append(_polar(rng, rng.uniform(lo, 0.62) if lo < 0.62 else lo))
-        t = tuple(t)
-        ok_a, m_a = in_domain(L1, s1, p, t, ctx)
-        ok_b, m_b = in_domain(L2, s2, p, t, ctx)
-        if ok_a and ok_b and min(m_a, m_b) >= margin:
-            return t
-    raise SamplingError(f"no overlap point for families {fam1} and {fam2}")
+        return tuple(t)
+
+    return _accept(
+        draw, p, families, ctx, _FAMILY_TRIES, _OVERLAP_MARGIN,
+        f"no overlap point for families {fam1} and {fam2}",
+    )
 
 
 def sample_watson(
-    N: int, q: complex, rng: np.random.Generator, tries: int = 200
+    N: int, q: complex, rng: np.random.Generator
 ) -> tuple[tuple[complex, ...], tuple[complex, ...], complex]:
     """Upper/lower q-power parameters and an argument for the one-variable
     connection check. The lower exponents' real parts are kept ahead of
     the uppers' so the swapped-side argument stays small, and |t| balances
     the two expansion rates; theta denominators are kept clear of zeros."""
     ctx_probe = QContext(q=q)
-    for _ in range(tries):
+    for _ in range(_WATSON_TRIES):
         alphas = [draw_exponent(rng) for _ in range(N + 1)]
         gammas = [draw_exponent(rng) for _ in range(N)]
         spread = sum(g.real for g in gammas) - sum(a.real for a in alphas[:-1])
@@ -353,7 +316,7 @@ def sample_watson(
         bad = False
         for j in range(N + 1):
             for k in range(N + 1):
-                if j != k and _on_lattice(ups[j] / ups[k], q):
+                if j != k and lattice_hit(ups[j] / ups[k], q) is not None:
                     bad = True
         if bad:
             continue
@@ -368,7 +331,7 @@ def sample_watson(
         if any(abs(theta(t * ak, ctx_probe)) < _THETA_CLEAR for ak in ups):
             continue
         return ups, los, t
-    raise SamplingError(f"no balanced argument in {tries} draws")
+    raise SamplingError(f"no balanced argument in {_WATSON_TRIES} draws")
 
 
 def sample_spectral(

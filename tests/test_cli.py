@@ -219,3 +219,26 @@ def test_exponents_spec_explicit_and_sampled(capsys):
     assert exponents_spec(N=2, M=2, L=1, seed=5) == exponents_spec(
         N=2, M=2, L=1, seed=5
     )
+
+
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (["run", "--q", "abc"], None),
+        (["run"], '{"N": "x"}'),
+        (["run"], '{"N": 2,'),
+        (["run", "--tol", "tail=5"], None),
+        (["eval", "{bad"], None),
+        (["eval", '{"kind": "FNM"}'], None),
+        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "abc"], None),
+    ],
+    ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
+         "eval-missing-key", "exponents-q"],
+)
+def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
+    if config_text is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -23,6 +23,8 @@ from qconnect import (
     in_domain,
     local_solution,
     qpoch_inf,
+    sample_interior_point,
+    sample_params,
 )
 from conftest import ALPHA, BETA, GAMMA, Q
 
@@ -56,6 +58,16 @@ def test_full_series_slot_permutation_symmetry(p12, ctx_long):
     lhs = eval_FNM(p12, t, ctx_long).value
     rhs = eval_FNM(p12.permuted((2, 1)), (t[1], t[0]), ctx_long).value
     assert abs(lhs - rhs) < 1e-14 * abs(rhs)
+
+
+@pytest.mark.parametrize("N, M", [(1, 2), (2, 3)])
+def test_full_series_is_split_series_at_top_level(N, M, ctx_long):
+    # identical to the last bit: at L = M the coupling quotient is 1 + 0j
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = sample_params(N, M, Q, rng)
+        t = sample_interior_point(M, rng)
+        assert eval_FNM(p, t, ctx_long) == eval_FNM_L(p, M, t, ctx_long)
 
 
 def test_full_series_domain_errors(p12, ctx_long):

@@ -1,15 +1,13 @@
-"""Building blocks: products, theta, branches, multi-indices, permutations."""
+"""Building blocks: products, theta, branches, permutations."""
 
 import numpy as np
 import pytest
 
 from qconnect import (
-    MultiIndex,
     ParamSet,
     QContext,
     cpow,
     lattice_hit,
-    mindex_nl,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -158,20 +156,6 @@ def test_lattice_hit():
     assert lattice_hit(Q**-3, Q, -64, 64) == -3
     assert lattice_hit(0.77, Q, -64, 64) is None
     assert lattice_hit(Q**5 * (1 + 1e-12), Q, -64, 64) == 5
-
-
-def test_multi_index_rejects_negative_parts():
-    with pytest.raises(ValueError):
-        MultiIndex((2, -1))
-
-
-def test_mindex_nl_examples():
-    assert mindex_nl((2, 3), 0) == -5
-    assert mindex_nl((2, 3), 2) == 5
-    assert mindex_nl((1, 2, 3), 1) == -4
-    assert mindex_nl((1, 2, 3), 1, primed=True) == -2
-    with pytest.raises(IndexError):
-        mindex_nl((1, 2, 3), 4)
 
 
 def test_perm_helpers():

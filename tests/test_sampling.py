@@ -1,11 +1,14 @@
 """Seeded parameter and point samplers used by the verification suites."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from qconnect import (
     ParamSet,
     SamplingError,
+    check_resonance,
     check_watson,
     in_domain,
     perm_identity,
@@ -38,6 +41,24 @@ def test_strong_nonresonant_detects_planted_collisions(p22):
     # one numerator exponent equal to the sum of the slot exponents
     p_sub = ParamSet((BETA[0] + BETA[1],), BETA[:2], GAMMA[:1], Q)
     assert not strong_nonresonant(p_sub)
+
+
+@pytest.mark.parametrize("N, M", [(1, 2), (2, 2), (1, 3)])
+def test_strong_nonresonant_is_check_resonance_over_all_orderings(N, M):
+    sets = [sample_params(N, M, Q, np.random.default_rng(seed)) for seed in range(3)]
+    sets += [
+        ParamSet(ALPHA[:N], BETA[:M], GAMMA[:N], Q),
+        ParamSet((ALPHA[0],) * N, BETA[:M], GAMMA[:N], Q),
+        # a_1 against the subset {1, M}, a suffix only of orderings that
+        # end with those two slots
+        ParamSet((BETA[0] + BETA[M - 1],) + ALPHA[1:N], BETA[:M], GAMMA[:N], Q),
+    ]
+    verdicts = []
+    for p in sets:
+        verdict = all(check_resonance(p, s).ok for s in permutations(range(1, M + 1)))
+        assert strong_nonresonant(p) == verdict
+        verdicts.append(verdict)
+    assert verdicts[:4] == [True] * 4 and not verdicts[-1]
 
 
 def test_sample_params_reproducible_and_screened():
@@ -121,3 +142,67 @@ def test_sample_spectral_window():
         u = sample_spectral(rng)
         assert 0.55 <= abs(u) <= 1.8
         assert abs(np.angle(u)) <= 0.6
+
+
+# Frozen outputs at fixed seeds: any change in the order of draws, in the
+# ladder arithmetic or in the placement of reordered slots changes them.
+def _domain(ctx):
+    rng = np.random.default_rng(21)
+    p = sample_params(2, 3, Q, rng)
+    return sample_domain_point(p, 1, (3, 1, 2), ctx, rng)
+
+
+def _level(ctx):
+    rng = np.random.default_rng(22)
+    p = sample_params(1, 3, Q, rng, coupling_cap=0.16, min_b=0.5)
+    return sample_level_overlap(p, 1, (3, 1, 2), ctx, rng)
+
+
+def _swap(ctx):
+    rng = np.random.default_rng(23)
+    p = sample_params(1, 3, Q, rng, coupling_cap=0.16, min_b=0.5)
+    return sample_swap_overlap(p, 2, (3, 1, 2), ctx, rng)
+
+
+def _family(ctx):
+    rng = np.random.default_rng(16)
+    p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
+    return sample_family_overlap(p, (1, (1, 2)), (1, (2, 1)), ctx, rng)
+
+
+def _interior(ctx):
+    return sample_interior_point(3, np.random.default_rng(9))
+
+
+def _watson(ctx):
+    return sample_watson(2, Q, np.random.default_rng(18))
+
+
+@pytest.mark.parametrize(
+    "sampler, expected",
+    [
+        (_domain, (34.49412406122842 + 6.5375476542204645j,
+                   289.03418602348535 - 20.741242040711313j,
+                   0.388818655947898 - 0.027389463994200385j)),
+        (_level, (0.40405570105516186 + 0.24635967209016207j,
+                  3.0382707399278055 + 1.869846066600109j,
+                  0.12736833487826515 - 0.021138788779384757j)),
+        (_swap, (0.25794379608396667 - 0.1393729906077264j,
+                 0.27816427310452946 - 0.10128506761344509j,
+                 0.30777272717029175 - 0.03179604589640336j)),
+        (_family, (0.5049442663405908 - 0.21568927122745357j,
+                   0.4717729801911199 - 0.12874326423298968j)),
+        (_interior, (0.4881660831307598 - 0.12767983110256037j,
+                     0.3885128699441055 + 0.13439673742901787j,
+                     0.39579469084164887 + 0.21543087766936622j)),
+        (_watson, ((0.77290150961905 - 0.09422090911368852j,
+                    0.6370818632771399 + 0.046687038659171926j,
+                    0.6307371267377844 + 0.07919195005188795j),
+                   (0.34997318890532353 - 0.07547834588137867j,
+                    0.35910359026614375 - 0.03820021018330178j),
+                   -0.20309041015218735 - 0.2853606351688188j)),
+    ],
+    ids=["domain", "level", "swap", "family", "interior", "watson"],
+)
+def test_sampler_frozen_output(sampler, expected, ctx_long):
+    assert sampler(ctx_long) == expected
