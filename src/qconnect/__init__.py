@@ -30,9 +30,7 @@ from .qkernel import (
 )
 from .oracle import (
     CasoratiReport,
-    DualityReport,
-    JacksonReport,
-    WatsonReport,
+    IdentityReport,
     apply_factored_shift_operator,
     casorati_independence,
     check_duality,

@@ -24,6 +24,7 @@ from .errors import ConfigError, QConnectError
 from .qkernel import (
     ParamSet,
     QContext,
+    _rel_diff,
     _rel_maxnorm,
     perm_compose,
     perm_identity,
@@ -41,6 +42,7 @@ from .hyperseries import (
     local_solution,
 )
 from .oracle import (
+    _scaled_det,
     casorati_independence,
     check_duality,
     check_jackson,
@@ -402,8 +404,7 @@ def _attempt(records, suite, check, digest, point, fn):
 
 def _run_check(records, cfg, suite, check, digest, point, fn, margin=None, passes=None):
     """Execute one check and record its residual. It passes below the suite
-    tolerance, or where the passes predicate holds. Returns the residual, or
-    None when the check raised."""
+    tolerance, or where the passes predicate holds."""
     start = time.perf_counter()
     ok, residual = _attempt(records, suite, check, digest, point, lambda: float(fn()))
     if ok:
@@ -412,7 +413,6 @@ def _run_check(records, cfg, suite, check, digest, point, fn, margin=None, passe
             passed=passes(residual) if passes else residual < cfg.tol(suite),
             margin=margin,
         )
-    return residual
 
 
 def _draw(records, suite, check, sampler, digest="-"):
@@ -430,9 +430,7 @@ def _generic_sample(cfg, ctx, rng):
 
 
 def _two_route(p, t, ctx):
-    lhs = eval_FNM(p, t, ctx).value
-    rhs = eval_FNM_reference(p, t, ctx)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return _rel_diff(eval_FNM(p, t, ctx).value, eval_FNM_reference(p, t, ctx))
 
 
 # suite -> (check, residual of a generic parameter set at an interior point)
@@ -481,6 +479,19 @@ def _overlap_params(cfg, ctx, rng) -> ParamSet:
     return sampling.sample_params(cfg.N, cfg.M, ctx.q, rng, coupling_cap=0.16, min_b=0.5)
 
 
+def _check_connection(records, cfg, suite, check, p, t, ctx, build, src, dst):
+    """Record the residual of the claim dst = C . src at t, where src, dst
+    are (L, sigma) solution families and C = build(t, ctx) is built after
+    both are evaluated."""
+
+    def residual():
+        u_src = build_solution_vector(p, *src, t, ctx)
+        u_dst = u_src if dst == src else build_solution_vector(p, *dst, t, ctx)
+        return verify_connection(u_dst, build(t, ctx), u_src, ctx)
+
+    _run_check(records, cfg, suite, check, _digest(p), t, residual)
+
+
 def _suite_connection(cfg, ctx, rng, records):
     sig = perm_identity(cfg.M)
     p = _draw(records, "connection", "split step", lambda: _overlap_params(cfg, ctx, rng))
@@ -490,21 +501,11 @@ def _suite_connection(cfg, ctx, rng, records):
         records, "connection", f"split step L={L}",
         lambda: sampling.sample_level_overlap(p, L, sig, ctx, rng), dg,
     )
-
-    def level_step(build, level, down):
-        lo = build_solution_vector(p, L, sig, t, ctx)
-        hi = build_solution_vector(p, L + 1, sig, t, ctx)
-        dst, src = (lo, hi) if down else (hi, lo)
-        return verify_connection(dst, build(p, level, sig, t, ctx), src, ctx)
-
-    _run_check(
-        records, cfg, "connection", f"split step L={L}", dg, t,
-        lambda: level_step(build_A, L, True),
-    )
-    _run_check(
-        records, cfg, "connection", f"merge step L={L + 1}", dg, t,
-        lambda: level_step(build_B, L + 1, False),
-    )
+    for check, build, src, dst in (
+        (f"split step L={L}", partial(build_A, p, L, sig), (L + 1, sig), (L, sig)),
+        (f"merge step L={L + 1}", partial(build_B, p, L + 1, sig), (L, sig), (L + 1, sig)),
+    ):
+        _check_connection(records, cfg, "connection", check, p, t, ctx, build, src, dst)
     if cfg.M < 2:
         return
     r = int(rng.integers(1, cfg.M))
@@ -512,15 +513,11 @@ def _suite_connection(cfg, ctx, rng, records):
         records, "connection", f"swap step r={r}",
         lambda: sampling.sample_swap_overlap(p, r, sig, ctx, rng), dg,
     )
-
-    def swap_step():
-        sw = perm_compose(sig, perm_transposition(cfg.M, r))
-        u_id = build_solution_vector(p, cfg.M, sig, t2, ctx)
-        u_sw = build_solution_vector(p, cfg.M, sw, t2, ctx)
-        S = build_S(p, r, sig, t2, ctx)
-        return verify_connection(u_sw, S, u_id, ctx)
-
-    _run_check(records, cfg, "connection", f"swap step r={r}", dg, t2, swap_step)
+    _check_connection(
+        records, cfg, "connection", f"swap step r={r}", p, t2, ctx,
+        partial(build_S, p, r, sig), (cfg.M, sig),
+        (cfg.M, perm_compose(sig, perm_transposition(cfg.M, r))),
+    )
 
 
 def _suite_theorem1(cfg, ctx, rng, records):
@@ -534,13 +531,10 @@ def _suite_theorem1(cfg, ctx, rng, records):
             records, "theorem1", "round trip",
             lambda: sampling.sample_level_overlap(p, 0, sig, ctx, rng), dg,
         )
-
-        def round_trip():
-            C = compose_connection(p, 0, sig, 0, sig, t, ctx)
-            u0 = build_solution_vector(p, 0, sig, t, ctx)
-            return verify_connection(u0, C, u0, ctx)
-
-        _run_check(records, cfg, "theorem1", "round trip", dg, t, round_trip)
+        _check_connection(
+            records, cfg, "theorem1", "round trip", p, t, ctx,
+            partial(compose_connection, p, 0, sig, 0, sig), (0, sig), (0, sig),
+        )
         return
     sig1 = perm_identity(cfg.M)
     sig2 = perm_compose(sig1, perm_transposition(cfg.M, 1))
@@ -550,29 +544,24 @@ def _suite_theorem1(cfg, ctx, rng, records):
         lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), ctx, rng), dg,
     )
 
-    def composite():
-        C = compose_connection(p, L, sig1, L, sig2, t, ctx)
-        src = build_solution_vector(p, L, sig1, t, ctx)
-        dst = build_solution_vector(p, L, sig2, t, ctx)
-        return verify_connection(dst, C, src, ctx)
-
     def word_agreement():
         C1 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1])
         C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1])
         return _rel_maxnorm(C1.entries, C2.entries)
 
-    _run_check(records, cfg, "theorem1", "composite path", dg, t, composite)
+    _check_connection(
+        records, cfg, "theorem1", "composite path", p, t, ctx,
+        partial(compose_connection, p, L, sig1, L, sig2), (L, sig1), (L, sig2),
+    )
     _run_check(records, cfg, "theorem1", "word agreement", dg, t, word_agreement)
 
 
-def _node_proxy(p: ParamSet, L: int, m, ctx: QContext) -> float:
-    """Separation of the per-component shift multipliers q^{m . delta}: the
-    scaled determinant tracks this Vandermonde-type product within a small
-    factor, so it predicts conditioning without evaluating any series."""
-    nodes = [
-        ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta)))
-        for ce in char_exponents(p, L)
-    ]
+def _node_proxy(exps, m, ctx: QContext) -> float:
+    """Separation of the per-component shift multipliers q^{m . delta} over
+    the char_exponents exps: the scaled determinant tracks this
+    Vandermonde-type product within a small factor, so it predicts
+    conditioning without evaluating any series."""
+    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
     prod = 1.0
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -598,8 +587,8 @@ def _independence_params(cfg, ctx, rng, L, cands, proxy_floor):
     best = (None, None, -1.0)
     for _ in range(60):
         p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-        m = max(cands, key=lambda mm: _node_proxy(p, L, mm, ctx))
-        prox = _node_proxy(p, L, m, ctx)
+        exps = char_exponents(p, L)
+        prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
         if prox > best[2]:
             best = (p, m, prox)
         if prox >= proxy_floor:
@@ -627,30 +616,31 @@ def _suite_independence(cfg, ctx, rng, records):
         lambda: sampling.sample_domain_point(p, L, sig, ctx, rng), dg,
     )
     funcs = [(lambda tt, c=c: local_solution(p, L, sig, c, tt, ctx)) for c in comps]
-    # dependent column: a combination of columns that stay in the matrix
-    # (only the first survives when n = 2)
-    if n >= 3:
-        forge_fn = lambda tt: 2.0 * funcs[0](tt) + 0.5 * funcs[1](tt)
-    else:
-        forge_fn = lambda tt: 2.0 * funcs[0](tt)
-    forged: list[float] = []
+    ok, cas = _attempt(
+        records, "independence", check, dg, t,
+        lambda: casorati_independence(funcs, shift, t, ctx),
+    )
+    if not ok:
+        return
 
-    def dets():
-        det = abs(casorati_independence(funcs, shift, t, ctx).det)
-        forged.append(abs(casorati_independence(funcs[:-1] + [forge_fn], shift, t, ctx).det))
-        return det
+    def forged():
+        # dependent last column: a combination of columns that stay in the
+        # matrix (only the first survives when n = 2)
+        A = cas.matrix.copy()
+        A[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if n >= 3 else 2.0 * A[:, 0]
+        return abs(_scaled_det(A))
 
     # the det scales with the node separation; for well-separated draws
     # this is at least the configured threshold
     threshold = min(cfg.tol("independence"), 0.05 * prox)
-    if _run_check(
-        records, cfg, "independence", check, dg, t, dets,
+    _run_check(
+        records, cfg, "independence", check, dg, t, lambda: abs(cas.det),
         margin=threshold, passes=lambda det: det > threshold,
-    ) is not None:
-        _run_check(
-            records, cfg, "independence", "forged dependence", dg, t,
-            lambda: forged[0], passes=lambda det: det < 1e-10,
-        )
+    )
+    _run_check(
+        records, cfg, "independence", "forged dependence", dg, t, forged,
+        passes=lambda det: det < 1e-10,
+    )
 
 
 def _suite_ybe(cfg, ctx, rng, records):
@@ -894,6 +884,27 @@ def _with_flags(raw, args):
     return out
 
 
+def _one_off(args) -> dict:
+    """Reply of eval or exponents; input the library rejects is a ConfigError."""
+    try:
+        if args.command == "eval":
+            raw = args.spec.strip()
+            spec = _parsed(json.loads, raw, "spec") if raw.startswith("{") else _read_json(raw)
+            return eval_spec(spec)
+        return exponents_spec(
+            N=args.N,
+            M=args.M,
+            L=args.L,
+            alpha=_parse_cplx_list(args.alpha.split(",")) if args.alpha else None,
+            beta=_parse_cplx_list(args.beta.split(",")) if args.beta else None,
+            gamma=_parse_cplx_list(args.gamma.split(",")) if args.gamma else None,
+            q=_cplx_in(args.q),
+            seed=args.seed,
+        )
+    except (QConnectError, ValueError, IndexError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -910,31 +921,14 @@ def main(argv=None) -> int:
                     with_timing=args.with_timing,
                 )
             return 0 if rep.passed else 1
-        if args.command == "eval":
-            raw = args.spec.strip()
-            spec = _parsed(json.loads, raw, "spec") if raw.startswith("{") else _read_json(raw)
-            print(json.dumps(eval_spec(spec), indent=2, sort_keys=True))
-            return 0
-        if args.command == "exponents":
-            out = exponents_spec(
-                N=args.N,
-                M=args.M,
-                L=args.L,
-                alpha=_parse_cplx_list(args.alpha.split(",")) if args.alpha else None,
-                beta=_parse_cplx_list(args.beta.split(",")) if args.beta else None,
-                gamma=_parse_cplx_list(args.gamma.split(",")) if args.gamma else None,
-                q=_cplx_in(args.q),
-                seed=args.seed,
-            )
-            print(json.dumps(out, indent=2, sort_keys=True))
-            return 0
+        print(json.dumps(_one_off(args), indent=2, sort_keys=True))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable command")
 
 
 if __name__ == "__main__":

@@ -70,28 +70,18 @@ class ConnMatrix:
         return self.entries.shape[0]
 
 
-def _theta_quot(num_args, den_args, ctx: QContext) -> complex:
+def _quot(num_args, den_args, f, ctx: QContext) -> complex:
+    """prod f(num_args) / prod f(den_args) for f = qpoch_inf or theta; a
+    vanishing denominator factor raises PoleError."""
     num = 1.0 + 0j
     for x in num_args:
-        num *= theta(x, ctx)
+        num *= f(x, ctx)
     den = 1.0 + 0j
     for x in den_args:
-        val = theta(x, ctx)
+        val = f(x, ctx)
         if abs(val) <= _THETA_TOL:
-            raise PoleError(f"theta denominator vanished at argument {x}")
-        den *= val
-    return num / den
-
-
-def _pquot(num_args, den_args, ctx: QContext) -> complex:
-    num = 1.0 + 0j
-    for x in num_args:
-        num *= qpoch_inf(x, ctx)
-    den = 1.0 + 0j
-    for x in den_args:
-        val = qpoch_inf(x, ctx)
-        if abs(val) <= _THETA_TOL:
-            raise PoleError(f"infinite product vanished at argument {x}")
+            what = "theta denominator" if f is theta else "infinite product"
+            raise PoleError(f"{what} vanished at argument {x}")
         den *= val
     return num / den
 
@@ -119,51 +109,51 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     A = np.eye(size, dtype=complex)
 
     A[0, 0] = (
-        _pquot(
+        _quot(
             [q * Btail / aj for aj in p.a] + [q * Bfull / cj for cj in p.c],
             [q * Bfull / aj for aj in p.a] + [q * Btail / cj for cj in p.c],
-            ctx,
+            qpoch_inf, ctx,
         )
-        * _theta_quot((x * Pa / Pc,), den_theta, ctx)
+        * _quot((x * Pa / Pc,), den_theta, theta, ctx)
         * cpow(x, -bp[L])
     )
     for d in range(1, N + 1):
         cd = p.c[d - 1]
         col = component_index((d, L + 1), M)
         A[0, col] = (
-            _pquot(
+            _quot(
                 [cd / aj for aj in p.a]
                 + [q * Bfull / cj for j, cj in enumerate(p.c, 1) if j != d]
                 + [b[L]],
                 [q * Bfull / aj for aj in p.a]
                 + [cd / cj for j, cj in enumerate(p.c, 1) if j != d]
                 + [cd / (q * Btail)],
-                ctx,
+                qpoch_inf, ctx,
             )
-            * _theta_quot((x * Pa * cd / (q * Btail * Pc),), den_theta, ctx)
+            * _quot((x * Pa * cd / (q * Btail * Pc),), den_theta, theta, ctx)
             * cpow(x, -1.0 - sum(bp[L:]) + p.gamma[d - 1])
         )
     for k in range(1, N + 1):
         ak = p.a[k - 1]
         row = component_index((k, L + 1), M)
         A[row, 0] = (
-            _pquot(
+            _quot(
                 [q * Btail / aj for j, aj in enumerate(p.a, 1) if j != k]
                 + [q / b[L]]
                 + [q * ak / cj for cj in p.c],
                 [q * ak / aj for j, aj in enumerate(p.a, 1) if j != k]
                 + [q * ak / Bfull]
                 + [q * Btail / cj for cj in p.c],
-                ctx,
+                qpoch_inf, ctx,
             )
-            * _theta_quot((x * Bfull * Pa / (ak * Pc),), den_theta, ctx)
+            * _quot((x * Bfull * Pa / (ak * Pc),), den_theta, theta, ctx)
             * cpow(x, -p.alpha[k - 1] + sum(bp[L + 1 :]))
         )
         for d in range(1, N + 1):
             cd = p.c[d - 1]
             col = component_index((d, L + 1), M)
             A[row, col] = (
-                _pquot(
+                _quot(
                     [cd / aj for j, aj in enumerate(p.a, 1) if j != k]
                     + [cd / Bfull]
                     + [q * ak / cj for j, cj in enumerate(p.c, 1) if j != d]
@@ -172,9 +162,9 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
                     + [q * ak / Bfull]
                     + [cd / cj for j, cj in enumerate(p.c, 1) if j != d]
                     + [cd / (q * Btail)],
-                    ctx,
+                    qpoch_inf, ctx,
                 )
-                * _theta_quot((x * b[L] * Pa * cd / (q * Pc * ak),), den_theta, ctx)
+                * _quot((x * b[L] * Pa * cd / (q * Pc * ak),), den_theta, theta, ctx)
                 * cpow(x, -1.0 - p.alpha[k - 1] + p.gamma[d - 1])
             )
     return ConnMatrix(
@@ -209,51 +199,51 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     B = np.eye(size, dtype=complex)
 
     B[0, 0] = (
-        _pquot(
+        _quot(
             [aj / Btail for aj in p.a] + [cj / Bfull for cj in p.c],
             [aj / Bfull for aj in p.a] + [cj / Btail for cj in p.c],
-            ctx,
+            qpoch_inf, ctx,
         )
-        * _theta_quot((x * b[L - 1],), den_theta, ctx)
+        * _quot((x * b[L - 1],), den_theta, theta, ctx)
         * cpow(x, bp[L - 1])
     )
     for d in range(1, N + 1):
         ad = p.a[d - 1]
         col = component_index((d, L), M)
         B[0, col] = (
-            _pquot(
+            _quot(
                 [cj / ad for cj in p.c]
                 + [aj / Btail for j, aj in enumerate(p.a, 1) if j != d]
                 + [b[L - 1]],
                 [cj / Btail for cj in p.c]
                 + [aj / ad for j, aj in enumerate(p.a, 1) if j != d]
                 + [Bfull / ad],
-                ctx,
+                qpoch_inf, ctx,
             )
-            * _theta_quot((x * ad / Btail,), den_theta, ctx)
+            * _quot((x * ad / Btail,), den_theta, theta, ctx)
             * cpow(x, p.alpha[d - 1] - sum(bp[L:]))
         )
     for k in range(1, N + 1):
         ck = p.c[k - 1]
         row = component_index((k, L), M)
         B[row, 0] = (
-            _pquot(
+            _quot(
                 [cj / Bfull for j, cj in enumerate(p.c, 1) if j != k]
                 + [q / b[L - 1]]
                 + [q * aj / ck for aj in p.a],
                 [q * cj / ck for j, cj in enumerate(p.c, 1) if j != k]
                 + [q * q * Btail / ck]
                 + [aj / Bfull for aj in p.a],
-                ctx,
+                qpoch_inf, ctx,
             )
-            * _theta_quot((x * q * Bfull / ck,), den_theta, ctx)
+            * _quot((x * q * Bfull / ck,), den_theta, theta, ctx)
             * cpow(x, 1.0 + sum(bp[L - 1 :]) - p.gamma[k - 1])
         )
         for d in range(1, N + 1):
             ad = p.a[d - 1]
             col = component_index((d, L), M)
             B[row, col] = (
-                _pquot(
+                _quot(
                     [cj / ad for j, cj in enumerate(p.c, 1) if j != k]
                     + [q * Btail / ad]
                     + [q * aj / ck for j, aj in enumerate(p.a, 1) if j != d]
@@ -262,9 +252,9 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
                     + [q * q * Btail / ck]
                     + [aj / ad for j, aj in enumerate(p.a, 1) if j != d]
                     + [Bfull / ad],
-                    ctx,
+                    qpoch_inf, ctx,
                 )
-                * _theta_quot((x * q * ad / ck,), den_theta, ctx)
+                * _quot((x * q * ad / ck,), den_theta, theta, ctx)
                 * cpow(x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1])
             )
     return ConnMatrix(
@@ -278,13 +268,10 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     )
 
 
-def _swap_block(p: ParamSet, bp_beta, bp_b, k: int, r: int, u: complex, ctx: QContext):
+def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, ctx: QContext):
     """2x2 block of the adjacent-swap matrix for coupling slot k, acting on
-    positions (r, r+1) of the reordered slots."""
+    positions (r, r+1) of the slots reordered to beta, b."""
     q = p.q
-    b = bp_b
-    beta = bp_beta
-    M = len(b)
     ck = p.c[k - 1]
     gk = p.gamma[k - 1]
     P1 = math.prod(b[r:], start=1.0 + 0j)
@@ -293,23 +280,23 @@ def _swap_block(p: ParamSet, bp_beta, bp_b, k: int, r: int, u: complex, ctx: QCo
     Pfull = b[r - 1] * P1
     den_theta = (u * b[r - 1],)
     s11 = (
-        _pquot([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)], ctx)
-        * _theta_quot((u * ck / (q * P1),), den_theta, ctx)
+        _quot([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)], qpoch_inf, ctx)
+        * _quot((u * ck / (q * P1),), den_theta, theta, ctx)
         * cpow(u, -1.0 - sum(beta[r - 1 :]) + gk)
     )
     s12 = (
-        _pquot([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck], ctx)
-        * _theta_quot((u,), den_theta, ctx)
+        _quot([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck], qpoch_inf, ctx)
+        * _quot((u,), den_theta, theta, ctx)
         * cpow(u, -beta[r - 1])
     )
     s21 = (
-        _pquot([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)], ctx)
-        * _theta_quot((u * b[r - 1] / b[r],), den_theta, ctx)
+        _quot([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)], qpoch_inf, ctx)
+        * _quot((u * b[r - 1] / b[r],), den_theta, theta, ctx)
         * cpow(u, -beta[r])
     )
     s22 = (
-        _pquot([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck], ctx)
-        * _theta_quot((u * q * Pr / ck,), den_theta, ctx)
+        _quot([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck], qpoch_inf, ctx)
+        * _quot((u * q * Pr / ck,), den_theta, theta, ctx)
         * cpow(u, 1.0 + sum(beta[r + 1 :]) - gk)
     )
     return s11, s12, s21, s22
@@ -432,8 +419,8 @@ def verify_connection(
     DomainError is raised)."""
     if lhs.t != rhs.t:
         raise ValueError("solution vectors evaluated at different points")
-    ok_l, margin_l = in_domain(lhs.L, lhs.sigma, lhs.params, lhs.t, ctx)
-    ok_r, margin_r = in_domain(rhs.L, rhs.sigma, rhs.params, rhs.t, ctx)
+    ok_l, margin_l = in_domain(lhs.L, lhs.sigma, lhs.params, lhs.t)
+    ok_r, margin_r = in_domain(rhs.L, rhs.sigma, rhs.params, rhs.t)
     if not (ok_l and ok_r):
         raise DomainError(
             f"point outside sector intersection (margins {margin_l:.3g}, "

@@ -85,29 +85,34 @@ def build_Stilde(
     return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, (), ctx)
 
 
+def _braid_residual(factor, i: int, u: complex, v: complex) -> float:
+    """Relative max-norm residual of R_i(u) R_{i+1}(uv) R_i(v) against
+    R_{i+1}(v) R_i(uv) R_{i+1}(u). factor(pos, x, right) builds R_pos(x);
+    right lists the positions of the factors to its right."""
+    sides = []
+    for (p1, x1), (p2, x2), (p3, x3) in (
+        ((i, u), (i + 1, u * v), (i, v)), ((i + 1, v), (i, u * v), (i + 1, u))
+    ):
+        sides.append(factor(p1, x1, (p2, p3)) @ factor(p2, x2, (p3,)) @ factor(p3, x3, ()))
+    return _rel_maxnorm(*sides)
+
+
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:
     """Relative max-norm residual of the Yang-Baxter equation for the swap
-    matrices at positions r and r+1, with the slot orderings of the six
-    factors chained so both sides realize the same three-slot reversal."""
+    matrices at positions r and r+1. Each factor's slot ordering applies
+    the swaps of the factors to its right, so both sides realize the same
+    three-slot reversal."""
     M = p.M
     if not 1 <= r <= M - 2:
         raise IndexError(f"need two adjacent swap positions, r <= {M - 2}")
-    u = complex(u)
-    v = complex(v)
-    ident = perm_identity(M)
-    sr = perm_transposition(M, r)
-    sr1 = perm_transposition(M, r + 1)
-    lhs = (
-        build_Stilde(p, r, perm_compose(sr, sr1), u, ctx).entries
-        @ build_Stilde(p, r + 1, sr, u * v, ctx).entries
-        @ build_Stilde(p, r, ident, v, ctx).entries
-    )
-    rhs = (
-        build_Stilde(p, r + 1, perm_compose(sr1, sr), v, ctx).entries
-        @ build_Stilde(p, r, sr1, u * v, ctx).entries
-        @ build_Stilde(p, r + 1, ident, u, ctx).entries
-    )
-    return _rel_maxnorm(lhs, rhs)
+
+    def factor(pos, x, right):
+        sigma = perm_identity(M)
+        for s in reversed(right):
+            sigma = perm_compose(sigma, perm_transposition(M, s))
+        return build_Stilde(p, pos, sigma, x, ctx).entries
+
+    return _braid_residual(factor, r, complex(u), complex(v))
 
 
 def _theta_pow(z: complex, ctx: QContext) -> complex:
@@ -125,7 +130,6 @@ def build_Wtilde(
     u = complex(u)
     if u == 0:
         raise DomainError("spectral argument must be nonzero")
-    q = ctx.q
     qp = ctx.qpow
     den = theta(u * qp(-beta), ctx)
     if abs(den) <= _BRACKET_TOL:
@@ -224,17 +228,9 @@ def akm_ybe_residual(
     adjacent sites i, i+1; 1 <= i <= n-2."""
     if not 1 <= i <= n - 2:
         raise IndexError(f"need two adjacent sites, i <= {n - 2}")
-    lhs = (
-        akm_P(alpha, beta, n, i, u, ctx)
-        @ akm_P(alpha, beta, n, i + 1, u * v, ctx)
-        @ akm_P(alpha, beta, n, i, v, ctx)
+    return _braid_residual(
+        lambda pos, x, _right: akm_P(alpha, beta, n, pos, x, ctx), i, u, v
     )
-    rhs = (
-        akm_P(alpha, beta, n, i + 1, v, ctx)
-        @ akm_P(alpha, beta, n, i, u * v, ctx)
-        @ akm_P(alpha, beta, n, i + 1, u, ctx)
-    )
-    return _rel_maxnorm(lhs, rhs)
 
 
 def bracket(x: complex, ctx: QContext) -> complex:
@@ -330,17 +326,9 @@ def wprime_path_ybe_residual(
         raise IndexError("path needs at least two steps")
     if not 1 <= i <= n - 2:
         raise IndexError(f"need two adjacent sites, i <= {n - 2}")
-    lhs = (
-        _path_operator(a_mult, unit_mult, n, i, u, ctx)
-        @ _path_operator(a_mult, unit_mult, n, i + 1, u * v, ctx)
-        @ _path_operator(a_mult, unit_mult, n, i, v, ctx)
+    return _braid_residual(
+        lambda pos, x, _right: _path_operator(a_mult, unit_mult, n, pos, x, ctx), i, u, v
     )
-    rhs = (
-        _path_operator(a_mult, unit_mult, n, i + 1, v, ctx)
-        @ _path_operator(a_mult, unit_mult, n, i, u * v, ctx)
-        @ _path_operator(a_mult, unit_mult, n, i + 1, u, ctx)
-    )
-    return _rel_maxnorm(lhs, rhs)
 
 
 GAUGE_TWIST_DEFAULT = "balanced"

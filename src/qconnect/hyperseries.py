@@ -507,7 +507,7 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
 # domains, exponents, resonance
 
 
-def in_domain(L: int, sigma, p: ParamSet, t, ctx: QContext) -> tuple[bool, float]:
+def in_domain(L: int, sigma, p: ParamSet, t) -> tuple[bool, float]:
     """Strict membership test for the convergence sector of the solution
     family at split level L and slot ordering sigma: reordered coordinates
     1..L small, the rest large, with pairwise separation conditions. The

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .qkernel import LATTICE_RANGE, ParamSet, QContext, lattice_hit, qpoch_inf, theta
+from .qkernel import LATTICE_RANGE, ParamSet, QContext, _rel_diff, lattice_hit, qpoch_inf, theta
 from .hyperseries import eval_FNM, eval_nphi
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "check_watson",
     "casorati_independence",
     "leading_exponents",
-    "DualityReport",
-    "JacksonReport",
-    "WatsonReport",
+    "IdentityReport",
     "CasoratiReport",
 ]
 
@@ -74,6 +72,15 @@ def _factored_coeffs(mults) -> np.ndarray:
     return coeffs
 
 
+def _term_residual(terms) -> float:
+    """|sum of the signed terms| relative to the largest term; 0.0 when all
+    vanish."""
+    scale = max(abs(v) for v in terms)
+    if scale == 0.0:
+        return 0.0
+    return abs(sum(terms)) / scale
+
+
 def apply_factored_shift_operator(mults, f, t, ctx: QContext) -> complex:
     """Apply prod_j (1 - mu_j T) to f at t, where T scales every coordinate
     by q. Expanded over subsets via the factored coefficients, so it costs
@@ -111,10 +118,7 @@ def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
         terms.append(-ts * Ca[p_] * bs * f_extra)
         terms.append(-Cc[p_] * f_base)
         terms.append(Cc[p_] * f_extra)
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+    return _term_residual(terms)
 
 
 def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
@@ -147,10 +151,7 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
         ts * fr,
         -ts * bs * frs,
     ]
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+    return _term_residual(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +237,35 @@ def eval_FNM_reference(p: ParamSet, t, ctx: QContext) -> complex:
 
 
 @dataclass(frozen=True)
-class DualityReport:
+class IdentityReport:
+    """Both sides of an identity and their relative difference."""
+
     lhs: complex
     rhs: complex
     residual: float
 
 
-def check_duality(p: ParamSet, t, ctx: QContext) -> DualityReport:
+def _poch_ratio(pairs, ctx: QContext) -> complex:
+    """prod (x)_inf / (y)_inf over the (x, y) pairs, multiplied in order."""
+    out = 1.0 + 0j
+    for x, y in pairs:
+        out *= qpoch_inf(x, ctx) / qpoch_inf(y, ctx)
+    return out
+
+
+def _upper_ratio_hit(upper, q: complex):
+    """First (j, k, exponent), 1-based, with upper_j / upper_k on the q-power
+    lattice, or None; the one-variable connection sum divides by these."""
+    for j in range(len(upper)):
+        for k in range(len(upper)):
+            if j != k:
+                hit = lattice_hit(upper[j] / upper[k], q)
+                if hit is not None:
+                    return j + 1, k + 1, hit
+    return None
+
+
+def check_duality(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     """Role-swap transformation: the (N, M) series against the (M, N) series
     in swapped arguments times an infinite-product prefactor. The swapped side
     is enumerated independently; needs every |a_j| < 1 and |t_i| < 1."""
@@ -262,11 +285,7 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> DualityReport:
                 f"b_{i + 1} t_{i + 1} sits at q^{k}; swapped coupling degenerates"
             )
     lhs = eval_FNM(p, t, ctx).value
-    pref = 1.0 + 0j
-    for aj, cj in zip(p.a, p.c):
-        pref *= qpoch_inf(aj, ctx) / qpoch_inf(cj, ctx)
-    for bi, ti in zip(p.b, t):
-        pref *= qpoch_inf(bi * ti, ctx) / qpoch_inf(ti, ctx)
+    pref = _poch_ratio([*zip(p.a, p.c), *((bi * ti, ti) for bi, ti in zip(p.b, t))], ctx)
     swapped = _enum_series(
         a=t,
         b=tuple(cj / aj for aj, cj in zip(p.a, p.c)),
@@ -275,18 +294,10 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> DualityReport:
         ctx=ctx,
     )
     rhs = pref * swapped
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return DualityReport(lhs=lhs, rhs=rhs, residual=residual)
+    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
 
 
-@dataclass(frozen=True)
-class JacksonReport:
-    lhs: complex
-    rhs: complex
-    residual: float
-
-
-def check_jackson(p: ParamSet, t, ctx: QContext) -> JacksonReport:
+def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     """Iterated q-integral representation: N nested geometric sums over the
     grid z = q^m (m >= 0, endpoint included) against the series value.
 
@@ -320,10 +331,7 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> JacksonReport:
         tables.append(np.asarray(w))
     s_max = sum(len(w) - 1 for w in tables)
     P = np.empty(s_max + 2, dtype=complex)
-    pref0 = 1.0 + 0j
-    for bi, ti in zip(p.b, t):
-        pref0 *= qpoch_inf(bi * ti, ctx) / qpoch_inf(ti, ctx)
-    P[0] = pref0
+    P[0] = _poch_ratio(((bi * ti, ti) for bi, ti in zip(p.b, t)), ctx)
     qS = 1.0 + 0j
     for S in range(s_max + 1):
         ratio = 1.0 + 0j
@@ -341,22 +349,11 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> JacksonReport:
             return complex(np.dot(w, P[S : S + len(w)]))
         return sum(w[m] * level(j + 1, S + m) for m in range(len(w)))
 
-    pref = 1.0 + 0j
-    for aj, cj in zip(p.a, p.c):
-        pref *= qpoch_inf(aj, ctx) / qpoch_inf(cj, ctx)
-    rhs = pref * level(0, 0)
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return JacksonReport(lhs=lhs, rhs=rhs, residual=residual)
+    rhs = _poch_ratio(zip(p.a, p.c), ctx) * level(0, 0)
+    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
 
 
-@dataclass(frozen=True)
-class WatsonReport:
-    lhs: complex
-    rhs: complex
-    residual: float
-
-
-def check_watson(upper, lower, t: complex, ctx: QContext) -> WatsonReport:
+def check_watson(upper, lower, t: complex, ctx: QContext) -> IdentityReport:
     """Single-variable connection sum: the value at argument t against the
     weighted sum of companion series at the reflected argument
     q prod(lower) / (prod(upper) t). Both arguments must lie inside the unit
@@ -367,14 +364,9 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> WatsonReport:
         raise ValueError("need exactly one more upper than lower parameter")
     t = complex(t)
     q = ctx.q
-    for j in range(len(upper)):
-        for k in range(len(upper)):
-            if j != k:
-                hit = lattice_hit(upper[j] / upper[k], q)
-                if hit is not None:
-                    raise ResonanceError(
-                        f"upper ratio {j + 1}/{k + 1} sits at q^{hit}"
-                    )
+    hit = _upper_ratio_hit(upper, q)
+    if hit is not None:
+        raise ResonanceError("upper ratio {}/{} sits at q^{}".format(*hit))
     arg2 = q * math.prod(lower, start=1.0 + 0j) / (
         math.prod(upper, start=1.0 + 0j) * t
     )
@@ -388,18 +380,16 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> WatsonReport:
     th_t = theta(t, ctx)
     rhs = 0j
     for k, ak in enumerate(upper):
-        coeff = 1.0 + 0j
-        for bj in lower:
-            coeff *= qpoch_inf(bj / ak, ctx) / qpoch_inf(bj, ctx)
-        for j, aj in enumerate(upper):
-            if j != k:
-                coeff *= qpoch_inf(aj, ctx) / qpoch_inf(aj / ak, ctx)
+        coeff = _poch_ratio(
+            [*((bj / ak, bj) for bj in lower),
+             *((aj, aj / ak) for j, aj in enumerate(upper) if j != k)],
+            ctx,
+        )
         coeff *= theta(t * ak, ctx) / th_t
         new_upper = tuple(q * ak / bj for bj in lower) + (ak,)
         new_lower = tuple(q * ak / aj for j, aj in enumerate(upper) if j != k)
         rhs += coeff * eval_nphi(new_upper, new_lower, arg2, ctx).value
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return WatsonReport(lhs=lhs, rhs=rhs, residual=residual)
+    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +427,18 @@ def casorati_independence(vectors, m, t, ctx: QContext) -> CasoratiReport:
         tk = tuple(v * q ** (k * mv) for v, mv in zip(t, m))
         for i, fn in enumerate(funcs):
             A[k, i] = fn(tk)
+    return CasoratiReport(det=_scaled_det(A), matrix=A, shift=m)
+
+
+def _scaled_det(A: np.ndarray) -> complex:
+    """Determinant of A with each nonzero column scaled to unit max
+    magnitude."""
     scaled = A.copy()
-    for i in range(n):
+    for i in range(A.shape[1]):
         peak = np.max(np.abs(scaled[:, i]))
         if peak > 0.0:
             scaled[:, i] /= peak
-    det = complex(np.linalg.det(scaled))
-    return CasoratiReport(det=det, matrix=A, shift=m)
+    return complex(np.linalg.det(scaled))
 
 
 # ---------------------------------------------------------------------------

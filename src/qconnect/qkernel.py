@@ -161,6 +161,14 @@ def _rel_maxnorm(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
+def _rel_diff(lhs: complex, rhs: complex) -> float:
+    """Scalar form of _rel_maxnorm. It keeps Python's abs: np.abs rounds
+    some complex moduli differently in the last bit."""
+    if lhs == rhs == 0:
+        return 0.0
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
 def lattice_hit(
     x: complex,
     q: complex,

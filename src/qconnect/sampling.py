@@ -27,7 +27,7 @@ from .qkernel import (
     theta,
 )
 from .hyperseries import _resonance_ratios, in_domain
-from .oracle import _shift_points
+from .oracle import _shift_points, _upper_ratio_hit
 
 __all__ = [
     "EXPONENT_RE",
@@ -141,7 +141,7 @@ def _coupling_floor(p: ParamSet) -> float:
     )
 
 
-def _accept(draw, p: ParamSet, families, ctx: QContext, tries: int, margin: float,
+def _accept(draw, p: ParamSet, families, tries: int, margin: float,
             failure: str, points=lambda t: (t,)) -> tuple[complex, ...]:
     """The one acceptance rule: the first of `tries` draws t for which every
     point in points(t) lies in every (L, sigma) family's sector with
@@ -149,7 +149,7 @@ def _accept(draw, p: ParamSet, families, ctx: QContext, tries: int, margin: floa
     for _ in range(tries):
         t = draw()
         if all(
-            in_domain(L, sigma, p, pt, ctx)[1] >= margin
+            in_domain(L, sigma, p, pt)[1] >= margin
             for pt in points(t)
             for L, sigma in families
         ):
@@ -198,7 +198,7 @@ def sample_domain_point(
         return _place(rng, mods, sigma)
 
     return _accept(
-        draw, p, [(L, sigma)], ctx, _TRIES, _LADDER_MARGIN,
+        draw, p, [(L, sigma)], _TRIES, _LADDER_MARGIN,
         f"no ladder point found for level {L}, sigma {sigma}",
         points=lambda t: _shift_points(t, p.q, N, M),
     )
@@ -234,7 +234,7 @@ def sample_level_overlap(
         return _place(rng, mods, sigma)
 
     return _accept(
-        draw, p, [(L, sigma), (L + 1, sigma)], ctx, _TRIES, _OVERLAP_MARGIN,
+        draw, p, [(L, sigma), (L + 1, sigma)], _TRIES, _OVERLAP_MARGIN,
         f"no overlap point for levels {L}/{L + 1}, sigma {sigma}",
     )
 
@@ -265,7 +265,7 @@ def sample_swap_overlap(
         return _place(rng, mods, sigma)
 
     return _accept(
-        draw, p, [(M, sigma), (M, swapped)], ctx, _TRIES, _OVERLAP_MARGIN,
+        draw, p, [(M, sigma), (M, swapped)], _TRIES, _OVERLAP_MARGIN,
         f"no swap overlap point at position {r}, sigma {sigma}",
     )
 
@@ -292,7 +292,7 @@ def sample_family_overlap(
         return tuple(t)
 
     return _accept(
-        draw, p, families, ctx, _FAMILY_TRIES, _OVERLAP_MARGIN,
+        draw, p, families, _FAMILY_TRIES, _OVERLAP_MARGIN,
         f"no overlap point for families {fam1} and {fam2}",
     )
 
@@ -313,12 +313,7 @@ def sample_watson(
             continue
         ups = tuple(ctx_probe.qpow(a) for a in alphas)
         los = tuple(ctx_probe.qpow(g) for g in gammas)
-        bad = False
-        for j in range(N + 1):
-            for k in range(N + 1):
-                if j != k and lattice_hit(ups[j] / ups[k], q) is not None:
-                    bad = True
-        if bad:
+        if _upper_ratio_hit(ups, q) is not None:
             continue
         K = q * math.prod(los, start=1.0 + 0j) / math.prod(ups, start=1.0 + 0j)
         if abs(K) >= 0.3:

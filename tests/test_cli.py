@@ -1,5 +1,6 @@
 """Command line driver: config handling, reports, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,17 @@ def test_failed_draw_becomes_failing_record(kw):
     failing = [r for r in json.loads(text)["records"] if not r["pass"]]
     assert failing
     assert all(r["error"].startswith("SamplingError: ") for r in failing)
+
+
+@pytest.mark.parametrize(
+    "kw, prefix",
+    [(dict(N=1, M=2), "481519553b9b0991"), (dict(N=1, M=1), "2a9273a4bc76e017")],
+    ids=["1x2", "1x1"],
+)
+def test_report_bytes_frozen(kw, prefix):
+    # every suite and both forged-column forms (n = 3 and n = 2 components)
+    text = emit_report(run_suite(RunConfig(**kw)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
 
 def test_report_round_trip_and_timing():
@@ -231,9 +243,14 @@ def test_exponents_spec_explicit_and_sampled(capsys):
         (["eval", "{bad"], None),
         (["eval", '{"kind": "FNM"}'], None),
         (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "abc"], None),
+        (["eval", json.dumps({**FNM_SPEC, "t": ["1.5", "0.25"]})], None),
+        (["eval", json.dumps({**FNM_SPEC, "gamma": ["0.81+0.05j", "0.7"]})], None),
+        (["exponents", "--N", "1", "--M", "2", "--L", "5"], None),
+        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "2"], None),
     ],
     ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
-         "eval-missing-key", "exponents-q"],
+         "eval-missing-key", "exponents-q", "eval-domain", "eval-lengths",
+         "exponents-level", "exponents-base"],
 )
 def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:

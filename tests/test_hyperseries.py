@@ -201,8 +201,8 @@ def test_check_resonance_flags_planted_collisions(p22):
     }
 
 
-def test_in_domain_margins(p22, ctx_long):
-    ok, margin = in_domain(2, (1, 2), p22, (0.05, 0.5), ctx_long)
+def test_in_domain_margins(p22):
+    ok, margin = in_domain(2, (1, 2), p22, (0.05, 0.5))
     assert ok and margin == pytest.approx(0.5, abs=1e-6)
-    ok_bad, margin_bad = in_domain(2, (1, 2), p22, (1.0, 0.5), ctx_long)
+    ok_bad, margin_bad = in_domain(2, (1, 2), p22, (1.0, 0.5))
     assert not ok_bad and margin_bad == 0.0

@@ -96,7 +96,7 @@ def test_sample_domain_point(ctx_long):
     ident = perm_identity(2)
     for L in (0, 1, 2):
         t = sample_domain_point(p, L, ident, ctx_long, rng)
-        ok, margin = in_domain(L, ident, p, t, ctx_long)
+        ok, margin = in_domain(L, ident, p, t)
         assert ok and margin > 0.0
 
 
@@ -106,8 +106,8 @@ def test_sample_level_overlap(ctx_long):
     ident = perm_identity(2)
     for L in (0, 1):
         t = sample_level_overlap(p, L, ident, ctx_long, rng)
-        assert in_domain(L, ident, p, t, ctx_long)[0]
-        assert in_domain(L + 1, ident, p, t, ctx_long)[0]
+        assert in_domain(L, ident, p, t)[0]
+        assert in_domain(L + 1, ident, p, t)[0]
 
 
 def test_sample_swap_overlap(ctx_long):
@@ -115,8 +115,8 @@ def test_sample_swap_overlap(ctx_long):
     p = sample_params(2, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     ident = perm_identity(2)
     t = sample_swap_overlap(p, 1, ident, ctx_long, rng)
-    assert in_domain(2, ident, p, t, ctx_long)[0]
-    assert in_domain(2, (2, 1), p, t, ctx_long)[0]
+    assert in_domain(2, ident, p, t)[0]
+    assert in_domain(2, (2, 1), p, t)[0]
 
 
 def test_sample_family_overlap(ctx_long):
@@ -124,8 +124,8 @@ def test_sample_family_overlap(ctx_long):
     p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     fam1, fam2 = (1, (1, 2)), (1, (2, 1))
     t = sample_family_overlap(p, fam1, fam2, ctx_long, rng)
-    assert in_domain(fam1[0], fam1[1], p, t, ctx_long)[0]
-    assert in_domain(fam2[0], fam2[1], p, t, ctx_long)[0]
+    assert in_domain(fam1[0], fam1[1], p, t)[0]
+    assert in_domain(fam2[0], fam2[1], p, t)[0]
 
 
 def test_sample_watson_feeds_the_check(ctx_long):
