@@ -68,19 +68,8 @@ from .facemodel import (
 from . import sampling
 from .sampling import SamplingError
 
-SUITES = (
-    "series",
-    "system",
-    "duality",
-    "jackson",
-    "watson",
-    "connection",
-    "theorem1",
-    "independence",
-    "ybe",
-    "facemodel",
-)
-
+# Suites in run order with their default tolerances. run_suite seeds each
+# suite's generator with its index here, so the order is part of every report.
 DEFAULT_TOL = {
     "series": 1e-10,
     "system": 1e-9,
@@ -93,6 +82,7 @@ DEFAULT_TOL = {
     "ybe": 1e-9,
     "facemodel": 1e-9,
 }
+SUITES = tuple(DEFAULT_TOL)
 
 _BUDGET = 12
 _RETRIES = 8
@@ -170,7 +160,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         kw["q"] = _cplx_in(raw["q"])
     for key in ("N", "M", "samples", "seed"):
         if key in raw:
-            kw[key] = _parsed(int, raw[key], key)
+            kw[key] = _parsed(_int_in, raw[key], key)
     if "suites" in raw:
         names = [raw["suites"]] if isinstance(raw["suites"], str) else raw["suites"]
         kw["suites"] = SUITES if names == ["all"] else _parsed(tuple, names, "suites")
@@ -230,6 +220,13 @@ def _cplx_in(v) -> complex:
         return complex(v)
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"not a complex number: {v!r}") from exc
+
+
+def _int_in(v) -> int:
+    """int(v); a bool or a non-integral number is refused, not truncated."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise ValueError("not an integer")
+    return int(v)
 
 
 def _parsed(parse, v, name: str):
@@ -487,7 +484,7 @@ def _check_connection(records, cfg, suite, check, p, t, ctx, build, src, dst):
     def residual():
         u_src = build_solution_vector(p, *src, t, ctx)
         u_dst = u_src if dst == src else build_solution_vector(p, *dst, t, ctx)
-        return verify_connection(u_dst, build(t, ctx), u_src, ctx)
+        return verify_connection(u_dst, build(t, ctx), u_src)
 
     _run_check(records, cfg, suite, check, _digest(p), t, residual)
 
@@ -499,7 +496,7 @@ def _suite_connection(cfg, ctx, rng, records):
     L = int(rng.integers(0, cfg.M))
     t = _draw(
         records, "connection", f"split step L={L}",
-        lambda: sampling.sample_level_overlap(p, L, sig, ctx, rng), dg,
+        lambda: sampling.sample_level_overlap(p, L, sig, rng), dg,
     )
     for check, build, src, dst in (
         (f"split step L={L}", partial(build_A, p, L, sig), (L + 1, sig), (L, sig)),
@@ -511,7 +508,7 @@ def _suite_connection(cfg, ctx, rng, records):
     r = int(rng.integers(1, cfg.M))
     t2 = _draw(
         records, "connection", f"swap step r={r}",
-        lambda: sampling.sample_swap_overlap(p, r, sig, ctx, rng), dg,
+        lambda: sampling.sample_swap_overlap(p, r, sig, rng), dg,
     )
     _check_connection(
         records, cfg, "connection", f"swap step r={r}", p, t2, ctx,
@@ -529,7 +526,7 @@ def _suite_theorem1(cfg, ctx, rng, records):
         sig = perm_identity(1)
         t = _draw(
             records, "theorem1", "round trip",
-            lambda: sampling.sample_level_overlap(p, 0, sig, ctx, rng), dg,
+            lambda: sampling.sample_level_overlap(p, 0, sig, rng), dg,
         )
         _check_connection(
             records, cfg, "theorem1", "round trip", p, t, ctx,
@@ -541,7 +538,7 @@ def _suite_theorem1(cfg, ctx, rng, records):
     L = cfg.M - 1
     t = _draw(
         records, "theorem1", "composite path",
-        lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), ctx, rng), dg,
+        lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), rng), dg,
     )
 
     def word_agreement():
@@ -613,7 +610,7 @@ def _suite_independence(cfg, ctx, rng, records):
     dg = _digest(p)
     t = _draw(
         records, "independence", check,
-        lambda: sampling.sample_domain_point(p, L, sig, ctx, rng), dg,
+        lambda: sampling.sample_domain_point(p, L, sig, rng), dg,
     )
     funcs = [(lambda tt, c=c: local_solution(p, L, sig, c, tt, ctx)) for c in comps]
     ok, cas = _attempt(
@@ -758,10 +755,10 @@ def eval_spec(spec: dict) -> dict:
         if kind == "FNM":
             sv = eval_FNM(p, t, ctx)
         elif kind == "FNM_L":
-            sv = eval_FNM_L(p, field("L", int), t, ctx)
+            sv = eval_FNM_L(p, field("L", _int_in), t, ctx)
         else:
             fn = eval_FNM_Lkl if kind == "FNM_Lkl" else eval_GNM_Lkl
-            sv = fn(p, field("L", int), field("k", int), field("l", int), t, ctx)
+            sv = fn(p, field("L", _int_in), field("k", _int_in), field("l", _int_in), t, ctx)
     else:
         raise ConfigError(f"unknown series kind {kind!r}")
     return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}

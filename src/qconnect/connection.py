@@ -409,9 +409,7 @@ def compose_connection(
     )
 
 
-def verify_connection(
-    lhs: SolutionVector, C: ConnMatrix, rhs: SolutionVector, ctx: QContext
-) -> float:
+def verify_connection(lhs: SolutionVector, C: ConnMatrix, rhs: SolutionVector) -> float:
     """Max-norm relative residual of lhs = C . rhs.
 
     Both vectors must be evaluated at the same point and each must lie inside

@@ -119,12 +119,10 @@ def _theta_pow(z: complex, ctx: QContext) -> complex:
     return theta(ctx.qpow(z), ctx)
 
 
-def build_Wtilde(
-    alpha: complex, beta: complex, u: complex, ctx: QContext
-) -> FaceWeight2x2:
-    """2x2 weight in theta-quotient form. This is the coupling block of the
-    freed swap matrix when every slot parameter equals a common q-power; see
-    the embedding identity exercised in the tests."""
+def _weight_head(alpha: complex, beta: complex, u: complex, ctx: QContext):
+    """What build_Wtilde and build_W_akm share: the coerced inputs, the theta
+    denominator theta(u q^-beta), theta(q^-beta), theta(q^(-alpha-2beta))
+    and the entry e11."""
     alpha = complex(alpha)
     beta = complex(beta)
     u = complex(u)
@@ -137,6 +135,17 @@ def build_Wtilde(
     t_mb = _theta_pow(-beta, ctx)
     t_a2b = _theta_pow(-alpha - 2 * beta, ctx)
     e11 = cpow(u, alpha + 3 * beta + 1) * t_mb * theta(u * qp(alpha + 2 * beta + 1), ctx) / (t_a2b * den)
+    return alpha, beta, u, den, t_mb, t_a2b, e11
+
+
+def build_Wtilde(
+    alpha: complex, beta: complex, u: complex, ctx: QContext
+) -> FaceWeight2x2:
+    """2x2 weight in theta-quotient form. This is the coupling block of the
+    freed swap matrix when every slot parameter equals a common q-power; see
+    the embedding identity exercised in the tests."""
+    alpha, beta, u, den, t_mb, _, e11 = _weight_head(alpha, beta, u, ctx)
+    qp = ctx.qpow
     e12 = (
         cpow(u, beta)
         * theta(u, ctx)
@@ -165,18 +174,8 @@ def build_W_akm(
 ) -> FaceWeight2x2:
     """2x2 weight in the conjugated form whose diagonal embeddings satisfy
     the Yang-Baxter equation under the per-site parameter shift."""
-    alpha = complex(alpha)
-    beta = complex(beta)
-    u = complex(u)
-    if u == 0:
-        raise DomainError("spectral argument must be nonzero")
+    alpha, beta, u, den, t_mb, t_a2b, e11 = _weight_head(alpha, beta, u, ctx)
     qp = ctx.qpow
-    den = theta(u * qp(-beta), ctx)
-    if abs(den) <= _BRACKET_TOL:
-        raise PoleError("theta denominator vanished at the spectral argument")
-    t_mb = _theta_pow(-beta, ctx)
-    t_a2b = _theta_pow(-alpha - 2 * beta, ctx)
-    e11 = cpow(u, alpha + 3 * beta + 1) * t_mb * theta(u * qp(alpha + 2 * beta + 1), ctx) / (t_a2b * den)
     e12 = (
         qp(beta + 1)
         * cpow(u, beta)

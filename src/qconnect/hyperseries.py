@@ -31,6 +31,7 @@ from .qkernel import (
     LATTICE_RANGE,
     ParamSet,
     QContext,
+    _coords,
     cpow,
     lattice_hit,
     permute_seq,
@@ -146,6 +147,23 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
     return g
 
 
+def _settle(terms, ctx: QContext, failure) -> SeriesValue:
+    """Sum of terms, done once three in a row fall below tail_tol relative to
+    the largest partial sum so far. When the terms run out it raises
+    ConvergenceError(failure(last relative term size))."""
+    total = 0j
+    mag = 1e-300
+    run: list[float] = []  # relative sizes of the current run of small terms
+    for n, term in enumerate(terms, start=1):
+        total += term
+        mag = max(mag, abs(total))
+        rel = abs(term) / mag
+        run = run + [rel] if rel < ctx.tail_tol else []
+        if len(run) == 3:
+            return SeriesValue(total, n, max(run))
+    raise ConvergenceError(failure(rel))
+
+
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
     cap = ctx.series_cap
 
@@ -162,29 +180,16 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
     down = len(cm) - 1
     g = _coupling_table(g_nums, g_dens, up, down, ctx)
 
-    total = 0j
-    mag = 1e-300
-    small = 0
-    recent: list[float] = []
-    for s in range(cap + 1):
-        # up and down are each 0 or cap, and at least one axis exists, so
-        # the index range is never empty
-        js = np.arange(max(0, s - down), min(s, up) + 1)
-        shell = complex(np.sum(cp[js] * cm[s - js] * g[down + 2 * js - s]))
-        total += shell
-        mag = max(mag, abs(total))
-        rel = abs(shell) / mag
-        recent.append(rel)
-        if rel < ctx.tail_tol:
-            small += 1
-            if small >= 3:
-                return SeriesValue(total, s + 1, max(recent[-3:]))
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"series did not settle within {cap} shells "
-        f"(last relative shell size {recent[-1]:.3e})"
-    )
+    def shells():
+        for s in range(cap + 1):
+            # up and down are each 0 or cap, and at least one axis exists,
+            # so the index range is never empty
+            js = np.arange(max(0, s - down), min(s, up) + 1)
+            yield complex(np.sum(cp[js] * cm[s - js] * g[down + 2 * js - s]))
+
+    return _settle(shells(), ctx, lambda last: (
+        f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
+    ))
 
 
 def _plain_axis(b: complex, x: complex, q: complex):
@@ -222,36 +227,26 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
         if k is not None:
             raise ResonanceError(f"lower parameter {j} sits at q^{k}")
     q = ctx.q
-    term = 1.0 + 0j
-    total = 0j
-    mag = 1e-300
-    small = 0
-    recent: list[float] = []
-    qm = 1.0 + 0j
-    for m in range(ctx.series_cap + 1):
-        total += term
-        mag = max(mag, abs(total))
-        rel = abs(term) / mag
-        recent.append(rel)
-        if rel < ctx.tail_tol:
-            small += 1
-            if small >= 3:
-                return SeriesValue(total, m + 1, max(recent[-3:]))
-        else:
-            small = 0
-        num = t
-        for u in upper:
-            num *= 1.0 - u * qm
-        den = 1.0 - q * qm
-        for lv in lower:
-            den *= 1.0 - lv * qm
-        if abs(den) <= _DEN_TOL:
-            raise ResonanceError(f"term denominator vanished at index {m}")
-        term *= num / den
-        qm *= q
-    raise ConvergenceError(
+
+    def terms():
+        term = 1.0 + 0j
+        qm = 1.0 + 0j
+        for m in range(ctx.series_cap + 1):
+            yield term
+            num = t
+            for u in upper:
+                num *= 1.0 - u * qm
+            den = 1.0 - q * qm
+            for lv in lower:
+                den *= 1.0 - lv * qm
+            if abs(den) <= _DEN_TOL:
+                raise ResonanceError(f"term denominator vanished at index {m}")
+            term *= num / den
+            qm *= q
+
+    return _settle(terms(), ctx, lambda _: (
         f"single-variable sum did not settle within {ctx.series_cap} terms"
-    )
+    ))
 
 
 def _require_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -271,6 +266,34 @@ def _abs_ratio(num: complex, den: complex) -> float:
     return abs(num) / abs(den)
 
 
+def _coupling(p: ParamSet) -> complex:
+    """Coupling constant C q = q prod_j c_j/a_j of the large slots."""
+    return math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * p.q
+
+
+def _sector(p: ParamSet, b, L: int, l: int, t):
+    """(label, ratio) for every convergence condition of one component of
+    the level-L family on reordered slots b, t: component 0 when l = 0, any
+    (k, l) component otherwise. The family's sector is where all of its
+    components converge."""
+    q, big = p.q, _coupling(p)
+    if l == 0:
+        for i in range(L):
+            yield f"|t_{i + 1}| >= 1", abs(t[i])
+        for i in range(L, len(t)):
+            yield f"tail ratio at i = {i + 1} >= 1", _abs_ratio(big, b[i] * t[i])
+        return
+    bl_tl = b[l - 1] * t[l - 1]
+    if l <= L:
+        yield f"|t_{l}| >= 1", abs(t[l - 1])
+    else:
+        yield "distinguished ratio >= 1", _abs_ratio(big, bl_tl)
+    for i in range(l - 1):
+        yield f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[i], bl_tl)
+    for i in range(l, len(t)):
+        yield f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[l - 1], b[i] * t[i])
+
+
 def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
     """Split series: axes 1..L expand in t_i, axes L+1..M in q/(b_i t_i), the
     coupling runs over the signed split sum with parameter quotient
@@ -278,22 +301,34 @@ def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
     _check_base(p, ctx)
     M = p.M
     _require_range("L", L, 0, M)
-    t = tuple(complex(v) for v in t)
-    if len(t) != M:
-        raise ValueError(f"expected {M} coordinates, got {len(t)}")
+    t = _coords(t, M)
+    _domain_check(_sector(p, p.b, L, 0, t))
     q = p.q
-    big = math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * q
-    checks = [(f"|t_{i + 1}| >= 1", abs(t[i])) for i in range(L)]
-    checks += [
-        (f"tail ratio at i = {i + 1} >= 1", _abs_ratio(big, p.b[i] * t[i]))
-        for i in range(L, M)
-    ]
-    _domain_check(checks)
     plus = [_plain_axis(p.b[i], t[i], q) for i in range(L)]
     minus = [_plain_axis(p.b[i], q / (p.b[i] * t[i]), q) for i in range(L, M)]
     B = math.prod(p.b[L:], start=1.0 + 0j)
     g_nums = tuple(aj / B for aj in p.a)
     g_dens = tuple(cj / B for cj in p.c)
+    return _shell_series(plus, minus, g_nums, g_dens, ctx)
+
+
+def _slot_series(p: ParamSet, L: int, l: int, t, coupling, ctx: QContext) -> SeriesValue:
+    """Split series attached to lower slot l. Slots before l are plus axes in
+    q t_i/(b_l t_l), slots after l minus axes in b_l t_l/(b_i t_i); the
+    distinguished axis goes right after slot L, on the plus side when l > L.
+    coupling(b_l t_l, prod_{i>l} b_i) gives that axis and the coupling
+    quotient pair."""
+    t = _coords(t, p.M)
+    _domain_check(_sector(p, p.b, L, l, t))
+    q = p.q
+    bl_tl = p.b[l - 1] * t[l - 1]
+    axis, g_nums, g_dens = coupling(bl_tl, math.prod(p.b[l:], start=1.0 + 0j))
+    plus = [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(l - 1)]
+    minus = [_plain_axis(p.b[i], bl_tl / (p.b[i] * t[i]), q) for i in range(l, p.M)]
+    if l > L:
+        plus.insert(L, axis)
+    else:
+        minus.insert(L - l, axis)
     return _shell_series(plus, minus, g_nums, g_dens, ctx)
 
 
@@ -306,41 +341,17 @@ def eval_FNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     b_l t_l/(b_i t_i).
     """
     _check_base(p, ctx)
-    N, M = p.N, p.M
-    _require_range("L", L, 0, M)
-    _require_range("l", l, L + 1, M)
-    _require_range("k", k, 1, N)
-    t = tuple(complex(v) for v in t)
-    if len(t) != M:
-        raise ValueError(f"expected {M} coordinates, got {len(t)}")
-    q = p.q
-    a_k = p.a[k - 1]
-    bl_tl = p.b[l - 1] * t[l - 1]
-    Cq = math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * q
-    checks = [("distinguished ratio >= 1", _abs_ratio(Cq, bl_tl))]
-    checks += [
-        (f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[i], bl_tl))
-        for i in range(l - 1)
-    ]
-    checks += [
-        (f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[l - 1], p.b[i] * t[i]))
-        for i in range(l, M)
-    ]
-    _domain_check(checks)
-    plus = [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(L)]
-    plus.append(
-        (
-            tuple(q * a_k / cj for cj in p.c),
-            tuple(q * a_k / aj for aj in p.a),
-            Cq / bl_tl,
-        )
-    )
-    plus += [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(L, l - 1)]
-    minus = [_plain_axis(p.b[i], bl_tl / (p.b[i] * t[i]), q) for i in range(l, M)]
-    tail = math.prod(p.b[l:], start=1.0 + 0j)
-    g_nums = (a_k / tail,)
-    g_dens = (q * a_k / (p.b[l - 1] * tail),)
-    return _shell_series(plus, minus, g_nums, g_dens, ctx)
+    _require_range("L", L, 0, p.M)
+    _require_range("l", l, L + 1, p.M)
+    _require_range("k", k, 1, p.N)
+    q, a_k = p.q, p.a[k - 1]
+
+    def coupling(bl_tl, tail):
+        nums = tuple(q * a_k / cj for cj in p.c)
+        dens = tuple(q * a_k / aj for aj in p.a)
+        return (nums, dens, _coupling(p) / bl_tl), (a_k / tail,), (q * a_k / (p.b[l - 1] * tail),)
+
+    return _slot_series(p, L, l, t, coupling, ctx)
 
 
 def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> SeriesValue:
@@ -352,43 +363,17 @@ def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     axis carrying ({q a_j/c_k} | {q c_j/c_k}) at argument b_l t_l/q.
     """
     _check_base(p, ctx)
-    N, M = p.N, p.M
-    _require_range("L", L, 0, M)
+    _require_range("L", L, 0, p.M)
     _require_range("l", l, 1, L)
-    _require_range("k", k, 1, N)
-    t = tuple(complex(v) for v in t)
-    if len(t) != M:
-        raise ValueError(f"expected {M} coordinates, got {len(t)}")
-    q = p.q
-    c_k = p.c[k - 1]
-    bl_tl = p.b[l - 1] * t[l - 1]
-    checks = [(f"|t_{l}| >= 1", abs(t[l - 1]))]
-    checks += [
-        (f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[i], bl_tl))
-        for i in range(l - 1)
-    ]
-    checks += [
-        (f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[l - 1], p.b[i] * t[i]))
-        for i in range(l, M)
-    ]
-    _domain_check(checks)
-    plus = [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(l - 1)]
-    minus = [
-        _plain_axis(p.b[i + 1], bl_tl / (p.b[i + 1] * t[i + 1]), q)
-        for i in range(l - 1, L - 1)
-    ]
-    minus.append(
-        (
-            tuple(q * aj / c_k for aj in p.a),
-            tuple(q * cj / c_k for cj in p.c),
-            bl_tl / q,
-        )
-    )
-    minus += [_plain_axis(p.b[i], bl_tl / (p.b[i] * t[i]), q) for i in range(L, M)]
-    tail = math.prod(p.b[l:], start=1.0 + 0j)
-    g_nums = (c_k / (q * tail),)
-    g_dens = (c_k / (p.b[l - 1] * tail),)
-    return _shell_series(plus, minus, g_nums, g_dens, ctx)
+    _require_range("k", k, 1, p.N)
+    q, c_k = p.q, p.c[k - 1]
+
+    def coupling(bl_tl, tail):
+        nums = tuple(q * aj / c_k for aj in p.a)
+        dens = tuple(q * cj / c_k for cj in p.c)
+        return (nums, dens, bl_tl / q), (c_k / (q * tail),), (c_k / (p.b[l - 1] * tail),)
+
+    return _slot_series(p, L, l, t, coupling, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +407,18 @@ def _normalize_component(which, N: int, M: int):
 # local solutions
 
 
-def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> complex:
-    """Single component of the local solution vector at split level L and
-    slot ordering sigma.
-
-    The b/t slots are reordered by sigma first; prefactors are principal
-    powers of the reordered coordinates with the component's leading
-    exponents (char_exponents), the series factor is the matching split
-    series. Emits BranchWarning when a coordinate carrying a power
-    prefactor lies outside the sector |Arg| < pi/4 (power laws for the
-    composite shifts are then no longer guaranteed).
-    """
+def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
+    """Setup shared by every component of the (L, sigma) family at t: the
+    reordered parameters and coordinates and the leading exponents."""
     _check_base(p, ctx)
-    M = p.M
-    _require_range("L", L, 0, M)
-    comp = _normalize_component(which, p.N, M)
+    _require_range("L", L, 0, p.M)
     pp = p.permuted(sigma)
-    tt = permute_seq(tuple(complex(v) for v in t), sigma)
+    return pp, permute_seq(tuple(complex(v) for v in t), sigma), char_exponents(pp, L)
+
+
+def _component(pp: ParamSet, L: int, ce: CharExponent, tt, ctx: QContext) -> complex:
+    """Component ce.component of a family set up by _family."""
+    comp, M = ce.component, pp.M
     start = (L + 1) if comp == 0 else comp[1]
     risky = [
         i
@@ -450,7 +430,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
             f"coordinates {risky} lie outside the branch-safe sector; "
             "principal powers may break shift identities",
             BranchWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if comp == 0:
         series = eval_FNM_L(pp, L, tt, ctx)
@@ -458,11 +438,26 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
         series = eval_GNM_Lkl(pp, L, *comp, tt, ctx)
     else:
         series = eval_FNM_Lkl(pp, L, *comp, tt, ctx)
-    delta = char_exponents(pp, L)[component_index(comp, M)].delta
     pref = 1.0 + 0j
     for i in range(start, M + 1):
-        pref *= cpow(tt[i - 1], delta[i - 1])
+        pref *= cpow(tt[i - 1], ce.delta[i - 1])
     return pref * series.value
+
+
+def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> complex:
+    """Single component of the local solution vector at split level L and
+    slot ordering sigma.
+
+    The b/t slots are reordered by sigma first; prefactors are principal
+    powers of the reordered coordinates with the component's leading
+    exponents (char_exponents), the series factor is the matching split
+    series. Emits BranchWarning when a coordinate carrying a power
+    prefactor lies outside the sector |Arg| < pi/4 (power laws for the
+    composite shifts are then no longer guaranteed).
+    """
+    pp, tt, exps = _family(p, L, sigma, t, ctx)
+    comp = _normalize_component(which, p.N, p.M)
+    return _component(pp, L, exps[component_index(comp, p.M)], tt, ctx)
 
 
 @dataclass(frozen=True)
@@ -481,15 +476,16 @@ class SolutionVector:
 
 def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> SolutionVector:
     """Evaluate every component (the distinguished one first, then (k, l) in
-    row-major order). Component failures are aggregated into one error that
-    names the offending components."""
+    row-major order) from one family setup. Component failures are
+    aggregated into one error that names the offending components."""
+    pp, tt, exps = _family(p, L, sigma, t, ctx)
     comps = []
     failures: list[tuple[object, Exception]] = []
-    for label in component_order(p.N, p.M):
+    for ce in exps:
         try:
-            comps.append(local_solution(p, L, sigma, label, t, ctx))
+            comps.append(_component(pp, L, ce, tt, ctx))
         except Exception as exc:  # noqa: BLE001  aggregated below
-            failures.append((label, exc))
+            failures.append((ce.component, exc))
     if failures:
         first = failures[0][1]
         detail = "; ".join(f"component {lab}: {exc}" for lab, exc in failures)
@@ -509,22 +505,12 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
 
 def in_domain(L: int, sigma, p: ParamSet, t) -> tuple[bool, float]:
     """Strict membership test for the convergence sector of the solution
-    family at split level L and slot ordering sigma: reordered coordinates
-    1..L small, the rest large, with pairwise separation conditions. The
-    margin is the smallest slack (negative when outside)."""
-    sigma = tuple(int(v) for v in sigma)
+    family at split level L and slot ordering sigma: where component 0 and
+    one (k, l) component per slot l converge. The margin is the smallest
+    slack (negative when outside)."""
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     bb = permute_seq(p.b, sigma)
-    q = p.q
-    big = math.prod((cj / aj for aj, cj in zip(p.a, p.c)), start=1.0 + 0j) * q
-    slacks = [1.0 - abs(tt[i]) for i in range(L)]
-    slacks += [1.0 - _abs_ratio(big, bb[i] * tt[i]) for i in range(L, len(tt))]
-    slacks += [
-        1.0 - _abs_ratio(q * tt[i], bb[j] * tt[j])
-        for i in range(len(tt))
-        for j in range(i + 1, len(tt))
-    ]
-    margin = min(slacks)
+    margin = min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))
     return margin > 0.0, margin
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .qkernel import LATTICE_RANGE, ParamSet, QContext, _rel_diff, lattice_hit, qpoch_inf, theta
+from .qkernel import LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, lattice_hit, qpoch_inf, theta
 from .hyperseries import eval_FNM, eval_nphi
 
 __all__ = [
@@ -269,9 +269,7 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     """Role-swap transformation: the (N, M) series against the (M, N) series
     in swapped arguments times an infinite-product prefactor. The swapped side
     is enumerated independently; needs every |a_j| < 1 and |t_i| < 1."""
-    t = tuple(complex(v) for v in t)
-    if len(t) != p.M:
-        raise ValueError(f"expected {p.M} coordinates, got {len(t)}")
+    t = _coords(t, p.M)
     bad = [j for j, aj in enumerate(p.a, start=1) if abs(aj) >= 1.0]
     if bad:
         raise DomainError(f"|a_j| < 1 required on the swapped side; violated at j = {bad}")
@@ -305,9 +303,7 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     prod_j (a_j)_inf/(c_j)_inf * sum_m prod_j a_j^{m_j} (c_j/a_j)_{m_j}/(q)_{m_j}
     * prod_i (b_i t_i Q)_inf/(t_i Q)_inf at Q = q^{m_1 + ... + m_N}.
     """
-    t = tuple(complex(v) for v in t)
-    if len(t) != p.M:
-        raise ValueError(f"expected {p.M} coordinates, got {len(t)}")
+    t = _coords(t, p.M)
     bad = [j for j, aj in enumerate(p.a, start=1) if abs(aj) >= 1.0]
     if bad:
         raise DomainError(f"|a_j| < 1 required for the q-integral; violated at j = {bad}")

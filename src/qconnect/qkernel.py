@@ -169,6 +169,14 @@ def _rel_diff(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+def _coords(t, M: int) -> tuple[complex, ...]:
+    """t as M complex coordinates; ValueError for any other count."""
+    t = tuple(complex(v) for v in t)
+    if len(t) != M:
+        raise ValueError(f"expected {M} coordinates, got {len(t)}")
+    return t
+
+
 def lattice_hit(
     x: complex,
     q: complex,

@@ -175,7 +175,7 @@ def _ladder_above(mods, start: int, prev: float, Cq: float, bp, lift: float,
 
 
 def sample_domain_point(
-    p: ParamSet, L: int, sigma, ctx: QContext, rng: np.random.Generator
+    p: ParamSet, L: int, sigma, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Geometric ladder inside the convergence sector of the (L, sigma)
     family, placed so the whole shift set of the operator residual checks
@@ -210,7 +210,7 @@ def _annulus_mid(lo: float, hi: float, rng: np.random.Generator) -> float:
 
 
 def sample_level_overlap(
-    p: ParamSet, L: int, sigma, ctx: QContext, rng: np.random.Generator
+    p: ParamSet, L: int, sigma, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Point inside both the (L, sigma) and (L+1, sigma) sectors: the
     coordinate that changes roles sits near the log-midpoint of its
@@ -240,7 +240,7 @@ def sample_level_overlap(
 
 
 def sample_swap_overlap(
-    p: ParamSet, r: int, sigma, ctx: QContext, rng: np.random.Generator
+    p: ParamSet, r: int, sigma, rng: np.random.Generator
 ) -> tuple[complex, ...]:
     """Point inside the fully split sectors of both sigma and sigma o s_r:
     all coordinates small, with the swapped pair's ratio near the
@@ -274,7 +274,6 @@ def sample_family_overlap(
     p: ParamSet,
     fam1: tuple[int, tuple[int, ...]],
     fam2: tuple[int, tuple[int, ...]],
-    ctx: QContext,
     rng: np.random.Generator,
 ) -> tuple[complex, ...]:
     """Point inside the sectors of two arbitrary families, by rejection

@@ -88,7 +88,7 @@ def test_criterion_02_local_solutions():
     ident = perm_identity(2)
     worst = 0.0
     for L in (0, 1, 2):
-        t = sample_domain_point(p, L, ident, CTX, rng)
+        t = sample_domain_point(p, L, ident, rng)
         for comp in COMPONENTS_22:
             f = lambda tt, c=comp: local_solution(p, L, ident, c, tt, CTX)
             for s in (1, 2):
@@ -144,18 +144,18 @@ def test_criterion_06_single_step_connection():
         p = sample_params(N, M, Q, rng, coupling_cap=0.16, min_b=0.5)
         ident = perm_identity(M)
         for L in range(M):
-            t = sample_level_overlap(p, L, ident, CTX, rng)
+            t = sample_level_overlap(p, L, ident, rng)
             lo = build_solution_vector(p, L, ident, t, CTX)
             hi = build_solution_vector(p, L + 1, ident, t, CTX)
-            rA = verify_connection(lo, build_A(p, L, ident, t, CTX), hi, CTX)
-            rB = verify_connection(hi, build_B(p, L + 1, ident, t, CTX), lo, CTX)
+            rA = verify_connection(lo, build_A(p, L, ident, t, CTX), hi)
+            rB = verify_connection(hi, build_B(p, L + 1, ident, t, CTX), lo)
             worst = max(worst, rA, rB)
         for r in range(1, M):
-            t = sample_swap_overlap(p, r, ident, CTX, rng)
+            t = sample_swap_overlap(p, r, ident, rng)
             tau = perm_compose(ident, perm_transposition(M, r))
             src = build_solution_vector(p, M, ident, t, CTX)
             dst = build_solution_vector(p, M, tau, t, CTX)
-            rS = verify_connection(dst, build_S(p, r, ident, t, CTX), src, CTX)
+            rS = verify_connection(dst, build_S(p, r, ident, t, CTX), src)
             worst = max(worst, rS)
     ok = worst < 1e-7
     announce(6, "single-step connection", ok, f"worst={worst:.3e}")
@@ -167,12 +167,12 @@ def test_criterion_07_composition():
     p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     ident = perm_identity(2)
     swap = perm_compose(ident, perm_transposition(2, 1))
-    t = sample_family_overlap(p, (1, ident), (1, swap), CTX, rng)
+    t = sample_family_overlap(p, (1, ident), (1, swap), rng)
 
     C1 = compose_connection(p, 1, ident, 1, swap, t, CTX, word=[1])
     src = build_solution_vector(p, 1, ident, t, CTX)
     dst = build_solution_vector(p, 1, swap, t, CTX)
-    resid = verify_connection(dst, C1, src, CTX)
+    resid = verify_connection(dst, C1, src)
 
     C2 = compose_connection(p, 1, ident, 1, swap, t, CTX, word=[1, 1, 1])
     scale = max(np.abs(C1.entries).max(), np.abs(C2.entries).max())
@@ -191,11 +191,11 @@ def test_criterion_08_pseudo_constancy():
         ident = perm_identity(M)
         built = []
         for L in range(M):
-            t = sample_level_overlap(p, L, ident, CTX, rng)
+            t = sample_level_overlap(p, L, ident, rng)
             built.append((lambda tt, L=L: build_A(p, L, ident, tt, CTX), t))
             built.append((lambda tt, L=L: build_B(p, L + 1, ident, tt, CTX), t))
         for r in range(1, M):
-            t = sample_swap_overlap(p, r, ident, CTX, rng)
+            t = sample_swap_overlap(p, r, ident, rng)
             built.append((lambda tt, r=r: build_S(p, r, ident, tt, CTX), t))
         for make, t in built:
             base = make(t).entries

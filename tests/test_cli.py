@@ -247,10 +247,12 @@ def test_exponents_spec_explicit_and_sampled(capsys):
         (["eval", json.dumps({**FNM_SPEC, "gamma": ["0.81+0.05j", "0.7"]})], None),
         (["exponents", "--N", "1", "--M", "2", "--L", "5"], None),
         (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "2"], None),
+        (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": 1.5})], None),
+        (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": True})], None),
     ],
     ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
          "eval-missing-key", "exponents-q", "eval-domain", "eval-lengths",
-         "exponents-level", "exponents-base"],
+         "exponents-level", "exponents-base", "eval-level-fraction", "eval-level-bool"],
 )
 def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:

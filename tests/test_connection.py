@@ -43,8 +43,8 @@ def test_level_step_identities(p22, ctx_long, which, point):
     hi = build_solution_vector(p22, L + 1, IDENT, point, ctx_long)
     A = build_A(p22, L, IDENT, point, ctx_long)
     B = build_B(p22, L + 1, IDENT, point, ctx_long)
-    assert verify_connection(lo, A, hi, ctx_long) < 1e-10
-    assert verify_connection(hi, B, lo, ctx_long) < 1e-10
+    assert verify_connection(lo, A, hi) < 1e-10
+    assert verify_connection(hi, B, lo) < 1e-10
     assert np.abs(A.entries @ B.entries - np.eye(5)).max() < 1e-12
 
 
@@ -70,13 +70,13 @@ def test_swap_step_identities(p12, p22, ctx_long):
         S = build_S(p, 1, IDENT, T_SWAP, ctx_long)
         assert S.kind == "S"
         assert S.eval_point == (T_SWAP[0] / T_SWAP[1],)
-        assert verify_connection(dst, S, src, ctx_long) < 1e-10
+        assert verify_connection(dst, S, src) < 1e-10
 
 
 def test_swap_step_wrong_target_is_large(p22, ctx_long):
     src = build_solution_vector(p22, 2, IDENT, T_SWAP, ctx_long)
     S = build_S(p22, 1, IDENT, T_SWAP, ctx_long)
-    assert verify_connection(src, S, src, ctx_long) > 1e-2
+    assert verify_connection(src, S, src) > 1e-2
 
 
 def test_swap_step_depends_only_on_ratio(p22, ctx_long):
@@ -119,7 +119,7 @@ def test_composition_across_two_levels(p12, ctx_comp):
     C = compose_connection(p12, 0, IDENT, 2, IDENT, T_COMP, ctx_comp)
     u0 = build_solution_vector(p12, 0, IDENT, T_COMP, ctx_comp)
     u2 = build_solution_vector(p12, 2, IDENT, T_COMP, ctx_comp)
-    assert verify_connection(u2, C, u0, ctx_comp) < 1e-9
+    assert verify_connection(u2, C, u0) < 1e-9
 
 
 def test_composition_same_endpoints_is_identity(p22, ctx_long):
@@ -137,7 +137,7 @@ def test_verify_connection_validation(p22, ctx_long):
     other = build_solution_vector(p22, 2, IDENT, (0.06, 0.5), ctx_long)
     S = build_S(p22, 1, IDENT, (0.05, 0.5), ctx_long)
     with pytest.raises(ValueError):
-        verify_connection(good, S, other, ctx_long)
+        verify_connection(good, S, other)
 
     bad_point = (1.0, 0.5)
     forged = SolutionVector(
@@ -145,4 +145,4 @@ def test_verify_connection_validation(p22, ctx_long):
     )
     S_bad = build_S(p22, 1, IDENT, bad_point, ctx_long)
     with pytest.raises(DomainError):
-        verify_connection(forged, S_bad, forged, ctx_long)
+        verify_connection(forged, S_bad, forged)

@@ -1,5 +1,7 @@
 """Series evaluators, local solution families, exponents, domain checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,34 @@ def test_solution_vector_shape_and_consistency(p22, ctx_long):
     for i, comp in enumerate(component_order(2, 2)):
         direct = local_solution(p22, 2, (1, 2), comp, t, ctx_long)
         assert abs(arr[i] - direct) < 1e-14 * max(abs(direct), 1.0)
+
+
+# One point inside each (L, sigma) sector at (N, M) = (2, 3) and the sha256
+# prefix of its components' hex digits. The shell engine convolves the axes
+# in list order, so moving the distinguished axis or reordering the plain
+# axes of a component changes the last bits and the digest.
+_FAMILY_POINTS_23 = [
+    ((1, 2, 3), 0, (0.5 + 0.05j, 1.5 - 0.1j, 4.5 + 0.2j), "b3c5b68dc74d6e8c"),
+    ((1, 2, 3), 1, (0.3 + 0.05j, 1.5 - 0.1j, 4.5 + 0.2j), "eacb45860fa73c82"),
+    ((1, 2, 3), 2, (0.1 + 0.02j, 0.35 - 0.05j, 2.0 + 0.1j), "ca9bc5aad2d90cbf"),
+    ((1, 2, 3), 3, (0.05 + 0.01j, 0.2 - 0.03j, 0.6 + 0.05j), "504b9140dd8df502"),
+    ((3, 1, 2), 0, (1.5 - 0.1j, 4.5 + 0.2j, 0.5 + 0.05j), "036a2bcace30bfc6"),
+    ((3, 1, 2), 1, (1.5 - 0.1j, 4.5 + 0.2j, 0.3 + 0.05j), "0ba61056ba9eb807"),
+    ((3, 1, 2), 2, (0.35 - 0.05j, 2.0 + 0.1j, 0.1 + 0.02j), "a0591e0882c093fc"),
+    ((3, 1, 2), 3, (0.2 - 0.03j, 0.6 + 0.05j, 0.05 + 0.01j), "67248e53a49f5dc9"),
+]
+
+
+@pytest.mark.parametrize("sigma, L, t, digest", _FAMILY_POINTS_23)
+def test_solution_vector_frozen_bits(sigma, L, t, digest, p23, ctx_long):
+    assert in_domain(L, sigma, p23, t)[0]
+    vec = build_solution_vector(p23, L, sigma, t, ctx_long)
+    h = hashlib.sha256()
+    for comp, z in zip(component_order(2, 3), vec.components, strict=True):
+        assert local_solution(p23, L, sigma, comp, t, ctx_long) == z
+        h.update(z.real.hex().encode())
+        h.update(z.imag.hex().encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_solution_vector_aggregates_failures(p22, ctx_long):

@@ -90,40 +90,40 @@ def test_sample_interior_point_annulus():
             assert 0.2 <= abs(tv) <= 0.55
 
 
-def test_sample_domain_point(ctx_long):
+def test_sample_domain_point():
     rng = np.random.default_rng(13)
     p = sample_params(2, 2, Q, rng)
     ident = perm_identity(2)
     for L in (0, 1, 2):
-        t = sample_domain_point(p, L, ident, ctx_long, rng)
+        t = sample_domain_point(p, L, ident, rng)
         ok, margin = in_domain(L, ident, p, t)
         assert ok and margin > 0.0
 
 
-def test_sample_level_overlap(ctx_long):
+def test_sample_level_overlap():
     rng = np.random.default_rng(14)
     p = sample_params(2, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     ident = perm_identity(2)
     for L in (0, 1):
-        t = sample_level_overlap(p, L, ident, ctx_long, rng)
+        t = sample_level_overlap(p, L, ident, rng)
         assert in_domain(L, ident, p, t)[0]
         assert in_domain(L + 1, ident, p, t)[0]
 
 
-def test_sample_swap_overlap(ctx_long):
+def test_sample_swap_overlap():
     rng = np.random.default_rng(15)
     p = sample_params(2, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     ident = perm_identity(2)
-    t = sample_swap_overlap(p, 1, ident, ctx_long, rng)
+    t = sample_swap_overlap(p, 1, ident, rng)
     assert in_domain(2, ident, p, t)[0]
     assert in_domain(2, (2, 1), p, t)[0]
 
 
-def test_sample_family_overlap(ctx_long):
+def test_sample_family_overlap():
     rng = np.random.default_rng(16)
     p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     fam1, fam2 = (1, (1, 2)), (1, (2, 1))
-    t = sample_family_overlap(p, fam1, fam2, ctx_long, rng)
+    t = sample_family_overlap(p, fam1, fam2, rng)
     assert in_domain(fam1[0], fam1[1], p, t)[0]
     assert in_domain(fam2[0], fam2[1], p, t)[0]
 
@@ -146,35 +146,35 @@ def test_sample_spectral_window():
 
 # Frozen outputs at fixed seeds: any change in the order of draws, in the
 # ladder arithmetic or in the placement of reordered slots changes them.
-def _domain(ctx):
+def _domain():
     rng = np.random.default_rng(21)
     p = sample_params(2, 3, Q, rng)
-    return sample_domain_point(p, 1, (3, 1, 2), ctx, rng)
+    return sample_domain_point(p, 1, (3, 1, 2), rng)
 
 
-def _level(ctx):
+def _level():
     rng = np.random.default_rng(22)
     p = sample_params(1, 3, Q, rng, coupling_cap=0.16, min_b=0.5)
-    return sample_level_overlap(p, 1, (3, 1, 2), ctx, rng)
+    return sample_level_overlap(p, 1, (3, 1, 2), rng)
 
 
-def _swap(ctx):
+def _swap():
     rng = np.random.default_rng(23)
     p = sample_params(1, 3, Q, rng, coupling_cap=0.16, min_b=0.5)
-    return sample_swap_overlap(p, 2, (3, 1, 2), ctx, rng)
+    return sample_swap_overlap(p, 2, (3, 1, 2), rng)
 
 
-def _family(ctx):
+def _family():
     rng = np.random.default_rng(16)
     p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
-    return sample_family_overlap(p, (1, (1, 2)), (1, (2, 1)), ctx, rng)
+    return sample_family_overlap(p, (1, (1, 2)), (1, (2, 1)), rng)
 
 
-def _interior(ctx):
+def _interior():
     return sample_interior_point(3, np.random.default_rng(9))
 
 
-def _watson(ctx):
+def _watson():
     return sample_watson(2, Q, np.random.default_rng(18))
 
 
@@ -204,5 +204,5 @@ def _watson(ctx):
     ],
     ids=["domain", "level", "swap", "family", "interior", "watson"],
 )
-def test_sampler_frozen_output(sampler, expected, ctx_long):
-    assert sampler(ctx_long) == expected
+def test_sampler_frozen_output(sampler, expected):
+    assert sampler() == expected
