@@ -24,14 +24,12 @@ from .qkernel import (
     perm_transposition,
     permute_seq,
     q_shift,
-    qpoch,
     qpoch_inf,
     theta,
 )
 from .oracle import (
     CasoratiReport,
     IdentityReport,
-    apply_factored_shift_operator,
     casorati_independence,
     check_duality,
     check_jackson,

@@ -612,10 +612,10 @@ def _suite_independence(cfg, ctx, rng, records):
         records, "independence", check,
         lambda: sampling.sample_domain_point(p, L, sig, rng), dg,
     )
-    funcs = [(lambda tt, c=c: local_solution(p, L, sig, c, tt, ctx)) for c in comps]
+    vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, ctx) for c in comps)
     ok, cas = _attempt(
         records, "independence", check, dg, t,
-        lambda: casorati_independence(funcs, shift, t, ctx),
+        lambda: casorati_independence(vector, shift, t, ctx),
     )
     if not ok:
         return

@@ -24,6 +24,7 @@ from .qkernel import (
     ParamSet,
     QContext,
     _rel_maxnorm,
+    _require_range,
     cpow,
     perm_compose,
     perm_inverse,
@@ -91,8 +92,7 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L+1; 0 <= L <= M-1."""
     N, M = p.N, p.M
-    if not 0 <= L <= M - 1:
-        raise IndexError(f"level {L} outside [0, {M - 1}]")
+    _require_range("L", L, 0, M - 1)
     sigma = tuple(int(v) for v in sigma)
     pp = p.permuted(sigma)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
@@ -183,8 +183,7 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L; 1 <= L <= M."""
     N, M = p.N, p.M
-    if not 1 <= L <= M:
-        raise IndexError(f"level {L} outside [1, {M}]")
+    _require_range("L", L, 1, M)
     sigma = tuple(int(v) for v in sigma)
     pp = p.permuted(sigma)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
@@ -310,8 +309,7 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
     swapped ones, so simultaneous rescaling of both leaves the matrix fixed.
     """
     M = p.M
-    if not 1 <= r <= M - 1:
-        raise IndexError(f"swap position {r} outside [1, {M - 1}]")
+    _require_range("r", r, 1, M - 1)
     sigma = tuple(int(v) for v in sigma)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     if tt[r] == 0:
@@ -370,8 +368,8 @@ def compose_connection(
     M = p.M
     sigma1 = tuple(int(v) for v in sigma1)
     sigma2 = tuple(int(v) for v in sigma2)
-    if not 0 <= L1 <= M or not 0 <= L2 <= M:
-        raise IndexError(f"levels must lie in [0, {M}]")
+    _require_range("L1", L1, 0, M)
+    _require_range("L2", L2, 0, M)
     t = tuple(complex(v) for v in t)
     if word is None:
         rho = perm_compose(perm_inverse(sigma1), sigma2)

@@ -20,6 +20,7 @@ from .qkernel import (
     ParamSet,
     QContext,
     _rel_maxnorm,
+    _require_range,
     cpow,
     perm_compose,
     perm_identity,
@@ -76,9 +77,7 @@ def build_Stilde(
     """Adjacent-swap matrix with the coordinate ratio freed to an arbitrary
     spectral argument. Entries are those of build_S with slot ordering sigma,
     evaluated at ratio instead of an actual coordinate quotient."""
-    M = p.M
-    if not 1 <= r <= M - 1:
-        raise IndexError(f"swap position {r} outside [1, {M - 1}]")
+    _require_range("r", r, 1, p.M - 1)
     ratio = complex(ratio)
     if ratio == 0:
         raise DomainError("spectral argument must be nonzero")
@@ -103,8 +102,7 @@ def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> 
     the swaps of the factors to its right, so both sides realize the same
     three-slot reversal."""
     M = p.M
-    if not 1 <= r <= M - 2:
-        raise IndexError(f"need two adjacent swap positions, r <= {M - 2}")
+    _require_range("r", r, 1, M - 2)
 
     def factor(pos, x, right):
         sigma = perm_identity(M)
@@ -210,10 +208,7 @@ def akm_P(
     matrices (the block argument at site r gains one slot exponent per step
     while the weight's second argument is its negative); the increasing
     variant fails the Yang-Baxter check by order one."""
-    if n < 2:
-        raise IndexError("embedding needs at least two sites")
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"site {i} outside [1, {n - 1}]")
+    _require_range("i", i, 1, n - 1)
     W = build_W_akm(alpha - (i - 1) * beta, beta, u, ctx)
     P = np.eye(n, dtype=complex)
     P[i - 1 : i + 1, i - 1 : i + 1] = W.as_array()
@@ -225,8 +220,7 @@ def akm_ybe_residual(
 ) -> float:
     """Relative Yang-Baxter residual for the shifted diagonal embeddings at
     adjacent sites i, i+1; 1 <= i <= n-2."""
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"need two adjacent sites, i <= {n - 2}")
+    _require_range("i", i, 1, n - 2)
     return _braid_residual(
         lambda pos, x, _right: akm_P(alpha, beta, n, pos, x, ctx), i, u, v
     )
@@ -321,10 +315,7 @@ def wprime_path_ybe_residual(
     shift rule is state-dependent rather than a fixed per-site offset; no
     static multiplicative height step satisfies the equation (scanning the
     step leaves a residual above 6e-2)."""
-    if n < 2:
-        raise IndexError("path needs at least two steps")
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"need two adjacent sites, i <= {n - 2}")
+    _require_range("i", i, 1, n - 2)
     return _braid_residual(
         lambda pos, x, _right: _path_operator(a_mult, unit_mult, n, pos, x, ctx), i, u, v
     )

@@ -32,6 +32,7 @@ from .qkernel import (
     ParamSet,
     QContext,
     _coords,
+    _require_range,
     cpow,
     lattice_hit,
     permute_seq,
@@ -249,11 +250,6 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
     ))
 
 
-def _require_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise IndexError(f"{name} = {value} outside [{lo}, {hi}]")
-
-
 def _domain_check(labels_and_ratios) -> None:
     bad = [lab for lab, r in labels_and_ratios if not r < 1.0]
     if bad:
@@ -394,7 +390,7 @@ def component_index(comp, M: int) -> int:
 
 
 def _normalize_component(which, N: int, M: int):
-    if which in (0, "u0", None):
+    if which == 0:
         return 0
     k, l = which
     k, l = int(k), int(l)
@@ -508,6 +504,7 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> tuple[bool, float]:
     family at split level L and slot ordering sigma: where component 0 and
     one (k, l) component per slot l converge. The margin is the smallest
     slack (negative when outside)."""
+    _require_range("L", L, 0, p.M)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     bb = permute_seq(p.b, sigma)
     margin = min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))

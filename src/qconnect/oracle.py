@@ -9,19 +9,22 @@ points, sharing only the scalar primitives with the series module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .qkernel import LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, lattice_hit, qpoch_inf, theta
+from .qkernel import (
+    LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, _require_range, lattice_hit, q_shift,
+    qpoch_inf, theta,
+)
 from .hyperseries import eval_FNM, eval_nphi
 
 __all__ = [
     "residual_eqn1",
     "residual_eqn2",
-    "apply_factored_shift_operator",
     "eval_FNM_reference",
     "check_duality",
     "check_jackson",
@@ -44,10 +47,6 @@ def _shift_all(t, q: complex, power: int) -> tuple[complex, ...]:
     return tuple(v * q**power for v in t)
 
 
-def _shift_coord(t, q: complex, s: int) -> tuple[complex, ...]:
-    return tuple(v * q if i == s - 1 else v for i, v in enumerate(t))
-
-
 def _shift_points(t, q: complex, N: int, M: int) -> list[tuple[complex, ...]]:
     """Every point residual_eqn1 (any slot) and residual_eqn2 (any pair)
     evaluate at: uniform shifts by q^p (p <= N), each with at most one
@@ -57,10 +56,10 @@ def _shift_points(t, q: complex, N: int, M: int) -> list[tuple[complex, ...]]:
     for pw in range(N + 1):
         base = _shift_all(t, q, pw)
         pts.append(base)
-        pts += [_shift_coord(base, q, s) for s in range(1, M + 1)]
+        pts += [q_shift(base, q, s) for s in range(1, M + 1)]
     for r in range(1, M + 1):
         for s in range(r + 1, M + 1):
-            pts.append(_shift_coord(_shift_coord(t, q, r), q, s))
+            pts.append(q_shift(q_shift(t, q, r), q, s))
     return pts
 
 
@@ -81,17 +80,6 @@ def _term_residual(terms) -> float:
     return abs(sum(terms)) / scale
 
 
-def apply_factored_shift_operator(mults, f, t, ctx: QContext) -> complex:
-    """Apply prod_j (1 - mu_j T) to f at t, where T scales every coordinate
-    by q. Expanded over subsets via the factored coefficients, so it costs
-    len(mults) + 1 evaluations of f."""
-    coeffs = _factored_coeffs(mults)
-    total = 0j
-    for p_, cp in enumerate(coeffs):
-        total += cp * f(_shift_all(t, ctx.q, p_))
-    return total
-
-
 def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
     """Relative residual of the coupled equation attached to slot s:
 
@@ -101,8 +89,7 @@ def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
     T scaling all coordinates by q and T_s only coordinate s. Normalized by
     the largest signed term, so an identically satisfied equation gives ~0
     and a generic function gives O(1)."""
-    if not 1 <= s <= p.M:
-        raise IndexError(f"slot {s} outside [1, {p.M}]")
+    _require_range("s", s, 1, p.M)
     t = tuple(complex(v) for v in t)
     q = ctx.q
     Ca = _factored_coeffs(p.a)
@@ -113,7 +100,7 @@ def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
     for p_ in range(p.N + 1):
         base = _shift_all(t, q, p_)
         f_base = f(base)
-        f_extra = f(_shift_coord(base, q, s))
+        f_extra = f(q_shift(base, q, s))
         terms.append(ts * Ca[p_] * f_base)
         terms.append(-ts * Ca[p_] * bs * f_extra)
         terms.append(-Cc[p_] * f_base)
@@ -127,18 +114,16 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
         [ t_r (1 - b_r T_r)(1 - T_s) - t_s (1 - b_s T_s)(1 - T_r) ] f = 0.
 
     Antisymmetric in (r, s); r = s is rejected."""
-    if not 1 <= r <= p.M:
-        raise IndexError(f"slot {r} outside [1, {p.M}]")
-    if not 1 <= s <= p.M:
-        raise IndexError(f"slot {s} outside [1, {p.M}]")
+    _require_range("r", r, 1, p.M)
+    _require_range("s", s, 1, p.M)
     if r == s:
         raise ValueError("pairwise equation needs two distinct slots")
     t = tuple(complex(v) for v in t)
     q = ctx.q
     f00 = f(t)
-    fr = f(_shift_coord(t, q, r))
-    fs = f(_shift_coord(t, q, s))
-    frs = f(_shift_coord(_shift_coord(t, q, r), q, s))
+    fr = f(q_shift(t, q, r))
+    fs = f(q_shift(t, q, s))
+    frs = f(q_shift(q_shift(t, q, r), q, s))
     tr, ts = t[r - 1], t[s - 1]
     br, bs = p.b[r - 1], p.b[s - 1]
     terms = [
@@ -339,6 +324,7 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
         P[S + 1] = P[S] * ratio
         qS *= q
 
+    @functools.cache  # subtrees repeat across (j, S); the sum order is unchanged
     def level(j: int, S: int) -> complex:
         w = tables[j]
         if j == N - 1:
@@ -402,27 +388,28 @@ class CasoratiReport:
     shift: tuple[int, ...]
 
 
-def casorati_independence(vectors, m, t, ctx: QContext) -> CasoratiReport:
+def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
     """Determinant test for linear independence over the field of q-shift
-    invariants: row k evaluates every supplied function at t * q^{k m}.
+    invariants: vector(point) returns all n component values at a point, and
+    row k is vector(t * q^{k m}).
 
-    Swapping two functions flips the determinant's sign; a repeated function
-    makes it vanish. Shifted points leaving a function's domain surface as
-    whatever error the function raises."""
-    funcs = list(vectors)
-    n = len(funcs)
-    if n < 1:
-        raise ValueError("need at least one function")
+    Swapping two components flips the determinant's sign; a repeated
+    component makes it vanish. Shifted points leaving the domain surface as
+    whatever error vector raises."""
     m = tuple(int(v) for v in m)
     t = tuple(complex(v) for v in t)
     if len(m) != len(t):
         raise ValueError("shift pattern and point must have equal length")
     q = ctx.q
-    A = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        tk = tuple(v * q ** (k * mv) for v, mv in zip(t, m))
-        for i, fn in enumerate(funcs):
-            A[k, i] = fn(tk)
+
+    def row(k: int):
+        return vector(tuple(v * q ** (k * mv) for v, mv in zip(t, m)))
+
+    first = row(0)
+    n = len(first)
+    if n < 1:
+        raise ValueError("need at least one component")
+    A = np.array([first, *(row(k) for k in range(1, n))], dtype=complex)
     return CasoratiReport(det=_scaled_det(A), matrix=A, shift=m)
 
 
@@ -441,14 +428,14 @@ def _scaled_det(A: np.ndarray) -> complex:
 # leading-behavior extraction
 
 
-def leading_exponents(fn, L: int, M: int, ctx: QContext, base: float = 1e-4):
+def leading_exponents(fn, L: int, M: int, ctx: QContext):
     """Numerically extract the leading power vector of a function on the
     sector with coordinates 1..L small and the rest large.
 
     Uses chamber coordinates x (t_i = x_i ... x_L for i <= L and
     1/t_i = x_{L+1} ... x_i beyond), scales each x_j by q in turn, and reads
     the exponent off the principal logarithm of the value ratio. Accuracy is
-    O(base)."""
+    O(1e-4), the size of the probe's chamber coordinates."""
     q = ctx.q
     logq = np.log(complex(q))
 
@@ -460,7 +447,7 @@ def leading_exponents(fn, L: int, M: int, ctx: QContext, base: float = 1e-4):
             t.append(1.0 / math.prod(xs[L : i], start=1.0 + 0j))
         return tuple(t)
 
-    xs = [base * (1.0 + 0.13 * j) for j in range(M)]
+    xs = [1e-4 * (1.0 + 0.13 * j) for j in range(M)]
     f0 = fn(point(xs))
     if f0 == 0:
         raise ValueError("function vanished at the probe point")

@@ -15,13 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, PoleError, ResonanceError
+from .errors import DomainError, ResonanceError
 
 __all__ = [
     "QContext",
     "ParamSet",
     "qpoch_inf",
-    "qpoch",
     "theta",
     "cpow",
     "lattice_hit",
@@ -37,8 +36,6 @@ __all__ = [
 # q-power lattice, and the scan range for the exponent.
 LATTICE_RTOL = 1e-8
 LATTICE_RANGE = 64
-
-_POLE_TOL = 1e-8
 
 
 def _default_prod_terms(q: complex) -> int:
@@ -100,36 +97,6 @@ def qpoch_inf(a: complex, ctx: QContext) -> complex:
     return complex(np.prod(1.0 - complex(a) * ctx._qpow_table))
 
 
-def qpoch(a: complex, m: int, ctx: QContext) -> complex:
-    """Finite product (a)_m for any integer m.
-
-    m >= 0: prod_{k=0}^{m-1} (1 - a q^k).
-    m < 0:  1 / prod_{k=m}^{-1} (1 - a q^k); raises PoleError when a falls on
-    a lattice point q^{-k} (m <= k < 0) that annihilates a factor.
-    """
-    a = complex(a)
-    q = ctx.q
-    if m >= 0:
-        out = 1.0 + 0j
-        qk = 1.0 + 0j
-        for _ in range(m):
-            out *= 1.0 - a * qk
-            qk *= q
-        return out
-    out = 1.0 + 0j
-    qk = q ** (-1)
-    for _ in range(-m):
-        factor = 1.0 - a * qk  # k runs -1, -2, ..., m
-        if abs(factor) <= _POLE_TOL:
-            raise PoleError(
-                f"(a)_m with m = {m} hits a pole: a is within tolerance of a "
-                f"positive power of q (factor magnitude {abs(factor):.3e})"
-            )
-        out *= factor
-        qk /= q
-    return 1.0 / out
-
-
 def theta(x: complex, ctx: QContext) -> complex:
     """Multiplicative theta: (x)_inf (q/x)_inf. Undefined at x = 0."""
     x = complex(x)
@@ -182,9 +149,8 @@ def lattice_hit(
     q: complex,
     kmin: int = -LATTICE_RANGE,
     kmax: int = LATTICE_RANGE,
-    rtol: float = LATTICE_RTOL,
 ) -> int | None:
-    """Exponent k in [kmin, kmax] with |x - q^k| < rtol |q^k|, or None.
+    """Exponent k in [kmin, kmax] with |x - q^k| < LATTICE_RTOL |q^k|, or None.
 
     Used to flag parameter ratios that degenerate onto the q-power lattice.
     """
@@ -193,10 +159,16 @@ def lattice_hit(
         return None
     qk = q**kmin
     for k in range(kmin, kmax + 1):
-        if abs(x - qk) < rtol * abs(qk):
+        if abs(x - qk) < LATTICE_RTOL * abs(qk):
             return k
         qk *= q
     return None
+
+
+def _require_range(name: str, value: int, lo: int, hi: int) -> None:
+    """IndexError naming the index unless lo <= value <= hi."""
+    if not lo <= value <= hi:
+        raise IndexError(f"{name} = {value} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +205,7 @@ def perm_inverse(sigma) -> tuple[int, ...]:
 
 def perm_transposition(size: int, r: int) -> tuple[int, ...]:
     """Adjacent transposition swapping r and r+1 (1 <= r <= size-1)."""
-    if not 1 <= r <= size - 1:
-        raise IndexError(f"transposition index {r} outside [1, {size - 1}]")
+    _require_range("r", r, 1, size - 1)
     out = list(range(1, size + 1))
     out[r - 1], out[r] = out[r], out[r - 1]
     return tuple(out)
@@ -251,8 +222,7 @@ def permute_seq(seq, sigma) -> tuple:
 def q_shift(t, q: complex, s: int, power: int = 1) -> tuple[complex, ...]:
     """Multiply coordinate s (1-based) of t by q**power."""
     tt = list(complex(v) for v in t)
-    if not 1 <= s <= len(tt):
-        raise IndexError(f"coordinate {s} outside [1, {len(tt)}]")
+    _require_range("s", s, 1, len(tt))
     tt[s - 1] *= q**power
     return tuple(tt)
 
@@ -316,6 +286,3 @@ class ParamSet:
     def permuted(self, sigma) -> "ParamSet":
         """Copy with the beta family permuted; alpha and gamma untouched."""
         return ParamSet(self.alpha, permute_seq(self.beta, sigma), self.gamma, self.q)
-
-    def qpow(self, z: complex) -> complex:
-        return cmath.exp(complex(z) * cmath.log(self.q))

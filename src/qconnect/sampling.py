@@ -19,6 +19,7 @@ from .errors import ResonanceError
 from .qkernel import (
     ParamSet,
     QContext,
+    _require_range,
     lattice_hit,
     perm_compose,
     perm_inverse,
@@ -50,6 +51,7 @@ EXPONENT_IM = (-0.2, 0.2)
 _PHASE = 0.6
 _THETA_CLEAR = 1e-6
 _INTERIOR = (0.2, 0.55)  # modulus range of sample_interior_point
+_PARAM_TRIES = 400  # draws per sample_params call
 # draws per point sampler, and the in_domain margin each accepted point keeps
 _TRIES = 100
 _FAMILY_TRIES = 500
@@ -92,7 +94,6 @@ def sample_params(
     M: int,
     q: complex,
     rng: np.random.Generator,
-    tries: int = 400,
     coupling_cap: float | None = None,
     min_b: float | None = None,
 ) -> ParamSet:
@@ -104,7 +105,7 @@ def sample_params(
     room for overlap points with fast-converging series: the coupling
     constant q prod c/a below the cap and every |b| above the floor. Used
     by the suites that evaluate two solution families at one point."""
-    for _ in range(tries):
+    for _ in range(_PARAM_TRIES):
         try:
             p = ParamSet(
                 alpha=tuple(draw_exponent(rng) for _ in range(N)),
@@ -120,7 +121,7 @@ def sample_params(
             continue
         if strong_nonresonant(p):
             return p
-    raise SamplingError(f"no nonresonant parameters in {tries} draws")
+    raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
 
 
 def _polar(rng: np.random.Generator, modulus: float) -> complex:
@@ -217,8 +218,7 @@ def sample_level_overlap(
     annulus (balancing the two series' convergence rates), smaller slots
     ladder below it, larger ones ladder above the coupling floor."""
     M = p.M
-    if not 0 <= L <= M - 1:
-        raise IndexError(f"level {L} outside [0, {M - 1}]")
+    _require_range("L", L, 0, M - 1)
     sigma = tuple(int(v) for v in sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)
@@ -246,8 +246,7 @@ def sample_swap_overlap(
     all coordinates small, with the swapped pair's ratio near the
     log-midpoint of the annulus both orderings allow."""
     M = p.M
-    if not 1 <= r <= M - 1:
-        raise IndexError(f"swap position {r} outside [1, {M - 1}]")
+    _require_range("r", r, 1, M - 1)
     sigma = tuple(int(v) for v in sigma)
     swapped = perm_compose(sigma, perm_transposition(M, r))
     bp = permute_seq(p.b, sigma)

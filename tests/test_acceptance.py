@@ -228,13 +228,13 @@ def test_criterion_09_independence():
         15.702143690317696 + 10.462462597866931j,
     )
     ident = perm_identity(2)
-    funcs = [
-        lambda tt, c=c: local_solution(p, 1, ident, c, tt, CTX)
-        for c in COMPONENTS_22
-    ]
-    det = abs(casorati_independence(funcs, (3, -1), t, CTX).det)
+    vec = lambda tt: build_solution_vector(p, 1, ident, tt, CTX).components
+    det = abs(casorati_independence(vec, (3, -1), t, CTX).det)
 
-    forged = funcs[:4] + [lambda tt: 2 * funcs[0](tt) + 0.5 * funcs[1](tt)]
+    def forged(tt):
+        u = vec(tt)
+        return (*u[:4], 2 * u[0] + 0.5 * u[1])
+
     det_forged = abs(casorati_independence(forged, (3, -1), t, CTX).det)
 
     ok = det > 1e-6 and det_forged < 1e-10
@@ -296,16 +296,16 @@ def test_criterion_12_characteristic_exponents():
             for s in (1, 2):
                 if s <= L:
                     expr = np.prod(
-                        [1 - cj / Q * p.qpow(tot) for cj in p.c]
-                    ) * (1 - p.qpow(delta[s - 1]))
+                        [1 - cj / Q * CTX.qpow(tot) for cj in p.c]
+                    ) * (1 - CTX.qpow(delta[s - 1]))
                 else:
                     expr = np.prod(
-                        [1 - aj * p.qpow(tot) for aj in p.a]
-                    ) * (1 - p.b[s - 1] * p.qpow(delta[s - 1]))
+                        [1 - aj * CTX.qpow(tot) for aj in p.a]
+                    ) * (1 - p.b[s - 1] * CTX.qpow(delta[s - 1]))
                 worst_eq = max(worst_eq, abs(expr))
             for r, s in ((1, 2),):
-                expr = (1 - p.b[s - 1] * p.qpow(delta[s - 1])) * (
-                    1 - p.qpow(delta[r - 1])
+                expr = (1 - p.b[s - 1] * CTX.qpow(delta[s - 1])) * (
+                    1 - CTX.qpow(delta[r - 1])
                 )
                 worst_eq = max(worst_eq, abs(expr))
 

@@ -102,13 +102,23 @@ def test_failed_draw_becomes_failing_record(kw):
 
 @pytest.mark.parametrize(
     "kw, prefix",
-    [(dict(N=1, M=2), "481519553b9b0991"), (dict(N=1, M=1), "2a9273a4bc76e017")],
-    ids=["1x2", "1x1"],
+    [
+        (dict(N=1, M=2), "481519553b9b0991"),
+        (dict(N=1, M=1), "2a9273a4bc76e017"),
+        ({}, "c57fd518e311216e"),
+    ],
+    ids=["1x2", "1x1", "default"],
 )
 def test_report_bytes_frozen(kw, prefix):
     # every suite and both forged-column forms (n = 3 and n = 2 components)
     text = emit_report(run_suite(RunConfig(**kw)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("N, M", [(6, 2), (12, 1)])
+def test_jackson_finishes_at_wide_shapes(N, M):
+    rep = run_suite(RunConfig(N=N, M=M, suites=("jackson",), samples=1))
+    assert rep.records and rep.passed
 
 
 def test_report_round_trip_and_timing():

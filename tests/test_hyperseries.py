@@ -236,3 +236,6 @@ def test_in_domain_margins(p22):
     assert ok and margin == pytest.approx(0.5, abs=1e-6)
     ok_bad, margin_bad = in_domain(2, (1, 2), p22, (1.0, 0.5))
     assert not ok_bad and margin_bad == 0.0
+    for L in (-1, 3):
+        with pytest.raises(IndexError, match=rf"L = {L} outside \[0, 2\]"):
+            in_domain(L, (1, 2), p22, (0.05, 0.5))

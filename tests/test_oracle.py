@@ -9,12 +9,11 @@ from qconnect import (
     ParamSet,
     QContext,
     ResonanceError,
-    apply_factored_shift_operator,
+    build_solution_vector,
     casorati_independence,
     check_duality,
     check_jackson,
     check_watson,
-    cpow,
     eval_FNM,
     eval_FNM_reference,
     leading_exponents,
@@ -23,21 +22,19 @@ from qconnect import (
     residual_eqn1,
     residual_eqn2,
 )
+from qconnect.oracle import _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
 
 TP = (0.3 + 0.02j, 0.25 - 0.03j)
 
 
 def test_factored_operator_on_monomial(p22, ctx):
+    # prod_j (1 - a_j T) multiplies t^delta by prod_j (1 - a_j X) at
+    # X = q^{sum delta}; residual_eqn1 applies it as sum_p C_p X^p
     delta = (0.41 - 0.07j, -0.23 + 0.13j)
-    t = (0.37 + 0.02j, 0.52 - 0.03j)
-
-    def mono(tt):
-        return cpow(tt[0], delta[0]) * cpow(tt[1], delta[1])
-
-    got = apply_factored_shift_operator(p22.a, mono, t, ctx)
-    factor = np.prod([1 - aj * ctx.qpow(sum(delta)) for aj in p22.a])
-    want = factor * mono(t)
+    X = ctx.qpow(sum(delta))
+    got = sum(cp * X**p_ for p_, cp in enumerate(_factored_coeffs(p22.a)))
+    want = np.prod([1 - aj * X for aj in p22.a])
     assert abs(got - want) < 1e-13 * abs(want)
 
 
@@ -177,28 +174,25 @@ def test_watson_validation():
 
 
 def test_casorati_pair(p11, ctx_long):
-    funcs = [
-        lambda tt, c=c: local_solution(p11, 1, (1,), c, tt, ctx_long)
-        for c in (0, (1, 1))
-    ]
-    rep = casorati_independence(funcs, (1,), (0.4,), ctx_long)
+    vec = lambda tt: build_solution_vector(p11, 1, (1,), tt, ctx_long).components
+    rep = casorati_independence(vec, (1,), (0.4,), ctx_long)
     assert abs(rep.det) == pytest.approx(0.2140864, abs=1e-6)
     assert rep.matrix.shape == (2, 2)
     assert rep.shift == (1,)
 
-    swapped = casorati_independence(funcs[::-1], (1,), (0.4,), ctx_long)
+    swapped = casorati_independence(lambda tt: vec(tt)[::-1], (1,), (0.4,), ctx_long)
     assert abs(rep.det + swapped.det) < 1e-12
 
-    repeated = casorati_independence([funcs[0], funcs[0]], (1,), (0.4,), ctx_long)
+    repeated = casorati_independence(lambda tt: vec(tt)[:1] * 2, (1,), (0.4,), ctx_long)
     assert abs(repeated.det) < 1e-12
 
 
 def test_casorati_validation(p11, ctx_long):
-    f = lambda tt: 1.0 + 0j
+    f = lambda tt: (1.0 + 0j,)
     with pytest.raises(ValueError):
-        casorati_independence([], (1,), (0.4,), ctx_long)
+        casorati_independence(lambda tt: (), (1,), (0.4,), ctx_long)
     with pytest.raises(ValueError):
-        casorati_independence([f], (1, 2), (0.4,), ctx_long)
+        casorati_independence(f, (1, 2), (0.4,), ctx_long)
 
 
 def test_leading_exponent_extraction(p11, ctx_long):

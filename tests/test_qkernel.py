@@ -14,11 +14,10 @@ from qconnect import (
     perm_transposition,
     permute_seq,
     q_shift,
-    qpoch,
     qpoch_inf,
     theta,
 )
-from qconnect.errors import DomainError, PoleError, ResonanceError
+from qconnect.errors import DomainError, ResonanceError
 
 Q = 0.3
 
@@ -39,38 +38,6 @@ def test_qpoch_inf_matches_long_product(ctx):
     for a in (0.4, -0.35 + 0.2j, 0.7j, 0.95):
         ref = long_product(a, Q)
         assert abs(qpoch_inf(a, ctx) - ref) < 1e-14
-
-
-def test_qpoch_finite_basics(ctx):
-    a = 0.5 + 0.1j
-    assert qpoch(a, 0, ctx) == 1.0
-    assert abs(qpoch(Q, 2, ctx) - (1 - Q) * (1 - Q**2)) < 1e-15
-    assert abs(qpoch(a, -1, ctx) - 1 / (1 - a / Q)) < 1e-15
-
-
-def test_qpoch_finite_inverse_pair(ctx):
-    # (a)_m (a q^m)_{-m} = 1 for every integer m
-    a = 0.42 - 0.17j
-    for m in range(-10, 11):
-        prod = qpoch(a, m, ctx) * qpoch(a * Q**m, -m, ctx)
-        assert abs(prod - 1) < 1e-12
-
-
-def test_qpoch_splitting_identity(ctx):
-    # (a)_{m+n} = (a)_m (a q^m)_n
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
-        m = int(rng.integers(0, 10))
-        n = int(rng.integers(0, 10))
-        lhs = qpoch(a, m + n, ctx)
-        rhs = qpoch(a, m, ctx) * qpoch(a * Q**m, n, ctx)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_qpoch_negative_order_pole(ctx):
-    with pytest.raises(PoleError):
-        qpoch(Q, -1, ctx)
 
 
 def test_theta_zeros(ctx):

@@ -78,7 +78,7 @@ def test_sample_params_gives_up():
     # |q^beta| stays below 0.9 on the exponent box, so this floor is
     # unreachable and the sampler must say so instead of spinning
     with pytest.raises(SamplingError):
-        sample_params(1, 2, Q, np.random.default_rng(0), tries=5, min_b=0.95)
+        sample_params(1, 2, Q, np.random.default_rng(0), min_b=0.95)
 
 
 def test_sample_interior_point_annulus():

@@ -1,0 +1,50 @@
+"""Check that run reports are byte-identical to the frozen digest matrix.
+
+Runs fourteen run configurations, prints the sha256 prefix of
+emit_report(run_suite(RunConfig(**kw))) next to the frozen value for each,
+and exits 1 if any differs. Takes about a minute on two cores:
+
+    python tools/digest_matrix.py
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qconnect.cli import RunConfig, emit_report, run_suite  # noqa: E402
+
+FAMILIES = ("connection", "theorem1", "independence")
+
+MATRIX = [
+    ({}, "c57fd518e311216e"),
+    ({"seed": 1}, "b73ff72fc8cc0247"),
+    ({"seed": 2}, "458cc803a505a58b"),
+    ({"N": 2, "M": 3}, "4743f7c814ccd5f2"),
+    ({"N": 2, "M": 3, "seed": 1}, "0ce3ae4b96ef0e90"),
+    ({"N": 3, "M": 3, "suites": FAMILIES}, "a4af8952e063505e"),
+    ({"N": 1, "M": 2}, "481519553b9b0991"),
+    ({"N": 1, "M": 1}, "2a9273a4bc76e017"),
+    ({"N": 3, "M": 1}, "cb7cc59ed1b8a8e5"),
+    ({"N": 1, "M": 3}, "7fe33ce7ab44a061"),
+    ({"q": 0.7}, "08eed8ed3eeca6a3"),
+    ({"q": 0.5 + 0.2j, "seed": 4}, "5877b740fa8dc1c9"),
+    ({"N": 1, "M": 4, "samples": 3}, "39faf4c1d2ac71a8"),
+    ({"N": 4, "M": 1, "samples": 3}, "cc44846f76acf845"),
+]
+
+
+def main() -> int:
+    bad = 0
+    for kw, frozen in MATRIX:
+        text = emit_report(run_suite(RunConfig(**kw)))
+        got = hashlib.sha256(text.encode()).hexdigest()[:16]
+        status = "ok" if got == frozen else "MISMATCH"
+        bad += got != frozen
+        print(f"{got}  {frozen}  {status:8}  {kw}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
