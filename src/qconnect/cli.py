@@ -376,16 +376,27 @@ def _digest(p: ParamSet) -> str:
     return _sha12({**fields, "q": _cplx_out(complex(p.q))})
 
 
-def _record(records, suite, check, digest, point, start, **outcome) -> None:
-    records.append(
+@dataclass(frozen=True)
+class _Sample:
+    """What every draw and check in the samples of one suite shares."""
+
+    cfg: RunConfig
+    ctx: QContext
+    suite: str
+    rng: np.random.Generator
+    records: list
+
+
+def _record(s: _Sample, check, digest, point, start, **outcome) -> None:
+    s.records.append(
         CheckRecord(
-            suite=suite, check=check, digest=digest, point=tuple(point),
+            suite=s.suite, check=check, digest=digest, point=tuple(point),
             timing=time.perf_counter() - start, **outcome,
         )
     )
 
 
-def _attempt(records, suite, check, digest, point, fn):
+def _attempt(s: _Sample, check, digest, point, fn):
     """(True, fn()); or, when fn raises a check error, (False, None) after
     appending the failing record that names the error."""
     start = time.perf_counter()
@@ -393,37 +404,34 @@ def _attempt(records, suite, check, digest, point, fn):
         return True, fn()
     except (QConnectError, SamplingError, ArithmeticError) as exc:
         _record(
-            records, suite, check, digest, point, start, residual=None,
+            s, check, digest, point, start, residual=None,
             passed=False, error=f"{type(exc).__name__}: {exc}",
         )
         return False, None
 
 
-def _run_check(records, cfg, suite, check, digest, point, fn, margin=None, passes=None):
+def _run_check(s: _Sample, check, digest, point, fn, margin=None, passes=None):
     """Execute one check and record its residual. It passes below the suite
     tolerance, or where the passes predicate holds."""
     start = time.perf_counter()
-    ok, residual = _attempt(records, suite, check, digest, point, lambda: float(fn()))
+    ok, residual = _attempt(s, check, digest, point, lambda: float(fn()))
     if ok:
-        _record(
-            records, suite, check, digest, point, start, residual=residual,
-            passed=passes(residual) if passes else residual < cfg.tol(suite),
-            margin=margin,
-        )
+        passed = passes(residual) if passes else residual < s.cfg.tol(s.suite)
+        _record(s, check, digest, point, start, residual=residual, passed=passed, margin=margin)
 
 
-def _draw(records, suite, check, sampler, digest="-"):
+def _draw(s: _Sample, check, sampler, digest="-"):
     """Run a sampler for the named check. When it fails, record the failure
     under that check and end the sample."""
-    ok, value = _attempt(records, suite, check, digest, (), sampler)
+    ok, value = _attempt(s, check, digest, (), sampler)
     if not ok:
         raise _SampleAbort
     return value
 
 
-def _generic_sample(cfg, ctx, rng):
-    p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
-    return p, sampling.sample_interior_point(cfg.M, rng)
+def _generic_sample(s: _Sample):
+    p = sampling.sample_params(s.cfg.N, s.cfg.M, s.ctx.q, s.rng)
+    return p, sampling.sample_interior_point(s.cfg.M, s.rng)
 
 
 def _two_route(p, t, ctx):
@@ -438,106 +446,94 @@ _ONE_RESIDUAL = {
 }
 
 
-def _suite_one_residual(suite, cfg, ctx, rng, records):
-    check, residual = _ONE_RESIDUAL[suite]
-    p, t = _draw(records, suite, check, lambda: _generic_sample(cfg, ctx, rng))
-    _run_check(records, cfg, suite, check, _digest(p), t, lambda: residual(p, t, ctx))
+def _suite_one_residual(s: _Sample):
+    check, residual = _ONE_RESIDUAL[s.suite]
+    p, t = _draw(s, check, lambda: _generic_sample(s))
+    _run_check(s, check, _digest(p), t, lambda: residual(p, t, s.ctx))
 
 
-def _suite_system(cfg, ctx, rng, records):
-    p, t = _draw(records, "system", "coupled slot 1", lambda: _generic_sample(cfg, ctx, rng))
+def _suite_system(s: _Sample):
+    p, t = _draw(s, "coupled slot 1", lambda: _generic_sample(s))
     dg = _digest(p)
-    f = lambda tt: eval_FNM(p, tt, ctx).value
-    for s in range(1, cfg.M + 1):
-        _run_check(
-            records, cfg, "system", f"coupled slot {s}", dg, t,
-            lambda: residual_eqn1(f, p, s, t, ctx),
-        )
-    for r in range(1, cfg.M + 1):
-        for s in range(r + 1, cfg.M + 1):
+    f = lambda tt: eval_FNM(p, tt, s.ctx).value
+    for i in range(1, s.cfg.M + 1):
+        _run_check(s, f"coupled slot {i}", dg, t, lambda: residual_eqn1(f, p, i, t, s.ctx))
+    for r in range(1, s.cfg.M + 1):
+        for j in range(r + 1, s.cfg.M + 1):
             _run_check(
-                records, cfg, "system", f"pairwise ({r},{s})", dg, t,
-                lambda: residual_eqn2(f, p, r, s, t, ctx),
+                s, f"pairwise ({r},{j})", dg, t, lambda: residual_eqn2(f, p, r, j, t, s.ctx)
             )
 
 
-def _suite_watson(cfg, ctx, rng, records):
+def _suite_watson(s: _Sample):
     check = "one-variable connection"
-    upper, lower, t = _draw(
-        records, "watson", check, lambda: sampling.sample_watson(cfg.N, ctx.q, rng)
-    )
+    upper, lower, t = _draw(s, check, lambda: sampling.sample_watson(s.cfg.N, s.ctx.q, s.rng))
     _run_check(
-        records, cfg, "watson", check, _sha12([_cplx_out(v) for v in (*upper, *lower)]),
-        (t,), lambda: check_watson(upper, lower, t, ctx).residual,
+        s, check, _sha12([_cplx_out(v) for v in (*upper, *lower)]),
+        (t,), lambda: check_watson(upper, lower, t, s.ctx).residual,
     )
 
 
-def _overlap_params(cfg, ctx, rng) -> ParamSet:
-    return sampling.sample_params(cfg.N, cfg.M, ctx.q, rng, coupling_cap=0.16, min_b=0.5)
+def _overlap_params(s: _Sample) -> ParamSet:
+    return sampling.sample_params(
+        s.cfg.N, s.cfg.M, s.ctx.q, s.rng, coupling_cap=0.16, min_b=0.5
+    )
 
 
-def _check_connection(records, cfg, suite, check, p, t, ctx, build, src, dst):
+def _check_connection(s: _Sample, check, p, t, build, src, dst):
     """Record the residual of the claim dst = C . src at t, where src, dst
     are (L, sigma) solution families and C = build(t, ctx) is built after
     both are evaluated."""
 
     def residual():
-        u_src = build_solution_vector(p, *src, t, ctx)
-        u_dst = u_src if dst == src else build_solution_vector(p, *dst, t, ctx)
-        return verify_connection(u_dst, build(t, ctx), u_src)
+        u_src = build_solution_vector(p, *src, t, s.ctx)
+        u_dst = u_src if dst == src else build_solution_vector(p, *dst, t, s.ctx)
+        return verify_connection(u_dst, build(t, s.ctx), u_src)
 
-    _run_check(records, cfg, suite, check, _digest(p), t, residual)
+    _run_check(s, check, _digest(p), t, residual)
 
 
-def _suite_connection(cfg, ctx, rng, records):
-    sig = perm_identity(cfg.M)
-    p = _draw(records, "connection", "split step", lambda: _overlap_params(cfg, ctx, rng))
+def _suite_connection(s: _Sample):
+    M, rng = s.cfg.M, s.rng
+    sig = perm_identity(M)
+    p = _draw(s, "split step", lambda: _overlap_params(s))
     dg = _digest(p)
-    L = int(rng.integers(0, cfg.M))
-    t = _draw(
-        records, "connection", f"split step L={L}",
-        lambda: sampling.sample_level_overlap(p, L, sig, rng), dg,
-    )
+    L = int(rng.integers(0, M))
+    t = _draw(s, f"split step L={L}", lambda: sampling.sample_level_overlap(p, L, sig, rng), dg)
     for check, build, src, dst in (
         (f"split step L={L}", partial(build_A, p, L, sig), (L + 1, sig), (L, sig)),
         (f"merge step L={L + 1}", partial(build_B, p, L + 1, sig), (L, sig), (L + 1, sig)),
     ):
-        _check_connection(records, cfg, "connection", check, p, t, ctx, build, src, dst)
-    if cfg.M < 2:
+        _check_connection(s, check, p, t, build, src, dst)
+    if M < 2:
         return
-    r = int(rng.integers(1, cfg.M))
-    t2 = _draw(
-        records, "connection", f"swap step r={r}",
-        lambda: sampling.sample_swap_overlap(p, r, sig, rng), dg,
-    )
+    r = int(rng.integers(1, M))
+    t2 = _draw(s, f"swap step r={r}", lambda: sampling.sample_swap_overlap(p, r, sig, rng), dg)
     _check_connection(
-        records, cfg, "connection", f"swap step r={r}", p, t2, ctx,
-        partial(build_S, p, r, sig), (cfg.M, sig),
-        (cfg.M, perm_compose(sig, perm_transposition(cfg.M, r))),
+        s, f"swap step r={r}", p, t2, partial(build_S, p, r, sig), (M, sig),
+        (M, perm_compose(sig, perm_transposition(M, r))),
     )
 
 
-def _suite_theorem1(cfg, ctx, rng, records):
-    first = "composite path" if cfg.M >= 2 else "round trip"
-    p = _draw(records, "theorem1", first, lambda: _overlap_params(cfg, ctx, rng))
+def _suite_theorem1(s: _Sample):
+    M, ctx, rng = s.cfg.M, s.ctx, s.rng
+    first = "composite path" if M >= 2 else "round trip"
+    p = _draw(s, first, lambda: _overlap_params(s))
     dg = _digest(p)
-    if cfg.M < 2:
+    if M < 2:
         # no swaps exist; exercise the composite machinery on the round trip
         sig = perm_identity(1)
-        t = _draw(
-            records, "theorem1", "round trip",
-            lambda: sampling.sample_level_overlap(p, 0, sig, rng), dg,
-        )
+        t = _draw(s, "round trip", lambda: sampling.sample_level_overlap(p, 0, sig, rng), dg)
         _check_connection(
-            records, cfg, "theorem1", "round trip", p, t, ctx,
+            s, "round trip", p, t,
             partial(compose_connection, p, 0, sig, 0, sig), (0, sig), (0, sig),
         )
         return
-    sig1 = perm_identity(cfg.M)
-    sig2 = perm_compose(sig1, perm_transposition(cfg.M, 1))
-    L = cfg.M - 1
+    sig1 = perm_identity(M)
+    sig2 = perm_compose(sig1, perm_transposition(M, 1))
+    L = M - 1
     t = _draw(
-        records, "theorem1", "composite path",
+        s, "composite path",
         lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), rng), dg,
     )
 
@@ -547,10 +543,10 @@ def _suite_theorem1(cfg, ctx, rng, records):
         return _rel_maxnorm(C1.entries, C2.entries)
 
     _check_connection(
-        records, cfg, "theorem1", "composite path", p, t, ctx,
+        s, "composite path", p, t,
         partial(compose_connection, p, L, sig1, L, sig2), (L, sig1), (L, sig2),
     )
-    _run_check(records, cfg, "theorem1", "word agreement", dg, t, word_agreement)
+    _run_check(s, "word agreement", dg, t, word_agreement)
 
 
 def _node_proxy(exps, m, ctx: QContext) -> float:
@@ -578,14 +574,14 @@ def _shift_candidates(M: int, n_rows: int, q: complex):
     return [(a,) * (M - 1) + (-b,) for a in (1, 2, 3) for b in bs]
 
 
-def _independence_params(cfg, ctx, rng, L, cands, proxy_floor):
+def _independence_params(s: _Sample, L, cands, proxy_floor):
     """(params, shift, proxy) of the best-separated of up to 60 generic
     draws, stopping at the first whose proxy reaches the floor."""
     best = (None, None, -1.0)
     for _ in range(60):
-        p = sampling.sample_params(cfg.N, cfg.M, ctx.q, rng)
+        p = sampling.sample_params(s.cfg.N, s.cfg.M, s.ctx.q, s.rng)
         exps = char_exponents(p, L)
-        prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
+        prox, m = max(((_node_proxy(exps, mm, s.ctx), mm) for mm in cands), key=lambda pm: pm[0])
         if prox > best[2]:
             best = (p, m, prox)
         if prox >= proxy_floor:
@@ -593,30 +589,22 @@ def _independence_params(cfg, ctx, rng, L, cands, proxy_floor):
     return best
 
 
-def _suite_independence(cfg, ctx, rng, records):
-    sig = perm_identity(cfg.M)
-    L = cfg.M - 1
-    comps = component_order(cfg.N, cfg.M)
+def _suite_independence(s: _Sample):
+    N, M = s.cfg.N, s.cfg.M
+    sig = perm_identity(M)
+    L = M - 1
+    comps = component_order(N, M)
     n = len(comps)
     # per-pair separation 0.34 is comfortably generic; the floor is its
     # product over all node pairs
     proxy_floor = 0.34 ** (n * (n - 1) / 2)
-    cands = _shift_candidates(cfg.M, n, ctx.q)
+    cands = _shift_candidates(M, n, s.ctx.q)
     check = "scaled determinant"
-    p, shift, prox = _draw(
-        records, "independence", check,
-        lambda: _independence_params(cfg, ctx, rng, L, cands, proxy_floor),
-    )
+    p, shift, prox = _draw(s, check, lambda: _independence_params(s, L, cands, proxy_floor))
     dg = _digest(p)
-    t = _draw(
-        records, "independence", check,
-        lambda: sampling.sample_domain_point(p, L, sig, rng), dg,
-    )
-    vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, ctx) for c in comps)
-    ok, cas = _attempt(
-        records, "independence", check, dg, t,
-        lambda: casorati_independence(vector, shift, t, ctx),
-    )
+    t = _draw(s, check, lambda: sampling.sample_domain_point(p, L, sig, s.rng), dg)
+    vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, s.ctx) for c in comps)
+    ok, cas = _attempt(s, check, dg, t, lambda: casorati_independence(vector, shift, t, s.ctx))
     if not ok:
         return
 
@@ -629,36 +617,28 @@ def _suite_independence(cfg, ctx, rng, records):
 
     # the det scales with the node separation; for well-separated draws
     # this is at least the configured threshold
-    threshold = min(cfg.tol("independence"), 0.05 * prox)
+    threshold = min(s.cfg.tol(s.suite), 0.05 * prox)
     _run_check(
-        records, cfg, "independence", check, dg, t, lambda: abs(cas.det),
+        s, check, dg, t, lambda: abs(cas.det),
         margin=threshold, passes=lambda det: det > threshold,
     )
-    _run_check(
-        records, cfg, "independence", "forged dependence", dg, t, forged,
-        passes=lambda det: det < 1e-10,
-    )
+    _run_check(s, "forged dependence", dg, t, forged, passes=lambda det: det < 1e-10)
 
 
-def _suite_ybe(cfg, ctx, rng, records):
+def _suite_ybe(s: _Sample):
     r = 1
     check = f"braid move r={r}"
-    p = _draw(
-        records, "ybe", check,
-        lambda: sampling.sample_params(cfg.N, max(cfg.M, 3), ctx.q, rng),
-    )
-    u = sampling.sample_spectral(rng)
-    v = sampling.sample_spectral(rng)
-    _run_check(
-        records, cfg, "ybe", check, _digest(p), (u, v),
-        lambda: ybe_residual(p, r, u, v, ctx),
-    )
+    p = _draw(s, check, lambda: sampling.sample_params(s.cfg.N, max(s.cfg.M, 3), s.ctx.q, s.rng))
+    u = sampling.sample_spectral(s.rng)
+    v = sampling.sample_spectral(s.rng)
+    _run_check(s, check, _digest(p), (u, v), lambda: ybe_residual(p, r, u, v, s.ctx))
 
 
-def _suite_facemodel(cfg, ctx, rng, records):
-    al = sampling.draw_exponent(rng)
-    be = sampling.draw_exponent(rng)
-    u = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
+def _suite_facemodel(s: _Sample):
+    ctx = s.ctx
+    al = sampling.draw_exponent(s.rng)
+    be = sampling.draw_exponent(s.rng)
+    u = sampling.sample_spectral(s.rng, lo=0.6, hi=1.5)
     dg = _sha12([_cplx_out(al), _cplx_out(be)])
 
     def conjugacy():
@@ -672,19 +652,16 @@ def _suite_facemodel(cfg, ctx, rng, records):
         d2 = np.abs(W - B @ Wt @ np.linalg.inv(B)).max()
         return max(d1, d2) / scale
 
-    _run_check(records, cfg, "facemodel", "weight conjugacy", dg, (u,), conjugacy)
-    x = sampling.sample_spectral(rng, lo=0.6, hi=1.5)
-    _run_check(
-        records, cfg, "facemodel", "gauge transfer", dg, (x,),
-        lambda: wprime_gauge_residual(al, be, x, ctx),
-    )
+    _run_check(s, "weight conjugacy", dg, (u,), conjugacy)
+    x = sampling.sample_spectral(s.rng, lo=0.6, hi=1.5)
+    _run_check(s, "gauge transfer", dg, (x,), lambda: wprime_gauge_residual(al, be, x, ctx))
 
 
 _RUNNERS = {
-    "series": partial(_suite_one_residual, "series"),
+    "series": _suite_one_residual,
     "system": _suite_system,
-    "duality": partial(_suite_one_residual, "duality"),
-    "jackson": partial(_suite_one_residual, "jackson"),
+    "duality": _suite_one_residual,
+    "jackson": _suite_one_residual,
     "watson": _suite_watson,
     "connection": _suite_connection,
     "theorem1": _suite_theorem1,
@@ -703,10 +680,10 @@ def run_suite(cfg: RunConfig) -> Report:
     for index, suite in enumerate(SUITES):
         if suite not in cfg.suites:
             continue
-        rng = np.random.default_rng([cfg.seed, index])
+        s = _Sample(cfg, ctx, suite, np.random.default_rng([cfg.seed, index]), records)
         for _ in range(cfg.samples):
             try:
-                _RUNNERS[suite](cfg, ctx, rng, records)
+                _RUNNERS[suite](s)
             except _SampleAbort:
                 pass
     records.sort(key=_record_key)

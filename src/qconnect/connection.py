@@ -15,6 +15,7 @@ rows/columns attached to the moved slot.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,184 +88,138 @@ def _quot(num_args, den_args, f, ctx: QContext) -> complex:
     return num / den
 
 
+def _entry(pnum, pden, th, den_theta, x, power, ctx: QContext) -> complex:
+    """One connection-matrix entry: prod (pnum;q)_inf / prod (pden;q)_inf
+    times theta(th) / theta(den_theta) times the principal power x**power."""
+    return (
+        _quot(pnum, pden, qpoch_inf, ctx)
+        * _quot((th,), (den_theta,), theta, ctx)
+        * cpow(x, power)
+    )
+
+
+# The moved slot s of a level step, in the permuted ordering: x = t_s, b = b_s,
+# beta = beta_s, Bfull = prod_{i>=s} b_i, Btail = prod_{i>s} b_i, and the beta
+# sums beta_from, beta_after over the same two ranges.
+_Slot = namedtuple("_Slot", "x b beta Bfull Btail beta_from beta_after")
+
+
+def _level_matrix(kind: str, p: ParamSet, L: int, s: int, sigma, t, entry) -> ConnMatrix:
+    """Level-step matrix on slot position s of ordering sigma: the identity
+    except row/column 0 and the rows/columns of the components (k, s).
+    entry(k, d, slot) gives the entry in row k, column d, where 0 stands for
+    the constant component; entries are filled row-major."""
+    sigma = tuple(int(v) for v in sigma)
+    pp = p.permuted(sigma)
+    t = tuple(complex(v) for v in t)
+    b, beta = pp.b, pp.beta
+    slot = _Slot(
+        x=permute_seq(t, sigma)[s - 1],
+        b=b[s - 1],
+        beta=beta[s - 1],
+        Bfull=math.prod(b[s - 1 :], start=1.0 + 0j),
+        Btail=math.prod(b[s:], start=1.0 + 0j),
+        beta_from=sum(beta[s - 1 :]),
+        beta_after=sum(beta[s:]),
+    )
+    idx = [0] + [component_index((k, s), p.M) for k in range(1, p.N + 1)]
+    C = np.eye(p.N * p.M + 1, dtype=complex)
+    for k, row in enumerate(idx):
+        for d, col in enumerate(idx):
+            C[row, col] = entry(k, d, slot)
+    return ConnMatrix(
+        kind=kind, L=L, sigma=sigma, r=None, entries=C, eval_point=(slot.x,), t=t
+    )
+
+
 def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     """Matrix sending the level-(L+1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L+1; 0 <= L <= M-1."""
-    N, M = p.N, p.M
-    _require_range("L", L, 0, M - 1)
-    sigma = tuple(int(v) for v in sigma)
-    pp = p.permuted(sigma)
-    tt = permute_seq(tuple(complex(v) for v in t), sigma)
-    q = p.q
-    bp = pp.beta
-    b = pp.b
-    x = tt[L]
-    Bfull = math.prod(b[L:], start=1.0 + 0j)
-    Btail = math.prod(b[L + 1 :], start=1.0 + 0j)
-    Pa = math.prod(p.a, start=1.0 + 0j)
-    Pc = math.prod(p.c, start=1.0 + 0j)
-    den_theta = (x * b[L] * Pa / Pc,)
-    size = N * M + 1
-    A = np.eye(size, dtype=complex)
+    _require_range("L", L, 0, p.M - 1)
+    q, a, c = p.q, p.a, p.c
+    Pa = math.prod(a, start=1.0 + 0j)
+    Pc = math.prod(c, start=1.0 + 0j)
 
-    A[0, 0] = (
-        _quot(
-            [q * Btail / aj for aj in p.a] + [q * Bfull / cj for cj in p.c],
-            [q * Bfull / aj for aj in p.a] + [q * Btail / cj for cj in p.c],
-            qpoch_inf, ctx,
-        )
-        * _quot((x * Pa / Pc,), den_theta, theta, ctx)
-        * cpow(x, -bp[L])
-    )
-    for d in range(1, N + 1):
-        cd = p.c[d - 1]
-        col = component_index((d, L + 1), M)
-        A[0, col] = (
-            _quot(
-                [cd / aj for aj in p.a]
-                + [q * Bfull / cj for j, cj in enumerate(p.c, 1) if j != d]
-                + [b[L]],
-                [q * Bfull / aj for aj in p.a]
-                + [cd / cj for j, cj in enumerate(p.c, 1) if j != d]
-                + [cd / (q * Btail)],
-                qpoch_inf, ctx,
+    def entry(k, d, s):
+        x, Bf, Bt = s.x, s.Bfull, s.Btail
+        den = x * s.b * Pa / Pc
+        ao = [aj for j, aj in enumerate(a, 1) if j != k]
+        co = [cj for j, cj in enumerate(c, 1) if j != d]
+        if k == 0 and d == 0:
+            return _entry(
+                [q * Bt / aj for aj in a] + [q * Bf / cj for cj in c],
+                [q * Bf / aj for aj in a] + [q * Bt / cj for cj in c],
+                x * Pa / Pc, den, x, -s.beta, ctx,
             )
-            * _quot((x * Pa * cd / (q * Btail * Pc),), den_theta, theta, ctx)
-            * cpow(x, -1.0 - sum(bp[L:]) + p.gamma[d - 1])
-        )
-    for k in range(1, N + 1):
-        ak = p.a[k - 1]
-        row = component_index((k, L + 1), M)
-        A[row, 0] = (
-            _quot(
-                [q * Btail / aj for j, aj in enumerate(p.a, 1) if j != k]
-                + [q / b[L]]
-                + [q * ak / cj for cj in p.c],
-                [q * ak / aj for j, aj in enumerate(p.a, 1) if j != k]
-                + [q * ak / Bfull]
-                + [q * Btail / cj for cj in p.c],
-                qpoch_inf, ctx,
+        if k == 0:
+            cd = c[d - 1]
+            return _entry(
+                [cd / aj for aj in a] + [q * Bf / cj for cj in co] + [s.b],
+                [q * Bf / aj for aj in a] + [cd / cj for cj in co] + [cd / (q * Bt)],
+                x * Pa * cd / (q * Bt * Pc), den, x,
+                -1.0 - s.beta_from + p.gamma[d - 1], ctx,
             )
-            * _quot((x * Bfull * Pa / (ak * Pc),), den_theta, theta, ctx)
-            * cpow(x, -p.alpha[k - 1] + sum(bp[L + 1 :]))
-        )
-        for d in range(1, N + 1):
-            cd = p.c[d - 1]
-            col = component_index((d, L + 1), M)
-            A[row, col] = (
-                _quot(
-                    [cd / aj for j, aj in enumerate(p.a, 1) if j != k]
-                    + [cd / Bfull]
-                    + [q * ak / cj for j, cj in enumerate(p.c, 1) if j != d]
-                    + [ak / Btail],
-                    [q * ak / aj for j, aj in enumerate(p.a, 1) if j != k]
-                    + [q * ak / Bfull]
-                    + [cd / cj for j, cj in enumerate(p.c, 1) if j != d]
-                    + [cd / (q * Btail)],
-                    qpoch_inf, ctx,
-                )
-                * _quot((x * b[L] * Pa * cd / (q * Pc * ak),), den_theta, theta, ctx)
-                * cpow(x, -1.0 - p.alpha[k - 1] + p.gamma[d - 1])
+        ak = a[k - 1]
+        if d == 0:
+            return _entry(
+                [q * Bt / aj for aj in ao] + [q / s.b] + [q * ak / cj for cj in c],
+                [q * ak / aj for aj in ao] + [q * ak / Bf] + [q * Bt / cj for cj in c],
+                x * Bf * Pa / (ak * Pc), den, x, -p.alpha[k - 1] + s.beta_after, ctx,
             )
-    return ConnMatrix(
-        kind="A",
-        L=L,
-        sigma=sigma,
-        r=None,
-        entries=A,
-        eval_point=(x,),
-        t=tuple(complex(v) for v in t),
-    )
+        cd = c[d - 1]
+        return _entry(
+            [cd / aj for aj in ao] + [cd / Bf] + [q * ak / cj for cj in co] + [ak / Bt],
+            [q * ak / aj for aj in ao] + [q * ak / Bf] + [cd / cj for cj in co]
+            + [cd / (q * Bt)],
+            x * s.b * Pa * cd / (q * Pc * ak), den, x,
+            -1.0 - p.alpha[k - 1] + p.gamma[d - 1], ctx,
+        )
+
+    return _level_matrix("A", p, L, L + 1, sigma, t, entry)
 
 
 def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     """Matrix sending the level-(L-1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L; 1 <= L <= M."""
-    N, M = p.N, p.M
-    _require_range("L", L, 1, M)
-    sigma = tuple(int(v) for v in sigma)
-    pp = p.permuted(sigma)
-    tt = permute_seq(tuple(complex(v) for v in t), sigma)
-    q = p.q
-    bp = pp.beta
-    b = pp.b
-    x = tt[L - 1]
-    Bfull = math.prod(b[L - 1 :], start=1.0 + 0j)
-    Btail = math.prod(b[L:], start=1.0 + 0j)
-    den_theta = (x,)
-    size = N * M + 1
-    B = np.eye(size, dtype=complex)
+    _require_range("L", L, 1, p.M)
+    q, a, c = p.q, p.a, p.c
 
-    B[0, 0] = (
-        _quot(
-            [aj / Btail for aj in p.a] + [cj / Bfull for cj in p.c],
-            [aj / Bfull for aj in p.a] + [cj / Btail for cj in p.c],
-            qpoch_inf, ctx,
-        )
-        * _quot((x * b[L - 1],), den_theta, theta, ctx)
-        * cpow(x, bp[L - 1])
-    )
-    for d in range(1, N + 1):
-        ad = p.a[d - 1]
-        col = component_index((d, L), M)
-        B[0, col] = (
-            _quot(
-                [cj / ad for cj in p.c]
-                + [aj / Btail for j, aj in enumerate(p.a, 1) if j != d]
-                + [b[L - 1]],
-                [cj / Btail for cj in p.c]
-                + [aj / ad for j, aj in enumerate(p.a, 1) if j != d]
-                + [Bfull / ad],
-                qpoch_inf, ctx,
+    def entry(k, d, s):
+        x, Bf, Bt = s.x, s.Bfull, s.Btail
+        ao = [aj for j, aj in enumerate(a, 1) if j != d]
+        co = [cj for j, cj in enumerate(c, 1) if j != k]
+        if k == 0 and d == 0:
+            return _entry(
+                [aj / Bt for aj in a] + [cj / Bf for cj in c],
+                [aj / Bf for aj in a] + [cj / Bt for cj in c],
+                x * s.b, x, x, s.beta, ctx,
             )
-            * _quot((x * ad / Btail,), den_theta, theta, ctx)
-            * cpow(x, p.alpha[d - 1] - sum(bp[L:]))
-        )
-    for k in range(1, N + 1):
-        ck = p.c[k - 1]
-        row = component_index((k, L), M)
-        B[row, 0] = (
-            _quot(
-                [cj / Bfull for j, cj in enumerate(p.c, 1) if j != k]
-                + [q / b[L - 1]]
-                + [q * aj / ck for aj in p.a],
-                [q * cj / ck for j, cj in enumerate(p.c, 1) if j != k]
-                + [q * q * Btail / ck]
-                + [aj / Bfull for aj in p.a],
-                qpoch_inf, ctx,
+        if k == 0:
+            ad = a[d - 1]
+            return _entry(
+                [cj / ad for cj in c] + [aj / Bt for aj in ao] + [s.b],
+                [cj / Bt for cj in c] + [aj / ad for aj in ao] + [Bf / ad],
+                x * ad / Bt, x, x, p.alpha[d - 1] - s.beta_after, ctx,
             )
-            * _quot((x * q * Bfull / ck,), den_theta, theta, ctx)
-            * cpow(x, 1.0 + sum(bp[L - 1 :]) - p.gamma[k - 1])
-        )
-        for d in range(1, N + 1):
-            ad = p.a[d - 1]
-            col = component_index((d, L), M)
-            B[row, col] = (
-                _quot(
-                    [cj / ad for j, cj in enumerate(p.c, 1) if j != k]
-                    + [q * Btail / ad]
-                    + [q * aj / ck for j, aj in enumerate(p.a, 1) if j != d]
-                    + [q * Bfull / ck],
-                    [q * cj / ck for j, cj in enumerate(p.c, 1) if j != k]
-                    + [q * q * Btail / ck]
-                    + [aj / ad for j, aj in enumerate(p.a, 1) if j != d]
-                    + [Bfull / ad],
-                    qpoch_inf, ctx,
-                )
-                * _quot((x * q * ad / ck,), den_theta, theta, ctx)
-                * cpow(x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1])
+        ck = c[k - 1]
+        if d == 0:
+            return _entry(
+                [cj / Bf for cj in co] + [q / s.b] + [q * aj / ck for aj in a],
+                [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / Bf for aj in a],
+                x * q * Bf / ck, x, x, 1.0 + s.beta_from - p.gamma[k - 1], ctx,
             )
-    return ConnMatrix(
-        kind="B",
-        L=L,
-        sigma=sigma,
-        r=None,
-        entries=B,
-        eval_point=(x,),
-        t=tuple(complex(v) for v in t),
-    )
+        ad = a[d - 1]
+        return _entry(
+            [cj / ad for cj in co] + [q * Bt / ad] + [q * aj / ck for aj in ao]
+            + [q * Bf / ck],
+            [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / ad for aj in ao]
+            + [Bf / ad],
+            x * q * ad / ck, x, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1], ctx,
+        )
+
+    return _level_matrix("B", p, L, L, sigma, t, entry)
 
 
 def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, ctx: QContext):
@@ -277,28 +232,17 @@ def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, ctx: QContext)
     P2 = math.prod(b[r + 1 :], start=1.0 + 0j)
     Pr = b[r - 1] * P2
     Pfull = b[r - 1] * P1
-    den_theta = (u * b[r - 1],)
-    s11 = (
-        _quot([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)], qpoch_inf, ctx)
-        * _quot((u * ck / (q * P1),), den_theta, theta, ctx)
-        * cpow(u, -1.0 - sum(beta[r - 1 :]) + gk)
+    den = u * b[r - 1]
+    return (
+        _entry([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)],
+               u * ck / (q * P1), den, u, -1.0 - sum(beta[r - 1 :]) + gk, ctx),
+        _entry([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck],
+               u, den, u, -beta[r - 1], ctx),
+        _entry([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)],
+               u * b[r - 1] / b[r], den, u, -beta[r], ctx),
+        _entry([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck],
+               u * q * Pr / ck, den, u, 1.0 + sum(beta[r + 1 :]) - gk, ctx),
     )
-    s12 = (
-        _quot([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck], qpoch_inf, ctx)
-        * _quot((u,), den_theta, theta, ctx)
-        * cpow(u, -beta[r - 1])
-    )
-    s21 = (
-        _quot([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)], qpoch_inf, ctx)
-        * _quot((u * b[r - 1] / b[r],), den_theta, theta, ctx)
-        * cpow(u, -beta[r])
-    )
-    s22 = (
-        _quot([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck], qpoch_inf, ctx)
-        * _quot((u * q * Pr / ck,), den_theta, theta, ctx)
-        * cpow(u, 1.0 + sum(beta[r + 1 :]) - gk)
-    )
-    return s11, s12, s21, s22
 
 
 def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
@@ -308,13 +252,13 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
     Entries depend on the coordinates only through the ratio of the two
     swapped ones, so simultaneous rescaling of both leaves the matrix fixed.
     """
-    M = p.M
-    _require_range("r", r, 1, M - 1)
+    _require_range("r", r, 1, p.M - 1)
     sigma = tuple(int(v) for v in sigma)
-    tt = permute_seq(tuple(complex(v) for v in t), sigma)
+    t = tuple(complex(v) for v in t)
+    tt = permute_seq(t, sigma)
     if tt[r] == 0:
         raise DomainError("swap ratio undefined: lower coordinate vanishes")
-    return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], tuple(complex(v) for v in t), ctx)
+    return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], t, ctx)
 
 
 def _swap_matrix(
@@ -375,35 +319,23 @@ def compose_connection(
         rho = perm_compose(perm_inverse(sigma1), sigma2)
         word = transposition_word(rho)
     word = [int(r) for r in word]
-    acc = sigma1
+    walk = [sigma1]
     for r in reversed(word):
-        acc = perm_compose(acc, perm_transposition(M, r))
-    if acc != sigma2:
+        walk.append(perm_compose(walk[-1], perm_transposition(M, r)))
+    if walk[-1] != sigma2:
         raise WordError(
-            f"word {word} sends {sigma1} to {acc}, not to requested {sigma2}"
+            f"word {word} sends {sigma1} to {walk[-1]}, not to requested {sigma2}"
         )
-    taus: list[tuple[int, ...]] = []
-    cur = sigma1
-    for j in range(len(word), 0, -1):
-        taus.append(cur)
-        cur = perm_compose(cur, perm_transposition(M, word[j - 1]))
-    taus.reverse()
 
     factors = [build_A(p, Lv, sigma2, t, ctx) for Lv in range(L2, M)]
-    factors += [build_S(p, word[j], taus[j], t, ctx) for j in range(len(word))]
+    # word[0] is applied last, to the ordering the walk reached before sigma2
+    factors += [build_S(p, r, tau, t, ctx) for r, tau in zip(word, reversed(walk[:-1]))]
     factors += [build_B(p, Lv, sigma1, t, ctx) for Lv in range(M, L1, -1)]
-    size = p.N * M + 1
-    entries = np.eye(size, dtype=complex)
+    entries = np.eye(p.N * M + 1, dtype=complex)
     for f in factors:
         entries = entries @ f.entries
     return ConnMatrix(
-        kind="composite",
-        L=L2,
-        sigma=sigma2,
-        r=None,
-        entries=entries,
-        eval_point=(),
-        t=t,
+        kind="composite", L=L2, sigma=sigma2, r=None, entries=entries, eval_point=(), t=t
     )
 
 

@@ -208,12 +208,17 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
     raise ConvergenceError(f"reference enumeration did not settle in {cap} shells")
 
 
+def _require_unit_disc(values, what: str) -> None:
+    """Raise DomainError "<what> = [...]" naming the 1-based positions with |v| >= 1."""
+    bad = [i for i, v in enumerate(values, start=1) if abs(v) >= 1.0]
+    if bad:
+        raise DomainError(f"{what} = {bad}")
+
+
 def eval_FNM_reference(p: ParamSet, t, ctx: QContext) -> complex:
     """Reference value of the principal multi-series by direct enumeration."""
     t = tuple(complex(v) for v in t)
-    bad = [i for i, v in enumerate(t, start=1) if abs(v) >= 1.0]
-    if bad:
-        raise DomainError(f"|t_i| < 1 required; violated at i = {bad}")
+    _require_unit_disc(t, "|t_i| < 1 required; violated at i")
     return _enum_series(p.a, p.b, p.c, t, ctx)
 
 
@@ -255,12 +260,8 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     in swapped arguments times an infinite-product prefactor. The swapped side
     is enumerated independently; needs every |a_j| < 1 and |t_i| < 1."""
     t = _coords(t, p.M)
-    bad = [j for j, aj in enumerate(p.a, start=1) if abs(aj) >= 1.0]
-    if bad:
-        raise DomainError(f"|a_j| < 1 required on the swapped side; violated at j = {bad}")
-    bad = [i for i, v in enumerate(t, start=1) if abs(v) >= 1.0]
-    if bad:
-        raise DomainError(f"|t_i| < 1 required; violated at i = {bad}")
+    _require_unit_disc(p.a, "|a_j| < 1 required on the swapped side; violated at j")
+    _require_unit_disc(t, "|t_i| < 1 required; violated at i")
     for i in range(p.M):
         k = lattice_hit(p.b[i] * t[i], p.q, kmin=-LATTICE_RANGE, kmax=0)
         if k is not None:
@@ -289,9 +290,7 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
     * prod_i (b_i t_i Q)_inf/(t_i Q)_inf at Q = q^{m_1 + ... + m_N}.
     """
     t = _coords(t, p.M)
-    bad = [j for j, aj in enumerate(p.a, start=1) if abs(aj) >= 1.0]
-    if bad:
-        raise DomainError(f"|a_j| < 1 required for the q-integral; violated at j = {bad}")
+    _require_unit_disc(p.a, "|a_j| < 1 required for the q-integral; violated at j")
     lhs = eval_FNM(p, t, ctx).value
 
     q = ctx.q

@@ -219,11 +219,11 @@ def permute_seq(seq, sigma) -> tuple:
     return tuple(seq[v - 1] for v in s)
 
 
-def q_shift(t, q: complex, s: int, power: int = 1) -> tuple[complex, ...]:
-    """Multiply coordinate s (1-based) of t by q**power."""
+def q_shift(t, q: complex, s: int) -> tuple[complex, ...]:
+    """Multiply coordinate s (1-based) of t by q."""
     tt = list(complex(v) for v in t)
     _require_range("s", s, 1, len(tt))
-    tt[s - 1] *= q**power
+    tt[s - 1] *= q
     return tuple(tt)
 
 

@@ -1,5 +1,7 @@
 """Connection matrices: single steps, compositions, braid words."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,17 @@ def test_verify_connection_validation(p22, ctx_long):
     S_bad = build_S(p22, 1, IDENT, bad_point, ctx_long)
     with pytest.raises(DomainError):
         verify_connection(forged, S_bad, forged)
+
+
+def test_builder_entries_frozen(p23, ctx_long):
+    """Every bit of the elementary and composite matrices at one point."""
+    sigma = (2, 3, 1)
+    t = (0.31 + 0.04j, 0.27 - 0.02j, 0.45 + 0.06j)
+    mats = [build_A(p23, L, sigma, t, ctx_long) for L in range(3)]
+    mats += [build_B(p23, L, sigma, t, ctx_long) for L in range(1, 4)]
+    mats += [build_S(p23, r, sigma, t, ctx_long) for r in (1, 2)]
+    mats.append(compose_connection(p23, 0, (1, 2, 3), 1, sigma, t, ctx_long))
+    h = hashlib.sha256()
+    for m in mats:
+        h.update(m.entries.tobytes())
+    assert h.hexdigest()[:16] == "8290fbe3f5827aa4"

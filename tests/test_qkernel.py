@@ -146,9 +146,6 @@ def test_permute_seq():
 def test_q_shift():
     t = (1 + 0j, 2 + 0j)
     assert q_shift(t, Q, 1) == (0.3 + 0j, 2 + 0j)
-    shifted = q_shift(t, Q, 2, power=-1)
-    assert shifted[0] == 1 + 0j
-    assert abs(shifted[1] - 2 / Q) < 1e-15
     with pytest.raises(IndexError):
         q_shift(t, Q, 3)
     with pytest.raises(IndexError):
