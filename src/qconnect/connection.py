@@ -14,6 +14,7 @@ rows/columns attached to the moved slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -72,28 +73,40 @@ class ConnMatrix:
         return self.entries.shape[0]
 
 
-def _quot(num_args, den_args, f, ctx: QContext) -> complex:
-    """prod f(num_args) / prod f(den_args) for f = qpoch_inf or theta; a
-    vanishing denominator factor raises PoleError."""
-    num = 1.0 + 0j
-    for x in num_args:
-        num *= f(x, ctx)
+def _prod(args, f, ctx: QContext) -> complex:
+    """prod f(args) for f = qpoch_inf or theta."""
+    out = 1.0 + 0j
+    for x in args:
+        out *= f(x, ctx)
+    return out
+
+
+def _den(args, f, ctx: QContext) -> complex:
+    """prod f(args) as a denominator: a vanishing factor raises PoleError."""
     den = 1.0 + 0j
-    for x in den_args:
+    for x in args:
         val = f(x, ctx)
         if abs(val) <= _THETA_TOL:
             what = "theta denominator" if f is theta else "infinite product"
             raise PoleError(f"{what} vanished at argument {x}")
         den *= val
-    return num / den
+    return den
 
 
-def _entry(pnum, pden, th, den_theta, x, power, ctx: QContext) -> complex:
+def _theta_den(arg: complex, ctx: QContext):
+    """theta(arg) as the theta denominator every entry of one matrix shares,
+    behind a zero-argument function: it is evaluated once, at the first entry
+    that divides by it, so a pole raises PoleError from that entry."""
+    return functools.cache(lambda: _den((arg,), theta, ctx))
+
+
+def _entry(pnum, pden, th, den, x, power, ctx: QContext) -> complex:
     """One connection-matrix entry: prod (pnum;q)_inf / prod (pden;q)_inf
-    times theta(th) / theta(den_theta) times the principal power x**power."""
+    times theta(th) / den() times the principal power x**power, where den is
+    the matrix's _theta_den."""
     return (
-        _quot(pnum, pden, qpoch_inf, ctx)
-        * _quot((th,), (den_theta,), theta, ctx)
+        _prod(pnum, qpoch_inf, ctx) / _den(pden, qpoch_inf, ctx)
+        * (_prod((th,), theta, ctx) / den())
         * cpow(x, power)
     )
 
@@ -104,11 +117,14 @@ def _entry(pnum, pden, th, den_theta, x, power, ctx: QContext) -> complex:
 _Slot = namedtuple("_Slot", "x b beta Bfull Btail beta_from beta_after")
 
 
-def _level_matrix(kind: str, p: ParamSet, L: int, s: int, sigma, t, entry) -> ConnMatrix:
+def _level_matrix(
+    kind: str, p: ParamSet, L: int, s: int, sigma, t, den_arg, entry, ctx: QContext
+) -> ConnMatrix:
     """Level-step matrix on slot position s of ordering sigma: the identity
     except row/column 0 and the rows/columns of the components (k, s).
-    entry(k, d, slot) gives the entry in row k, column d, where 0 stands for
-    the constant component; entries are filled row-major."""
+    entry(k, d, slot, den) gives the entry in row k, column d, where 0 stands
+    for the constant component and den is the _theta_den of den_arg(slot);
+    entries are filled row-major."""
     sigma = tuple(int(v) for v in sigma)
     pp = p.permuted(sigma)
     t = tuple(complex(v) for v in t)
@@ -122,11 +138,12 @@ def _level_matrix(kind: str, p: ParamSet, L: int, s: int, sigma, t, entry) -> Co
         beta_from=sum(beta[s - 1 :]),
         beta_after=sum(beta[s:]),
     )
+    den = _theta_den(den_arg(slot), ctx)
     idx = [0] + [component_index((k, s), p.M) for k in range(1, p.N + 1)]
     C = np.eye(p.N * p.M + 1, dtype=complex)
     for k, row in enumerate(idx):
         for d, col in enumerate(idx):
-            C[row, col] = entry(k, d, slot)
+            C[row, col] = entry(k, d, slot, den)
     return ConnMatrix(
         kind=kind, L=L, sigma=sigma, r=None, entries=C, eval_point=(slot.x,), t=t
     )
@@ -141,9 +158,8 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     Pa = math.prod(a, start=1.0 + 0j)
     Pc = math.prod(c, start=1.0 + 0j)
 
-    def entry(k, d, s):
+    def entry(k, d, s, den):
         x, Bf, Bt = s.x, s.Bfull, s.Btail
-        den = x * s.b * Pa / Pc
         ao = [aj for j, aj in enumerate(a, 1) if j != k]
         co = [cj for j, cj in enumerate(c, 1) if j != d]
         if k == 0 and d == 0:
@@ -176,7 +192,9 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
             -1.0 - p.alpha[k - 1] + p.gamma[d - 1], ctx,
         )
 
-    return _level_matrix("A", p, L, L + 1, sigma, t, entry)
+    return _level_matrix(
+        "A", p, L, L + 1, sigma, t, lambda s: s.x * s.b * Pa / Pc, entry, ctx
+    )
 
 
 def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
@@ -186,7 +204,7 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
     _require_range("L", L, 1, p.M)
     q, a, c = p.q, p.a, p.c
 
-    def entry(k, d, s):
+    def entry(k, d, s, den):
         x, Bf, Bt = s.x, s.Bfull, s.Btail
         ao = [aj for j, aj in enumerate(a, 1) if j != d]
         co = [cj for j, cj in enumerate(c, 1) if j != k]
@@ -194,21 +212,21 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
             return _entry(
                 [aj / Bt for aj in a] + [cj / Bf for cj in c],
                 [aj / Bf for aj in a] + [cj / Bt for cj in c],
-                x * s.b, x, x, s.beta, ctx,
+                x * s.b, den, x, s.beta, ctx,
             )
         if k == 0:
             ad = a[d - 1]
             return _entry(
                 [cj / ad for cj in c] + [aj / Bt for aj in ao] + [s.b],
                 [cj / Bt for cj in c] + [aj / ad for aj in ao] + [Bf / ad],
-                x * ad / Bt, x, x, p.alpha[d - 1] - s.beta_after, ctx,
+                x * ad / Bt, den, x, p.alpha[d - 1] - s.beta_after, ctx,
             )
         ck = c[k - 1]
         if d == 0:
             return _entry(
                 [cj / Bf for cj in co] + [q / s.b] + [q * aj / ck for aj in a],
                 [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / Bf for aj in a],
-                x * q * Bf / ck, x, x, 1.0 + s.beta_from - p.gamma[k - 1], ctx,
+                x * q * Bf / ck, den, x, 1.0 + s.beta_from - p.gamma[k - 1], ctx,
             )
         ad = a[d - 1]
         return _entry(
@@ -216,15 +234,16 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
             + [q * Bf / ck],
             [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / ad for aj in ao]
             + [Bf / ad],
-            x * q * ad / ck, x, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1], ctx,
+            x * q * ad / ck, den, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1], ctx,
         )
 
-    return _level_matrix("B", p, L, L, sigma, t, entry)
+    return _level_matrix("B", p, L, L, sigma, t, lambda s: s.x, entry, ctx)
 
 
-def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, ctx: QContext):
+def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, den, ctx: QContext):
     """2x2 block of the adjacent-swap matrix for coupling slot k, acting on
-    positions (r, r+1) of the slots reordered to beta, b."""
+    positions (r, r+1) of the slots reordered to beta, b; den is the
+    _theta_den of u b_r."""
     q = p.q
     ck = p.c[k - 1]
     gk = p.gamma[k - 1]
@@ -232,7 +251,6 @@ def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, ctx: QContext)
     P2 = math.prod(b[r + 1 :], start=1.0 + 0j)
     Pr = b[r - 1] * P2
     Pfull = b[r - 1] * P1
-    den = u * b[r - 1]
     return (
         _entry([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)],
                u * ck / (q * P1), den, u, -1.0 - sum(beta[r - 1 :]) + gk, ctx),
@@ -267,11 +285,12 @@ def _swap_matrix(
     """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
     at the coordinate ratio u; t is the point recorded with it."""
     pp = p.permuted(sigma)
+    den = _theta_den(u * pp.b[r - 1], ctx)
     S = np.eye(p.N * p.M + 1, dtype=complex)
     for k in range(1, p.N + 1):
         i = component_index((k, r), p.M)
         j = component_index((k, r + 1), p.M)
-        S[i, i], S[i, j], S[j, i], S[j, j] = _swap_block(p, pp.beta, pp.b, k, r, u, ctx)
+        S[i, i], S[i, j], S[j, i], S[j, j] = _swap_block(p, pp.beta, pp.b, k, r, u, den, ctx)
     return ConnMatrix(kind="S", L=p.M, sigma=sigma, r=r, entries=S, eval_point=(u,), t=t)
 
 

@@ -10,6 +10,15 @@ engine builds one weight table per axis, convolves the plus-sign and
 minus-sign tables separately, and accumulates the sum shell by shell (a shell
 collects all m with fixed |m|), stopping once three consecutive shells are
 negligible relative to the running magnitude.
+
+Every series first screens all of its denominators, axis weights and
+coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
+raises ResonanceError however early the sum would settle. The tables are
+then built to a first stage of 48 shells, where most series settle; a series
+that has not settled rebuilds them at series_cap and sums again from shell 0,
+so the result does not depend on the stage. A one-sided series has one term
+per shell and gets all of its shells from one elementwise product; on two
+sides each shell is one reduction over contiguous slices of the tables.
 """
 
 from __future__ import annotations
@@ -84,6 +93,64 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
         raise ValueError("parameter set was built for a different base q")
 
 
+# Shells in the first table build. Most series settle well within it (about
+# 20 shells at the median in the run suites); the others rebuild their tables
+# at series_cap and sum again from shell 0.
+_STAGE = 48
+
+
+def _coupling_pole(index: int) -> ResonanceError:
+    return ResonanceError(
+        f"coupling denominator vanished at index {index} "
+        "(parameter ratio on the q-power lattice)"
+    )
+
+
+def _screen(axes, nums, dens, up: int, down: int, ctx: QContext) -> None:
+    """ResonanceError for the first vanishing denominator a series of
+    ctx.series_cap shells meets: every axis weight over the whole cap, then
+    the coupling at indices 0..up-1 and -1..-down, with the arithmetic of
+    the tables. The tables, built to any number of shells, check nothing.
+
+    A coupling walk stops once no factor can come near zero again: after
+    every |v q^n| < 1/4 on the plus side each later |1 - v q^n| > 1/2, and
+    after every |u q^-n| > 4 on the minus side each later
+    |1 - u q^-n| > |u q^-n| / 2."""
+    cap = ctx.series_cap
+    qp = np.power(ctx.q, np.arange(cap))
+    for _, axis_dens, _ in axes:
+        den = np.ones(cap, dtype=complex)
+        for v in axis_dens:
+            den *= 1.0 - complex(v) * qp
+        if np.any(np.abs(den) <= _DEN_TOL):
+            raise ResonanceError(
+                "axis weight recurrence hit a vanishing denominator "
+                "(a lower parameter degenerated onto the q-power lattice)"
+            )
+    q = ctx.q
+    vmax = max(map(abs, dens), default=0.0)
+    qk = 1.0 + 0j
+    for n in range(up):
+        den = 1.0 + 0j
+        for v in dens:
+            den *= 1.0 - v * qk
+        if abs(den) <= _DEN_TOL:
+            raise _coupling_pole(n)
+        if vmax * abs(qk) < 0.25:
+            break
+        qk *= q
+    umin = min(map(abs, nums), default=math.inf)
+    qk = 1.0 / q
+    for n in range(down):
+        for u in nums:
+            fden = 1.0 - u * qk
+            if abs(fden) <= _DEN_TOL * max(1.0, abs(u * qk)):
+                raise _coupling_pole(-n - 1)
+        if umin * abs(qk) > 4.0:
+            break
+        qk /= q
+
+
 def _axis_table(nums, dens, x: complex, cap: int, ctx: QContext) -> np.ndarray:
     """Weight table w[0..cap] with w[0] = 1 and
     w[k+1]/w[k] = x * prod(1 - n q^k) / prod(1 - d q^k)."""
@@ -94,11 +161,6 @@ def _axis_table(nums, dens, x: complex, cap: int, ctx: QContext) -> np.ndarray:
     den = np.ones(cap, dtype=complex)
     for v in dens:
         den *= 1.0 - complex(v) * qp
-    if np.any(np.abs(den) <= _DEN_TOL):
-        raise ResonanceError(
-            "axis weight recurrence hit a vanishing denominator "
-            "(a lower parameter degenerated onto the q-power lattice)"
-        )
     ratios = complex(x) * num / den
     w = np.empty(cap + 1, dtype=complex)
     w[0] = 1.0
@@ -121,11 +183,6 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
             num *= 1.0 - u * qk
         for v in dens:
             den *= 1.0 - v * qk
-        if abs(den) <= _DEN_TOL:
-            raise ResonanceError(
-                f"coupling denominator vanished at index {n} "
-                "(parameter ratio on the q-power lattice)"
-            )
         g[down + n + 1] = g[down + n] * num / den
         qk *= q
     qk = 1.0 / q
@@ -136,13 +193,7 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
     for n in range(down):
         ratio = 1.0 + 0j
         for u, v in pairs:
-            fden = 1.0 - u * qk
-            if abs(fden) <= _DEN_TOL * max(1.0, abs(u * qk)):
-                raise ResonanceError(
-                    f"coupling denominator vanished at index {-n - 1} "
-                    "(parameter ratio on the q-power lattice)"
-                )
-            ratio *= (1.0 - v * qk) / fden
+            ratio *= (1.0 - v * qk) / (1.0 - u * qk)
         g[down - n - 1] = g[down - n] * ratio
         qk /= q
     return g
@@ -165,8 +216,14 @@ def _settle(terms, ctx: QContext, failure) -> SeriesValue:
     raise ConvergenceError(failure(rel))
 
 
-def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
-    cap = ctx.series_cap
+def _shells(plus_axes, minus_axes, g_nums, g_dens, cap: int, ctx: QContext):
+    """Shell sums for shells 0..cap from tables built to cap shells; every
+    series has at least one axis.
+
+    A one-sided series has one term per shell, so all its shells are one
+    elementwise product. On two sides shell s pairs plus degree j with
+    minus degree s - j, j = 0..s: contiguous slices of the plus table, the
+    reversed minus table and every second coupling entry."""
 
     def combined(axes) -> np.ndarray:
         c = np.ones(1, dtype=complex)
@@ -180,17 +237,37 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
     up = len(cp) - 1
     down = len(cm) - 1
     g = _coupling_table(g_nums, g_dens, up, down, ctx)
+    if not down:
+        return (cp * cm[0] * g).tolist()
+    if not up:
+        return (cp[0] * cm * g[::-1]).tolist()
+    return (
+        complex(np.add.reduce(cp[: s + 1] * cm[s::-1] * g[down - s : down + s + 1 : 2]))
+        for s in range(cap + 1)
+    )
 
-    def shells():
-        for s in range(cap + 1):
-            # up and down are each 0 or cap, and at least one axis exists,
-            # so the index range is never empty
-            js = np.arange(max(0, s - down), min(s, up) + 1)
-            yield complex(np.sum(cp[js] * cm[s - js] * g[down + 2 * js - s]))
 
-    return _settle(shells(), ctx, lambda last: (
-        f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
-    ))
+def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
+    """Sum over shells of the series with these axes and coupling. The
+    denominators are screened up to ctx.series_cap once; the tables are
+    built to _STAGE shells first, and to series_cap only when the sum has
+    not settled by then."""
+    cap = ctx.series_cap
+    _screen(
+        (*plus_axes, *minus_axes), g_nums, g_dens,
+        cap if plus_axes else 0, cap if minus_axes else 0, ctx,
+    )
+
+    def failure(last):
+        return f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
+
+    if cap > _STAGE:
+        try:
+            return _settle(_shells(plus_axes, minus_axes, g_nums, g_dens, _STAGE, ctx),
+                           ctx, failure)
+        except ConvergenceError:
+            pass
+    return _settle(_shells(plus_axes, minus_axes, g_nums, g_dens, cap, ctx), ctx, failure)
 
 
 def _plain_axis(b: complex, x: complex, q: complex):

@@ -153,13 +153,31 @@ def lattice_hit(
     """Exponent k in [kmin, kmax] with |x - q^k| < LATTICE_RTOL |q^k|, or None.
 
     Used to flag parameter ratios that degenerate onto the q-power lattice.
+
+    A match at k needs (1 - LATTICE_RTOL) |q^k| < |x| < (1 + LATTICE_RTOL) |q^k|,
+    so |ln|x| - k ln|q|| < -ln(1 - LATTICE_RTOL) < 2 LATTICE_RTOL. Only the
+    integers in that window around ln|x| / ln|q| are tested, in increasing
+    order; the factor 2 leaves room for rounding in the logarithms. Each one
+    is tested against the running power q^kmin q q ... q, so the result is
+    the first k a scan over the whole range would find. x = 0, inf and nan
+    match nothing.
     """
     x = complex(x)
-    if x == 0:
+    ax = abs(x)
+    if not 0.0 < ax < math.inf:
+        return None
+    lx, lq = math.log(ax), math.log(abs(q))
+    if lq == 0.0:
+        lo, hi = (kmin, kmax) if abs(lx) < 2 * LATTICE_RTOL else (1, 0)
+    else:
+        centre, width = lx / lq, 2 * LATTICE_RTOL / abs(lq)
+        lo = max(kmin, math.ceil(centre - width))
+        hi = min(kmax, math.floor(centre + width))
+    if lo > hi:
         return None
     qk = q**kmin
-    for k in range(kmin, kmax + 1):
-        if abs(x - qk) < LATTICE_RTOL * abs(qk):
+    for k in range(kmin, hi + 1):
+        if k >= lo and abs(x - qk) < LATTICE_RTOL * abs(qk):
             return k
         qk *= q
     return None

@@ -106,8 +106,12 @@ def test_failed_draw_becomes_failing_record(kw):
         (dict(N=1, M=2), "481519553b9b0991"),
         (dict(N=1, M=1), "2a9273a4bc76e017"),
         ({}, "c57fd518e311216e"),
+        # the two benchmark workloads at seed 0
+        (dict(N=2, M=3), "4743f7c814ccd5f2"),
+        (dict(N=3, M=3, suites=("connection", "theorem1", "independence")),
+         "a4af8952e063505e"),
     ],
-    ids=["1x2", "1x1", "default"],
+    ids=["1x2", "1x1", "default", "2x3", "3x3-families"],
 )
 def test_report_bytes_frozen(kw, prefix):
     # every suite and both forged-column forms (n = 3 and n = 2 components)

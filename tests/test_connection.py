@@ -7,11 +7,13 @@ import pytest
 
 from qconnect import (
     DomainError,
+    PoleError,
     SolutionVector,
     WordError,
     build_A,
     build_B,
     build_S,
+    build_Stilde,
     build_solution_vector,
     compose_connection,
     perm_compose,
@@ -100,6 +102,26 @@ def test_builder_argument_validation(p22, ctx_long):
         build_S(p22, 2, IDENT, T_SWAP, ctx_long)
     with pytest.raises(DomainError):
         build_S(p22, 1, IDENT, (0.3, 0.0), ctx_long)
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    [
+        (lambda p, ctx: build_A(
+            p, 0, IDENT, (Q**3 * p.c[0] * p.c[1] / (p.a[0] * p.a[1] * p.b[0]), 0.5), ctx),
+         "(0.026999999999999996-9.286060967531292e-19j)"),
+        (lambda p, ctx: build_B(p, 1, IDENT, (Q**2, 0.5), ctx), "(0.09+0j)"),
+        (lambda p, ctx: build_S(p, 1, IDENT, (Q**-1 / p.b[0], 1.0), ctx),
+         "(3.3333333333333335+0j)"),
+        (lambda p, ctx: build_Stilde(p, 1, SWAP, Q / p.b[1], ctx), "(0.3+0j)"),
+    ],
+    ids=["A", "B", "S", "Stilde"],
+)
+def test_builder_theta_pole(p22, ctx_long, build, arg):
+    # every entry of the matrix shares this theta denominator
+    with pytest.raises(PoleError) as err:
+        build(p22, ctx_long)
+    assert str(err.value) == f"theta denominator vanished at argument {arg}"
 
 
 def test_transposition_word_factorizes():

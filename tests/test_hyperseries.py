@@ -28,6 +28,7 @@ from qconnect import (
     sample_interior_point,
     sample_params,
 )
+from qconnect.hyperseries import _shell_series
 from conftest import ALPHA, BETA, GAMMA, Q
 
 
@@ -239,3 +240,70 @@ def test_in_domain_margins(p22):
     for L in (-1, 3):
         with pytest.raises(IndexError, match=rf"L = {L} outside \[0, 2\]"):
             in_domain(L, (1, 2), p22, (0.05, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# series engine: exact values, shell counts and error texts, on both sides of
+# the first table stage (48 shells)
+
+_ENGINE_SERIES = [
+    # plus axes only
+    ("p12", None, (0.3, 0.25),
+     ("0x1.4502d49edfc07p+0", "0x1.645c0b6aa0eadp-4", 26, 7.688337164422478e-13)),
+    ("p12", None, (0.7, 0.65 - 0.1j),
+     ("0x1.7f0fb30550f78p+1", "0x1.347985559e4e4p-2", 78, 9.09562227490061e-13)),
+    # minus axes only
+    ("p22", 0, (0.6, 0.6 + 0.05j),
+     ("0x1.61d1143d729b6p+0", "0x1.6f169bec3d189p-4", 28, 5.760545777670476e-13)),
+    ("p22", 0, (0.35, 0.35 + 0.05j),
+     ("0x1.062a29b3b5035p+1", "0x1.d62b4318b3221p-3", 51, 7.350926017927997e-13)),
+    # both sides
+    ("p22", 1, (0.6, 4.0),
+     ("0x1.df282dbdcf9abp-1", "-0x1.1f40f2c39ff49p-3", 53, 8.223874782997291e-13)),
+]
+
+
+@pytest.mark.parametrize("pname, L, t, frozen", _ENGINE_SERIES)
+def test_series_engine_frozen_bits(pname, L, t, frozen, request, ctx_long):
+    p = request.getfixturevalue(pname)
+    sv = eval_FNM(p, t, ctx_long) if L is None else eval_FNM_L(p, L, t, ctx_long)
+    got = (sv.value.real.hex(), sv.value.imag.hex(), sv.terms_used, sv.tail_estimate)
+    assert got == frozen
+
+
+def test_series_engine_convergence_error_text(p12, ctx_long):
+    with pytest.raises(ConvergenceError) as err:
+        eval_FNM(p12, (0.95, 0.9), ctx_long)
+    assert str(err.value) == (
+        "series did not settle within 200 shells (last relative shell size 2.995e-06)"
+    )
+
+
+_AXIS_POLE = (
+    "axis weight recurrence hit a vanishing denominator "
+    "(a lower parameter degenerated onto the q-power lattice)"
+)
+_PLUS = [((0.4,), (Q,), 0.5)]
+_MINUS = [((0.3,), (Q,), 0.4)]
+_AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
+
+
+@pytest.mark.parametrize(
+    "plus, minus, g_nums, g_dens, message",
+    [
+        (_AXIS_60, [], (0.2,), (0.7,), _AXIS_POLE),
+        # an axis pole wins over an earlier coupling pole
+        (_AXIS_60, [], (0.2,), (Q**-3,), _AXIS_POLE),
+        (_PLUS, [], (0.2, 0.5), (0.7, Q**-60),
+         "coupling denominator vanished at index 60 "
+         "(parameter ratio on the q-power lattice)"),
+        ([], _MINUS, (0.2, Q**60), (0.7, Q**61),
+         "coupling denominator vanished at index -60 "
+         "(parameter ratio on the q-power lattice)"),
+    ],
+    ids=["axis", "axis-first", "coupling-plus", "coupling-minus"],
+)
+def test_series_engine_pole_past_first_stage(plus, minus, g_nums, g_dens, message, ctx_long):
+    with pytest.raises(ResonanceError) as err:
+        _shell_series(plus, minus, g_nums, g_dens, ctx_long)
+    assert str(err.value) == message

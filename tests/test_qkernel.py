@@ -1,7 +1,12 @@
 """Building blocks: products, theta, branches, permutations."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconnect import (
     ParamSet,
@@ -123,6 +128,65 @@ def test_lattice_hit():
     assert lattice_hit(Q**-3, Q, -64, 64) == -3
     assert lattice_hit(0.77, Q, -64, 64) is None
     assert lattice_hit(Q**5 * (1 + 1e-12), Q, -64, 64) == 5
+
+
+def _lattice_scan(x, q, kmin=-64, kmax=64):
+    """Reference: walk k = kmin..kmax with a running power of q."""
+    x = complex(x)
+    if x == 0:
+        return None
+    qk = q**kmin
+    for k in range(kmin, kmax + 1):
+        if abs(x - qk) < 1e-8 * abs(qk):
+            return k
+        qk *= q
+    return None
+
+
+@st.composite
+def _lattice_cases(draw):
+    r = draw(st.floats(0.05, 0.999))
+    phase = draw(st.sampled_from([0.0, None]))
+    if phase is None:
+        phase = draw(st.floats(-math.pi, math.pi))
+    q = cmath.rect(r, phase) if phase else r
+    kmin, kmax = draw(st.sampled_from([(-64, 64), (-64, 0), (-5, 7)]))
+    if draw(st.booleans()):
+        k = draw(st.integers(kmin - 3, kmax + 3))
+        rel = draw(st.sampled_from([0.0, 1e-12, 3e-9, 1e-8, 1e-6]))
+        turn = draw(st.floats(-math.pi, math.pi))
+        x = q**k * (1 + cmath.rect(rel, turn))
+    else:
+        x = cmath.rect(draw(st.floats(1e-30, 1e30)), draw(st.floats(-math.pi, math.pi)))
+    return x, q, kmin, kmax
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_lattice_cases())
+def test_lattice_hit_matches_scan(case):
+    x, q, kmin, kmax = case
+    assert lattice_hit(x, q, kmin, kmax) == _lattice_scan(x, q, kmin, kmax)
+
+
+@pytest.mark.parametrize("q", [Q, 0.999, 0.6 - 0.7j, 0.05j])
+def test_lattice_hit_range_ends(q):
+    assert lattice_hit(q**-64, q) == -64
+    assert lattice_hit(q**64, q) == 64
+    assert lattice_hit(q**-65, q) is None
+    assert lattice_hit(q**65, q) is None
+    assert lattice_hit(q**-64, q, kmin=-64, kmax=0) == -64
+    assert lattice_hit(q**0, q, kmin=-64, kmax=0) == 0
+    assert lattice_hit(q**1, q, kmin=-64, kmax=0) is None
+    assert lattice_hit(q**-65, q, kmin=-64, kmax=0) is None
+
+
+@pytest.mark.parametrize(
+    "x", [0.0, 0j, math.inf, -math.inf, complex(math.inf, 1.0), complex(1.0, -math.inf),
+          math.nan, complex(0.3, math.nan), complex(math.nan, math.inf)]
+)
+def test_lattice_hit_off_the_plane(x):
+    assert lattice_hit(x, Q) is None
+    assert _lattice_scan(x, Q) is None
 
 
 def test_perm_helpers():
