@@ -85,7 +85,7 @@ DEFAULT_TOL = {
 SUITES = tuple(DEFAULT_TOL)
 
 _BUDGET = 12
-_RETRIES = 8
+_SERIES_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class RunConfig:
         return DEFAULT_TOL[suite]
 
     def context(self) -> QContext:
-        kw = {"q": complex(self.q), "series_cap": 200}
+        kw = {"q": complex(self.q), "series_cap": _SERIES_CAP}
         if self.tail_tol is not None:
             kw["tail_tol"] = self.tail_tol
         return QContext(**kw)
@@ -716,7 +716,7 @@ def eval_spec(spec: dict) -> dict:
 
     kind = spec["kind"]
     q = _cplx_in(spec.get("q", 0.3))
-    ctx = QContext(q=q, series_cap=200)
+    ctx = QContext(q=q, series_cap=_SERIES_CAP)
     if kind == "nphi":
         upper = field("upper", _parse_cplx_list)
         lower = field("lower", _parse_cplx_list)

@@ -15,10 +15,10 @@ Every series first screens all of its denominators, axis weights and
 coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
 raises ResonanceError however early the sum would settle. The tables are
 then built to a first stage of 48 shells, where most series settle; a series
-that has not settled rebuilds them at series_cap and sums again from shell 0,
-so the result does not depend on the stage. A one-sided series has one term
-per shell and gets all of its shells from one elementwise product; on two
-sides each shell is one reduction over contiguous slices of the tables.
+that has not settled continues with shell 49 from tables rebuilt at
+series_cap, so each shell is summed once. A one-sided series gets the shells
+of a stage from one elementwise product; on two sides each shell is one
+reduction over contiguous slices of the tables.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
 
 
 # Shells in the first table build. Most series settle well within it (about
-# 20 shells at the median in the run suites); the others rebuild their tables
-# at series_cap and sum again from shell 0.
+# 20 shells at the median in the run suites); a series that asks for shell
+# _STAGE + 1 gets its tables rebuilt at series_cap and continues from there.
 _STAGE = 48
 
 
@@ -106,27 +106,33 @@ def _coupling_pole(index: int) -> ResonanceError:
     )
 
 
-def _screen(axes, nums, dens, up: int, down: int, ctx: QContext) -> None:
-    """ResonanceError for the first vanishing denominator a series of
-    ctx.series_cap shells meets: every axis weight over the whole cap, then
-    the coupling at indices 0..up-1 and -1..-down, with the arithmetic of
-    the tables. The tables, built to any number of shells, check nothing.
+def _axis_ratios(axis, qp: np.ndarray) -> np.ndarray:
+    """Term ratios x * prod(1 - n q^k) / prod(1 - d q^k) of one axis for
+    q^k in qp, or ResonanceError if any denominator vanishes."""
+    nums, dens, x = axis
+    num = np.ones(len(qp), dtype=complex)
+    for u in nums:
+        num *= 1.0 - complex(u) * qp
+    den = np.ones(len(qp), dtype=complex)
+    for v in dens:
+        den *= 1.0 - complex(v) * qp
+    if np.any(np.abs(den) <= _DEN_TOL):
+        raise ResonanceError(
+            "axis weight recurrence hit a vanishing denominator "
+            "(a lower parameter degenerated onto the q-power lattice)"
+        )
+    return complex(x) * num / den
 
-    A coupling walk stops once no factor can come near zero again: after
-    every |v q^n| < 1/4 on the plus side each later |1 - v q^n| > 1/2, and
-    after every |u q^-n| > 4 on the minus side each later
+
+def _screen(nums, dens, up: int, down: int, ctx: QContext) -> None:
+    """ResonanceError for the first vanishing coupling denominator at
+    indices 0..up-1 and -1..-down, with the arithmetic of the table. The
+    table, built to any number of shells, checks nothing.
+
+    A walk stops once no factor can come near zero again: after every
+    |v q^n| < 1/4 on the plus side each later |1 - v q^n| > 1/2, and after
+    every |u q^-n| > 4 on the minus side each later
     |1 - u q^-n| > |u q^-n| / 2."""
-    cap = ctx.series_cap
-    qp = np.power(ctx.q, np.arange(cap))
-    for _, axis_dens, _ in axes:
-        den = np.ones(cap, dtype=complex)
-        for v in axis_dens:
-            den *= 1.0 - complex(v) * qp
-        if np.any(np.abs(den) <= _DEN_TOL):
-            raise ResonanceError(
-                "axis weight recurrence hit a vanishing denominator "
-                "(a lower parameter degenerated onto the q-power lattice)"
-            )
     q = ctx.q
     vmax = max(map(abs, dens), default=0.0)
     qk = 1.0 + 0j
@@ -151,20 +157,11 @@ def _screen(axes, nums, dens, up: int, down: int, ctx: QContext) -> None:
         qk /= q
 
 
-def _axis_table(nums, dens, x: complex, cap: int, ctx: QContext) -> np.ndarray:
-    """Weight table w[0..cap] with w[0] = 1 and
-    w[k+1]/w[k] = x * prod(1 - n q^k) / prod(1 - d q^k)."""
-    qp = np.power(ctx.q, np.arange(cap))
-    num = np.ones(cap, dtype=complex)
-    for u in nums:
-        num *= 1.0 - complex(u) * qp
-    den = np.ones(cap, dtype=complex)
-    for v in dens:
-        den *= 1.0 - complex(v) * qp
-    ratios = complex(x) * num / den
+def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
+    """Weight table w[0..cap] with w[0] = 1 and w[k+1] = w[k] * ratios[k]."""
     w = np.empty(cap + 1, dtype=complex)
     w[0] = 1.0
-    np.cumprod(ratios, out=w[1:])
+    np.cumprod(ratios[:cap], out=w[1:])
     return w
 
 
@@ -216,58 +213,57 @@ def _settle(terms, ctx: QContext, failure) -> SeriesValue:
     raise ConvergenceError(failure(rel))
 
 
-def _shells(plus_axes, minus_axes, g_nums, g_dens, cap: int, ctx: QContext):
-    """Shell sums for shells 0..cap from tables built to cap shells; every
-    series has at least one axis.
+def _shells(plus, minus, g_nums, g_dens, ctx: QContext):
+    """Shell sums for shells 0..ctx.series_cap, given each axis's term
+    ratios; every series has at least one axis.
 
-    A one-sided series has one term per shell, so all its shells are one
-    elementwise product. On two sides shell s pairs plus degree j with
-    minus degree s - j, j = 0..s: contiguous slices of the plus table, the
-    reversed minus table and every second coupling entry."""
+    A one-sided series has one term per shell, so all the shells of a stage
+    are one elementwise product. On two sides shell s pairs plus degree j
+    with minus degree s - j, j = 0..s: contiguous slices of the plus table,
+    the reversed minus table and every second coupling entry."""
+    cap = ctx.series_cap
 
-    def combined(axes) -> np.ndarray:
+    def combined(axes, stop) -> np.ndarray:
         c = np.ones(1, dtype=complex)
-        for nums, dens, x in axes:
-            w = _axis_table(nums, dens, x, cap, ctx)
-            c = np.convolve(c, w)[: cap + 1]
+        for ratios in axes:
+            c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
         return c
 
-    cp = combined(plus_axes)
-    cm = combined(minus_axes)
-    up = len(cp) - 1
-    down = len(cm) - 1
-    g = _coupling_table(g_nums, g_dens, up, down, ctx)
-    if not down:
-        return (cp * cm[0] * g).tolist()
-    if not up:
-        return (cp[0] * cm * g[::-1]).tolist()
-    return (
-        complex(np.add.reduce(cp[: s + 1] * cm[s::-1] * g[down - s : down + s + 1 : 2]))
-        for s in range(cap + 1)
-    )
+    start = 0
+    for stop in (_STAGE, cap) if cap > _STAGE else (cap,):
+        cp = combined(plus, stop)
+        cm = combined(minus, stop)
+        up = len(cp) - 1
+        down = len(cm) - 1
+        g = _coupling_table(g_nums, g_dens, up, down, ctx)
+        if not down:
+            yield from (cp * cm[0] * g)[start:].tolist()
+        elif not up:
+            yield from (cp[0] * cm * g[::-1])[start:].tolist()
+        else:
+            for s in range(start, stop + 1):
+                yield complex(np.add.reduce(
+                    cp[: s + 1] * cm[s::-1] * g[down - s : down + s + 1 : 2]
+                ))
+        start = stop + 1
 
 
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
-    """Sum over shells of the series with these axes and coupling. The
-    denominators are screened up to ctx.series_cap once; the tables are
-    built to _STAGE shells first, and to series_cap only when the sum has
-    not settled by then."""
+    """Sum over shells of the series with these axes and coupling. Every
+    denominator is screened up to ctx.series_cap first, axes before the
+    coupling. The tables are built to _STAGE shells; a sum that has not
+    settled by then continues with shell _STAGE + 1 from tables rebuilt at
+    series_cap, so each shell is summed once."""
     cap = ctx.series_cap
-    _screen(
-        (*plus_axes, *minus_axes), g_nums, g_dens,
-        cap if plus_axes else 0, cap if minus_axes else 0, ctx,
-    )
+    qp = np.power(ctx.q, np.arange(cap))
+    plus = [_axis_ratios(axis, qp) for axis in plus_axes]
+    minus = [_axis_ratios(axis, qp) for axis in minus_axes]
+    _screen(g_nums, g_dens, cap if plus else 0, cap if minus else 0, ctx)
 
     def failure(last):
         return f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
 
-    if cap > _STAGE:
-        try:
-            return _settle(_shells(plus_axes, minus_axes, g_nums, g_dens, _STAGE, ctx),
-                           ctx, failure)
-        except ConvergenceError:
-            pass
-    return _settle(_shells(plus_axes, minus_axes, g_nums, g_dens, cap, ctx), ctx, failure)
+    return _settle(_shells(plus, minus, g_nums, g_dens, ctx), ctx, failure)
 
 
 def _plain_axis(b: complex, x: complex, q: complex):

@@ -271,11 +271,21 @@ def test_series_engine_frozen_bits(pname, L, t, frozen, request, ctx_long):
     assert got == frozen
 
 
-def test_series_engine_convergence_error_text(p12, ctx_long):
+@pytest.mark.parametrize(
+    "pname, L, t, last",
+    [
+        ("p12", None, (0.95, 0.9), "2.995e-06"),
+        # both sides: the last shell comes from the tables rebuilt past the stage
+        ("p22", 1, (0.9, 4.0), "6.950e-11"),
+    ],
+    ids=["plus-only", "two-sided"],
+)
+def test_series_engine_convergence_error_text(pname, L, t, last, request, ctx_long):
+    p = request.getfixturevalue(pname)
     with pytest.raises(ConvergenceError) as err:
-        eval_FNM(p12, (0.95, 0.9), ctx_long)
+        eval_FNM(p, t, ctx_long) if L is None else eval_FNM_L(p, L, t, ctx_long)
     assert str(err.value) == (
-        "series did not settle within 200 shells (last relative shell size 2.995e-06)"
+        f"series did not settle within 200 shells (last relative shell size {last})"
     )
 
 
@@ -286,6 +296,7 @@ _AXIS_POLE = (
 _PLUS = [((0.4,), (Q,), 0.5)]
 _MINUS = [((0.3,), (Q,), 0.4)]
 _AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
+_MINUS_AXIS_60 = [((0.3,), (Q, Q**-60), 0.4)]
 
 
 @pytest.mark.parametrize(
@@ -294,6 +305,9 @@ _AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
         (_AXIS_60, [], (0.2,), (0.7,), _AXIS_POLE),
         # an axis pole wins over an earlier coupling pole
         (_AXIS_60, [], (0.2,), (Q**-3,), _AXIS_POLE),
+        (_PLUS, _MINUS_AXIS_60, (0.2,), (0.7,), _AXIS_POLE),
+        # a minus-axis pole wins over an earlier coupling pole
+        (_PLUS, _MINUS_AXIS_60, (0.2,), (Q**-3,), _AXIS_POLE),
         (_PLUS, [], (0.2, 0.5), (0.7, Q**-60),
          "coupling denominator vanished at index 60 "
          "(parameter ratio on the q-power lattice)"),
@@ -301,7 +315,8 @@ _AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
          "coupling denominator vanished at index -60 "
          "(parameter ratio on the q-power lattice)"),
     ],
-    ids=["axis", "axis-first", "coupling-plus", "coupling-minus"],
+    ids=["axis", "axis-first", "minus-axis", "minus-axis-first", "coupling-plus",
+         "coupling-minus"],
 )
 def test_series_engine_pole_past_first_stage(plus, minus, g_nums, g_dens, message, ctx_long):
     with pytest.raises(ResonanceError) as err:
