@@ -673,7 +673,8 @@ _RUNNERS = {
 
 def run_suite(cfg: RunConfig) -> Report:
     """Execute every configured suite with seeded sampling; per-check errors
-    become failing records, never exceptions."""
+    become failing records, never exceptions. Every suite of the run shares
+    one QContext, so its memo serves the whole run."""
     cfg.validate()
     ctx = cfg.context()
     records: list[CheckRecord] = []

@@ -19,6 +19,14 @@ that has not settled continues with shell 49 from tables rebuilt at
 series_cap, so each shell is summed once. A one-sided series gets the shells
 of a stage from one elementwise product; on two sides each shell is one
 reduction over contiguous slices of the tables.
+
+Only the axis arguments x depend on the evaluation point. The rest, each
+axis's numerator and denominator products, each coupling table and the
+outcome of each coupling screen, is kept in the evaluation context's memo
+(QContext) with the bits of a fresh computation. So the screen still covers
+every denominator up to series_cap, but runs once per distinct coupling in
+a context. A memoised pole raises a new ResonanceError with the same text,
+in the same order: plus axes, minus axes, coupling.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .qkernel import (
     LATTICE_RANGE,
     ParamSet,
     QContext,
+    _bits,
     _coords,
     _require_range,
     cpow,
@@ -99,24 +108,29 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
 _STAGE = 48
 
 
-def _coupling_pole(index: int) -> ResonanceError:
-    return ResonanceError(
-        f"coupling denominator vanished at index {index} "
-        "(parameter ratio on the q-power lattice)"
-    )
-
-
-def _axis_ratios(axis, qp: np.ndarray) -> np.ndarray:
-    """Term ratios x * prod(1 - n q^k) / prod(1 - d q^k) of one axis for
-    q^k in qp, or ResonanceError if any denominator vanishes."""
-    nums, dens, x = axis
+def _axis_products(nums, dens, ctx: QContext):
+    """(prod(1 - n q^k), prod(1 - d q^k), whether a denominator vanishes)
+    for q^k in ctx._series_qpow, with read-only arrays."""
+    qp = ctx._series_qpow
     num = np.ones(len(qp), dtype=complex)
     for u in nums:
         num *= 1.0 - complex(u) * qp
     den = np.ones(len(qp), dtype=complex)
     for v in dens:
         den *= 1.0 - complex(v) * qp
-    if np.any(np.abs(den) <= _DEN_TOL):
+    num.flags.writeable = den.flags.writeable = False
+    return num, den, bool(np.any(np.abs(den) <= _DEN_TOL))
+
+
+def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
+    """Term ratios x * prod(1 - n q^k) / prod(1 - d q^k) of one axis for
+    k = 0..series_cap-1, or ResonanceError if any denominator vanishes.
+    The products come from ctx's memo; only x depends on the point."""
+    nums, dens, x = axis
+    num, den, pole = ctx._memoised(
+        ("axis", _bits(nums), _bits(dens)), lambda: _axis_products(nums, dens, ctx)
+    )
+    if pole:
         raise ResonanceError(
             "axis weight recurrence hit a vanishing denominator "
             "(a lower parameter degenerated onto the q-power lattice)"
@@ -124,9 +138,9 @@ def _axis_ratios(axis, qp: np.ndarray) -> np.ndarray:
     return complex(x) * num / den
 
 
-def _screen(nums, dens, up: int, down: int, ctx: QContext) -> None:
-    """ResonanceError for the first vanishing coupling denominator at
-    indices 0..up-1 and -1..-down, with the arithmetic of the table. The
+def _screen(nums, dens, up: int, down: int, ctx: QContext) -> int | None:
+    """Index of the first vanishing coupling denominator at indices
+    0..up-1 and -1..-down, with the arithmetic of the table, or None. The
     table, built to any number of shells, checks nothing.
 
     A walk stops once no factor can come near zero again: after every
@@ -141,7 +155,7 @@ def _screen(nums, dens, up: int, down: int, ctx: QContext) -> None:
         for v in dens:
             den *= 1.0 - v * qk
         if abs(den) <= _DEN_TOL:
-            raise _coupling_pole(n)
+            return n
         if vmax * abs(qk) < 0.25:
             break
         qk *= q
@@ -151,10 +165,11 @@ def _screen(nums, dens, up: int, down: int, ctx: QContext) -> None:
         for u in nums:
             fden = 1.0 - u * qk
             if abs(fden) <= _DEN_TOL * max(1.0, abs(u * qk)):
-                raise _coupling_pole(-n - 1)
+                return -n - 1
         if umin * abs(qk) > 4.0:
             break
         qk /= q
+    return None
 
 
 def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
@@ -168,7 +183,7 @@ def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
 def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray:
     """Coupling table g[n] for n in [-down, up] (stored with offset `down`),
     g(0) = 1 and g(n) = prod_j (nums_j)_n / (dens_j)_n; nums and dens have
-    equal length."""
+    equal length. The table is read-only."""
     q = ctx.q
     g = np.empty(up + down + 1, dtype=complex)
     g[down] = 1.0
@@ -193,6 +208,7 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
             ratio *= (1.0 - v * qk) / (1.0 - u * qk)
         g[down - n - 1] = g[down - n] * ratio
         qk /= q
+    g.flags.writeable = False
     return g
 
 
@@ -213,9 +229,10 @@ def _settle(terms, ctx: QContext, failure) -> SeriesValue:
     raise ConvergenceError(failure(rel))
 
 
-def _shells(plus, minus, g_nums, g_dens, ctx: QContext):
+def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
     """Shell sums for shells 0..ctx.series_cap, given each axis's term
-    ratios; every series has at least one axis.
+    ratios; every series has at least one axis. The coupling tables come
+    from ctx's memo under gkey, the exact bits of (g_nums, g_dens).
 
     A one-sided series has one term per shell, so all the shells of a stage
     are one elementwise product. On two sides shell s pairs plus degree j
@@ -235,7 +252,10 @@ def _shells(plus, minus, g_nums, g_dens, ctx: QContext):
         cm = combined(minus, stop)
         up = len(cp) - 1
         down = len(cm) - 1
-        g = _coupling_table(g_nums, g_dens, up, down, ctx)
+        g = ctx._memoised(
+            ("coupling", *gkey, up, down),
+            lambda: _coupling_table(g_nums, g_dens, up, down, ctx),
+        )
         if not down:
             yield from (cp * cm[0] * g)[start:].tolist()
         elif not up:
@@ -250,20 +270,28 @@ def _shells(plus, minus, g_nums, g_dens, ctx: QContext):
 
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
     """Sum over shells of the series with these axes and coupling. Every
-    denominator is screened up to ctx.series_cap first, axes before the
-    coupling. The tables are built to _STAGE shells; a sum that has not
-    settled by then continues with shell _STAGE + 1 from tables rebuilt at
-    series_cap, so each shell is summed once."""
+    denominator is screened up to ctx.series_cap first, plus axes, then
+    minus axes, then the coupling. The tables are built to _STAGE shells; a
+    sum that has not settled by then continues with shell _STAGE + 1 from
+    tables rebuilt at series_cap, so each shell is summed once."""
     cap = ctx.series_cap
-    qp = np.power(ctx.q, np.arange(cap))
-    plus = [_axis_ratios(axis, qp) for axis in plus_axes]
-    minus = [_axis_ratios(axis, qp) for axis in minus_axes]
-    _screen(g_nums, g_dens, cap if plus else 0, cap if minus else 0, ctx)
+    plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
+    minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
+    gkey = _bits(g_nums), _bits(g_dens)
+    up, down = (cap if plus else 0), (cap if minus else 0)
+    pole = ctx._memoised(
+        ("screen", *gkey, up, down), lambda: _screen(g_nums, g_dens, up, down, ctx)
+    )
+    if pole is not None:
+        raise ResonanceError(
+            f"coupling denominator vanished at index {pole} "
+            "(parameter ratio on the q-power lattice)"
+        )
 
     def failure(last):
         return f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
 
-    return _settle(_shells(plus, minus, g_nums, g_dens, ctx), ctx, failure)
+    return _settle(_shells(plus, minus, g_nums, g_dens, gkey, ctx), ctx, failure)
 
 
 def _plain_axis(b: complex, x: complex, q: complex):

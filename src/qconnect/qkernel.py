@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,6 +38,17 @@ __all__ = [
 LATTICE_RTOL = 1e-8
 LATTICE_RANGE = 64
 
+# Entries a context's memo holds; the oldest is dropped to make room.
+_MEMO_SIZE = 256
+# exact bits of one complex value (re, im): the scalar form of _bits
+_PAIR = struct.Struct("2d").pack
+
+
+def _bits(values) -> bytes:
+    """Exact bits of a sequence of complex values, as a memo key: unlike ==,
+    it tells -0.0 from 0.0."""
+    return np.array(values, dtype=complex).tobytes()
+
 
 def _default_prod_terms(q: complex) -> int:
     """Smallest K with |q|^K < 1e-17."""
@@ -54,6 +66,15 @@ class QContext:
     prod_terms   number of factors kept in infinite products
     series_cap   maximum shell (total degree) in multi-series evaluation
     tail_tol     relative shell size below which a series is considered done
+
+    A context memoises qpoch_inf values and the values of the series engine
+    that depend on parameters but never on the evaluation point: axis
+    products, coupling tables and coupling screens. A key holds the exact
+    bits of its arguments (it tells -0.0 from 0.0), and a value is made by
+    the code a fresh context runs, so a reused context gives the same bits
+    as a fresh one. The memo keeps at most _MEMO_SIZE entries and belongs to
+    this instance: run_suite uses one context per run, and no two runs share
+    a value.
     """
 
     q: complex
@@ -84,6 +105,31 @@ class QContext:
         """[q^0, q^1, ..., q^(prod_terms-1)]"""
         return np.power(self.q, np.arange(self.prod_terms))
 
+    @cached_property
+    def _series_qpow(self) -> np.ndarray:
+        """[q^0, q^1, ..., q^(series_cap-1)], read-only."""
+        qp = np.power(self.q, np.arange(self.series_cap))
+        qp.flags.writeable = False
+        return qp
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _memoised(self, key, make):
+        """The memo's value for key, made by make() on a miss; when the memo
+        is full the oldest entry is dropped first."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = make()
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+        return value
+
     def qpow(self, z: complex) -> complex:
         """q**z on the principal branch of log q."""
         return cmath.exp(complex(z) * cmath.log(self.q))
@@ -92,9 +138,14 @@ class QContext:
 def qpoch_inf(a: complex, ctx: QContext) -> complex:
     """Truncated infinite product prod_{k>=0} (1 - a q^k).
 
-    Total function of a; the truncation length is ctx.prod_terms.
+    Total function of a; the truncation length is ctx.prod_terms. Memoised
+    on ctx.
     """
-    return complex(np.prod(1.0 - complex(a) * ctx._qpow_table))
+    a = complex(a)
+    return ctx._memoised(
+        ("qpoch_inf", _PAIR(a.real, a.imag)),
+        lambda: complex(np.prod(1.0 - a * ctx._qpow_table)),
+    )
 
 
 def theta(x: complex, ctx: QContext) -> complex:

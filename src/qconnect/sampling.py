@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .qkernel import (
+    LATTICE_RTOL,
     ParamSet,
     QContext,
     _require_range,
@@ -84,9 +85,19 @@ def _subset_products(b):
 def strong_nonresonant(p: ParamSet) -> bool:
     """check_resonance for every slot ordering at once: the ratios are
     taken against the product of b over every subset of slots (suffix
-    products of any ordering are subsets)."""
-    ratios = _resonance_ratios(p, _subset_products(p.b))
-    return all(lattice_hit(value, p.q) is None for _, value in ratios)
+    products of any ordering are subsets).
+
+    One numpy pass keeps the ratios x whose lattice_hit window around
+    ln|x| / ln|q|, taken twice as wide, holds an integer, so the rounding
+    of numpy's abs and log can only add candidates; lattice_hit alone
+    decides each candidate."""
+    values = [value for _, value in _resonance_ratios(p, _subset_products(p.b))]
+    lq = math.log(abs(p.q))
+    width = 4 * LATTICE_RTOL / abs(lq)
+    with np.errstate(divide="ignore"):
+        centre = np.log(np.abs(np.array(values))) / lq
+    near = np.floor(centre + width) >= np.ceil(centre - width)
+    return all(lattice_hit(values[i], p.q) is None for i in np.flatnonzero(near))
 
 
 def sample_params(

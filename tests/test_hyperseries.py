@@ -1,5 +1,6 @@
 """Series evaluators, local solution families, exponents, domain checks."""
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -299,26 +300,47 @@ _AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
 _MINUS_AXIS_60 = [((0.3,), (Q, Q**-60), 0.4)]
 
 
-@pytest.mark.parametrize(
-    "plus, minus, g_nums, g_dens, message",
-    [
-        (_AXIS_60, [], (0.2,), (0.7,), _AXIS_POLE),
-        # an axis pole wins over an earlier coupling pole
-        (_AXIS_60, [], (0.2,), (Q**-3,), _AXIS_POLE),
-        (_PLUS, _MINUS_AXIS_60, (0.2,), (0.7,), _AXIS_POLE),
-        # a minus-axis pole wins over an earlier coupling pole
-        (_PLUS, _MINUS_AXIS_60, (0.2,), (Q**-3,), _AXIS_POLE),
-        (_PLUS, [], (0.2, 0.5), (0.7, Q**-60),
-         "coupling denominator vanished at index 60 "
-         "(parameter ratio on the q-power lattice)"),
-        ([], _MINUS, (0.2, Q**60), (0.7, Q**61),
-         "coupling denominator vanished at index -60 "
-         "(parameter ratio on the q-power lattice)"),
-    ],
-    ids=["axis", "axis-first", "minus-axis", "minus-axis-first", "coupling-plus",
-         "coupling-minus"],
-)
+_POLES = [
+    (_AXIS_60, [], (0.2,), (0.7,), _AXIS_POLE),
+    # an axis pole wins over an earlier coupling pole
+    (_AXIS_60, [], (0.2,), (Q**-3,), _AXIS_POLE),
+    (_PLUS, _MINUS_AXIS_60, (0.2,), (0.7,), _AXIS_POLE),
+    # a minus-axis pole wins over an earlier coupling pole
+    (_PLUS, _MINUS_AXIS_60, (0.2,), (Q**-3,), _AXIS_POLE),
+    (_PLUS, [], (0.2, 0.5), (0.7, Q**-60),
+     "coupling denominator vanished at index 60 "
+     "(parameter ratio on the q-power lattice)"),
+    ([], _MINUS, (0.2, Q**60), (0.7, Q**61),
+     "coupling denominator vanished at index -60 "
+     "(parameter ratio on the q-power lattice)"),
+]
+_POLE_IDS = ["axis", "axis-first", "minus-axis", "minus-axis-first", "coupling-plus",
+             "coupling-minus"]
+
+
+@pytest.mark.parametrize("plus, minus, g_nums, g_dens, message", _POLES, ids=_POLE_IDS)
 def test_series_engine_pole_past_first_stage(plus, minus, g_nums, g_dens, message, ctx_long):
     with pytest.raises(ResonanceError) as err:
         _shell_series(plus, minus, g_nums, g_dens, ctx_long)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("plus, minus, g_nums, g_dens, message", _POLES, ids=_POLE_IDS)
+def test_series_engine_pole_repeats_from_memo(plus, minus, g_nums, g_dens, message):
+    """A pole read from the context's memo raises a new error with the same
+    text, an axis pole still beats a coupling pole memoised first, and a
+    coupling screened on the plus side alone is screened again for a series
+    with minus axes."""
+    ctx = QContext(q=Q, prod_terms=60, series_cap=200)
+    # the same coupling without the axis poles, on the plus side alone and
+    # then on the same sides, so its screen outcomes are in the memo first
+    for warm in ((_PLUS, []), (_PLUS if plus else [], _MINUS if minus else [])):
+        with contextlib.suppress(ResonanceError, ConvergenceError):
+            _shell_series(*warm, g_nums, g_dens, ctx)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ResonanceError) as err:
+            _shell_series(plus, minus, g_nums, g_dens, ctx)
+        errors.append(err.value)
+    assert [str(e) for e in errors] == [message, message]
+    assert errors[0] is not errors[1]

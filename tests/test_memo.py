@@ -1,0 +1,103 @@
+"""The evaluation context's memo: a reused context gives the bits of a fresh
+one, signed zeros get their own entries, and the memo keeps its bound."""
+
+import numpy as np
+
+from qconnect import (
+    QContext,
+    build_A,
+    build_B,
+    build_S,
+    build_solution_vector,
+    qpoch_inf,
+    sample_params,
+)
+from qconnect import cli
+from qconnect.hyperseries import _shell_series
+from qconnect.qkernel import _MEMO_SIZE
+from conftest import Q
+
+# p23 with slot ordering SIGMA: T lies in every level's sector, and the
+# level-L solution vectors at T and at 1.1 T settle within 200 shells
+SIGMA = (2, 3, 1)
+T = (0.31 + 0.04j, 0.27 - 0.02j, 0.45 + 0.06j)
+LEVELS = (0, 1, 3)
+
+
+def _fresh() -> QContext:
+    return QContext(q=Q, prod_terms=60, series_cap=200)
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z], dtype=complex).tobytes()
+
+
+def _results(p, ctx) -> list[bytes]:
+    """Bits of solution vectors and of every elementary connection matrix."""
+    out = [
+        np.asarray(build_solution_vector(p, L, SIGMA, T, ctx).components).tobytes()
+        for L in LEVELS
+    ]
+    out += [build_A(p, L, SIGMA, T, ctx).entries.tobytes() for L in range(3)]
+    out += [build_B(p, L, SIGMA, T, ctx).entries.tobytes() for L in range(1, 4)]
+    out += [build_S(p, r, SIGMA, T, ctx).entries.tobytes() for r in (1, 2)]
+    return out
+
+
+def test_reused_context_gives_fresh_bits(p23):
+    fresh = _results(p23, _fresh())
+    used = _fresh()
+    # other parameter sets and other points first
+    other = sample_params(2, 3, Q, np.random.default_rng(4))
+    near = tuple(1.1 * v for v in T)
+    for L in LEVELS:
+        build_solution_vector(p23, L, SIGMA, near, used)
+    build_A(p23, 1, SIGMA, near, used)
+    build_S(p23, 1, SIGMA, near, used)
+    build_A(other, 1, SIGMA, T, used)
+    assert used._memo
+    assert _results(p23, used) == fresh
+    # and again, with this set's values in the memo
+    assert _results(p23, used) == fresh
+
+
+def test_signed_zero_gets_its_own_entry():
+    ctx = _fresh()
+    pos, neg = complex(-0.5, 0.0), complex(-0.5, -0.0)
+    qpoch_inf(pos, ctx)
+    assert _bits(qpoch_inf(neg, ctx)) == _bits(qpoch_inf(neg, _fresh()))
+
+    def series(z, ctx):
+        return _shell_series([((z,), (Q,), 0.4)], [((0.3,), (Q,), 0.2)], (z,), (0.7,), ctx)
+
+    series(pos, ctx)
+    sv, ref = series(neg, ctx), series(neg, _fresh())
+    assert (_bits(sv.value), sv.terms_used, sv.tail_estimate) == (
+        _bits(ref.value), ref.terms_used, ref.tail_estimate
+    )
+    kinds = [key[0] for key in ctx._memo]
+    assert kinds.count("qpoch_inf") == 2
+    assert kinds.count("axis") == 3  # pos, neg and the minus axis
+    assert kinds.count("screen") == 2
+
+
+def test_memo_bounded_over_a_run(monkeypatch):
+    made = []
+    context = cli.RunConfig.context
+    monkeypatch.setattr(cli.RunConfig, "context", lambda cfg: made.append(context(cfg)) or made[-1])
+    peak = 0
+    memoised = QContext._memoised
+
+    def tracked(self, key, make):
+        nonlocal peak
+        out = memoised(self, key, make)
+        peak = max(peak, len(self._memo))
+        return out
+
+    monkeypatch.setattr(QContext, "_memoised", tracked)
+    cfg = cli.RunConfig(N=3, M=3, samples=2, suites=("connection", "theorem1", "independence"))
+    cli.run_suite(cfg)
+    # validate() makes a throwaway context; the run itself uses one
+    assert len(made) == 2 and not made[0].__dict__.get("_memo")
+    assert peak == len(made[1]._memo) == _MEMO_SIZE
+

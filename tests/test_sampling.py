@@ -1,5 +1,6 @@
 """Seeded parameter and point samplers used by the verification suites."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -22,7 +23,14 @@ from qconnect import (
     sample_watson,
     strong_nonresonant,
 )
-from qconnect.sampling import EXPONENT_IM, EXPONENT_RE, draw_exponent
+from qconnect.qkernel import LATTICE_RTOL, lattice_hit
+from qconnect.sampling import (
+    EXPONENT_IM,
+    EXPONENT_RE,
+    _resonance_ratios,
+    _subset_products,
+    draw_exponent,
+)
 from conftest import ALPHA, BETA, GAMMA, Q
 
 
@@ -59,6 +67,25 @@ def test_strong_nonresonant_is_check_resonance_over_all_orderings(N, M):
         assert strong_nonresonant(p) == verdict
         verdicts.append(verdict)
     assert verdicts[:4] == [True] * 4 and not verdicts[-1]
+
+
+@pytest.mark.parametrize(
+    "offset, resonant",
+    [
+        (0.0, True), (0.5, True), (-0.5, True),  # lattice hits
+        (1.5, False), (-1.5, False),  # in lattice_hit's window, no hit
+        (3.0, False), (-3.0, False),  # only in the widened screen window
+        (4.5, False), (-4.5, False),  # just outside the screen window
+    ],
+)
+@pytest.mark.parametrize("k", [-3, 0, 5])
+def test_strong_nonresonant_planted_near_lattice(offset, resonant, k):
+    # a_1 / a_2 = q^k (1 + offset LATTICE_RTOL)
+    shift = k + math.log1p(offset * LATTICE_RTOL) / math.log(Q)
+    p = ParamSet((ALPHA[1] + shift, ALPHA[1]), BETA[:2], GAMMA[:2], Q)
+    ratios = [value for _, value in _resonance_ratios(p, _subset_products(p.b))]
+    scalar = all(lattice_hit(value, p.q) is None for value in ratios)
+    assert strong_nonresonant(p) == scalar == (not resonant)
 
 
 def test_sample_params_reproducible_and_screened():
