@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -480,38 +480,47 @@ def _overlap_params(s: _Sample) -> ParamSet:
     )
 
 
-def _check_connection(s: _Sample, check, p, t, build, src, dst):
+def _vectors(s: _Sample, p, t):
+    """Solution vector of an (L, sigma) family of p at t, built once per
+    family. The cache belongs to one point of one sample; a build that
+    raises is not cached, so it raises again, with the same text, for the
+    next check that asks for it."""
+    return cache(lambda fam: build_solution_vector(p, *fam, t, s.ctx))
+
+
+def _check_connection(s: _Sample, check, dg, t, vector, build, src, dst):
     """Record the residual of the claim dst = C . src at t, where src, dst
-    are (L, sigma) solution families and C = build(t, ctx) is built after
-    both are evaluated."""
+    are (L, sigma) solution families given by vector and C = build() is
+    built after both are evaluated."""
 
     def residual():
-        u_src = build_solution_vector(p, *src, t, s.ctx)
-        u_dst = u_src if dst == src else build_solution_vector(p, *dst, t, s.ctx)
-        return verify_connection(u_dst, build(t, s.ctx), u_src)
+        u_src = vector(src)
+        u_dst = vector(dst)
+        return verify_connection(u_dst, build(), u_src)
 
-    _run_check(s, check, _digest(p), t, residual)
+    _run_check(s, check, dg, t, residual)
 
 
 def _suite_connection(s: _Sample):
-    M, rng = s.cfg.M, s.rng
+    M, ctx, rng = s.cfg.M, s.ctx, s.rng
     sig = perm_identity(M)
     p = _draw(s, "split step", lambda: _overlap_params(s))
     dg = _digest(p)
     L = int(rng.integers(0, M))
     t = _draw(s, f"split step L={L}", lambda: sampling.sample_level_overlap(p, L, sig, rng), dg)
+    vector = _vectors(s, p, t)
     for check, build, src, dst in (
-        (f"split step L={L}", partial(build_A, p, L, sig), (L + 1, sig), (L, sig)),
-        (f"merge step L={L + 1}", partial(build_B, p, L + 1, sig), (L, sig), (L + 1, sig)),
+        (f"split step L={L}", partial(build_A, p, L, sig, t, ctx), (L + 1, sig), (L, sig)),
+        (f"merge step L={L + 1}", partial(build_B, p, L + 1, sig, t, ctx), (L, sig), (L + 1, sig)),
     ):
-        _check_connection(s, check, p, t, build, src, dst)
+        _check_connection(s, check, dg, t, vector, build, src, dst)
     if M < 2:
         return
     r = int(rng.integers(1, M))
     t2 = _draw(s, f"swap step r={r}", lambda: sampling.sample_swap_overlap(p, r, sig, rng), dg)
     _check_connection(
-        s, f"swap step r={r}", p, t2, partial(build_S, p, r, sig), (M, sig),
-        (M, perm_compose(sig, perm_transposition(M, r))),
+        s, f"swap step r={r}", dg, t2, _vectors(s, p, t2), partial(build_S, p, r, sig, t2, ctx),
+        (M, sig), (M, perm_compose(sig, perm_transposition(M, r))),
     )
 
 
@@ -525,8 +534,8 @@ def _suite_theorem1(s: _Sample):
         sig = perm_identity(1)
         t = _draw(s, "round trip", lambda: sampling.sample_level_overlap(p, 0, sig, rng), dg)
         _check_connection(
-            s, "round trip", p, t,
-            partial(compose_connection, p, 0, sig, 0, sig), (0, sig), (0, sig),
+            s, "round trip", dg, t, _vectors(s, p, t),
+            partial(compose_connection, p, 0, sig, 0, sig, t, ctx), (0, sig), (0, sig),
         )
         return
     sig1 = perm_identity(M)
@@ -536,15 +545,17 @@ def _suite_theorem1(s: _Sample):
         s, "composite path",
         lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), rng), dg,
     )
+    # the bubble-sort word of one transposition is [1], so the composite
+    # path's matrix is also the word check's C1
+    composite = cache(partial(compose_connection, p, L, sig1, L, sig2, t, ctx))
 
     def word_agreement():
-        C1 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1])
+        C1 = composite()
         C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1])
         return _rel_maxnorm(C1.entries, C2.entries)
 
     _check_connection(
-        s, "composite path", p, t,
-        partial(compose_connection, p, L, sig1, L, sig2), (L, sig1), (L, sig2),
+        s, "composite path", dg, t, _vectors(s, p, t), composite, (L, sig1), (L, sig2)
     )
     _run_check(s, "word agreement", dg, t, word_agreement)
 

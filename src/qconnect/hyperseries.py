@@ -26,7 +26,10 @@ outcome of each coupling screen, is kept in the evaluation context's memo
 (QContext) with the bits of a fresh computation. So the screen still covers
 every denominator up to series_cap, but runs once per distinct coupling in
 a context. A memoised pole raises a new ResonanceError with the same text,
-in the same order: plus axes, minus axes, coupling.
+in the same order: plus axes, minus axes, coupling. The setup of a local
+solution family (its reordered parameters and leading exponents) is kept in
+the same memo, so every component of a family, whether evaluated alone by
+local_solution or together by build_solution_vector, reads one setup.
 """
 
 from __future__ import annotations
@@ -506,11 +509,22 @@ def _normalize_component(which, N: int, M: int):
 
 def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
     """Setup shared by every component of the (L, sigma) family at t: the
-    reordered parameters and coordinates and the leading exponents."""
+    reordered parameters and coordinates and the leading exponents. The
+    parameters and exponents depend on p, L and sigma only and come from
+    ctx's memo; the coordinates are reordered on every call."""
     _check_base(p, ctx)
     _require_range("L", L, 0, p.M)
-    pp = p.permuted(sigma)
-    return pp, permute_seq(tuple(complex(v) for v in t), sigma), char_exponents(pp, L)
+    sigma = tuple(int(v) for v in sigma)
+
+    def setup():
+        pp = p.permuted(sigma)
+        return pp, char_exponents(pp, L)
+
+    pp, exps = ctx._memoised(
+        ("family", _bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits(p.q), L, sigma),
+        setup,
+    )
+    return pp, permute_seq(tuple(complex(v) for v in t), sigma), exps
 
 
 def _component(pp: ParamSet, L: int, ce: CharExponent, tt, ctx: QContext) -> complex:
@@ -656,19 +670,22 @@ class ResonanceReport:
 
 
 def _resonance_ratios(p: ParamSet, products):
-    """(label, value) for every ratio the solution theory requires off the
-    q-power lattice: upper/upper and coupling/coupling first, then each
-    upper and coupling value against every (name, product) of b-values in
-    products."""
+    """((numerator, denominator), value) for every ratio the solution theory
+    requires off the q-power lattice: upper/upper and coupling/coupling
+    first, then each upper and coupling value against every (name, product)
+    of b-values in products. The names are joined into a label only where
+    a ratio is reported, so a screen that reads the values formats nothing."""
+    a = [f"a_{j + 1}" for j in range(p.N)]
+    c = [f"c_{j + 1}" for j in range(p.N)]
     for j in range(p.N):
         for k in range(p.N):
             if j != k:
-                yield f"a_{j + 1}/a_{k + 1}", p.a[j] / p.a[k]
-                yield f"c_{j + 1}/c_{k + 1}", p.c[j] / p.c[k]
+                yield (a[j], a[k]), p.a[j] / p.a[k]
+                yield (c[j], c[k]), p.c[j] / p.c[k]
     for name, prod in products:
         for j in range(p.N):
-            yield f"a_{j + 1}/{name}", p.a[j] / prod
-            yield f"c_{j + 1}/{name}", p.c[j] / prod
+            yield (a[j], name), p.a[j] / prod
+            yield (c[j], name), p.c[j] / prod
 
 
 def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
@@ -682,8 +699,8 @@ def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
     for i in range(len(bb), 0, -1):
         suffixes.append((f"suffix({i})", suffixes[-1][1] * bb[i - 1]))
     bad = []
-    for label, value in _resonance_ratios(p, suffixes):
+    for names, value in _resonance_ratios(p, suffixes):
         k = lattice_hit(value, p.q)
         if k is not None:
-            bad.append((label, value, k))
+            bad.append(("/".join(names), value, k))
     return ResonanceReport(sigma=sigma, violations=tuple(bad))

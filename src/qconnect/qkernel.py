@@ -67,14 +67,15 @@ class QContext:
     series_cap   maximum shell (total degree) in multi-series evaluation
     tail_tol     relative shell size below which a series is considered done
 
-    A context memoises qpoch_inf values and the values of the series engine
-    that depend on parameters but never on the evaluation point: axis
-    products, coupling tables and coupling screens. A key holds the exact
-    bits of its arguments (it tells -0.0 from 0.0), and a value is made by
-    the code a fresh context runs, so a reused context gives the same bits
-    as a fresh one. The memo keeps at most _MEMO_SIZE entries and belongs to
-    this instance: run_suite uses one context per run, and no two runs share
-    a value.
+    A context memoises qpoch_inf values and the values that depend on
+    parameters but never on the evaluation point: the series engine's axis
+    products, coupling tables and coupling screens, and each solution
+    family's setup (reordered parameters and leading exponents). A key holds
+    the exact bits of its arguments (it tells -0.0 from 0.0), and a value is
+    made by the code a fresh context runs, so a reused context gives the
+    same bits as a fresh one. The memo keeps at most _MEMO_SIZE entries and
+    belongs to this instance: run_suite uses one context per run, and no two
+    runs share a value.
     """
 
     q: complex

@@ -65,21 +65,27 @@ class SamplingError(RuntimeError):
     """A rejection sampler ran out of attempts."""
 
 
+def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:
+    """n exponents from the box, drawn by one rng.uniform call over the
+    interleaved (re, im) bounds: the doubles, and the generator state after
+    them, are those of 2n scalar calls in the same order."""
+    (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
+    v = rng.uniform((re_lo, im_lo) * n, (re_hi, im_hi) * n).tolist()
+    return [complex(re, im) for re, im in zip(v[::2], v[1::2])]
+
+
 def draw_exponent(rng: np.random.Generator) -> complex:
-    return complex(
-        rng.uniform(*EXPONENT_RE),
-        rng.uniform(*EXPONENT_IM),
-    )
+    return _draw_exponents(rng, 1)[0]
 
 
 def _subset_products(b):
-    """(subset(mask), product of the b_i whose bit is set in mask)."""
+    """(mask, product of the b_i whose bit is set in mask)."""
     for mask in range(1 << len(b)):
         prod = 1.0 + 0j
         for i in range(len(b)):
             if mask & (1 << i):
                 prod *= b[i]
-        yield f"subset({mask})", prod
+        yield mask, prod
 
 
 def strong_nonresonant(p: ParamSet) -> bool:
@@ -117,13 +123,9 @@ def sample_params(
     constant q prod c/a below the cap and every |b| above the floor. Used
     by the suites that evaluate two solution families at one point."""
     for _ in range(_PARAM_TRIES):
+        e = _draw_exponents(rng, 2 * N + M)
         try:
-            p = ParamSet(
-                alpha=tuple(draw_exponent(rng) for _ in range(N)),
-                beta=tuple(draw_exponent(rng) for _ in range(M)),
-                gamma=tuple(draw_exponent(rng) for _ in range(N)),
-                q=q,
-            )
+            p = ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q)
         except ResonanceError:
             continue
         if coupling_cap is not None and _coupling_floor(p) > coupling_cap:
@@ -315,8 +317,8 @@ def sample_watson(
     the two expansion rates; theta denominators are kept clear of zeros."""
     ctx_probe = QContext(q=q)
     for _ in range(_WATSON_TRIES):
-        alphas = [draw_exponent(rng) for _ in range(N + 1)]
-        gammas = [draw_exponent(rng) for _ in range(N)]
+        alphas = _draw_exponents(rng, N + 1)
+        gammas = _draw_exponents(rng, N)
         spread = sum(g.real for g in gammas) - sum(a.real for a in alphas[:-1])
         if spread < 0.1:
             continue

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from qconnect import ConfigError
+from qconnect import ConfigError, ConvergenceError
+from qconnect import cli
 from qconnect.cli import (
     SUITES,
     RunConfig,
@@ -117,6 +118,51 @@ def test_report_bytes_frozen(kw, prefix):
     # every suite and both forged-column forms (n = 3 and n = 2 components)
     text = emit_report(run_suite(RunConfig(**kw)))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+
+def _calls(monkeypatch, name, fn=None):
+    """(args, keywords) of every call the run driver makes to name, which
+    goes on to fn (the real function by default)."""
+    calls = []
+    fn = fn or getattr(cli, name)
+
+    def counted(*args, **kw):
+        calls.append((args, kw))
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_connection_sample_builds_each_family_once(monkeypatch):
+    calls = _calls(monkeypatch, "build_solution_vector")
+    rep = run_suite(RunConfig(suites=("connection",), samples=1))
+    assert len(rep.records) == 3 and rep.passed
+    # (L, sigma, t): two families at the level-overlap point, two at the swap point
+    families = [args[1:4] for args, _ in calls]
+    assert len(families) == len(set(families)) == 4
+
+
+def test_theorem1_sample_composes_the_one_swap_word_once(monkeypatch):
+    calls = _calls(monkeypatch, "compose_connection")
+    rep = run_suite(RunConfig(suites=("theorem1",), samples=1))
+    assert [r.check for r in rep.records] == ["composite path", "word agreement"]
+    assert rep.passed
+    # the default word is the bubble-sort word of one transposition, [1]
+    assert [kw.get("word") for _, kw in calls] == [None, [1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "suite, name", [("connection", "build_solution_vector"), ("theorem1", "compose_connection")]
+)
+def test_failed_build_raises_again_for_each_record(monkeypatch, suite, name):
+    def fail(*args, **kw):
+        raise ConvergenceError("stub did not settle")
+
+    calls = _calls(monkeypatch, name, fail)
+    rep = run_suite(RunConfig(suites=(suite,), samples=1))
+    assert len(rep.records) == len(calls) >= 2
+    assert {r.error for r in rep.records} == {"ConvergenceError: stub did not settle"}
 
 
 @pytest.mark.parametrize("N, M", [(6, 2), (12, 1)])

@@ -4,12 +4,16 @@ one, signed zeros get their own entries, and the memo keeps its bound."""
 import numpy as np
 
 from qconnect import (
+    ParamSet,
     QContext,
     build_A,
     build_B,
     build_S,
     build_solution_vector,
+    component_order,
+    local_solution,
     qpoch_inf,
+    sample_domain_point,
     sample_params,
 )
 from qconnect import cli
@@ -101,3 +105,41 @@ def test_memo_bounded_over_a_run(monkeypatch):
     assert len(made) == 2 and not made[0].__dict__.get("_memo")
     assert peak == len(made[1]._memo) == _MEMO_SIZE
 
+
+def _family_bits(p, ctx, sigma=SIGMA, levels=LEVELS) -> list[bytes]:
+    """Bits of every component at T, per level, from build_solution_vector
+    and from one local_solution call per component."""
+    out = []
+    for L in levels:
+        out.append(np.asarray(build_solution_vector(p, L, sigma, T, ctx).components).tobytes())
+        comps = [local_solution(p, L, sigma, c, T, ctx) for c in component_order(p.N, p.M)]
+        out.append(np.asarray(comps).tobytes())
+    return out
+
+
+def test_family_setup_memo_gives_fresh_bits(p23):
+    fresh = _family_bits(p23, _fresh())
+    used = _fresh()
+    # other parameter sets, other (L, sigma) and other points first
+    other = sample_params(2, 3, Q, np.random.default_rng(4))
+    near = tuple(1.1 * v for v in T)
+    rng = np.random.default_rng(5)
+    for L in LEVELS:
+        build_solution_vector(p23, L, SIGMA, near, used)
+        local_solution(p23, L, SIGMA, (1, 1), near, used)
+        local_solution(other, L, SIGMA, 0, sample_domain_point(other, L, SIGMA, rng), used)
+    local_solution(p23, 2, (1, 2, 3), 0, sample_domain_point(p23, 2, (1, 2, 3), rng), used)
+    families = {key[1:] for key in used._memo if key[0] == "family"}
+    assert len(families) == 2 * len(LEVELS) + 1
+    assert _family_bits(p23, used) == fresh
+    assert _family_bits(p23, used) == fresh
+
+
+def test_signed_zero_beta_gets_its_own_family():
+    beta = (0.52 - 0.08j, 0.33 + 0.19j, complex(0.44, 0.0))
+    pos = ParamSet((0.37 + 0.11j,), beta, (0.81 + 0.05j,), Q)
+    neg = ParamSet(pos.alpha, beta[:2] + (complex(0.44, -0.0),), pos.gamma, Q)
+    ctx = _fresh()
+    _family_bits(pos, ctx, levels=(3,))
+    assert _family_bits(neg, ctx, levels=(3,)) == _family_bits(neg, _fresh(), levels=(3,))
+    assert sum(key[0] == "family" for key in ctx._memo) == 2

@@ -23,10 +23,14 @@ from qconnect import (
     sample_watson,
     strong_nonresonant,
 )
+from qconnect import sampling
+from qconnect.errors import ResonanceError
 from qconnect.qkernel import LATTICE_RTOL, lattice_hit
 from qconnect.sampling import (
     EXPONENT_IM,
     EXPONENT_RE,
+    _PARAM_TRIES,
+    _coupling_floor,
     _resonance_ratios,
     _subset_products,
     draw_exponent,
@@ -106,6 +110,70 @@ def test_sample_params_gives_up():
     # unreachable and the sampler must say so instead of spinning
     with pytest.raises(SamplingError):
         sample_params(1, 2, Q, np.random.default_rng(0), min_b=0.95)
+
+
+def _scalar_exponents(rng, n):
+    """The reference draw: two scalar rng.uniform calls per exponent."""
+    return [complex(rng.uniform(*EXPONENT_RE), rng.uniform(*EXPONENT_IM)) for _ in range(n)]
+
+
+def _scalar_params(N, M, q, rng, coupling_cap=None, min_b=None):
+    """sample_params written with the scalar draws: alpha, beta, gamma."""
+    for _ in range(_PARAM_TRIES):
+        try:
+            p = ParamSet(
+                alpha=_scalar_exponents(rng, N),
+                beta=_scalar_exponents(rng, M),
+                gamma=_scalar_exponents(rng, N),
+                q=q,
+            )
+        except ResonanceError:
+            continue
+        if coupling_cap is not None and _coupling_floor(p) > coupling_cap:
+            continue
+        if min_b is not None and min(abs(b) for b in p.b) < min_b:
+            continue
+        if strong_nonresonant(p):
+            return p
+    raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
+
+
+def _outcome(draw, seed):
+    """(exponent bits or the error text, the generator's next double)."""
+    rng = np.random.default_rng(seed)
+    try:
+        p = draw(rng)
+        got = np.array(p.alpha + p.beta + p.gamma).tobytes()
+    except SamplingError as exc:
+        got = str(exc)
+    return got, rng.random()
+
+
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 3), (3, 3), (4, 1)])
+@pytest.mark.parametrize("overlap", [{}, {"coupling_cap": 0.16, "min_b": 0.5}])
+def test_batched_draws_match_scalar_stream(N, M, overlap):
+    for seed in range(4):
+        ref = _outcome(lambda rng: _scalar_params(N, M, Q, rng, **overlap), seed)
+        assert _outcome(lambda rng: sample_params(N, M, Q, rng, **overlap), seed) == ref
+
+
+def test_draw_exponent_matches_scalar_stream():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    assert [draw_exponent(a) for _ in range(5)] == _scalar_exponents(b, 5)
+    assert a.random() == b.random()
+
+
+def test_sample_watson_draws_match_scalar_stream(monkeypatch):
+    def outcome(seed):
+        rng = np.random.default_rng(seed)
+        ups, los, t = sample_watson(N, Q, rng)
+        return np.array((*ups, *los, t)).tobytes(), rng.random()
+
+    for N in (1, 2, 3):
+        batched = [outcome(seed) for seed in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "_draw_exponents", _scalar_exponents)
+            assert [outcome(seed) for seed in range(3)] == batched
 
 
 def test_sample_interior_point_annulus():

@@ -3,7 +3,13 @@
 Runs fourteen run configurations, prints the sha256 prefix of
 emit_report(run_suite(RunConfig(**kw))) next to the frozen value for each,
 and exits 1 if any differs. The last line gives the total wall time, about
-40 s on a shared two-core machine:
+40 s on a shared two-core machine.
+
+The first line names the numpy version and whether numpy's runtime CPU
+dispatch has FMA3, AVX2 and AVX512F. The series engine sums shells from
+numpy array products of complex values, and the FMA code paths round some of
+those products differently in the last bit, so the frozen digests, made on a
+host where all three are on, can differ on a host where they are not:
 
     python tools/digest_matrix.py
 """
@@ -14,6 +20,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from qconnect.cli import RunConfig, emit_report, run_suite  # noqa: E402
 
@@ -37,7 +45,18 @@ MATRIX = [
 ]
 
 
+def host_line() -> str:
+    """numpy's version and its FMA3/AVX2/AVX512F runtime dispatch flags."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    flags = "  ".join(f"{f}={int(features.get(f, False))}" for f in ("FMA3", "AVX2", "AVX512F"))
+    return f"numpy {np.__version__}  {flags}"
+
+
 def main() -> int:
+    print(host_line(), flush=True)
     start = time.perf_counter()
     bad = 0
     for kw, frozen in MATRIX:
