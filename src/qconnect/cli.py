@@ -2,10 +2,11 @@
 evaluations.
 
 The library takes explicit values and raises on bad input; this module owns
-run configuration, sampling policy (via the sampling helpers), per-check
-error capture, and report emission. Reports are deterministic for a fixed
-config and seed: record timings are zeroed at emission unless measured
-output is requested explicitly.
+run configuration, the suite table, per-check error capture, and report
+emission. Draw policy has one owner, the sampling module, and a runner only
+names the sampler each check draws from. Reports are deterministic for a
+fixed config and seed: record timings are zeroed at emission unless
+measured output is requested explicitly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from functools import cache, partial
 
 import numpy as np
@@ -66,115 +68,9 @@ from .facemodel import (
     ybe_residual,
 )
 from . import sampling
-from .sampling import SamplingError
-
-# Suites in run order with their default tolerances. run_suite seeds each
-# suite's generator with its index here, so the order is part of every report.
-DEFAULT_TOL = {
-    "series": 1e-10,
-    "system": 1e-9,
-    "duality": 1e-10,
-    "jackson": 1e-9,
-    "watson": 1e-9,
-    "connection": 1e-7,
-    "theorem1": 1e-6,
-    "independence": 1e-6,
-    "ybe": 1e-9,
-    "facemodel": 1e-9,
-}
-SUITES = tuple(DEFAULT_TOL)
 
 _BUDGET = 12
 _SERIES_CAP = 200
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    q: complex = 0.3
-    N: int = 2
-    M: int = 2
-    suites: tuple[str, ...] = SUITES
-    samples: int = 8
-    seed: int = 0
-    tail_tol: float | None = None
-    cmp_tol: float | None = None
-    output: str | None = None
-
-    def validate(self) -> None:
-        if not self.suites:
-            raise ConfigError("suites must be nonempty")
-        unknown = [s for s in self.suites if s not in SUITES]
-        if unknown:
-            raise ConfigError(f"unknown suites: {unknown}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if self.N < 1 or self.M < 1:
-            raise ConfigError(f"need N, M >= 1, got ({self.N}, {self.M})")
-        if self.N * self.M > _BUDGET:
-            raise ConfigError(
-                f"N*M = {self.N * self.M} exceeds the compute budget {_BUDGET}"
-            )
-        if not 0.0 < abs(complex(self.q)) < 1.0:
-            raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(complex(self.q))}")
-        try:
-            self.context()
-        except ValueError as exc:
-            raise ConfigError(f"tolerances: {exc}") from exc
-
-    def tol(self, suite: str) -> float:
-        if self.cmp_tol is not None:
-            return self.cmp_tol
-        return DEFAULT_TOL[suite]
-
-    def context(self) -> QContext:
-        kw = {"q": complex(self.q), "series_cap": _SERIES_CAP}
-        if self.tail_tol is not None:
-            kw["tail_tol"] = self.tail_tol
-        return QContext(**kw)
-
-    def as_dict(self) -> dict:
-        return {
-            "q": _cplx_out(complex(self.q)),
-            "N": self.N,
-            "M": self.M,
-            "suites": list(self.suites),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerances": {
-                "tail_tol": self.tail_tol,
-                "cmp_tol": self.cmp_tol,
-            },
-            "output": self.output,
-        }
-
-
-def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"q", "N", "M", "suites", "samples", "seed", "tolerances", "output"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    kw: dict = {}
-    if "q" in raw:
-        kw["q"] = _cplx_in(raw["q"])
-    for key in ("N", "M", "samples", "seed"):
-        if key in raw:
-            kw[key] = _parsed(_int_in, raw[key], key)
-    if "suites" in raw:
-        names = [raw["suites"]] if isinstance(raw["suites"], str) else raw["suites"]
-        kw["suites"] = SUITES if names == ["all"] else _parsed(tuple, names, "suites")
-    tols = raw.get("tolerances") or {}
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be a JSON object")
-    for key in ("tail_tol", "cmp_tol"):
-        if tols.get(key) is not None:
-            kw[key] = _parsed(float, tols[key], key)
-    if raw.get("output") is not None:
-        kw["output"] = str(raw["output"])
-    cfg = RunConfig(**kw)
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +90,10 @@ class CheckRecord:
     margin: float | None = None
     timing: float = 0.0
     error: str | None = None
+
+
+# CheckRecord field -> its key in a JSON report, where a point is [real, imag] pairs
+_RECORD_KEYS = {f.name: f.name for f in fields(CheckRecord)} | {"passed": "pass"}
 
 
 @dataclass(frozen=True)
@@ -249,59 +149,37 @@ def _record_key(r: CheckRecord):
 
 
 def _summarize(records) -> dict:
-    out: dict = {}
-    for r in records:
-        ent = out.setdefault(
-            r.suite,
-            {"checks": 0, "errors": 0, "max_residual": None, "pass": True},
-        )
-        ent["checks"] += 1
-        if r.error is not None:
-            ent["errors"] += 1
-        if r.residual is not None:
-            prev = ent["max_residual"]
-            ent["max_residual"] = (
-                r.residual if prev is None else max(prev, r.residual)
-            )
-        ent["pass"] = ent["pass"] and r.passed
+    out = {}
+    for suite in dict.fromkeys(r.suite for r in records):
+        recs = [r for r in records if r.suite == suite]
+        residuals = [r.residual for r in recs if r.residual is not None]
+        out[suite] = {
+            "checks": len(recs),
+            "errors": sum(r.error is not None for r in recs),
+            "max_residual": max(residuals, default=None),
+            "pass": all(r.passed for r in recs),
+        }
     return out
 
 
 def report_to_dict(rep: Report, with_timing: bool = False) -> dict:
     recs = []
     for r in rep.records:
-        recs.append(
-            {
-                "suite": r.suite,
-                "check": r.check,
-                "digest": r.digest,
-                "point": [_cplx_out(z) for z in r.point],
-                "residual": r.residual,
-                "pass": r.passed,
-                "margin": r.margin,
-                "timing": r.timing if with_timing else 0.0,
-                "error": r.error,
-            }
-        )
+        rec = {key: getattr(r, name) for name, key in _RECORD_KEYS.items()}
+        rec["point"] = [_cplx_out(z) for z in r.point]
+        if not with_timing:
+            rec["timing"] = 0.0
+        recs.append(rec)
     return {"config": rep.config, "records": recs, "summary": rep.summary}
 
 
 def report_from_dict(raw: dict) -> Report:
-    records = tuple(
-        CheckRecord(
-            suite=r["suite"],
-            check=r["check"],
-            digest=r["digest"],
-            point=tuple(_cplx_in(z) for z in r["point"]),
-            residual=r["residual"],
-            passed=r["pass"],
-            margin=r["margin"],
-            timing=r["timing"],
-            error=r["error"],
-        )
-        for r in raw["records"]
-    )
-    return Report(config=raw["config"], records=records, summary=raw["summary"])
+    records = []
+    for r in raw["records"]:
+        kw = {name: r[key] for name, key in _RECORD_KEYS.items()}
+        kw["point"] = tuple(_cplx_in(z) for z in r["point"])
+        records.append(CheckRecord(**kw))
+    return Report(config=raw["config"], records=tuple(records), summary=raw["summary"])
 
 
 def emit_report(
@@ -326,11 +204,15 @@ def emit_report(
     return text
 
 
+def _sci(x: float | None) -> str:
+    return f"{x:.3e}" if x is not None else "-"
+
+
 def _format_table(rep: Report) -> str:
     header = f"{'suite':<13}{'check':<24}{'digest':<14}{'residual':>12}  {'margin':>8}  status"
     lines = [header, "-" * len(header)]
     for r in rep.records:
-        res = f"{r.residual:.3e}" if r.residual is not None else "-"
+        res = _sci(r.residual)
         mar = f"{r.margin:.3f}" if r.margin is not None else "-"
         status = "pass" if r.passed else "FAIL"
         if r.error is not None:
@@ -341,11 +223,7 @@ def _format_table(rep: Report) -> str:
     lines.append("-" * len(header))
     for suite in sorted(rep.summary):
         ent = rep.summary[suite]
-        res = (
-            f"{ent['max_residual']:.3e}"
-            if ent["max_residual"] is not None
-            else "-"
-        )
+        res = _sci(ent["max_residual"])
         lines.append(
             f"{suite:<13}{ent['checks']:>3} checks  max residual {res:>12}  "
             f"{'pass' if ent['pass'] else 'FAIL'}"
@@ -372,8 +250,7 @@ def _sha12(obj) -> str:
 
 
 def _digest(p: ParamSet) -> str:
-    fields = {k: [_cplx_out(v) for v in getattr(p, k)] for k in ("alpha", "beta", "gamma")}
-    return _sha12({**fields, "q": _cplx_out(complex(p.q))})
+    return _sha12({**_exponents_out(p), "q": _cplx_out(complex(p.q))})
 
 
 @dataclass(frozen=True)
@@ -402,7 +279,7 @@ def _attempt(s: _Sample, check, digest, point, fn):
     start = time.perf_counter()
     try:
         return True, fn()
-    except (QConnectError, SamplingError, ArithmeticError) as exc:
+    except (QConnectError, sampling.SamplingError, ArithmeticError) as exc:
         _record(
             s, check, digest, point, start, residual=None,
             passed=False, error=f"{type(exc).__name__}: {exc}",
@@ -429,37 +306,25 @@ def _draw(s: _Sample, check, sampler, digest="-"):
     return value
 
 
-def _generic_sample(s: _Sample):
-    p = sampling.sample_params(s.cfg.N, s.cfg.M, s.ctx.q, s.rng)
-    return p, sampling.sample_interior_point(s.cfg.M, s.rng)
+def _one_residual(check, residual, s: _Sample):
+    """Runner of a suite with one check, residual(p, t, ctx) at a generic (p, t)."""
+    p, t = _draw(s, check, lambda: sampling._generic_sample(s.cfg.N, s.cfg.M, s.ctx.q, s.rng))
+    _run_check(s, check, _digest(p), t, lambda: residual(p, t, s.ctx))
 
 
 def _two_route(p, t, ctx):
     return _rel_diff(eval_FNM(p, t, ctx).value, eval_FNM_reference(p, t, ctx))
 
 
-# suite -> (check, residual of a generic parameter set at an interior point)
-_ONE_RESIDUAL = {
-    "series": ("two-route value", _two_route),
-    "duality": ("role swap", lambda p, t, ctx: check_duality(p, t, ctx).residual),
-    "jackson": ("nested q-integral", lambda p, t, ctx: check_jackson(p, t, ctx).residual),
-}
-
-
-def _suite_one_residual(s: _Sample):
-    check, residual = _ONE_RESIDUAL[s.suite]
-    p, t = _draw(s, check, lambda: _generic_sample(s))
-    _run_check(s, check, _digest(p), t, lambda: residual(p, t, s.ctx))
-
-
 def _suite_system(s: _Sample):
-    p, t = _draw(s, "coupled slot 1", lambda: _generic_sample(s))
+    N, M = s.cfg.N, s.cfg.M
+    p, t = _draw(s, "coupled slot 1", lambda: sampling._generic_sample(N, M, s.ctx.q, s.rng))
     dg = _digest(p)
     f = lambda tt: eval_FNM(p, tt, s.ctx).value
-    for i in range(1, s.cfg.M + 1):
+    for i in range(1, M + 1):
         _run_check(s, f"coupled slot {i}", dg, t, lambda: residual_eqn1(f, p, i, t, s.ctx))
-    for r in range(1, s.cfg.M + 1):
-        for j in range(r + 1, s.cfg.M + 1):
+    for r in range(1, M + 1):
+        for j in range(r + 1, M + 1):
             _run_check(
                 s, f"pairwise ({r},{j})", dg, t, lambda: residual_eqn2(f, p, r, j, t, s.ctx)
             )
@@ -471,12 +336,6 @@ def _suite_watson(s: _Sample):
     _run_check(
         s, check, _sha12([_cplx_out(v) for v in (*upper, *lower)]),
         (t,), lambda: check_watson(upper, lower, t, s.ctx).residual,
-    )
-
-
-def _overlap_params(s: _Sample) -> ParamSet:
-    return sampling.sample_params(
-        s.cfg.N, s.cfg.M, s.ctx.q, s.rng, coupling_cap=0.16, min_b=0.5
     )
 
 
@@ -504,7 +363,7 @@ def _check_connection(s: _Sample, check, dg, t, vector, build, src, dst):
 def _suite_connection(s: _Sample):
     M, ctx, rng = s.cfg.M, s.ctx, s.rng
     sig = perm_identity(M)
-    p = _draw(s, "split step", lambda: _overlap_params(s))
+    p = _draw(s, "split step", lambda: sampling._overlap_params(s.cfg.N, M, ctx.q, rng))
     dg = _digest(p)
     L = int(rng.integers(0, M))
     t = _draw(s, f"split step L={L}", lambda: sampling.sample_level_overlap(p, L, sig, rng), dg)
@@ -527,7 +386,7 @@ def _suite_connection(s: _Sample):
 def _suite_theorem1(s: _Sample):
     M, ctx, rng = s.cfg.M, s.ctx, s.rng
     first = "composite path" if M >= 2 else "round trip"
-    p = _draw(s, first, lambda: _overlap_params(s))
+    p = _draw(s, first, lambda: sampling._overlap_params(s.cfg.N, M, ctx.q, rng))
     dg = _digest(p)
     if M < 2:
         # no swaps exist; exercise the composite machinery on the round trip
@@ -560,58 +419,13 @@ def _suite_theorem1(s: _Sample):
     _run_check(s, "word agreement", dg, t, word_agreement)
 
 
-def _node_proxy(exps, m, ctx: QContext) -> float:
-    """Separation of the per-component shift multipliers q^{m . delta} over
-    the char_exponents exps: the scaled determinant tracks this
-    Vandermonde-type product within a small factor, so it predicts
-    conditioning without evaluating any series."""
-    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
-    prod = 1.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            prod *= abs(nodes[i] - nodes[j])
-    for x in nodes:
-        prod /= max(1.0, abs(x)) ** (len(nodes) - 1)
-    return prod
-
-
-def _shift_candidates(M: int, n_rows: int, q: complex):
-    """Uniform positive steps on the small slots, one negative step on the
-    large slot. The large coordinate grows by |q|^{-b (n_rows - 1)} over the
-    ladder; b is capped so prefactor magnitudes stay far from overflow."""
-    bs = [b for b in (1, 2, 3) if abs(q) ** (-b * (n_rows - 1)) <= 1e5] or [1]
-    if M == 1:
-        return [(-b,) for b in bs]
-    return [(a,) * (M - 1) + (-b,) for a in (1, 2, 3) for b in bs]
-
-
-def _independence_params(s: _Sample, L, cands, proxy_floor):
-    """(params, shift, proxy) of the best-separated of up to 60 generic
-    draws, stopping at the first whose proxy reaches the floor."""
-    best = (None, None, -1.0)
-    for _ in range(60):
-        p = sampling.sample_params(s.cfg.N, s.cfg.M, s.ctx.q, s.rng)
-        exps = char_exponents(p, L)
-        prox, m = max(((_node_proxy(exps, mm, s.ctx), mm) for mm in cands), key=lambda pm: pm[0])
-        if prox > best[2]:
-            best = (p, m, prox)
-        if prox >= proxy_floor:
-            break
-    return best
-
-
 def _suite_independence(s: _Sample):
     N, M = s.cfg.N, s.cfg.M
     sig = perm_identity(M)
     L = M - 1
     comps = component_order(N, M)
-    n = len(comps)
-    # per-pair separation 0.34 is comfortably generic; the floor is its
-    # product over all node pairs
-    proxy_floor = 0.34 ** (n * (n - 1) / 2)
-    cands = _shift_candidates(M, n, s.ctx.q)
     check = "scaled determinant"
-    p, shift, prox = _draw(s, check, lambda: _independence_params(s, L, cands, proxy_floor))
+    p, shift, prox = _draw(s, check, lambda: sampling._casorati_params(N, M, L, s.ctx, s.rng))
     dg = _digest(p)
     t = _draw(s, check, lambda: sampling.sample_domain_point(p, L, sig, s.rng), dg)
     vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, s.ctx) for c in comps)
@@ -623,7 +437,7 @@ def _suite_independence(s: _Sample):
         # dependent last column: a combination of columns that stay in the
         # matrix (only the first survives when n = 2)
         A = cas.matrix.copy()
-        A[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if n >= 3 else 2.0 * A[:, 0]
+        A[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if len(comps) >= 3 else 2.0 * A[:, 0]
         return abs(_scaled_det(A))
 
     # the det scales with the node separation; for well-separated draws
@@ -668,18 +482,142 @@ def _suite_facemodel(s: _Sample):
     _run_check(s, "gauge transfer", dg, (x,), lambda: wprime_gauge_residual(al, be, x, ctx))
 
 
-_RUNNERS = {
-    "series": _suite_one_residual,
-    "system": _suite_system,
-    "duality": _suite_one_residual,
-    "jackson": _suite_one_residual,
-    "watson": _suite_watson,
-    "connection": _suite_connection,
-    "theorem1": _suite_theorem1,
-    "independence": _suite_independence,
-    "ybe": _suite_ybe,
-    "facemodel": _suite_facemodel,
+# Suites in run order, name -> (default tolerance, runner of one sample). run_suite
+# seeds each suite's generator with its index here, so the order is in every report.
+_SUITES = {
+    "series": (1e-10, partial(_one_residual, "two-route value", _two_route)),
+    "system": (1e-9, _suite_system),
+    "duality": (1e-10, partial(
+        _one_residual, "role swap", lambda p, t, ctx: check_duality(p, t, ctx).residual
+    )),
+    "jackson": (1e-9, partial(
+        _one_residual, "nested q-integral", lambda p, t, ctx: check_jackson(p, t, ctx).residual
+    )),
+    "watson": (1e-9, _suite_watson),
+    "connection": (1e-7, _suite_connection),
+    "theorem1": (1e-6, _suite_theorem1),
+    "independence": (1e-6, _suite_independence),
+    "ybe": (1e-9, _suite_ybe),
+    "facemodel": (1e-9, _suite_facemodel),
 }
+SUITES = tuple(_SUITES)
+
+
+# ---------------------------------------------------------------------------
+# run configuration
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    q: complex = 0.3
+    N: int = 2
+    M: int = 2
+    suites: tuple[str, ...] = SUITES
+    samples: int = 8
+    seed: int = 0
+    tail_tol: float | None = None
+    cmp_tol: float | None = None
+    output: str | None = None
+
+    def validate(self) -> None:
+        if not self.suites:
+            raise ConfigError("suites must be nonempty")
+        unknown = [s for s in self.suites if s not in SUITES]
+        if unknown:
+            raise ConfigError(f"unknown suites: {unknown}")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.N < 1 or self.M < 1:
+            raise ConfigError(f"need N, M >= 1, got ({self.N}, {self.M})")
+        if self.N * self.M > _BUDGET:
+            raise ConfigError(
+                f"N*M = {self.N * self.M} exceeds the compute budget {_BUDGET}"
+            )
+        if not 0.0 < abs(complex(self.q)) < 1.0:
+            raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(complex(self.q))}")
+        try:
+            self.context()
+        except ValueError as exc:
+            raise ConfigError(f"tolerances: {exc}") from exc
+
+    def tol(self, suite: str) -> float:
+        if self.cmp_tol is not None:
+            return self.cmp_tol
+        return _SUITES[suite][0]
+
+    def context(self) -> QContext:
+        kw = {"q": complex(self.q), "series_cap": _SERIES_CAP}
+        if self.tail_tol is not None:
+            kw["tail_tol"] = self.tail_tol
+        return QContext(**kw)
+
+    def as_dict(self) -> dict:
+        """The config as a JSON config with every key set."""
+        out = {key: render(getattr(self, key)) for key, (_, render) in _FIELDS.items()}
+        out[_TOLERANCES] = {key: out.pop(key) for key in _TOLS}
+        return out
+
+
+def _as_is(v):
+    return v
+
+
+def _suites_in(v) -> tuple[str, ...]:
+    """One suite name or a list of them; ["all"] is every suite."""
+    names = [v] if isinstance(v, str) else v
+    return SUITES if names == ["all"] else tuple(names)
+
+
+# RunConfig field -> (parser of its value in a JSON config, its value in a report)
+_FIELDS = {
+    "q": (_cplx_in, lambda q: _cplx_out(complex(q))),
+    "N": (_int_in, _as_is),
+    "M": (_int_in, _as_is),
+    "suites": (_suites_in, list),
+    "samples": (_int_in, _as_is),
+    "seed": (_int_in, _as_is),
+    "tail_tol": (float, _as_is),
+    "cmp_tol": (float, _as_is),
+    "output": (str, _as_is),
+}
+_TOLERANCES = "tolerances"  # the JSON object that holds the *_tol fields
+_TOLS = tuple(key for key in _FIELDS if key.endswith("_tol"))
+# the keys of a JSON config; the argparse dest of each run flag is its key
+_KEYS = tuple(key for key in _FIELDS if key not in _TOLS) + (_TOLERANCES,)
+
+
+def _tolerances_in(raw: dict, flags=()) -> dict:
+    """{field: value} of the tolerances of a JSON config, then of the --tol
+    flags. Either names a field cmp or tail, with or without its _tol."""
+    tols = raw.get(_TOLERANCES) or {}
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    # a --tol item is name=value, or a bare value for cmp
+    pairs = [item.split("=", 1) if "=" in item else ("cmp", item) for item in flags]
+    out = {}
+    for name, value in (*tols.items(), *pairs):
+        field = name.strip().removesuffix("_tol") + "_tol"
+        if field not in _TOLS:
+            raise ConfigError(f"unknown tolerance {name.strip()!r}")
+        out[field] = value
+    return out
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    extra = set(raw) - set(_KEYS)
+    if extra:
+        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    values = {**raw, **_tolerances_in(raw)}
+    kw = {}
+    for key, (parse, _) in _FIELDS.items():
+        # null leaves an optional field unset
+        if key in values and (values[key] is not None or getattr(RunConfig, key) is not None):
+            kw[key] = _parsed(parse, values[key], key)
+    cfg = RunConfig(**kw)
+    cfg.validate()
+    return cfg
 
 
 def run_suite(cfg: RunConfig) -> Report:
@@ -689,15 +627,13 @@ def run_suite(cfg: RunConfig) -> Report:
     cfg.validate()
     ctx = cfg.context()
     records: list[CheckRecord] = []
-    for index, suite in enumerate(SUITES):
+    for index, (suite, (_, runner)) in enumerate(_SUITES.items()):
         if suite not in cfg.suites:
             continue
         s = _Sample(cfg, ctx, suite, np.random.default_rng([cfg.seed, index]), records)
         for _ in range(cfg.samples):
-            try:
-                _RUNNERS[suite](s)
-            except _SampleAbort:
-                pass
+            with suppress(_SampleAbort):
+                runner(s)
     records.sort(key=_record_key)
     return Report(
         config=cfg.as_dict(),
@@ -709,9 +645,27 @@ def run_suite(cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 # one-off evaluation
 
+_EXPONENTS = ("alpha", "beta", "gamma")
+# series kind -> (evaluator, its integer keys); nphi takes values, not exponents
+_KINDS = {
+    "FNM": (eval_FNM, ()),
+    "FNM_L": (eval_FNM_L, ("L",)),
+    "FNM_Lkl": (eval_FNM_Lkl, ("L", "k", "l")),
+    "GNM_Lkl": (eval_GNM_Lkl, ("L", "k", "l")),
+}
+
 
 def _parse_cplx_list(v) -> tuple[complex, ...]:
     return tuple(_cplx_in(x) for x in v)
+
+
+def _exponents_out(p: ParamSet) -> dict:
+    return {key: [_cplx_out(v) for v in getattr(p, key)] for key in _EXPONENTS}
+
+
+def _explicit_params(exps: dict, q: complex) -> ParamSet:
+    """The ParamSet of the exponent lists exps["alpha"], ["beta"] and ["gamma"]."""
+    return ParamSet(**{key: tuple(exps[key]) for key in _EXPONENTS}, q=q)
 
 
 def eval_spec(spec: dict) -> dict:
@@ -733,21 +687,11 @@ def eval_spec(spec: dict) -> dict:
         upper = field("upper", _parse_cplx_list)
         lower = field("lower", _parse_cplx_list)
         sv = eval_nphi(upper, lower, field("t", _cplx_in), ctx)
-    elif kind in ("FNM", "FNM_L", "FNM_Lkl", "GNM_Lkl"):
-        p = ParamSet(
-            alpha=field("alpha", _parse_cplx_list),
-            beta=field("beta", _parse_cplx_list),
-            gamma=field("gamma", _parse_cplx_list),
-            q=q,
-        )
+    elif kind in _KINDS:
+        evaluate, indices = _KINDS[kind]
+        p = _explicit_params({key: field(key, _parse_cplx_list) for key in _EXPONENTS}, q)
         t = field("t", _parse_cplx_list)
-        if kind == "FNM":
-            sv = eval_FNM(p, t, ctx)
-        elif kind == "FNM_L":
-            sv = eval_FNM_L(p, field("L", _int_in), t, ctx)
-        else:
-            fn = eval_FNM_Lkl if kind == "FNM_Lkl" else eval_GNM_Lkl
-            sv = fn(p, field("L", _int_in), field("k", _int_in), field("l", _int_in), t, ctx)
+        sv = evaluate(p, *(field(key, _int_in) for key in indices), t, ctx)
     else:
         raise ConfigError(f"unknown series kind {kind!r}")
     return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
@@ -763,15 +707,19 @@ def exponents_spec(
     q: complex = 0.3,
     seed: int = 0,
 ) -> dict:
-    """Leading exponent vectors for the level-L family; exponents are drawn
-    from the generic sampler when not supplied."""
-    if alpha is None or beta is None or gamma is None:
-        rng = np.random.default_rng(seed)
-        p = sampling.sample_params(N, M, q, rng)
+    """Leading exponent vectors for the level-L family. The exponents are
+    given all three, with lengths N, M and N, or not at all, when they are
+    drawn from the generic sampler."""
+    exps = dict(zip(_EXPONENTS, (alpha, beta, gamma)))
+    given = [v is not None for v in exps.values()]
+    if not any(given):
+        p = sampling.sample_params(N, M, q, np.random.default_rng(seed))
+    elif not all(given):
+        raise ConfigError("give all of alpha, beta and gamma, or none")
     else:
-        p = ParamSet(
-            alpha=tuple(alpha), beta=tuple(beta), gamma=tuple(gamma), q=q
-        )
+        p = _explicit_params(exps, q)
+        if (p.N, p.M) != (N, M):
+            raise ConfigError(f"the exponents have (N, M) = ({p.N}, {p.M}), not ({N}, {M})")
     out = []
     for ce in char_exponents(p, L):
         comp = 0 if ce.component == 0 else list(ce.component)
@@ -782,9 +730,7 @@ def exponents_spec(
         "N": N,
         "M": M,
         "L": L,
-        "alpha": [_cplx_out(v) for v in p.alpha],
-        "beta": [_cplx_out(v) for v in p.beta],
-        "gamma": [_cplx_out(v) for v in p.gamma],
+        **_exponents_out(p),
         "q": _cplx_out(complex(q)),
         "exponents": out,
     }
@@ -805,19 +751,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute verification suites")
     run.add_argument("config", nargs="?", help="JSON config file")
     run.add_argument("--q", type=str, default=None)
-    run.add_argument("--N", type=int, default=None)
-    run.add_argument("--M", type=int, default=None)
+    for key in ("N", "M", "samples", "seed"):
+        run.add_argument(f"--{key}", type=int, default=None)
     run.add_argument(
-        "--suite", action="append", default=None,
+        "--suite", dest="suites", metavar="SUITE", action="extend",
+        type=lambda item: [s.strip() for s in item.split(",") if s.strip()],
         help="suite name, repeatable or comma-separated",
     )
-    run.add_argument("--samples", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument(
-        "--tol", action="append", default=None,
+        "--tol", dest=_TOLERANCES, metavar="TOL", action="append",
         help="cmp=VALUE or tail=VALUE (bare value means cmp)",
     )
-    run.add_argument("--out", type=str, default=None, help="JSON report path")
+    run.add_argument("--out", dest="output", metavar="OUT", help="JSON report path")
     run.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="stdout format",
@@ -833,40 +778,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ex = sub.add_parser("exponents", help="leading exponent vectors")
-    ex.add_argument("--N", type=int, required=True)
-    ex.add_argument("--M", type=int, required=True)
-    ex.add_argument("--L", type=int, required=True)
-    ex.add_argument("--alpha", type=str, default=None)
-    ex.add_argument("--beta", type=str, default=None)
-    ex.add_argument("--gamma", type=str, default=None)
+    for key in ("N", "M", "L"):
+        ex.add_argument(f"--{key}", type=int, required=True)
+    for key in _EXPONENTS:
+        ex.add_argument(f"--{key}", type=str, default=None)
     ex.add_argument("--q", type=str, default="0.3")
     ex.add_argument("--seed", type=int, default=0)
     return ap
 
 
 def _with_flags(raw, args):
-    """The config dict with the run flags laid over it, in the same shape."""
+    """The config dict with the run flags laid over it, in the same shape;
+    the --tol values are laid over the tolerances of the file."""
     if not isinstance(raw, dict):
         return raw  # config_from_dict rejects it
     out = dict(raw)
-    for key, value in (("q", args.q), ("N", args.N), ("M", args.M),
-                       ("samples", args.samples), ("seed", args.seed),
-                       ("output", args.out)):
+    for key in _KEYS:
+        value = getattr(args, key)
         if value is not None:
-            out[key] = value
-    if args.suite is not None:
-        out["suites"] = [s.strip() for item in args.suite for s in item.split(",") if s.strip()]
-    if args.tol is not None:
-        tols = dict(raw.get("tolerances") or {})
-        for item in args.tol:
-            key, sep, val = item.partition("=")
-            if not sep:
-                key, val = "cmp", item
-            key = key.strip()
-            if key not in ("cmp", "cmp_tol", "tail", "tail_tol"):
-                raise ConfigError(f"unknown tolerance {key!r}")
-            tols[key.removesuffix("_tol") + "_tol"] = val
-        out["tolerances"] = tols
+            out[key] = _tolerances_in(raw, value) if key == _TOLERANCES else value
     return out
 
 
@@ -877,13 +807,12 @@ def _one_off(args) -> dict:
             raw = args.spec.strip()
             spec = _parsed(json.loads, raw, "spec") if raw.startswith("{") else _read_json(raw)
             return eval_spec(spec)
+        exps = {key: getattr(args, key) for key in _EXPONENTS}
         return exponents_spec(
             N=args.N,
             M=args.M,
             L=args.L,
-            alpha=_parse_cplx_list(args.alpha.split(",")) if args.alpha else None,
-            beta=_parse_cplx_list(args.beta.split(",")) if args.beta else None,
-            gamma=_parse_cplx_list(args.gamma.split(",")) if args.gamma else None,
+            **{key: _parse_cplx_list(v.split(",")) if v else None for key, v in exps.items()},
             q=_cplx_in(args.q),
             seed=args.seed,
         )

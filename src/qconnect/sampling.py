@@ -1,12 +1,13 @@
 """Rejection samplers for generic parameters and evaluation points.
 
-Sampling policy lives here, not in the numerical library: evaluators take
-explicit values and raise on bad input, and these helpers produce inputs
-that pass those checks with margin. Exponents are drawn from a fixed box
-far from degenerations, parameter sets are screened against q-power
-lattice hits for every ratio the solution theory divides by, and points
-are built as geometric ladders that keep every series in its region even
-after the operator shifts a residual check applies.
+All draw policy lives here, in neither the numerical library nor the run
+driver: evaluators take explicit values and raise on bad input, these
+helpers produce inputs that pass those checks with margin, and the driver
+only says which sampler each check draws from. Exponents are drawn from a
+fixed box far from degenerations, parameter sets are screened against
+q-power lattice hits for every ratio the solution theory divides by, and
+points are built as geometric ladders that keep every series in its region
+even after the operator shifts a residual check applies.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .qkernel import (
     permute_seq,
     theta,
 )
-from .hyperseries import _resonance_ratios, in_domain
+from .hyperseries import _resonance_ratios, char_exponents, component_order, in_domain
 from .oracle import _shift_points, _upper_ratio_hit
 
 __all__ = [
@@ -135,6 +136,63 @@ def sample_params(
         if strong_nonresonant(p):
             return p
     raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
+
+
+def _generic_sample(N: int, M: int, q: complex, rng: np.random.Generator):
+    """(params, point) of the suites that check one identity at an interior point."""
+    return sample_params(N, M, q, rng), sample_interior_point(M, rng)
+
+
+def _overlap_params(N: int, M: int, q: complex, rng: np.random.Generator) -> ParamSet:
+    """sample_params for the suites that evaluate two solution families at
+    one point."""
+    return sample_params(N, M, q, rng, coupling_cap=0.16, min_b=0.5)
+
+
+def _node_proxy(exps, m, ctx: QContext) -> float:
+    """Separation of the per-component shift multipliers q^{m . delta} over
+    the char_exponents exps: the scaled determinant tracks this
+    Vandermonde-type product within a small factor, so it predicts
+    conditioning without evaluating any series."""
+    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
+    prod = 1.0
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            prod *= abs(nodes[i] - nodes[j])
+    for x in nodes:
+        prod /= max(1.0, abs(x)) ** (len(nodes) - 1)
+    return prod
+
+
+def _shift_candidates(M: int, n_rows: int, q: complex):
+    """Uniform positive steps on the small slots, one negative step on the
+    large slot. The large coordinate grows by |q|^{-b (n_rows - 1)} over the
+    ladder; b is capped so prefactor magnitudes stay far from overflow."""
+    bs = [b for b in (1, 2, 3) if abs(q) ** (-b * (n_rows - 1)) <= 1e5] or [1]
+    if M == 1:
+        return [(-b,) for b in bs]
+    return [(a,) * (M - 1) + (-b,) for a in (1, 2, 3) for b in bs]
+
+
+def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Generator):
+    """(params, shift, proxy) of the best-separated of up to 60 generic
+    draws for the level-L Casorati matrix, stopping at the first whose
+    proxy reaches the floor."""
+    n = len(component_order(N, M))
+    # per-pair separation 0.34 is comfortably generic; the floor is its
+    # product over all node pairs
+    proxy_floor = 0.34 ** (n * (n - 1) / 2)
+    cands = _shift_candidates(M, n, ctx.q)
+    best = (None, None, -1.0)
+    for _ in range(60):
+        p = sample_params(N, M, ctx.q, rng)
+        exps = char_exponents(p, L)
+        prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
+        if prox > best[2]:
+            best = (p, m, prox)
+        if prox >= proxy_floor:
+            break
+    return best
 
 
 def _polar(rng: np.random.Generator, modulus: float) -> complex:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,26 @@ def test_config_from_dict():
     assert cfg2.suites == ("duality", "ybe")
     with pytest.raises(ConfigError):
         config_from_dict({"sample": 3})
+
+
+def test_config_dict_round_trip():
+    cfg = RunConfig(
+        q=0.4 + 0.1j, N=1, M=3, suites=("ybe", "duality"), samples=3, seed=9,
+        tail_tol=1e-12, cmp_tol=1e-8, output="rep.json",
+    )
+    assert config_from_dict(cfg.as_dict()) == cfg
+
+
+def test_config_tolerance_names_follow_tol(tmp_path, capsys):
+    # a JSON config names a tolerance as --tol does: cmp, cmp_tol, tail, tail_tol
+    path = tmp_path / "cfg.json"
+    for name in ("cmp", "cmp_tol"):
+        path.write_text(json.dumps(
+            {"tolerances": {name: 1e-30}, "suites": ["duality"], "samples": 1}
+        ))
+        assert main(["run", str(path)]) == 1
+    assert config_from_dict({"tolerances": {"tail": 1e-12}}).tail_tol == 1e-12
+    assert config_from_dict({"tolerances": {"tail_tol": 1e-12}}).tail_tol == 1e-12
 
 
 def test_run_suite_deterministic():
@@ -232,6 +256,19 @@ def test_main_run_config_file(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 2
 
 
+def test_module_run_smoke():
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["run", "--suite", "duality", "--samples", "1", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconnect.cli", *argv], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = report_from_dict(json.loads(proc.stdout))
+    assert rep.config["suites"] == ["duality"] and rep.config["samples"] == 1
+    assert [r.suite for r in rep.records] == ["duality"] and rep.passed
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--suite", "duality", "--samples", "2", "--seed", "7",
                  "--tol", "cmp=1e-30"]) == 1
@@ -309,10 +346,17 @@ def test_exponents_spec_explicit_and_sampled(capsys):
         (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "2"], None),
         (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": 1.5})], None),
         (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": True})], None),
+        (["run", "--tol", "cmp=1e-9"], '{"tolerances": [1]}'),
+        (["run"], '{"tolerances": {"bogus": 1}}'),
+        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j"], None),
+        (["exponents", "--N", "3", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j",
+          "--beta", "0.52-0.08j,0.33+0.19j", "--gamma", "0.81+0.05j"], None),
     ],
     ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
          "eval-missing-key", "exponents-q", "eval-domain", "eval-lengths",
-         "exponents-level", "exponents-base", "eval-level-fraction", "eval-level-bool"],
+         "exponents-level", "exponents-base", "eval-level-fraction", "eval-level-bool",
+         "tol-over-non-object", "config-tolerance-name", "exponents-partial",
+         "exponents-shape"],
 )
 def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:
