@@ -589,7 +589,9 @@ _KEYS = tuple(key for key in _FIELDS if key not in _TOLS) + (_TOLERANCES,)
 def _tolerances_in(raw: dict, flags=()) -> dict:
     """{field: value} of the tolerances of a JSON config, then of the --tol
     flags. Either names a field cmp or tail, with or without its _tol."""
-    tols = raw.get(_TOLERANCES) or {}
+    tols = raw.get(_TOLERANCES)
+    if tols is None:  # null, like a missing key, names no tolerances
+        tols = {}
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be a JSON object")
     # a --tol item is name=value, or a bare value for cmp

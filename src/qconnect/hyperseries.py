@@ -15,10 +15,11 @@ Every series first screens all of its denominators, axis weights and
 coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
 raises ResonanceError however early the sum would settle. The tables are
 then built to a first stage of 48 shells, where most series settle; a series
-that has not settled continues with shell 49 from tables rebuilt at
-series_cap, so each shell is summed once. A one-sided series gets the shells
-of a stage from one elementwise product; on two sides each shell is one
-reduction over contiguous slices of the tables.
+that has not settled continues with shell 49, from axis tables rebuilt at
+series_cap and the stage's coupling table extended to it, so each shell is
+summed once and each coupling entry computed once. A one-sided series gets
+the shells of a stage from one elementwise product; on two sides each shell
+is one reduction over contiguous slices of the tables.
 
 Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
@@ -107,7 +108,8 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
 
 # Shells in the first table build. Most series settle well within it (about
 # 20 shells at the median in the run suites); a series that asks for shell
-# _STAGE + 1 gets its tables rebuilt at series_cap and continues from there.
+# _STAGE + 1 gets its axis tables rebuilt and its coupling table extended at
+# series_cap, and continues from there.
 _STAGE = 48
 
 
@@ -183,22 +185,32 @@ def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
     return w
 
 
-def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray:
+def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -> np.ndarray:
     """Coupling table g[n] for n in [-down, up] (stored with offset `down`),
     g(0) = 1 and g(n) = prod_j (nums_j)_n / (dens_j)_n; nums and dens have
-    equal length. The table is read-only."""
+    equal length. The table is read-only.
+
+    stage, when given, is (table, up', down') for a table of the same
+    coupling with up' <= up and down' <= down; its entries are copied and
+    only the rest are computed, with the bits a fresh build gives them."""
     q = ctx.q
     g = np.empty(up + down + 1, dtype=complex)
-    g[down] = 1.0
+    if stage is None:
+        g[down] = 1.0
+        up0 = down0 = 0
+    else:
+        table, up0, down0 = stage
+        g[down - down0 : down + up0 + 1] = table
     qk = 1.0 + 0j
     for n in range(up):
-        num = 1.0 + 0j
-        den = 1.0 + 0j
-        for u in nums:
-            num *= 1.0 - u * qk
-        for v in dens:
-            den *= 1.0 - v * qk
-        g[down + n + 1] = g[down + n] * num / den
+        if n >= up0:
+            num = 1.0 + 0j
+            den = 1.0 + 0j
+            for u in nums:
+                num *= 1.0 - u * qk
+            for v in dens:
+                den *= 1.0 - v * qk
+            g[down + n + 1] = g[down + n] * num / den
         qk *= q
     qk = 1.0 / q
     # factors are paired before dividing: each quotient tends to a finite
@@ -206,10 +218,11 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext) -> np.ndarray
     # before the table index range is exhausted
     pairs = tuple(zip(nums, dens, strict=True))
     for n in range(down):
-        ratio = 1.0 + 0j
-        for u, v in pairs:
-            ratio *= (1.0 - v * qk) / (1.0 - u * qk)
-        g[down - n - 1] = g[down - n] * ratio
+        if n >= down0:
+            ratio = 1.0 + 0j
+            for u, v in pairs:
+                ratio *= (1.0 - v * qk) / (1.0 - u * qk)
+            g[down - n - 1] = g[down - n] * ratio
         qk /= q
     g.flags.writeable = False
     return g
@@ -250,6 +263,7 @@ def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
         return c
 
     start = 0
+    stage = None
     for stop in (_STAGE, cap) if cap > _STAGE else (cap,):
         cp = combined(plus, stop)
         cm = combined(minus, stop)
@@ -257,8 +271,9 @@ def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
         down = len(cm) - 1
         g = ctx._memoised(
             ("coupling", *gkey, up, down),
-            lambda: _coupling_table(g_nums, g_dens, up, down, ctx),
+            lambda: _coupling_table(g_nums, g_dens, up, down, ctx, stage),
         )
+        stage = g, up, down
         if not down:
             yield from (cp * cm[0] * g)[start:].tolist()
         elif not up:
@@ -276,7 +291,7 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
     denominator is screened up to ctx.series_cap first, plus axes, then
     minus axes, then the coupling. The tables are built to _STAGE shells; a
     sum that has not settled by then continues with shell _STAGE + 1 from
-    tables rebuilt at series_cap, so each shell is summed once."""
+    tables grown to series_cap, so each shell is summed once."""
     cap = ctx.series_cap
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]

@@ -144,12 +144,18 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
 
 
 def _enum_series(a, b, c, t, ctx: QContext) -> complex:
-    """sum_m prod_j (a_j)_{|m|}/(c_j)_{|m|} prod_i (b_i)_{m_i}/(q)_{m_i} t^m
-    by explicit walk over every multi-index, shell by shell.
+    """sum_m prod_j (a_j)_{|m|}/(c_j)_{|m|} prod_i (b_i)_{m_i}/(q)_{m_i} t^m,
+    summed shell by shell from per-axis partial sums.
 
-    The walk costs nothing per shell beyond the term count, so the cap is
-    generous for one or two axes (arguments near the unit circle need
-    hundreds of shells to clear the tail tolerance)."""
+    h_i[s] = sum_{m <= s} w_i[m] h_{i+1}[s - m], with h_{M-1} = w_{M-1}, is
+    the sum over the multi-indices of axes i..M-1 with degree s, and shell s
+    is g[s] h_0[s]. Each shell appends one entry to every h_i, so shell s
+    costs (M - 1)(s + 1) products: the cap is generous for one or two axes
+    (arguments near the unit circle need hundreds of shells to clear the
+    tail tolerance). The tables are built in numpy scalars, whose division
+    rounds unlike Python's, then read as Python complexes, whose products
+    and sums round as numpy's do, so with one or two axes every shell has
+    the bits of a walk over its multi-indices."""
     q = ctx.q
     M = len(t)
     cap = 400 if M <= 2 else max(ctx.series_cap, 160)
@@ -162,7 +168,7 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
             den = 1.0 - q * qm
             w[m + 1] = w[m] * ti * (1.0 - bi * qm) / den
             qm *= q
-        ws.append(w)
+        ws.append(w.tolist())
     g = np.empty(cap + 1, dtype=complex)
     g[0] = 1.0
     qn = 1.0 + 0j
@@ -178,25 +184,18 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
         g[n + 1] = g[n] * num / den
         qn *= q
 
-    def shell(s: int) -> complex:
-        acc = 0j
-
-        def rec(axis: int, remaining: int, partial: complex) -> None:
-            nonlocal acc
-            if axis == M - 1:
-                acc += partial * ws[axis][remaining]
-                return
-            for m in range(remaining + 1):
-                rec(axis + 1, remaining - m, partial * ws[axis][m])
-
-        rec(0, s, 1.0 + 0j)
-        return acc
-
+    h = [[] for _ in range(M - 1)] + [ws[-1]]
     total = 0j
     mag = 1e-300
     small = 0
     for s in range(cap + 1):
-        sh = g[s] * shell(s)
+        for axis in range(M - 2, -1, -1):
+            w, inner = ws[axis], h[axis + 1]
+            acc = 0j
+            for m in range(s + 1):
+                acc += w[m] * inner[s - m]
+            h[axis].append(acc)
+        sh = g[s] * h[0][s]
         total += sh
         mag = max(mag, abs(total))
         if abs(sh) / mag < ctx.tail_tol:

@@ -100,6 +100,8 @@ def test_config_tolerance_names_follow_tol(tmp_path, capsys):
         assert main(["run", str(path)]) == 1
     assert config_from_dict({"tolerances": {"tail": 1e-12}}).tail_tol == 1e-12
     assert config_from_dict({"tolerances": {"tail_tol": 1e-12}}).tail_tol == 1e-12
+    # null, like a missing key, leaves both tolerances at their defaults
+    assert config_from_dict({"tolerances": None}) == config_from_dict({}) == RunConfig()
 
 
 def test_run_suite_deterministic():
@@ -132,7 +134,7 @@ def test_failed_draw_becomes_failing_record(kw):
         (dict(N=1, M=1), "2a9273a4bc76e017"),
         ({}, "c57fd518e311216e"),
         # the two benchmark workloads at seed 0
-        (dict(N=2, M=3), "4743f7c814ccd5f2"),
+        (dict(N=2, M=3), "beab66215e639426"),
         (dict(N=3, M=3, suites=("connection", "theorem1", "independence")),
          "a4af8952e063505e"),
     ],
@@ -189,10 +191,15 @@ def test_failed_build_raises_again_for_each_record(monkeypatch, suite, name):
     assert {r.error for r in rep.records} == {"ConvergenceError: stub did not settle"}
 
 
-@pytest.mark.parametrize("N, M", [(6, 2), (12, 1)])
-def test_jackson_finishes_at_wide_shapes(N, M):
-    rep = run_suite(RunConfig(N=N, M=M, suites=("jackson",), samples=1))
-    assert rep.records and rep.passed
+@pytest.mark.parametrize("N, M", [(6, 2), (12, 1), (1, 12)])
+def test_reference_routes_finish_at_wide_shapes(N, M):
+    # the enumerated reference of series and duality, and the nested
+    # q-integral of jackson, each return and certify at the widest shapes
+    suites = ("series", "duality", "jackson")
+    rep = run_suite(RunConfig(N=N, M=M, suites=suites, samples=1))
+    assert {r.suite for r in rep.records} == set(suites)
+    failing = [(r.suite, r.residual, r.error) for r in rep.records if not r.passed]
+    assert not failing
 
 
 def test_report_round_trip_and_timing():
@@ -348,6 +355,9 @@ def test_exponents_spec_explicit_and_sampled(capsys):
         (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": True})], None),
         (["run", "--tol", "cmp=1e-9"], '{"tolerances": [1]}'),
         (["run"], '{"tolerances": {"bogus": 1}}'),
+        (["run"], '{"tolerances": []}'),
+        (["run"], '{"tolerances": 0}'),
+        (["run"], '{"tolerances": false}'),
         (["exponents", "--N", "1", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j"], None),
         (["exponents", "--N", "3", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j",
           "--beta", "0.52-0.08j,0.33+0.19j", "--gamma", "0.81+0.05j"], None),
@@ -355,8 +365,8 @@ def test_exponents_spec_explicit_and_sampled(capsys):
     ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
          "eval-missing-key", "exponents-q", "eval-domain", "eval-lengths",
          "exponents-level", "exponents-base", "eval-level-fraction", "eval-level-bool",
-         "tol-over-non-object", "config-tolerance-name", "exponents-partial",
-         "exponents-shape"],
+         "tol-over-non-object", "config-tolerance-name", "tolerances-empty-list",
+         "tolerances-zero", "tolerances-false", "exponents-partial", "exponents-shape"],
 )
 def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qconnect import (
+    ConvergenceError,
     DomainError,
     ParamSet,
     QContext,
@@ -22,7 +23,7 @@ from qconnect import (
     residual_eqn1,
     residual_eqn2,
 )
-from qconnect.oracle import _factored_coeffs
+from qconnect.oracle import _DEN_TOL, _enum_series, _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
 
 TP = (0.3 + 0.02j, 0.25 - 0.03j)
@@ -83,6 +84,104 @@ def test_reference_evaluator_agrees_with_fast_path(p12, ctx_long):
     fast = eval_FNM(p12, TP, ctx_long).value
     assert abs(ref - fast) < 1e-13 * abs(fast)
     assert abs(ref - (1.277904030325 + 0.087706644683j)) < 1e-9
+
+
+def _walk_series(a, b, c, t, ctx):
+    """The reference enumeration as a walk over every multi-index of each
+    shell, in lexicographic order; shell s costs O(s^(M-1)) products."""
+    q = ctx.q
+    M = len(t)
+    cap = 400 if M <= 2 else max(ctx.series_cap, 160)
+    ws = []
+    for bi, ti in zip(b, t):
+        w = np.empty(cap + 1, dtype=complex)
+        w[0] = 1.0
+        qm = 1.0 + 0j
+        for m in range(cap):
+            den = 1.0 - q * qm
+            w[m + 1] = w[m] * ti * (1.0 - bi * qm) / den
+            qm *= q
+        ws.append(w)
+    g = np.empty(cap + 1, dtype=complex)
+    g[0] = 1.0
+    qn = 1.0 + 0j
+    for n in range(cap):
+        num = 1.0 + 0j
+        den = 1.0 + 0j
+        for aj in a:
+            num *= 1.0 - aj * qn
+        for cj in c:
+            den *= 1.0 - cj * qn
+        if abs(den) <= _DEN_TOL:
+            raise ResonanceError(f"coupling denominator vanished at index {n}")
+        g[n + 1] = g[n] * num / den
+        qn *= q
+
+    def shell(s):
+        acc = 0j
+
+        def rec(axis, remaining, partial):
+            nonlocal acc
+            if axis == M - 1:
+                acc += partial * ws[axis][remaining]
+                return
+            for m in range(remaining + 1):
+                rec(axis + 1, remaining - m, partial * ws[axis][m])
+
+        rec(0, s, 1.0 + 0j)
+        return acc
+
+    total = 0j
+    mag = 1e-300
+    small = 0
+    for s in range(cap + 1):
+        sh = g[s] * shell(s)
+        total += sh
+        mag = max(mag, abs(total))
+        if abs(sh) / mag < ctx.tail_tol:
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"reference enumeration did not settle in {cap} shells")
+
+
+def _interior_args(rng, N, M):
+    """(a, b, c, t) of a generic parameter set, t inside the unit disc."""
+    def draw(lo, hi, n):
+        return tuple(complex(rng.uniform(lo, hi), rng.uniform(-0.15, 0.15)) for _ in range(n))
+
+    p = ParamSet(draw(0.1, 0.6, N), draw(0.2, 0.6, M), draw(0.7, 1.3, N), Q)
+    t = tuple(complex(rng.uniform(0.15, 0.6), rng.uniform(-0.1, 0.1)) for _ in range(M))
+    return p.a, p.b, p.c, t
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_partial_sums_match_the_multi_index_walk(M, ctx_long):
+    # one or two axes sum every shell in the walk's order; from three axes
+    # the partial sums regroup the shell, so only rounding may differ
+    rng = np.random.default_rng([41, M])
+    for N in (1, 2):
+        for _ in range(3):
+            args = _interior_args(rng, N, M)
+            got = _enum_series(*args, ctx_long)
+            want = _walk_series(*args, ctx_long)
+            if M <= 2:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_partial_sums_raise_the_walks_resonance(ctx_long):
+    # c_2 = q^-3 makes the coupling denominator vanish at index 3
+    a, b, _, t = _interior_args(np.random.default_rng(42), 2, 3)
+    c = (0.8 + 0.1j, Q**-3)
+    with pytest.raises(ResonanceError) as walk:
+        _walk_series(a, b, c, t, ctx_long)
+    with pytest.raises(ResonanceError) as sums:
+        _enum_series(a, b, c, t, ctx_long)
+    assert str(sums.value) == str(walk.value) == "coupling denominator vanished at index 3"
 
 
 def test_duality_single_slot(p11, ctx_long):
