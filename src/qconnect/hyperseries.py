@@ -14,12 +14,14 @@ negligible relative to the running magnitude.
 Every series first screens all of its denominators, axis weights and
 coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
 raises ResonanceError however early the sum would settle. The tables are
-then built to a first stage of 48 shells, where most series settle; a series
-that has not settled continues with shell 49, from axis tables rebuilt at
-series_cap and the stage's coupling table extended to it, so each shell is
-summed once and each coupling entry computed once. A one-sided series gets
-the shells of a stage from one elementwise product; on two sides each shell
-is one reduction over contiguous slices of the tables.
+then built only as far as the sum reads, on a ladder of stops 48, 96,
+192, ... capped at series_cap: most series settle within the first, and a
+series that has not settled by a stop continues with the next shell, from
+axis tables rebuilt at the next stop and the last coupling table extended
+to it, so each shell is summed once and each coupling entry computed once.
+A one-sided series gets the shells of a rung from one elementwise product;
+on two sides each shell is one reduction over contiguous slices of the
+tables.
 
 Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
@@ -108,9 +110,20 @@ def _check_base(p: ParamSet, ctx: QContext) -> None:
 
 # Shells in the first table build. Most series settle well within it (about
 # 20 shells at the median in the run suites); a series that asks for shell
-# _STAGE + 1 gets its axis tables rebuilt and its coupling table extended at
-# series_cap, and continues from there.
+# _STAGE + 1 gets its tables grown to twice the stop, and so on, up to
+# series_cap (see _stages).
 _STAGE = 48
+
+
+def _stages(cap: int) -> list[int]:
+    """Stops of the table ladder: _STAGE, 2 _STAGE, 4 _STAGE, ... below cap,
+    then cap itself (48, 96, 192, 200 at cap 200; 48, 80 at cap 80)."""
+    stops = []
+    stop = _STAGE
+    while stop < cap:
+        stops.append(stop)
+        stop *= 2
+    return stops + [cap]
 
 
 def _axis_products(nums, dens, ctx: QContext):
@@ -192,7 +205,9 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -
 
     stage, when given, is (table, up', down') for a table of the same
     coupling with up' <= up and down' <= down; its entries are copied and
-    only the rest are computed, with the bits a fresh build gives them."""
+    only the rest are computed, with the bits a fresh build gives them. Each
+    side runs from its last known entry, a numpy scalar as in a fresh build,
+    and its new entries are written in one slice."""
     q = ctx.q
     g = np.empty(up + down + 1, dtype=complex)
     if stage is None:
@@ -201,6 +216,8 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -
     else:
         table, up0, down0 = stage
         g[down - down0 : down + up0 + 1] = table
+    prev = g[down + up0]
+    new = []
     qk = 1.0 + 0j
     for n in range(up):
         if n >= up0:
@@ -210,20 +227,26 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -
                 num *= 1.0 - u * qk
             for v in dens:
                 den *= 1.0 - v * qk
-            g[down + n + 1] = g[down + n] * num / den
+            prev = prev * num / den
+            new.append(prev)
         qk *= q
+    g[down + up0 + 1 :] = new
     qk = 1.0 / q
     # factors are paired before dividing: each quotient tends to a finite
     # constant as q^{-n} grows, while the separate products overflow long
     # before the table index range is exhausted
     pairs = tuple(zip(nums, dens, strict=True))
+    prev = g[down - down0]
+    new = []
     for n in range(down):
         if n >= down0:
             ratio = 1.0 + 0j
             for u, v in pairs:
                 ratio *= (1.0 - v * qk) / (1.0 - u * qk)
-            g[down - n - 1] = g[down - n] * ratio
+            prev = prev * ratio
+            new.append(prev)
         qk /= q
+    g[: down - down0] = new[::-1]
     g.flags.writeable = False
     return g
 
@@ -250,21 +273,25 @@ def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
     ratios; every series has at least one axis. The coupling tables come
     from ctx's memo under gkey, the exact bits of (g_nums, g_dens).
 
-    A one-sided series has one term per shell, so all the shells of a stage
-    are one elementwise product. On two sides shell s pairs plus degree j
-    with minus degree s - j, j = 0..s: contiguous slices of the plus table,
-    the reversed minus table and every second coupling entry."""
-    cap = ctx.series_cap
+    The tables are built to the stops of _stages(ctx.series_cap) in turn,
+    each rung's coupling table extended from the last one's, and a rung is
+    built only when the sum asks for a shell past the one before. A
+    one-sided series has one term per shell, so all the shells of a rung are
+    one elementwise product. On two sides shell s pairs plus degree j with
+    minus degree s - j, j = 0..s: contiguous slices of the plus table, the
+    reversed minus table and every second coupling entry."""
 
     def combined(axes, stop) -> np.ndarray:
-        c = np.ones(1, dtype=complex)
-        for ratios in axes:
+        if not axes:
+            return np.ones(1, dtype=complex)
+        c = _axis_table(axes[0], stop)
+        for ratios in axes[1:]:
             c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
         return c
 
     start = 0
     stage = None
-    for stop in (_STAGE, cap) if cap > _STAGE else (cap,):
+    for stop in _stages(ctx.series_cap):
         cp = combined(plus, stop)
         cm = combined(minus, stop)
         up = len(cp) - 1
@@ -290,8 +317,9 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
     """Sum over shells of the series with these axes and coupling. Every
     denominator is screened up to ctx.series_cap first, plus axes, then
     minus axes, then the coupling. The tables are built to _STAGE shells; a
-    sum that has not settled by then continues with shell _STAGE + 1 from
-    tables grown to series_cap, so each shell is summed once."""
+    sum that has not settled by a stop continues with the next shell from
+    tables grown to the next stop of _stages(series_cap), so each shell is
+    summed once."""
     cap = ctx.series_cap
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]

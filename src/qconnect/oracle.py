@@ -37,6 +37,7 @@ __all__ = [
 
 _DEN_TOL = 1e-12
 _JACKSON_CAP = 400  # terms per q-integral level table
+_ENUM_CAP = 400  # shells of the reference enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -150,52 +151,58 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
     h_i[s] = sum_{m <= s} w_i[m] h_{i+1}[s - m], with h_{M-1} = w_{M-1}, is
     the sum over the multi-indices of axes i..M-1 with degree s, and shell s
     is g[s] h_0[s]. Each shell appends one entry to every h_i, so shell s
-    costs (M - 1)(s + 1) products: the cap is generous for one or two axes
-    (arguments near the unit circle need hundreds of shells to clear the
-    tail tolerance). The tables are built in numpy scalars, whose division
-    rounds unlike Python's, then read as Python complexes, whose products
-    and sums round as numpy's do, so with one or two axes every shell has
-    the bits of a walk over its multi-indices."""
+    costs (M - 1)(s + 1) products.
+
+    Every coupling denominator up to the cap is screened first, so a
+    parameter on the q-power lattice raises ResonanceError however early the
+    sum would settle. The weights w_i and the coupling g then grow by one
+    entry per shell, so a sum that settles early pays for none of the cap:
+    the cap is generous for every number of axes (arguments near the unit
+    circle need hundreds of shells to clear the tail tolerance). Each entry
+    is grown in numpy scalars, whose division rounds unlike Python's; the
+    weights are read as Python complexes, whose products and sums round as
+    numpy's do, so with one or two axes every shell has the bits of a walk
+    over its multi-indices."""
     q = ctx.q
     M = len(t)
-    cap = 400 if M <= 2 else max(ctx.series_cap, 160)
-    ws = []
-    for bi, ti in zip(b, t):
-        w = np.empty(cap + 1, dtype=complex)
-        w[0] = 1.0
-        qm = 1.0 + 0j
-        for m in range(cap):
-            den = 1.0 - q * qm
-            w[m + 1] = w[m] * ti * (1.0 - bi * qm) / den
-            qm *= q
-        ws.append(w.tolist())
-    g = np.empty(cap + 1, dtype=complex)
-    g[0] = 1.0
+    dens = []
     qn = 1.0 + 0j
-    for n in range(cap):
-        num = 1.0 + 0j
+    for n in range(_ENUM_CAP):
         den = 1.0 + 0j
-        for aj in a:
-            num *= 1.0 - aj * qn
         for cj in c:
             den *= 1.0 - cj * qn
         if abs(den) <= _DEN_TOL:
             raise ResonanceError(f"coupling denominator vanished at index {n}")
-        g[n + 1] = g[n] * num / den
+        dens.append(den)
         qn *= q
 
+    one = np.complex128(1.0)
+    w_run = [one] * M  # w_i[s], numpy scalars
+    ws = [[1.0 + 0j] for _ in range(M)]  # w_i[0..s], Python complexes
+    g = one  # g[s]
+    qm = 1.0 + 0j  # q^(s - 1)
     h = [[] for _ in range(M - 1)] + [ws[-1]]
     total = 0j
     mag = 1e-300
     small = 0
-    for s in range(cap + 1):
+    for s in range(_ENUM_CAP + 1):
+        if s:
+            den = 1.0 - q * qm
+            for i, (bi, ti) in enumerate(zip(b, t)):
+                w_run[i] = w_run[i] * ti * (1.0 - bi * qm) / den
+                ws[i].append(complex(w_run[i]))
+            num = 1.0 + 0j
+            for aj in a:
+                num *= 1.0 - aj * qm
+            g = g * num / dens[s - 1]
+            qm *= q
         for axis in range(M - 2, -1, -1):
             w, inner = ws[axis], h[axis + 1]
             acc = 0j
             for m in range(s + 1):
                 acc += w[m] * inner[s - m]
             h[axis].append(acc)
-        sh = g[s] * h[0][s]
+        sh = g * h[0][s]
         total += sh
         mag = max(mag, abs(total))
         if abs(sh) / mag < ctx.tail_tol:
@@ -204,7 +211,7 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"reference enumeration did not settle in {cap} shells")
+    raise ConvergenceError(f"reference enumeration did not settle in {_ENUM_CAP} shells")
 
 
 def _require_unit_disc(values, what: str) -> None:

@@ -202,6 +202,14 @@ def test_reference_routes_finish_at_wide_shapes(N, M):
     assert not failing
 
 
+@pytest.mark.parametrize("N, M", [(3, 1), (3, 2), (5, 1), (4, 2)])
+def test_duality_settles_with_upper_parameters_near_the_unit_circle(N, M):
+    # at q = 0.5+0.2j the swapped side runs at t = a with |a_j| up to 0.96
+    # and needs more than 200 shells whatever the number of axes
+    rep = run_suite(RunConfig(N=N, M=M, q=0.5 + 0.2j, suites=("duality",), samples=1))
+    assert [(r.passed, r.error) for r in rep.records] == [(True, None)]
+
+
 def test_report_round_trip_and_timing():
     rep = run_suite(small_cfg())
     d = report_to_dict(rep)

@@ -29,7 +29,8 @@ from qconnect import (
     sample_interior_point,
     sample_params,
 )
-from qconnect.hyperseries import _shell_series
+from qconnect import hyperseries
+from qconnect.hyperseries import _coupling_table, _shell_series, _stages
 from conftest import ALPHA, BETA, GAMMA, Q
 
 
@@ -244,8 +245,15 @@ def test_in_domain_margins(p22):
 
 
 # ---------------------------------------------------------------------------
-# series engine: exact values, shell counts and error texts, on both sides of
-# the first table stage (48 shells)
+# series engine: exact values, shell counts and error texts, on every rung of
+# the table ladder (48, 96, 192 and 200 shells at series_cap 200)
+
+
+@pytest.fixture(scope="module")
+def p23_real():
+    """Real parameters: at real points every shell of every series is real."""
+    return ParamSet((0.37, 0.22), (0.52, 0.33, 0.44), (0.81, 0.64), Q)
+
 
 _ENGINE_SERIES = [
     # plus axes only
@@ -261,6 +269,26 @@ _ENGINE_SERIES = [
     # both sides
     ("p22", 1, (0.6, 4.0),
      ("0x1.df282dbdcf9abp-1", "-0x1.1f40f2c39ff49p-3", 53, 8.223874782997291e-13)),
+    # last shell on the rungs past the first: 97-192 and 193-200
+    ("p12", None, (0.8, 0.75),
+     ("0x1.25d6150a5a47bp+2", "0x1.a17d62fff0460p+0", 124, 9.62748751678193e-13)),
+    ("p12", None, (0.875, 0.825),
+     ("0x1.11f7c8102e1dfp+3", "0x1.dadbe0e001bd3p+1", 201, 9.581923972670665e-13)),
+    ("p22", 0, (0.25, 0.3),
+     ("0x1.c0aba568464e7p+1", "0x1.b26c1b08e2b68p-2", 117, 9.83106051773972e-13)),
+    ("p22", 0, (0.227, 0.277),
+     ("0x1.545831265a5fdp+2", "0x1.7d1def95bb79fp-3", 198, 9.960352483111021e-13)),
+    ("p22", 1, (0.8, 4.0),
+     ("0x1.9b4e673f620adp-1", "-0x1.6da6bb3a12dadp-2", 117, 8.895228621410701e-13)),
+    ("p22", 1, (0.876, 4.0),
+     ("0x1.46dd0a7e64ff5p-1", "-0x1.39a903e83ebf9p-1", 195, 9.016268986664451e-13)),
+    # real-valued, both sides: two minus axes, then two plus axes
+    ("p23_real", 1, (0.7, 3.0, 5.0),
+     ("-0x1.113d27d6ea7e6p+6", "0x0.0p+0", 78, 7.138204792057438e-13)),
+    ("p23_real", 2, (0.8, 0.7, 5.0),
+     ("0x1.3c8bca3ee3c71p+1", "0x0.0p+0", 120, 9.227857585545619e-13)),
+    ("p23_real", 1, (0.875, 3.0, 5.0),
+     ("-0x1.494003f0a6c54p+7", "0x0.0p+0", 194, 9.82972148322157e-13)),
 ]
 
 
@@ -270,6 +298,62 @@ def test_series_engine_frozen_bits(pname, L, t, frozen, request, ctx_long):
     sv = eval_FNM(p, t, ctx_long) if L is None else eval_FNM_L(p, L, t, ctx_long)
     got = (sv.value.real.hex(), sv.value.imag.hex(), sv.terms_used, sv.tail_estimate)
     assert got == frozen
+
+
+# The running sum starts from +0j, so a zero imaginary part of the value is
+# +0.0 whatever the shells hold; the sha256 prefix of every shell's hex
+# digits shows the sign of each zero the tables and products leave.
+_REAL_SHELLS = [
+    (1, (0.7, 3.0, 5.0), "601a6221be3cf266"),
+    (2, (0.8, 0.7, 5.0), "7cb84b8eac4650b7"),
+    (1, (0.875, 3.0, 5.0), "01559a43d80173a8"),
+    (2, (-0.8, 0.7, 5.0), "1aa8973b3b636f0c"),
+    (0, (-2.0, 3.0, -5.0), "f0593bbc88d9f689"),
+    (3, (-0.3, 0.2, -0.25), "ed33c1fd4aab0df1"),
+]
+
+
+@pytest.mark.parametrize("L, t, digest", _REAL_SHELLS)
+def test_real_series_shell_bits(L, t, digest, p23_real, monkeypatch):
+    shells = []
+    settle = hyperseries._settle
+
+    def recorded(terms, ctx, failure):
+        def tee():
+            for term in terms:
+                shells.append(term)
+                yield term
+
+        return settle(tee(), ctx, failure)
+
+    monkeypatch.setattr(hyperseries, "_settle", recorded)
+    eval_FNM_L(p23_real, L, t, QContext(q=Q, prod_terms=60, series_cap=200))
+    h = hashlib.sha256()
+    for z in shells:
+        h.update(f"{z.real.hex()} {z.imag.hex()}\n".encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_table_ladder_stops():
+    assert _stages(200) == [48, 96, 192, 200]
+    assert _stages(80) == [48, 80]
+    assert _stages(96) == [48, 96]
+    assert _stages(48) == [48]
+    assert _stages(20) == [20]
+
+
+@pytest.mark.parametrize("sides", [(1, 1), (1, 0), (0, 1)], ids=["both", "plus", "minus"])
+def test_coupling_table_ladder_matches_a_fresh_build(sides, ctx_long):
+    nums = (0.37 + 0.11j, 0.22 - 0.14j)
+    dens = (0.81 + 0.05j, 0.64 - 0.12j)
+    stage = None
+    for stop in _stages(200):
+        up, down = stop * sides[0], stop * sides[1]
+        g = _coupling_table(nums, dens, up, down, ctx_long, stage)
+        stage = g, up, down
+    fresh = _coupling_table(nums, dens, 200 * sides[0], 200 * sides[1], ctx_long)
+    assert g.tobytes() == fresh.tobytes()
+    assert not g.flags.writeable
 
 
 @pytest.mark.parametrize(

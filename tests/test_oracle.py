@@ -23,7 +23,7 @@ from qconnect import (
     residual_eqn1,
     residual_eqn2,
 )
-from qconnect.oracle import _DEN_TOL, _enum_series, _factored_coeffs
+from qconnect.oracle import _DEN_TOL, _ENUM_CAP, _enum_series, _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
 
 TP = (0.3 + 0.02j, 0.25 - 0.03j)
@@ -86,26 +86,24 @@ def test_reference_evaluator_agrees_with_fast_path(p12, ctx_long):
     assert abs(ref - (1.277904030325 + 0.087706644683j)) < 1e-9
 
 
-def _walk_series(a, b, c, t, ctx):
-    """The reference enumeration as a walk over every multi-index of each
-    shell, in lexicographic order; shell s costs O(s^(M-1)) products."""
+def _upfront_tables(a, b, c, t, ctx):
+    """Every axis weight table and the coupling table of the reference
+    enumeration, each built to the cap before any shell is summed."""
     q = ctx.q
-    M = len(t)
-    cap = 400 if M <= 2 else max(ctx.series_cap, 160)
     ws = []
     for bi, ti in zip(b, t):
-        w = np.empty(cap + 1, dtype=complex)
+        w = np.empty(_ENUM_CAP + 1, dtype=complex)
         w[0] = 1.0
         qm = 1.0 + 0j
-        for m in range(cap):
+        for m in range(_ENUM_CAP):
             den = 1.0 - q * qm
             w[m + 1] = w[m] * ti * (1.0 - bi * qm) / den
             qm *= q
         ws.append(w)
-    g = np.empty(cap + 1, dtype=complex)
+    g = np.empty(_ENUM_CAP + 1, dtype=complex)
     g[0] = 1.0
     qn = 1.0 + 0j
-    for n in range(cap):
+    for n in range(_ENUM_CAP):
         num = 1.0 + 0j
         den = 1.0 + 0j
         for aj in a:
@@ -116,6 +114,53 @@ def _walk_series(a, b, c, t, ctx):
             raise ResonanceError(f"coupling denominator vanished at index {n}")
         g[n + 1] = g[n] * num / den
         qn *= q
+    return ws, g
+
+
+def _settled(shells, ctx):
+    """Running sum of the shells, returned once three in a row are
+    negligible, as the reference enumeration stops."""
+    total = 0j
+    mag = 1e-300
+    small = 0
+    for sh in shells:
+        total += sh
+        mag = max(mag, abs(total))
+        if abs(sh) / mag < ctx.tail_tol:
+            small += 1
+            if small >= 3:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"reference enumeration did not settle in {_ENUM_CAP} shells")
+
+
+def _upfront_series(a, b, c, t, ctx):
+    """The reference enumeration's partial sums over tables built up front:
+    the enumeration grows the same entries one shell at a time."""
+    ws, g = _upfront_tables(a, b, c, t, ctx)
+    ws = [w.tolist() for w in ws]
+    M = len(t)
+    h = [[] for _ in range(M - 1)] + [ws[-1]]
+
+    def shells():
+        for s in range(_ENUM_CAP + 1):
+            for axis in range(M - 2, -1, -1):
+                w, inner = ws[axis], h[axis + 1]
+                acc = 0j
+                for m in range(s + 1):
+                    acc += w[m] * inner[s - m]
+                h[axis].append(acc)
+            yield g[s] * h[0][s]
+
+    return _settled(shells(), ctx)
+
+
+def _walk_series(a, b, c, t, ctx):
+    """The reference enumeration as a walk over every multi-index of each
+    shell, in lexicographic order; shell s costs O(s^(M-1)) products."""
+    ws, g = _upfront_tables(a, b, c, t, ctx)
+    M = len(t)
 
     def shell(s):
         acc = 0j
@@ -131,20 +176,7 @@ def _walk_series(a, b, c, t, ctx):
         rec(0, s, 1.0 + 0j)
         return acc
 
-    total = 0j
-    mag = 1e-300
-    small = 0
-    for s in range(cap + 1):
-        sh = g[s] * shell(s)
-        total += sh
-        mag = max(mag, abs(total))
-        if abs(sh) / mag < ctx.tail_tol:
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(f"reference enumeration did not settle in {cap} shells")
+    return _settled((g[s] * shell(s) for s in range(_ENUM_CAP + 1)), ctx)
 
 
 def _interior_args(rng, N, M):
@@ -171,6 +203,36 @@ def test_partial_sums_match_the_multi_index_walk(M, ctx_long):
                 assert got == want
             else:
                 assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _complex_bits(z) -> bytes:
+    return np.array([z], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_tables_grown_per_shell_match_tables_built_up_front(M, ctx_long):
+    rng = np.random.default_rng([43, M])
+    for N in (1, 2):
+        for _ in range(3):
+            args = _interior_args(rng, N, M)
+            got = _enum_series(*args, ctx_long)
+            assert _complex_bits(got) == _complex_bits(_upfront_series(*args, ctx_long))
+
+
+def test_resonance_past_the_settled_shells_still_raises(ctx_long):
+    # c_2 = q^-60: g[n] is about q^(60 n) for small n, so the sum settles
+    # within a few shells, long before its denominator vanishes at index 60
+    a, b, _, t = _interior_args(np.random.default_rng(44), 2, 3)
+    near = (0.8 + 0.1j, Q**-60 * (1 + 1e-6))
+    assert _complex_bits(_enum_series(a, b, near, t, ctx_long)) == _complex_bits(
+        _upfront_series(a, b, near, t, ctx_long)
+    )
+    c = (0.8 + 0.1j, Q**-60)
+    with pytest.raises(ResonanceError) as upfront:
+        _upfront_series(a, b, c, t, ctx_long)
+    with pytest.raises(ResonanceError) as grown:
+        _enum_series(a, b, c, t, ctx_long)
+    assert str(grown.value) == str(upfront.value) == "coupling denominator vanished at index 60"
 
 
 def test_partial_sums_raise_the_walks_resonance(ctx_long):

@@ -1,0 +1,84 @@
+"""Time two checkouts on the same run inputs in one process, and check that
+their reports are byte-identical.
+
+Loads A/src/qconnect and B/src/qconnect under two package names, then runs
+the inputs of a perfbench workload, RunConfig(seed=seed*1000 + i) for
+i = 0..inputs-1, through each as emit_report(run_suite(cfg)). The side that
+runs first alternates from input to input, and each side makes one untimed
+run of input 0 first. One line per input gives both wall times and the ratio
+A/B (above 1 when B is faster); the summary gives the median ratio, its
+quartiles and the ratio of the summed times. Exits 1 if any report differs:
+
+    python tools/ab_reports.py PARENT_CHECKOUT . --workload families-3x3 --inputs 48
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS, input_seed  # noqa: E402
+
+
+def load_cli(root: Path, name: str):
+    """The cli module of root/src/qconnect, imported as the package `name`."""
+    pkg = root.resolve() / "src" / "qconnect"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def report(cli, config: dict, seed: int) -> tuple[float, str]:
+    """(wall seconds, report text) of one run."""
+    start = time.perf_counter()
+    text = cli.emit_report(cli.run_suite(cli.RunConfig(**config, seed=seed)))
+    return time.perf_counter() - start, text
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="checkout A (the baseline)")
+    ap.add_argument("b", type=Path, help="checkout B (the change)")
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="families-3x3")
+    ap.add_argument("--seed", type=int, default=0, help="input i is RunConfig(seed=seed*1000 + i)")
+    ap.add_argument("--inputs", type=int, default=48)
+    args = ap.parse_args(argv)
+    if args.inputs < 2:
+        ap.error("--inputs must be at least 2")
+    sides = [load_cli(args.a, "qconnect_a"), load_cli(args.b, "qconnect_b")]
+    config = WORKLOADS[args.workload]["config"]
+    for cli in sides:
+        report(cli, config, input_seed(args.seed, 0))
+    print(f"{args.workload}: A = {args.a}, B = {args.b}", flush=True)
+    ratios, totals, differ = [], [0.0, 0.0], 0
+    for i in range(args.inputs):
+        seed = input_seed(args.seed, i)
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        runs = {side: report(sides[side], config, seed) for side in order}
+        (ta, text_a), (tb, text_b) = runs[0], runs[1]
+        same = text_a == text_b
+        differ += not same
+        totals[0] += ta
+        totals[1] += tb
+        ratios.append(ta / tb)
+        first = "AB"[order[0]]
+        status = "same" if same else "REPORTS DIFFER"
+        print(f"seed {seed:>6}  {first} first  A {ta:.3f} s  B {tb:.3f} s  "
+              f"A/B {ta / tb:.3f}  {status}", flush=True)
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{len(ratios)} inputs: median A/B {med:.3f} (quartiles {q1:.3f}, {q3:.3f}); "
+          f"total A/B {totals[0] / totals[1]:.3f}; {differ} report(s) differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
