@@ -1,5 +1,4 @@
-"""Command-line front end: configured verification runs and one-off
-evaluations.
+"""Command-line front end: configured verification runs.
 
 The library takes explicit values and raises on bad input; this module owns
 run configuration, the suite table, per-check error capture, and report
@@ -34,13 +33,8 @@ from .qkernel import (
 )
 from .hyperseries import (
     build_solution_vector,
-    char_exponents,
     component_order,
     eval_FNM,
-    eval_FNM_L,
-    eval_FNM_Lkl,
-    eval_GNM_Lkl,
-    eval_nphi,
     local_solution,
 )
 from .oracle import (
@@ -139,8 +133,9 @@ def _parsed(parse, v, name: str):
 
 
 def _read_json(path: str):
-    """Parsed JSON file; OSError surfaces when it cannot be read."""
-    with open(path) as fh:
+    """Parsed JSON file; OSError surfaces when it cannot be read. The bytes
+    are decoded by json.loads, so text that is not UTF-8 is a ConfigError."""
+    with open(path, "rb") as fh:
         return _parsed(json.loads, fh.read(), path)
 
 
@@ -247,6 +242,13 @@ class _SampleAbort(Exception):
 
 def _sha12(obj) -> str:
     return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:12]
+
+
+_EXPONENTS = ("alpha", "beta", "gamma")
+
+
+def _exponents_out(p: ParamSet) -> dict:
+    return {key: [_cplx_out(v) for v in getattr(p, key)] for key in _EXPONENTS}
 
 
 def _digest(p: ParamSet) -> str:
@@ -519,6 +521,14 @@ class RunConfig:
     cmp_tol: float | None = None
     output: str | None = None
 
+    def __post_init__(self) -> None:
+        # every field holds the value a JSON config would give it, however the
+        # config was built; null leaves an optional field unset
+        for key, (parse, _) in _FIELDS.items():
+            value = getattr(self, key)
+            if value is not None or getattr(RunConfig, key) is not None:
+                object.__setattr__(self, key, _parsed(parse, value, key))
+
     def validate(self) -> None:
         if not self.suites:
             raise ConfigError("suites must be nonempty")
@@ -527,14 +537,16 @@ class RunConfig:
             raise ConfigError(f"unknown suites: {unknown}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.N < 1 or self.M < 1:
             raise ConfigError(f"need N, M >= 1, got ({self.N}, {self.M})")
         if self.N * self.M > _BUDGET:
-            raise ConfigError(
-                f"N*M = {self.N * self.M} exceeds the compute budget {_BUDGET}"
-            )
-        if not 0.0 < abs(complex(self.q)) < 1.0:
-            raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(complex(self.q))}")
+            raise ConfigError(f"N*M = {self.N * self.M} exceeds the compute budget {_BUDGET}")
+        if not 0.0 < abs(self.q) < 1.0:
+            raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(self.q)}")
+        if self.cmp_tol is not None and not 0.0 < self.cmp_tol < 1.0:
+            raise ConfigError("tolerances: cmp_tol must lie in (0, 1)")
         try:
             self.context()
         except ValueError as exc:
@@ -546,7 +558,7 @@ class RunConfig:
         return _SUITES[suite][0]
 
     def context(self) -> QContext:
-        kw = {"q": complex(self.q), "series_cap": _SERIES_CAP}
+        kw = {"q": self.q, "series_cap": _SERIES_CAP}
         if self.tail_tol is not None:
             kw["tail_tol"] = self.tail_tol
         return QContext(**kw)
@@ -570,7 +582,7 @@ def _suites_in(v) -> tuple[str, ...]:
 
 # RunConfig field -> (parser of its value in a JSON config, its value in a report)
 _FIELDS = {
-    "q": (_cplx_in, lambda q: _cplx_out(complex(q))),
+    "q": (_cplx_in, _cplx_out),
     "N": (_int_in, _as_is),
     "M": (_int_in, _as_is),
     "suites": (_suites_in, list),
@@ -612,12 +624,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
     values = {**raw, **_tolerances_in(raw)}
-    kw = {}
-    for key, (parse, _) in _FIELDS.items():
-        # null leaves an optional field unset
-        if key in values and (values[key] is not None or getattr(RunConfig, key) is not None):
-            kw[key] = _parsed(parse, values[key], key)
-    cfg = RunConfig(**kw)
+    cfg = RunConfig(**{key: values[key] for key in _FIELDS if key in values})
     cfg.validate()
     return cfg
 
@@ -645,108 +652,13 @@ def run_suite(cfg: RunConfig) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# one-off evaluation
-
-_EXPONENTS = ("alpha", "beta", "gamma")
-# series kind -> (evaluator, its integer keys); nphi takes values, not exponents
-_KINDS = {
-    "FNM": (eval_FNM, ()),
-    "FNM_L": (eval_FNM_L, ("L",)),
-    "FNM_Lkl": (eval_FNM_Lkl, ("L", "k", "l")),
-    "GNM_Lkl": (eval_GNM_Lkl, ("L", "k", "l")),
-}
-
-
-def _parse_cplx_list(v) -> tuple[complex, ...]:
-    return tuple(_cplx_in(x) for x in v)
-
-
-def _exponents_out(p: ParamSet) -> dict:
-    return {key: [_cplx_out(v) for v in getattr(p, key)] for key in _EXPONENTS}
-
-
-def _explicit_params(exps: dict, q: complex) -> ParamSet:
-    """The ParamSet of the exponent lists exps["alpha"], ["beta"] and ["gamma"]."""
-    return ParamSet(**{key: tuple(exps[key]) for key in _EXPONENTS}, q=q)
-
-
-def eval_spec(spec: dict) -> dict:
-    """Evaluate one series from a JSON description. kind selects the family;
-    parameters are exponents (alpha/beta/gamma) except for nphi, which takes
-    upper/lower values directly."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("series spec must be a JSON object with a 'kind'")
-
-    def field(key, parse):
-        if key not in spec:
-            raise ConfigError(f"series spec of kind {kind!r} needs {key!r}")
-        return _parsed(parse, spec[key], key)
-
-    kind = spec["kind"]
-    q = _cplx_in(spec.get("q", 0.3))
-    ctx = QContext(q=q, series_cap=_SERIES_CAP)
-    if kind == "nphi":
-        upper = field("upper", _parse_cplx_list)
-        lower = field("lower", _parse_cplx_list)
-        sv = eval_nphi(upper, lower, field("t", _cplx_in), ctx)
-    elif kind in _KINDS:
-        evaluate, indices = _KINDS[kind]
-        p = _explicit_params({key: field(key, _parse_cplx_list) for key in _EXPONENTS}, q)
-        t = field("t", _parse_cplx_list)
-        sv = evaluate(p, *(field(key, _int_in) for key in indices), t, ctx)
-    else:
-        raise ConfigError(f"unknown series kind {kind!r}")
-    return {"kind": kind, "value": _cplx_out(sv.value), "terms": sv.terms_used}
-
-
-def exponents_spec(
-    N: int,
-    M: int,
-    L: int,
-    alpha=None,
-    beta=None,
-    gamma=None,
-    q: complex = 0.3,
-    seed: int = 0,
-) -> dict:
-    """Leading exponent vectors for the level-L family. The exponents are
-    given all three, with lengths N, M and N, or not at all, when they are
-    drawn from the generic sampler."""
-    exps = dict(zip(_EXPONENTS, (alpha, beta, gamma)))
-    given = [v is not None for v in exps.values()]
-    if not any(given):
-        p = sampling.sample_params(N, M, q, np.random.default_rng(seed))
-    elif not all(given):
-        raise ConfigError("give all of alpha, beta and gamma, or none")
-    else:
-        p = _explicit_params(exps, q)
-        if (p.N, p.M) != (N, M):
-            raise ConfigError(f"the exponents have (N, M) = ({p.N}, {p.M}), not ({N}, {M})")
-    out = []
-    for ce in char_exponents(p, L):
-        comp = 0 if ce.component == 0 else list(ce.component)
-        out.append(
-            {"component": comp, "delta": [_cplx_out(d) for d in ce.delta]}
-        )
-    return {
-        "N": N,
-        "M": M,
-        "L": L,
-        **_exponents_out(p),
-        "q": _cplx_out(complex(q)),
-        "exponents": out,
-    }
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qconnect",
-        description="Verification runs and one-off evaluations for the "
-        "q-hypergeometric connection library.",
+        description="Verification runs for the q-hypergeometric connection library.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -773,19 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--with-timing", action="store_true",
         help="keep measured timings in the report (breaks byte determinism)",
     )
-
-    ev = sub.add_parser("eval", help="evaluate one series from a JSON spec")
-    ev.add_argument(
-        "spec", help="JSON object (inline) or path to a JSON file"
-    )
-
-    ex = sub.add_parser("exponents", help="leading exponent vectors")
-    for key in ("N", "M", "L"):
-        ex.add_argument(f"--{key}", type=int, required=True)
-    for key in _EXPONENTS:
-        ex.add_argument(f"--{key}", type=str, default=None)
-    ex.add_argument("--q", type=str, default="0.3")
-    ex.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -802,44 +701,16 @@ def _with_flags(raw, args):
     return out
 
 
-def _one_off(args) -> dict:
-    """Reply of eval or exponents; input the library rejects is a ConfigError."""
-    try:
-        if args.command == "eval":
-            raw = args.spec.strip()
-            spec = _parsed(json.loads, raw, "spec") if raw.startswith("{") else _read_json(raw)
-            return eval_spec(spec)
-        exps = {key: getattr(args, key) for key in _EXPONENTS}
-        return exponents_spec(
-            N=args.N,
-            M=args.M,
-            L=args.L,
-            **{key: _parse_cplx_list(v.split(",")) if v else None for key, v in exps.items()},
-            q=_cplx_in(args.q),
-            seed=args.seed,
-        )
-    except (QConnectError, ValueError, IndexError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            raw = {} if args.config is None else _read_json(args.config)
-            cfg = config_from_dict(_with_flags(raw, args))
-            rep = run_suite(cfg)
-            print(
-                emit_report(rep, format=args.format, with_timing=args.with_timing)
-            )
-            if cfg.output is not None:
-                emit_report(
-                    rep, format="json", path=cfg.output,
-                    with_timing=args.with_timing,
-                )
-            return 0 if rep.passed else 1
-        print(json.dumps(_one_off(args), indent=2, sort_keys=True))
-        return 0
+        raw = {} if args.config is None else _read_json(args.config)
+        cfg = config_from_dict(_with_flags(raw, args))
+        rep = run_suite(cfg)
+        print(emit_report(rep, format=args.format, with_timing=args.with_timing))
+        if cfg.output is not None:
+            emit_report(rep, format="json", path=cfg.output, with_timing=args.with_timing)
+        return 0 if rep.passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,23 +16,11 @@ from qconnect.cli import (
     RunConfig,
     config_from_dict,
     emit_report,
-    eval_spec,
-    exponents_spec,
     main,
     report_from_dict,
     report_to_dict,
     run_suite,
 )
-
-FNM_SPEC = {
-    "kind": "FNM",
-    "alpha": ["0.37+0.11j"],
-    "beta": ["0.52-0.08j", "0.33+0.19j"],
-    "gamma": ["0.81+0.05j"],
-    "t": ["0.3", "0.25"],
-    "q": "0.3",
-}
-
 
 def small_cfg(**kw):
     base = dict(suites=("duality",), samples=2, seed=3)
@@ -68,6 +56,13 @@ def test_config_defaults_and_validation():
         dict(N=0),
         dict(N=4, M=4),
         dict(q=1.5),
+        dict(seed=-5),
+        dict(cmp_tol=1.0),
+        # values the run driver cannot use are refused as a JSON config's are
+        dict(samples=1.5),
+        dict(N=1.5),
+        dict(q="abc"),
+        dict(seed=True),
     ):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
@@ -297,52 +292,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "SamplingError: " in capsys.readouterr().out
 
 
-def test_eval_spec_frozen_values():
-    out = eval_spec(FNM_SPEC)
-    assert out["kind"] == "FNM" and out["terms"] == 26
-    assert abs(out["value"][0] - 1.26957444075356) < 1e-12
-    assert abs(out["value"][1] - 0.08700184306695276) < 1e-12
-
-    nphi = eval_spec(
-        {"kind": "nphi", "upper": ["0.4", "0.2"], "lower": ["0.5"],
-         "t": "0.35", "q": "0.3"}
-    )
-    assert nphi["terms"] == 30
-    assert abs(nphi["value"][0] - 1.758430739306215) < 1e-12
-    assert abs(nphi["value"][1]) < 1e-15
-
-    with pytest.raises(ConfigError):
-        eval_spec({"kind": "mystery"})
-    with pytest.raises(ConfigError):
-        eval_spec({"alpha": ["0.3"]})
-
-
-def test_main_eval_inline_and_file(tmp_path, capsys):
-    assert main(["eval", json.dumps(FNM_SPEC)]) == 0
-    inline = json.loads(capsys.readouterr().out)
-
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(FNM_SPEC))
-    assert main(["eval", str(spec_path)]) == 0
-    from_file = json.loads(capsys.readouterr().out)
-    assert inline == from_file
-
-
-def test_exponents_spec_explicit_and_sampled(capsys):
-    assert main([
-        "exponents", "--N", "1", "--M", "2", "--L", "1",
-        "--alpha", "0.37+0.11j", "--beta", "0.52-0.08j,0.33+0.19j",
-        "--gamma", "0.81+0.05j",
-    ]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert [e["component"] for e in out["exponents"]] == [0, [1, 1], [1, 2]]
-    comp0 = out["exponents"][0]["delta"]
-    assert comp0[0] == [0.0, 0.0]
-    assert abs(comp0[1][0] + 0.33) < 1e-12 and abs(comp0[1][1] + 0.19) < 1e-12
-
-    assert exponents_spec(N=2, M=2, L=1, seed=5) == exponents_spec(
-        N=2, M=2, L=1, seed=5
-    )
+def test_run_is_the_only_subcommand(capsys):
+    # the one-off values are library calls: eval_FNM*, eval_nphi, char_exponents
+    for argv in (["exponents", "--N", "1", "--M", "2", "--L", "1"], ["eval", "{}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -352,34 +308,32 @@ def test_exponents_spec_explicit_and_sampled(capsys):
         (["run"], '{"N": "x"}'),
         (["run"], '{"N": 2,'),
         (["run", "--tol", "tail=5"], None),
-        (["eval", "{bad"], None),
-        (["eval", '{"kind": "FNM"}'], None),
-        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "abc"], None),
-        (["eval", json.dumps({**FNM_SPEC, "t": ["1.5", "0.25"]})], None),
-        (["eval", json.dumps({**FNM_SPEC, "gamma": ["0.81+0.05j", "0.7"]})], None),
-        (["exponents", "--N", "1", "--M", "2", "--L", "5"], None),
-        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--q", "2"], None),
-        (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": 1.5})], None),
-        (["eval", json.dumps({**FNM_SPEC, "kind": "FNM_L", "t": ["0.3", "3.0"], "L": True})], None),
         (["run", "--tol", "cmp=1e-9"], '{"tolerances": [1]}'),
         (["run"], '{"tolerances": {"bogus": 1}}'),
         (["run"], '{"tolerances": []}'),
         (["run"], '{"tolerances": 0}'),
         (["run"], '{"tolerances": false}'),
-        (["exponents", "--N", "1", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j"], None),
-        (["exponents", "--N", "3", "--M", "2", "--L", "1", "--alpha", "0.37+0.11j",
-          "--beta", "0.52-0.08j,0.33+0.19j", "--gamma", "0.81+0.05j"], None),
+        (["run", "--seed", "-1"], None),
+        (["run"], '{"seed": -5}'),
+        (["run", "--tol", "cmp=-1"], None),
+        (["run", "--tol", "cmp=0"], None),
+        (["run", "--tol", "cmp=nan"], None),
+        (["run", "--tol", "cmp=inf"], None),
+        (["run", "--tol", "cmp=1"], None),
+        (["run"], '{"output": "r\u00e9sum\u00e9.json"}'.encode("latin-1")),
     ],
-    ids=["run-q", "config-int", "config-json", "run-tail-tol", "eval-json",
-         "eval-missing-key", "exponents-q", "eval-domain", "eval-lengths",
-         "exponents-level", "exponents-base", "eval-level-fraction", "eval-level-bool",
+    ids=["run-q", "config-int", "config-json", "run-tail-tol",
          "tol-over-non-object", "config-tolerance-name", "tolerances-empty-list",
-         "tolerances-zero", "tolerances-false", "exponents-partial", "exponents-shape"],
+         "tolerances-zero", "tolerances-false", "run-seed-negative", "config-seed-negative",
+         "tol-cmp-negative", "tol-cmp-zero", "tol-cmp-nan", "tol-cmp-inf", "tol-cmp-one",
+         "config-not-utf8"],
 )
 def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
     if config_text is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(config_text)
+        # bytes are written as they are: the config-not-utf8 file is Latin-1
+        write = path.write_bytes if isinstance(config_text, bytes) else path.write_text
+        write(config_text)
         argv = argv + [str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")

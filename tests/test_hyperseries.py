@@ -202,12 +202,18 @@ def test_solution_vector_aggregates_failures(p22, ctx_long):
         build_solution_vector(p22, 1, (1, 2), (0.5, 0.25), ctx_long)
 
 
-def test_char_exponents_single_slot(p11):
-    for L, expected in (
-        (0, {0: (-BETA[0],), (1, 1): (-ALPHA[0],)}),
-        (1, {0: (0j,), (1, 1): (1 - GAMMA[0],)}),
+def test_char_exponents_single_slot(p11, p12):
+    for p, L, expected in (
+        (p11, 0, {0: (-BETA[0],), (1, 1): (-ALPHA[0],)}),
+        (p11, 1, {0: (0j,), (1, 1): (1 - GAMMA[0],)}),
+        # and a second slot past the level: component 0 has delta (0, -beta_2)
+        (p12, 1, {
+            0: (0j, -BETA[1]),
+            (1, 1): (1 + BETA[1] - GAMMA[0], -BETA[1]),
+            (1, 2): (0j, -ALPHA[0]),
+        }),
     ):
-        got = {ce.component: ce.delta for ce in char_exponents(p11, L)}
+        got = {ce.component: ce.delta for ce in char_exponents(p, L)}
         assert set(got) == set(expected)
         for comp, delta in expected.items():
             assert max(abs(g - e) for g, e in zip(got[comp], delta)) < 1e-14
