@@ -67,17 +67,14 @@ from .connection import (
     verify_connection,
 )
 from .facemodel import (
-    FaceWeight2x2,
-    akm_P,
-    akm_ybe_residual,
     bracket,
     build_Stilde,
     build_W_akm,
     build_Wprime,
     build_Wtilde,
     conj_f,
+    conjugacy_residual,
     wprime_gauge_residual,
-    wprime_path_ybe_residual,
     ybe_residual,
 )
 from .sampling import (

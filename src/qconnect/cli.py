@@ -54,13 +54,7 @@ from .connection import (
     compose_connection,
     verify_connection,
 )
-from .facemodel import (
-    build_W_akm,
-    build_Wtilde,
-    conj_f,
-    wprime_gauge_residual,
-    ybe_residual,
-)
+from .facemodel import conjugacy_residual, wprime_gauge_residual, ybe_residual
 from . import sampling
 
 _BUDGET = 12
@@ -106,13 +100,20 @@ def _cplx_out(z: complex) -> list[float]:
 
 
 def _cplx_in(v) -> complex:
+    """A number, a string such as "0.3+0.1j", or a [real, imag] pair of
+    exactly two numbers. A bool is refused, not read as 0 or 1."""
     try:
         if isinstance(v, (list, tuple)):
-            return complex(float(v[0]), float(v[1]))
+            re, im = v
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+                raise TypeError("a pair holds two numbers")
+            return complex(re, im)
+        if isinstance(v, bool):
+            raise TypeError("a bool is not a number")
         if isinstance(v, str):
             return complex(v.replace(" ", ""))
         return complex(v)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"not a complex number: {v!r}") from exc
 
 
@@ -467,19 +468,7 @@ def _suite_facemodel(s: _Sample):
     be = sampling.draw_exponent(s.rng)
     u = sampling.sample_spectral(s.rng, lo=0.6, hi=1.5)
     dg = _sha12([_cplx_out(al), _cplx_out(be)])
-
-    def conjugacy():
-        W = build_W_akm(al, be, u, ctx).as_array()
-        Wt = build_Wtilde(al, be, u, ctx).as_array()
-        f = conj_f(al, be, ctx)
-        A = np.diag([1.0 + 0j, f])
-        B = np.diag([f, 1.0 + 0j])
-        scale = np.abs(W).max()
-        d1 = np.abs(W - np.linalg.inv(A) @ Wt @ A).max()
-        d2 = np.abs(W - B @ Wt @ np.linalg.inv(B)).max()
-        return max(d1, d2) / scale
-
-    _run_check(s, "weight conjugacy", dg, (u,), conjugacy)
+    _run_check(s, "weight conjugacy", dg, (u,), lambda: conjugacy_residual(al, be, u, ctx))
     x = sampling.sample_spectral(s.rng, lo=0.6, hi=1.5)
     _run_check(s, "gauge transfer", dg, (x,), lambda: wprime_gauge_residual(al, be, x, ctx))
 
@@ -575,9 +564,11 @@ def _as_is(v):
 
 
 def _suites_in(v) -> tuple[str, ...]:
-    """One suite name or a list of them; ["all"] is every suite."""
+    """One suite name or a sequence of them, each named once; "all" anywhere
+    in it stands for every suite."""
     names = [v] if isinstance(v, str) else v
-    return SUITES if names == ["all"] else tuple(names)
+    expanded = (n for name in names for n in (SUITES if name == "all" else (name,)))
+    return tuple(dict.fromkeys(expanded))
 
 
 # RunConfig field -> (parser of its value in a JSON config, its value in a report)

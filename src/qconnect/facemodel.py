@@ -11,8 +11,6 @@ odd-theta brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, PoleError
@@ -31,44 +29,19 @@ from .qkernel import (
 from .connection import ConnMatrix, _swap_matrix
 
 __all__ = [
-    "FaceWeight2x2",
     "build_Stilde",
     "ybe_residual",
     "build_Wtilde",
     "build_W_akm",
     "conj_f",
-    "akm_P",
-    "akm_ybe_residual",
     "bracket",
     "build_Wprime",
-    "wprime_path_ybe_residual",
+    "conjugacy_residual",
     "wprime_gauge_residual",
     "GAUGE_TWIST_DEFAULT",
 ]
 
 _BRACKET_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FaceWeight2x2:
-    """Four-entry elliptic weight with its construction labels.
-
-    kind is "wtilde" (theta-quotient form), "w_akm" (the conjugated form),
-    or "wprime" (bracket-parametrized form). labels holds the two exponent
-    or multiplicative parameters of that construction; x is the spectral
-    argument, always multiplicative.
-    """
-
-    e11: complex
-    e12: complex
-    e21: complex
-    e22: complex
-    kind: str
-    labels: tuple[complex, ...]
-    x: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.e11, self.e12], [self.e21, self.e22]])
 
 
 def build_Stilde(
@@ -84,33 +57,31 @@ def build_Stilde(
     return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, (), ctx)
 
 
-def _braid_residual(factor, i: int, u: complex, v: complex) -> float:
-    """Relative max-norm residual of R_i(u) R_{i+1}(uv) R_i(v) against
-    R_{i+1}(v) R_i(uv) R_{i+1}(u). factor(pos, x, right) builds R_pos(x);
-    right lists the positions of the factors to its right."""
-    sides = []
-    for (p1, x1), (p2, x2), (p3, x3) in (
-        ((i, u), (i + 1, u * v), (i, v)), ((i + 1, v), (i, u * v), (i + 1, u))
-    ):
-        sides.append(factor(p1, x1, (p2, p3)) @ factor(p2, x2, (p3,)) @ factor(p3, x3, ()))
-    return _rel_maxnorm(*sides)
-
-
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:
     """Relative max-norm residual of the Yang-Baxter equation for the swap
-    matrices at positions r and r+1. Each factor's slot ordering applies
-    the swaps of the factors to its right, so both sides realize the same
-    three-slot reversal."""
+    matrices at positions r and r+1:
+
+        R_r(u) R_{r+1}(uv) R_r(v)  against  R_{r+1}(v) R_r(uv) R_{r+1}(u).
+
+    Each factor's slot ordering applies the swaps of the factors to its
+    right, so both sides realize the same three-slot reversal."""
     M = p.M
     _require_range("r", r, 1, M - 2)
+    u = complex(u)
+    v = complex(v)
 
-    def factor(pos, x, right):
-        sigma = perm_identity(M)
-        for s in reversed(right):
-            sigma = perm_compose(sigma, perm_transposition(M, s))
-        return build_Stilde(p, pos, sigma, x, ctx).entries
+    def product(factors):
+        mats = []
+        for k, (pos, x) in enumerate(factors):
+            sigma = perm_identity(M)
+            for s, _ in reversed(factors[k + 1 :]):
+                sigma = perm_compose(sigma, perm_transposition(M, s))
+            mats.append(build_Stilde(p, pos, sigma, x, ctx).entries)
+        return mats[0] @ mats[1] @ mats[2]
 
-    return _braid_residual(factor, r, complex(u), complex(v))
+    lhs = product(((r, u), (r + 1, u * v), (r, v)))
+    rhs = product(((r + 1, v), (r, u * v), (r + 1, u)))
+    return _rel_maxnorm(lhs, rhs)
 
 
 def _theta_pow(z: complex, ctx: QContext) -> complex:
@@ -138,10 +109,9 @@ def _weight_head(alpha: complex, beta: complex, u: complex, ctx: QContext):
 
 def build_Wtilde(
     alpha: complex, beta: complex, u: complex, ctx: QContext
-) -> FaceWeight2x2:
-    """2x2 weight in theta-quotient form. This is the coupling block of the
-    freed swap matrix when every slot parameter equals a common q-power; see
-    the embedding identity exercised in the tests."""
+) -> np.ndarray:
+    """2x2 weight in theta-quotient form: the coupling block of the freed
+    swap matrix when every slot parameter equals a common q-power."""
     alpha, beta, u, den, t_mb, _, e11 = _weight_head(alpha, beta, u, ctx)
     qp = ctx.qpow
     e12 = (
@@ -164,14 +134,14 @@ def build_Wtilde(
         * t_mb
         / (den * _theta_pow(-alpha - 2 * beta - 1, ctx))
     )
-    return FaceWeight2x2(e11, e12, e21, e22, "wtilde", (alpha, beta), u)
+    return np.array([[e11, e12], [e21, e22]])
 
 
 def build_W_akm(
     alpha: complex, beta: complex, u: complex, ctx: QContext
-) -> FaceWeight2x2:
-    """2x2 weight in the conjugated form whose diagonal embeddings satisfy
-    the Yang-Baxter equation under the per-site parameter shift."""
+) -> np.ndarray:
+    """2x2 weight in the conjugated form: the theta-quotient weight
+    conjugated by diag(1, conj_f)."""
     alpha, beta, u, den, t_mb, t_a2b, e11 = _weight_head(alpha, beta, u, ctx)
     qp = ctx.qpow
     e12 = (
@@ -184,7 +154,7 @@ def build_W_akm(
     )
     e21 = cpow(u, beta) * theta(u, ctx) / den
     e22 = cpow(u, -alpha - beta) * t_mb * theta(u * qp(-alpha - 2 * beta), ctx) / (t_a2b * den)
-    return FaceWeight2x2(e11, e12, e21, e22, "w_akm", (alpha, beta), u)
+    return np.array([[e11, e12], [e21, e22]])
 
 
 def conj_f(alpha: complex, beta: complex, ctx: QContext) -> complex:
@@ -196,34 +166,6 @@ def conj_f(alpha: complex, beta: complex, ctx: QContext) -> complex:
     if abs(den) <= _BRACKET_TOL:
         raise PoleError("conjugation scalar denominator vanished")
     return num / den
-
-
-def akm_P(
-    alpha: complex, beta: complex, n: int, i: int, u: complex, ctx: QContext
-) -> np.ndarray:
-    """n x n embedding of the conjugated weight at sites (i, i+1), with the
-    first parameter decreased by beta per site step; 1 <= i <= n-1.
-
-    The decreasing shift is forced by the block structure of the freed swap
-    matrices (the block argument at site r gains one slot exponent per step
-    while the weight's second argument is its negative); the increasing
-    variant fails the Yang-Baxter check by order one."""
-    _require_range("i", i, 1, n - 1)
-    W = build_W_akm(alpha - (i - 1) * beta, beta, u, ctx)
-    P = np.eye(n, dtype=complex)
-    P[i - 1 : i + 1, i - 1 : i + 1] = W.as_array()
-    return P
-
-
-def akm_ybe_residual(
-    alpha: complex, beta: complex, n: int, i: int, u: complex, v: complex, ctx: QContext
-) -> float:
-    """Relative Yang-Baxter residual for the shifted diagonal embeddings at
-    adjacent sites i, i+1; 1 <= i <= n-2."""
-    _require_range("i", i, 1, n - 2)
-    return _braid_residual(
-        lambda pos, x, _right: akm_P(alpha, beta, n, pos, x, ctx), i, u, v
-    )
 
 
 def bracket(x: complex, ctx: QContext) -> complex:
@@ -246,7 +188,7 @@ def bracket(x: complex, ctx: QContext) -> complex:
 
 def build_Wprime(
     a_mult: complex, u_mult: complex, unit_mult: complex, ctx: QContext
-) -> FaceWeight2x2:
+) -> np.ndarray:
     """Bracket-parametrized face weight. All additive label arithmetic is
     done multiplicatively: the height argument enters as a_mult, the
     spectral one as u_mult, and a unit step multiplies by unit_mult."""
@@ -267,58 +209,25 @@ def build_Wprime(
     )
     e21 = br_u / br_1
     e22 = bracket(a_mult * u_mult, ctx) / br_a
-    return FaceWeight2x2(e11, e12, e21, e22, "wprime", (a_mult, unit_mult), u_mult)
+    return np.array([[e11, e12], [e21, e22]])
 
 
-def _path_operator(
-    a_mult: complex, unit_mult: complex, n: int, site: int, x: complex, ctx: QContext
-) -> np.ndarray:
-    """Local face operator on the 2^n space of height paths. A path is a
-    step sequence; the running height starts at a_mult and multiplies by
-    unit_mult (up) or its inverse (down) per step. The operator rewrites
-    steps (site, site+1): aligned pairs are diagonal with the standard
-    crossing weight, opposite pairs mix through the bracket-parametrized
-    weight at the pair's shared endpoint height."""
-    dim = 1 << n
-    cross = bracket(x * unit_mult, ctx) / bracket(unit_mult, ctx)
-    out = np.zeros((dim, dim), dtype=complex)
-    blocks: dict[int, np.ndarray] = {}
-    for state in range(dim):
-        steps = [(state >> (n - 1 - s)) & 1 for s in range(n)]
-        e1, e2 = steps[site - 1], steps[site]
-        if e1 == e2:
-            out[state, state] = cross
-            continue
-        ups = sum(1 for s in steps[: site - 1] if s == 0)
-        if ups not in blocks:
-            height = a_mult * unit_mult ** (2 * ups - (site - 1))
-            W = build_Wprime(height, x, unit_mult, ctx)
-            blocks[ups] = W.as_array()
-        blk = blocks[ups]
-        col = 0 if e1 == 0 else 1
-        for row, pair in enumerate(((0, 1), (1, 0))):
-            flipped = list(steps)
-            flipped[site - 1], flipped[site] = pair
-            dst = sum(b << (n - 1 - s) for s, b in enumerate(flipped))
-            out[dst, state] = blk[row, col]
-    return out
+def conjugacy_residual(alpha: complex, beta: complex, u: complex, ctx: QContext) -> float:
+    """Relative residual of the constant diagonal conjugacy carrying the
+    theta-quotient weight onto the conjugated one, with f = conj_f:
 
+        W = diag(1, f)^-1 Wtilde diag(1, f) = diag(f, 1) Wtilde diag(f, 1)^-1
 
-def wprime_path_ybe_residual(
-    a_mult: complex, unit_mult: complex, n: int, i: int, u: complex, v: complex, ctx: QContext
-) -> float:
-    """Relative Yang-Baxter residual for the bracket-parametrized weight in
-    the height-path basis, operators at adjacent sites i, i+1 of an n-step
-    path; 1 <= i <= n-2.
-
-    The height argument of each weight is the running path height, so the
-    shift rule is state-dependent rather than a fixed per-site offset; no
-    static multiplicative height step satisfies the equation (scanning the
-    step leaves a residual above 6e-2)."""
-    _require_range("i", i, 1, n - 2)
-    return _braid_residual(
-        lambda pos, x, _right: _path_operator(a_mult, unit_mult, n, pos, x, ctx), i, u, v
-    )
+    The larger max-norm deviation of the two forms, over max |W|."""
+    W = build_W_akm(alpha, beta, u, ctx)
+    Wt = build_Wtilde(alpha, beta, u, ctx)
+    f = conj_f(alpha, beta, ctx)
+    A = np.diag([1.0 + 0j, f])
+    B = np.diag([f, 1.0 + 0j])
+    scale = np.abs(W).max()
+    d1 = np.abs(W - np.linalg.inv(A) @ Wt @ A).max()
+    d2 = np.abs(W - B @ Wt @ np.linalg.inv(B)).max()
+    return float(max(d1, d2) / scale)
 
 
 GAUGE_TWIST_DEFAULT = "balanced"
@@ -354,7 +263,7 @@ def wprime_gauge_residual(
             raise DomainError("twist must be nonzero")
     a_mult = qp(-alpha - 2 * beta)
     unit_mult = qp(beta + 1)
-    Wp = build_Wprime(a_mult, x, unit_mult, ctx).as_array()
+    Wp = build_Wprime(a_mult, x, unit_mult, ctx)
     g1 = (-alpha - 3 * beta) / 2
     g2 = (alpha + beta) / 2
     left = np.diag([cpow(x, -g1), cpow(x, -g2) / m])
@@ -363,5 +272,5 @@ def wprime_gauge_residual(
     den = _theta_pow(-beta, ctx)
     if abs(den) <= _BRACKET_TOL:
         raise PoleError("theta normalization vanished")
-    rhs = theta(x * qp(-beta), ctx) / den * build_W_akm(alpha, beta, x, ctx).as_array()
+    rhs = theta(x * qp(-beta), ctx) / den * build_W_akm(alpha, beta, x, ctx)
     return _rel_maxnorm(lhs, rhs)

@@ -264,8 +264,8 @@ def test_criterion_11_conjugacy_and_gauge():
         al = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.2, 0.2))
         be = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.2, 0.2))
         u = sample_spectral(rng)
-        Wt = build_Wtilde(al, be, u, CTX).as_array()
-        W = build_W_akm(al, be, u, CTX).as_array()
+        Wt = build_Wtilde(al, be, u, CTX)
+        W = build_W_akm(al, be, u, CTX)
         f = conj_f(al, be, CTX)
         A = np.diag([1.0 + 0j, f])
         B = np.diag([f, 1.0 + 0j])

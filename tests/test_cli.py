@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qconnect import ConfigError, ConvergenceError
-from qconnect import cli
+from qconnect import cli, facemodel, oracle
 from qconnect.cli import (
     SUITES,
     RunConfig,
@@ -48,6 +48,9 @@ def test_config_defaults_and_validation():
     assert cfg.q == 0.3 and cfg.N == 2 and cfg.M == 2
     assert cfg.suites == SUITES and cfg.samples == 8 and cfg.seed == 0
     cfg.validate()
+    # "all" is every suite in any sequence form, and next to other names
+    assert RunConfig(suites=("all",)).suites == SUITES
+    assert RunConfig(suites=("all", "ybe")).suites == SUITES
 
     for bad in (
         dict(suites=("bogus",)),
@@ -62,6 +65,8 @@ def test_config_defaults_and_validation():
         dict(samples=1.5),
         dict(N=1.5),
         dict(q="abc"),
+        dict(q=[0.3, 0.0, 9]),
+        dict(q=[0.3, False]),
         dict(seed=True),
     ):
         with pytest.raises(ConfigError):
@@ -73,6 +78,8 @@ def test_config_from_dict():
     assert cfg.suites == SUITES and cfg.samples == 3
     cfg2 = config_from_dict({"suites": ["duality", "ybe"]})
     assert cfg2.suites == ("duality", "ybe")
+    # what `--suite all --suite ybe` gives
+    assert config_from_dict({"suites": ["all", "ybe"]}).suites == SUITES
     with pytest.raises(ConfigError):
         config_from_dict({"sample": 3})
 
@@ -171,6 +178,21 @@ def test_theorem1_sample_composes_the_one_swap_word_once(monkeypatch):
     assert rep.passed
     # the default word is the bubble-sort word of one transposition, [1]
     assert [kw.get("word") for _, kw in calls] == [None, [1, 1, 1]]
+
+
+def test_run_calls_every_public_identity_check(monkeypatch):
+    # every identity check oracle and facemodel export (each public function
+    # named *residual* or check_*) is one the run driver certifies
+    names = [
+        name for mod in (oracle, facemodel) for name in mod.__all__
+        if callable(getattr(mod, name)) and ("residual" in name or name.startswith("check_"))
+    ]
+    assert {"residual_eqn1", "check_watson", "ybe_residual", "wprime_gauge_residual"} <= set(names)
+    missing = [name for name in names if not hasattr(cli, name)]
+    assert not missing, f"the run driver never imports {missing}"
+    calls = {name: _calls(monkeypatch, name) for name in names}
+    run_suite(RunConfig(samples=1))
+    assert [name for name, made in calls.items() if not made] == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Elliptic face weights: braid identity, conjugacy, gauge, path basis."""
+"""Elliptic face weights: braid identity, conjugacy, gauge."""
 
 import math
 
@@ -9,8 +9,6 @@ from qconnect import (
     DomainError,
     ParamSet,
     PoleError,
-    akm_P,
-    akm_ybe_residual,
     bracket,
     build_S,
     build_Stilde,
@@ -18,11 +16,11 @@ from qconnect import (
     build_Wprime,
     build_Wtilde,
     conj_f,
+    conjugacy_residual,
     perm_compose,
     perm_identity,
     perm_transposition,
     wprime_gauge_residual,
-    wprime_path_ybe_residual,
     ybe_residual,
 )
 from conftest import ALPHA, GAMMA, Q
@@ -30,7 +28,6 @@ from conftest import ALPHA, GAMMA, Q
 AL_W = 0.47 + 0.13j
 BE_W = 0.31 - 0.09j
 U_W = 0.7 + 0.3j
-V_W = 0.9 - 0.25j
 
 
 def test_bracket_against_trig_product(ctx):
@@ -119,14 +116,15 @@ def test_braid_identity_is_sharp(p13, ctx):
 
 
 def test_two_state_weight_conjugacy(ctx):
-    W = build_W_akm(AL_W, BE_W, U_W, ctx).as_array()
-    Wt = build_Wtilde(AL_W, BE_W, U_W, ctx).as_array()
+    W = build_W_akm(AL_W, BE_W, U_W, ctx)
+    Wt = build_Wtilde(AL_W, BE_W, U_W, ctx)
     f = conj_f(AL_W, BE_W, ctx)
     A = np.diag([1.0 + 0j, f])
     B = np.diag([f, 1.0 + 0j])
     scale = np.abs(W).max()
     assert np.abs(np.linalg.inv(A) @ Wt @ A - W).max() < 1e-12 * scale
     assert np.abs(B @ Wt @ np.linalg.inv(B) - W).max() < 1e-12 * scale
+    assert conjugacy_residual(AL_W, BE_W, U_W, ctx) < 1e-12
     # the conjugation is not vacuous: the two weights differ outright
     assert np.abs(Wt - W).max() > 1e-3 * scale
 
@@ -135,96 +133,17 @@ def test_two_state_weight_pole(ctx):
     u_pole = ctx.qpow(BE_W) * Q
     with pytest.raises(PoleError):
         build_W_akm(AL_W, BE_W, u_pole, ctx)
-
-
-def test_face_weight_container(ctx):
-    W = build_W_akm(AL_W, BE_W, U_W, ctx)
-    arr = W.as_array()
-    assert arr.shape == (2, 2)
-    assert arr[0, 0] == W.e11 and arr[0, 1] == W.e12
-    assert arr[1, 0] == W.e21 and arr[1, 1] == W.e22
-
-
-def test_chain_embedding_and_braid(ctx):
-    # site operator is the two-state weight with a shifted first exponent
-    P = akm_P(AL_W, BE_W, 3, 2, U_W, ctx)
-    W = build_W_akm(AL_W - BE_W, BE_W, U_W, ctx).as_array()
-    manual = np.eye(3, dtype=complex)
-    manual[1:3, 1:3] = W
-    assert np.abs(P - manual).max() < 1e-14 * max(np.abs(W).max(), 1.0)
-
-    assert akm_ybe_residual(AL_W, BE_W, 3, 1, U_W, V_W, ctx) < 1e-12
-    assert akm_ybe_residual(AL_W, BE_W, 4, 2, U_W, V_W, ctx) < 1e-12
-
-    with pytest.raises(IndexError):
-        akm_P(AL_W, BE_W, 1, 1, U_W, ctx)
-    with pytest.raises(IndexError):
-        akm_P(AL_W, BE_W, 3, 3, U_W, ctx)
-    with pytest.raises(IndexError):
-        akm_ybe_residual(AL_W, BE_W, 3, 2, U_W, V_W, ctx)
-
-
-def test_chain_embedding_shift_direction_matters(ctx):
-    # shifting the exponent up the chain instead of down breaks the braid
-    def site(i, uv):
-        W = build_W_akm(AL_W + (i - 1) * BE_W, BE_W, uv, ctx)
-        P = np.eye(3, dtype=complex)
-        P[i - 1 : i + 1, i - 1 : i + 1] = W.as_array()
-        return P
-
-    lhs = site(1, U_W) @ site(2, U_W * V_W) @ site(1, V_W)
-    rhs = site(2, V_W) @ site(1, U_W * V_W) @ site(2, U_W)
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    assert np.abs(lhs - rhs).max() / scale > 1e-2
+    with pytest.raises(PoleError):
+        conjugacy_residual(AL_W, BE_W, u_pole, ctx)
 
 
 def test_quotient_weight_basics(ctx):
     a0 = ctx.qpow(-AL_W - 2 * BE_W)
     unit = ctx.qpow(BE_W + 1)
-    Wp = build_Wprime(a0, 1.0, unit, ctx).as_array()
+    Wp = build_Wprime(a0, 1.0, unit, ctx)
     assert np.abs(Wp - np.eye(2)).max() < 1e-12
     with pytest.raises(PoleError):
         build_Wprime(1.0, U_W, unit, ctx)
-
-
-def test_quotient_weight_path_braid(ctx):
-    a0 = ctx.qpow(-AL_W - 2 * BE_W)
-    unit = ctx.qpow(BE_W + 1)
-    assert wprime_path_ybe_residual(a0, unit, 3, 1, U_W, V_W, ctx) < 1e-12
-    assert (
-        wprime_path_ybe_residual(a0, unit, 4, 2, 1.2 + 0.2j, 0.8 - 0.15j, ctx)
-        < 1e-12
-    )
-    with pytest.raises(IndexError):
-        wprime_path_ybe_residual(a0, unit, 1, 1, U_W, V_W, ctx)
-    with pytest.raises(IndexError):
-        wprime_path_ybe_residual(a0, unit, 3, 2, U_W, V_W, ctx)
-
-
-def test_quotient_weight_needs_path_bookkeeping(ctx):
-    # a flat tensor-product embedding of the same 2x2 weight fails the
-    # braid identity; only the height-path basis carries it
-    a0 = ctx.qpow(-AL_W - 2 * BE_W)
-    unit = ctx.qpow(BE_W + 1)
-
-    def flat_site(site, xval):
-        Wp = build_Wprime(a0 * (1 / unit) ** (site - 1), xval, unit, ctx).as_array()
-        cross = bracket(xval * unit, ctx) / bracket(unit, ctx)
-        blk = np.array(
-            [
-                [cross, 0, 0, 0],
-                [0, Wp[0, 0], Wp[0, 1], 0],
-                [0, Wp[1, 0], Wp[1, 1], 0],
-                [0, 0, 0, cross],
-            ]
-        )
-        eye = np.eye(2, dtype=complex)
-        return np.kron(blk, eye) if site == 1 else np.kron(eye, blk)
-
-    lhs = flat_site(1, U_W) @ flat_site(2, U_W * V_W) @ flat_site(1, V_W)
-    rhs = flat_site(2, V_W) @ flat_site(1, U_W * V_W) @ flat_site(2, U_W)
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    assert np.abs(lhs - rhs).max() / scale > 1e-2
 
 
 def test_gauge_identity(ctx):

@@ -33,15 +33,14 @@ def error_type(record) -> str:
 
 
 def sweep_shape(N: int, M: int, q: complex):
-    """(seconds, BranchWarnings raised, Counter of failing (suite, error type))."""
+    """(seconds, BranchWarnings raised, failing records) of one shape."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BranchWarning)
         start = time.perf_counter()
         rep = run_suite(RunConfig(N=N, M=M, q=q, samples=1, seed=0))
         seconds = time.perf_counter() - start
     branch = sum(issubclass(w.category, BranchWarning) for w in caught)
-    fails = Counter((r.suite, error_type(r)) for r in rep.records if not r.passed)
-    return seconds, branch, fails
+    return seconds, branch, [r for r in rep.records if not r.passed]
 
 
 def main(argv=None) -> int:
@@ -52,7 +51,8 @@ def main(argv=None) -> int:
     total_s = 0.0
     total = Counter()
     for N, M in SHAPES:
-        seconds, branch, fails = sweep_shape(N, M, q)
+        seconds, branch, failing = sweep_shape(N, M, q)
+        fails = Counter((r.suite, error_type(r)) for r in failing)
         total_s += seconds
         total += fails
         listed = "; ".join(f"{suite} {kind} x{n}" for (suite, kind), n in sorted(fails.items()))
