@@ -28,6 +28,7 @@ from .qkernel import (
     theta,
 )
 from .oracle import (
+    RCOND_FLOOR,
     CasoratiReport,
     IdentityReport,
     casorati_independence,
@@ -38,6 +39,7 @@ from .oracle import (
     leading_exponents,
     residual_eqn1,
     residual_eqn2,
+    scaled_rcond,
 )
 from .hyperseries import (
     CharExponent,

@@ -38,7 +38,7 @@ from .hyperseries import (
     local_solution,
 )
 from .oracle import (
-    _scaled_det,
+    RCOND_FLOOR,
     casorati_independence,
     check_duality,
     check_jackson,
@@ -46,6 +46,7 @@ from .oracle import (
     eval_FNM_reference,
     residual_eqn1,
     residual_eqn2,
+    scaled_rcond,
 )
 from .connection import (
     build_A,
@@ -144,17 +145,29 @@ def _record_key(r: CheckRecord):
     return (r.suite, r.check, r.digest, tuple((z.real, z.imag) for z in r.point))
 
 
+# suite -> its certificate check, whose value is bigger when better; every
+# other record's value is a residual, smaller when better
+_CERTIFICATES = {"independence": "scaled determinant"}
+
+
 def _summarize(records) -> dict:
+    """Per suite: checks, errors, the largest residual and pass; a suite with
+    a certificate check also gets its smallest certificate."""
     out = {}
     for suite in dict.fromkeys(r.suite for r in records):
         recs = [r for r in records if r.suite == suite]
-        residuals = [r.residual for r in recs if r.residual is not None]
+        cert = _CERTIFICATES.get(suite)
+        valued = [r for r in recs if r.residual is not None]
         out[suite] = {
             "checks": len(recs),
             "errors": sum(r.error is not None for r in recs),
-            "max_residual": max(residuals, default=None),
+            "max_residual": max((r.residual for r in valued if r.check != cert), default=None),
             "pass": all(r.passed for r in recs),
         }
+        if cert is not None:
+            out[suite]["min_certificate"] = min(
+                (r.residual for r in valued if r.check == cert), default=None
+            )
     return out
 
 
@@ -209,7 +222,7 @@ def _format_table(rep: Report) -> str:
     lines = [header, "-" * len(header)]
     for r in rep.records:
         res = _sci(r.residual)
-        mar = f"{r.margin:.3f}" if r.margin is not None else "-"
+        mar = f"{r.margin:.1e}" if r.margin is not None else "-"
         status = "pass" if r.passed else "FAIL"
         if r.error is not None:
             status += f"  {r.error}"
@@ -220,8 +233,11 @@ def _format_table(rep: Report) -> str:
     for suite in sorted(rep.summary):
         ent = rep.summary[suite]
         res = _sci(ent["max_residual"])
+        cert = ""
+        if "min_certificate" in ent:
+            cert = f"  min certificate {_sci(ent['min_certificate'])}"
         lines.append(
-            f"{suite:<13}{ent['checks']:>3} checks  max residual {res:>12}  "
+            f"{suite:<13}{ent['checks']:>3} checks  max residual {res:>12}{cert}  "
             f"{'pass' if ent['pass'] else 'FAIL'}"
         )
     lines.append(f"overall: {'pass' if rep.passed else 'FAIL'}")
@@ -428,7 +444,7 @@ def _suite_independence(s: _Sample):
     L = M - 1
     comps = component_order(N, M)
     check = "scaled determinant"
-    p, shift, prox = _draw(s, check, lambda: sampling._casorati_params(N, M, L, s.ctx, s.rng))
+    p, shift = _draw(s, check, lambda: sampling._casorati_params(N, M, L, s.ctx, s.rng))
     dg = _digest(p)
     t = _draw(s, check, lambda: sampling.sample_domain_point(p, L, sig, s.rng), dg)
     vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, s.ctx) for c in comps)
@@ -441,16 +457,14 @@ def _suite_independence(s: _Sample):
         # matrix (only the first survives when n = 2)
         A = cas.matrix.copy()
         A[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if len(comps) >= 3 else 2.0 * A[:, 0]
-        return abs(_scaled_det(A))
+        return scaled_rcond(A)
 
-    # the det scales with the node separation; for well-separated draws
-    # this is at least the configured threshold
-    threshold = min(s.cfg.tol(s.suite), 0.05 * prox)
+    # one rcond floor certifies the true matrix and refuses its forged twin
     _run_check(
-        s, check, dg, t, lambda: abs(cas.det),
-        margin=threshold, passes=lambda det: det > threshold,
+        s, check, dg, t, lambda: cas.rcond,
+        margin=RCOND_FLOOR, passes=lambda rcond: rcond > RCOND_FLOOR,
     )
-    _run_check(s, "forged dependence", dg, t, forged, passes=lambda det: det < 1e-10)
+    _run_check(s, "forged dependence", dg, t, forged, passes=lambda rcond: rcond <= RCOND_FLOOR)
 
 
 def _suite_ybe(s: _Sample):
@@ -487,7 +501,8 @@ _SUITES = {
     "watson": (1e-9, _suite_watson),
     "connection": (1e-7, _suite_connection),
     "theorem1": (1e-6, _suite_theorem1),
-    "independence": (1e-6, _suite_independence),
+    # passes on the oracle's fixed RCOND_FLOOR, so no tolerance applies
+    "independence": (None, _suite_independence),
     "ybe": (1e-9, _suite_ybe),
     "facemodel": (1e-9, _suite_facemodel),
 }

@@ -30,6 +30,8 @@ __all__ = [
     "check_jackson",
     "check_watson",
     "casorati_independence",
+    "scaled_rcond",
+    "RCOND_FLOOR",
     "leading_exponents",
     "IdentityReport",
     "CasoratiReport",
@@ -383,23 +385,37 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> IdentityReport:
 # independence
 
 
+# Independence certificate: a column-scaled Casorati matrix is certified
+# nonsingular when its sigma_min/sigma_max exceeds this floor, and a forged
+# dependent one must not exceed it. Measured over every shape N*M <= 12 at
+# q = 0.3, 0.5, 0.7 and 0.5+0.2j (seeds 0-4, 8 samples of the independence
+# suite), every forged matrix stays below 1e-16 and every true one clears the
+# floor up to n = N*M+1 = 8; some true ones at (2,6), (12,1) and (1,8) to
+# (1,12) fall below it.
+RCOND_FLOOR = 1e-14
+
+
 @dataclass(frozen=True)
 class CasoratiReport:
-    """Casorati matrix of component functions along a q-power shift ladder,
-    with each column scaled to unit max magnitude before the determinant."""
+    """Casorati matrix of component functions along a q-power shift ladder.
+    det and rcond are taken with each column scaled to unit max magnitude;
+    rcond = sigma_min/sigma_max is the certificate, passed when it exceeds
+    RCOND_FLOOR."""
 
     det: complex
+    rcond: float
     matrix: np.ndarray
     shift: tuple[int, ...]
 
 
 def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
-    """Determinant test for linear independence over the field of q-shift
-    invariants: vector(point) returns all n component values at a point, and
-    row k is vector(t * q^{k m}).
+    """Determinant and rcond test for linear independence over the field of
+    q-shift invariants: vector(point) returns all n component values at a
+    point, and row k is vector(t * q^{k m}).
 
-    Swapping two components flips the determinant's sign; a repeated
-    component makes it vanish. Shifted points leaving the domain surface as
+    Swapping two components flips the determinant's sign and leaves rcond
+    unchanged; a repeated component makes the determinant vanish and puts
+    rcond at rounding level. Shifted points leaving the domain surface as
     whatever error vector raises."""
     m = tuple(int(v) for v in m)
     t = tuple(complex(v) for v in t)
@@ -415,18 +431,26 @@ def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
     if n < 1:
         raise ValueError("need at least one component")
     A = np.array([first, *(row(k) for k in range(1, n))], dtype=complex)
-    return CasoratiReport(det=_scaled_det(A), matrix=A, shift=m)
+    return CasoratiReport(
+        det=complex(np.linalg.det(_column_scaled(A))), rcond=scaled_rcond(A), matrix=A, shift=m
+    )
 
 
-def _scaled_det(A: np.ndarray) -> complex:
-    """Determinant of A with each nonzero column scaled to unit max
-    magnitude."""
+def _column_scaled(A: np.ndarray) -> np.ndarray:
+    """A with each nonzero column scaled to unit max magnitude."""
     scaled = A.copy()
     for i in range(A.shape[1]):
         peak = np.max(np.abs(scaled[:, i]))
         if peak > 0.0:
             scaled[:, i] /= peak
-    return complex(np.linalg.det(scaled))
+    return scaled
+
+
+def scaled_rcond(A: np.ndarray) -> float:
+    """sigma_min / sigma_max of A with each column scaled to unit max
+    magnitude: the certificate of casorati_independence."""
+    sv = np.linalg.svd(_column_scaled(A), compute_uv=False)
+    return float(sv[-1] / sv[0])
 
 
 # ---------------------------------------------------------------------------

@@ -165,34 +165,39 @@ def _node_proxy(exps, m, ctx: QContext) -> float:
 
 
 def _shift_candidates(M: int, n_rows: int, q: complex):
-    """Uniform positive steps on the small slots, one negative step on the
-    large slot. The large coordinate grows by |q|^{-b (n_rows - 1)} over the
-    ladder; b is capped so prefactor magnitudes stay far from overflow."""
+    """Strictly decreasing positive steps (a+M-2, ..., a+1, a) on the small
+    slots, one negative step on the large slot. Distinct steps keep the
+    components of one level-M-1 exponent apart: with equal steps their shift
+    multipliers coincide exactly. Decreasing ones keep the ladder in the
+    sector, whose pair bounds hold only while an earlier small slot steps at
+    least as far as a later one. The large coordinate grows by
+    |q|^{-b (n_rows - 1)} over the ladder; b is capped so prefactor
+    magnitudes stay far from overflow."""
     bs = [b for b in (1, 2, 3) if abs(q) ** (-b * (n_rows - 1)) <= 1e5] or [1]
     if M == 1:
         return [(-b,) for b in bs]
-    return [(a,) * (M - 1) + (-b,) for a in (1, 2, 3) for b in bs]
+    return [tuple(range(a + M - 2, a - 1, -1)) + (-b,) for a in (1, 2, 3) for b in bs]
 
 
 def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Generator):
-    """(params, shift, proxy) of the best-separated of up to 60 generic
-    draws for the level-L Casorati matrix, stopping at the first whose
-    proxy reaches the floor."""
+    """(params, shift) of the best-separated of up to 60 generic draws for
+    the level-L Casorati matrix, stopping at the first whose proxy reaches
+    the floor."""
     n = len(component_order(N, M))
     # per-pair separation 0.34 is comfortably generic; the floor is its
     # product over all node pairs
     proxy_floor = 0.34 ** (n * (n - 1) / 2)
     cands = _shift_candidates(M, n, ctx.q)
-    best = (None, None, -1.0)
+    best = (-1.0, None, None)
     for _ in range(60):
         p = sample_params(N, M, ctx.q, rng)
         exps = char_exponents(p, L)
         prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
-        if prox > best[2]:
-            best = (p, m, prox)
+        if prox > best[0]:
+            best = (prox, p, m)
         if prox >= proxy_floor:
             break
-    return best
+    return best[1:]
 
 
 def _polar(rng: np.random.Generator, modulus: float) -> complex:

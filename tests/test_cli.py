@@ -132,13 +132,13 @@ def test_failed_draw_becomes_failing_record(kw):
 @pytest.mark.parametrize(
     "kw, prefix",
     [
-        (dict(N=1, M=2), "481519553b9b0991"),
-        (dict(N=1, M=1), "2a9273a4bc76e017"),
-        ({}, "c57fd518e311216e"),
+        (dict(N=1, M=2), "392941e0c38360d1"),
+        (dict(N=1, M=1), "d5821978f8917d30"),
+        ({}, "41f510d49f5c950a"),
         # the two benchmark workloads at seed 0
-        (dict(N=2, M=3), "beab66215e639426"),
+        (dict(N=2, M=3), "6cf8ae5fc8ae2ca9"),
         (dict(N=3, M=3, suites=("connection", "theorem1", "independence")),
-         "a4af8952e063505e"),
+         "e4002850dc4b72fa"),
     ],
     ids=["1x2", "1x1", "default", "2x3", "3x3-families"],
 )
@@ -225,6 +225,26 @@ def test_duality_settles_with_upper_parameters_near_the_unit_circle(N, M):
     # and needs more than 200 shells whatever the number of axes
     rep = run_suite(RunConfig(N=N, M=M, q=0.5 + 0.2j, suites=("duality",), samples=1))
     assert [(r.passed, r.error) for r in rep.records] == [(True, None)]
+
+
+@pytest.mark.parametrize("N, M", [(2, 3), (3, 3), (2, 4), (4, 3)])
+def test_independence_certificate_refuses_the_forged_twin(N, M):
+    # one rcond floor: every true Casorati matrix clears it and every forged
+    # twin with a dependent last column stays at or below it
+    rep = run_suite(RunConfig(N=N, M=M, suites=("independence",)))
+    values = {"scaled determinant": [], "forged dependence": []}
+    for r in rep.records:
+        assert r.error is None
+        values[r.check].append(r.residual)
+    assert len(values["scaled determinant"]) == len(values["forged dependence"]) == 8
+    assert min(values["scaled determinant"]) > oracle.RCOND_FLOOR
+    assert max(values["forged dependence"]) <= oracle.RCOND_FLOOR
+    assert rep.passed
+    # the summary keeps the certificate, where bigger is better, apart from
+    # the residuals, where smaller is better
+    summary = rep.summary["independence"]
+    assert summary["min_certificate"] == min(values["scaled determinant"])
+    assert summary["max_residual"] == max(values["forged dependence"])
 
 
 def test_report_round_trip_and_timing():

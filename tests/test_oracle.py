@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qconnect import (
+    RCOND_FLOOR,
     ConvergenceError,
     DomainError,
     ParamSet,
@@ -22,6 +23,7 @@ from qconnect import (
     qpoch_inf,
     residual_eqn1,
     residual_eqn2,
+    scaled_rcond,
 )
 from qconnect.oracle import _DEN_TOL, _ENUM_CAP, _enum_series, _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
@@ -341,11 +343,16 @@ def test_casorati_pair(p11, ctx_long):
     assert rep.matrix.shape == (2, 2)
     assert rep.shift == (1,)
 
+    assert rep.rcond > RCOND_FLOOR
+    assert scaled_rcond(rep.matrix) == rep.rcond
+
     swapped = casorati_independence(lambda tt: vec(tt)[::-1], (1,), (0.4,), ctx_long)
     assert abs(rep.det + swapped.det) < 1e-12
+    assert swapped.rcond == pytest.approx(rep.rcond, rel=1e-12)
 
     repeated = casorati_independence(lambda tt: vec(tt)[:1] * 2, (1,), (0.4,), ctx_long)
     assert abs(repeated.det) < 1e-12
+    assert repeated.rcond <= RCOND_FLOOR
 
 
 def test_casorati_validation(p11, ctx_long):

@@ -8,7 +8,9 @@ import pytest
 
 from qconnect import (
     ParamSet,
+    QContext,
     SamplingError,
+    char_exponents,
     check_resonance,
     check_watson,
     in_domain,
@@ -301,3 +303,21 @@ def _watson():
 )
 def test_sampler_frozen_output(sampler, expected):
     assert sampler() == expected
+
+
+@pytest.mark.parametrize("N, M", [(1, 3), (2, 3), (3, 3), (2, 4), (4, 3), (1, 6)])
+def test_casorati_shift_steps_separate_every_component(N, M):
+    # component (k,l), l < M, has m . delta = m_l (1 - gamma_k) plus
+    # sum_{j>l} (m_l - m_j) beta_j, which equal small-slot steps make the
+    # same for every l
+    ctx = QContext(q=Q)
+    for seed in range(3):
+        p = sample_params(N, M, Q, np.random.default_rng(seed))
+        exps = char_exponents(p, M - 1)
+        for m in sampling._shift_candidates(M, len(exps), Q):
+            small = m[:-1]
+            assert all(x > y > 0 for x, y in zip(small, small[1:])) and m[-1] < 0
+            nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
+            for i, x in enumerate(nodes):
+                for y in nodes[i + 1:]:
+                    assert abs(x - y) > 1e-8 * max(abs(x), abs(y)), (m, seed)

@@ -7,7 +7,9 @@ i = 0..inputs-1, through each as emit_report(run_suite(cfg)). The side that
 runs first alternates from input to input, and each side makes one untimed
 run of input 0 first. One line per input gives both wall times and the ratio
 A/B (above 1 when B is faster); the summary gives the median ratio, its
-quartiles and the ratio of the summed times. Exits 1 if any report differs:
+quartiles and the ratio of the summed times. For each input whose reports
+differ, one more line names the suites whose records differ, with each side's
+count of passing records there. Exits 1 if any report differs:
 
     python tools/ab_reports.py PARENT_CHECKOUT . --workload families-3x3 --inputs 48
 """
@@ -15,6 +17,7 @@ quartiles and the ratio of the summed times. Exits 1 if any report differs:
 import argparse
 import importlib
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -42,6 +45,19 @@ def report(cli, config: dict, seed: int) -> tuple[float, str]:
     start = time.perf_counter()
     text = cli.emit_report(cli.run_suite(cli.RunConfig(**config, seed=seed)))
     return time.perf_counter() - start, text
+
+
+def differing_suites(text_a: str, text_b: str) -> list[str]:
+    """"suite (passes a -> b)" for each suite whose records differ between
+    two reports."""
+    records = [json.loads(text)["records"] for text in (text_a, text_b)]
+    out = []
+    for suite in sorted({r["suite"] for recs in records for r in recs}):
+        a, b = ([r for r in recs if r["suite"] == suite] for recs in records)
+        if a != b:
+            out.append(f"{suite} (passes {sum(r['pass'] for r in a)} -> "
+                       f"{sum(r['pass'] for r in b)})")
+    return out
 
 
 def main(argv=None) -> int:
@@ -74,6 +90,9 @@ def main(argv=None) -> int:
         status = "same" if same else "REPORTS DIFFER"
         print(f"seed {seed:>6}  {first} first  A {ta:.3f} s  B {tb:.3f} s  "
               f"A/B {ta / tb:.3f}  {status}", flush=True)
+        if not same:
+            suites = differing_suites(text_a, text_b)
+            print(f"  records differ in: {', '.join(suites) or 'no suite'}", flush=True)
     q1, med, q3 = statistics.quantiles(ratios, n=4)
     print(f"{len(ratios)} inputs: median A/B {med:.3f} (quartiles {q1:.3f}, {q3:.3f}); "
           f"total A/B {totals[0] / totals[1]:.3f}; {differ} report(s) differ")

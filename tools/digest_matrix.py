@@ -28,20 +28,20 @@ from qconnect.cli import RunConfig, emit_report, run_suite  # noqa: E402
 FAMILIES = ("connection", "theorem1", "independence")
 
 MATRIX = [
-    ({}, "c57fd518e311216e"),
-    ({"seed": 1}, "b73ff72fc8cc0247"),
-    ({"seed": 2}, "458cc803a505a58b"),
-    ({"N": 2, "M": 3}, "beab66215e639426"),
-    ({"N": 2, "M": 3, "seed": 1}, "af6d87738d6f92db"),
-    ({"N": 3, "M": 3, "suites": FAMILIES}, "a4af8952e063505e"),
-    ({"N": 1, "M": 2}, "481519553b9b0991"),
-    ({"N": 1, "M": 1}, "2a9273a4bc76e017"),
-    ({"N": 3, "M": 1}, "d92850f2fb37d990"),
-    ({"N": 1, "M": 3}, "081b6be060fc525e"),
-    ({"q": 0.7}, "08eed8ed3eeca6a3"),
-    ({"q": 0.5 + 0.2j, "seed": 4}, "5877b740fa8dc1c9"),
-    ({"N": 1, "M": 4, "samples": 3}, "39faf4c1d2ac71a8"),
-    ({"N": 4, "M": 1, "samples": 3}, "dd5fb32db44e9337"),
+    ({}, "41f510d49f5c950a"),
+    ({"seed": 1}, "5974d5a6097e9b84"),
+    ({"seed": 2}, "ae2516e11dcd92bb"),
+    ({"N": 2, "M": 3}, "6cf8ae5fc8ae2ca9"),
+    ({"N": 2, "M": 3, "seed": 1}, "59d7ca1a2c4010cf"),
+    ({"N": 3, "M": 3, "suites": FAMILIES}, "e4002850dc4b72fa"),
+    ({"N": 1, "M": 2}, "392941e0c38360d1"),
+    ({"N": 1, "M": 1}, "d5821978f8917d30"),
+    ({"N": 3, "M": 1}, "28cbf314bc9a7a3d"),
+    ({"N": 1, "M": 3}, "00eef08fe36a25ca"),
+    ({"q": 0.7}, "d9d6894f662736b1"),
+    ({"q": 0.5 + 0.2j, "seed": 4}, "5492b4f074ab70a7"),
+    ({"N": 1, "M": 4, "samples": 3}, "f5f0fce65a11a2b2"),
+    ({"N": 4, "M": 1, "samples": 3}, "54fa4f8ca876e6d8"),
 ]
 
 
