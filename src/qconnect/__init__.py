@@ -30,7 +30,6 @@ from .qkernel import (
 from .oracle import (
     RCOND_FLOOR,
     CasoratiReport,
-    IdentityReport,
     casorati_independence,
     check_duality,
     check_jackson,
@@ -60,7 +59,6 @@ from .hyperseries import (
     local_solution,
 )
 from .connection import (
-    ConnMatrix,
     build_A,
     build_B,
     build_S,

@@ -7,9 +7,10 @@ entries are infinite-product constants times a theta-function quotient times
 a principal power of one coordinate (or coordinate ratio). The matrices are
 pseudo-constant: every entry is invariant under scaling its coordinate by q.
 
-Matrix layout matches the solution vector: index 0 first, then (k, l) in
-row-major order, so the matrices are identity outside row/column 0 and the
-rows/columns attached to the moved slot.
+Every builder returns the complex (N*M+1) x (N*M+1) array, laid out like the
+solution vector: index 0 first, then (k, l) in row-major order, so the
+matrices are identity outside row/column 0 and the rows/columns attached to
+the moved slot.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .qkernel import (
 from .hyperseries import SolutionVector, component_index, in_domain
 
 __all__ = [
-    "ConnMatrix",
     "build_A",
     "build_B",
     "build_S",
@@ -48,29 +47,6 @@ __all__ = [
 ]
 
 _THETA_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ConnMatrix:
-    """Connection matrix with provenance.
-
-    kind is "A" (split level L -> matrix to level L+1 components), "B"
-    (level L -> level L-1), "S" (adjacent slot swap at full split), or
-    "composite". eval_point holds the coordinate values the entries actually
-    depend on; t is the full evaluation point the matrix was built at.
-    """
-
-    kind: str
-    L: int
-    sigma: tuple[int, ...]
-    r: int | None
-    entries: np.ndarray
-    eval_point: tuple[complex, ...]
-    t: tuple[complex, ...]
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def _prod(args, f, ctx: QContext) -> complex:
@@ -117,9 +93,7 @@ def _entry(pnum, pden, th, den, x, power, ctx: QContext) -> complex:
 _Slot = namedtuple("_Slot", "x b beta Bfull Btail beta_from beta_after")
 
 
-def _level_matrix(
-    kind: str, p: ParamSet, L: int, s: int, sigma, t, den_arg, entry, ctx: QContext
-) -> ConnMatrix:
+def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) -> np.ndarray:
     """Level-step matrix on slot position s of ordering sigma: the identity
     except row/column 0 and the rows/columns of the components (k, s).
     entry(k, d, slot, den) gives the entry in row k, column d, where 0 stands
@@ -144,12 +118,10 @@ def _level_matrix(
     for k, row in enumerate(idx):
         for d, col in enumerate(idx):
             C[row, col] = entry(k, d, slot, den)
-    return ConnMatrix(
-        kind=kind, L=L, sigma=sigma, r=None, entries=C, eval_point=(slot.x,), t=t
-    )
+    return C
 
 
-def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
+def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     """Matrix sending the level-(L+1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L+1; 0 <= L <= M-1."""
@@ -192,12 +164,10 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
             -1.0 - p.alpha[k - 1] + p.gamma[d - 1], ctx,
         )
 
-    return _level_matrix(
-        "A", p, L, L + 1, sigma, t, lambda s: s.x * s.b * Pa / Pc, entry, ctx
-    )
+    return _level_matrix(p, L + 1, sigma, t, lambda s: s.x * s.b * Pa / Pc, entry, ctx)
 
 
-def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
+def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     """Matrix sending the level-(L-1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L; 1 <= L <= M."""
@@ -237,7 +207,7 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> ConnMatrix:
             x * q * ad / ck, den, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1], ctx,
         )
 
-    return _level_matrix("B", p, L, L, sigma, t, lambda s: s.x, entry, ctx)
+    return _level_matrix(p, L, sigma, t, lambda s: s.x, entry, ctx)
 
 
 def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, den, ctx: QContext):
@@ -263,7 +233,7 @@ def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, den, ctx: QCon
     )
 
 
-def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
+def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> np.ndarray:
     """Matrix sending the fully split solution vector with slot ordering
     sigma to the one with positions r, r+1 swapped (ordering sigma o s_r).
 
@@ -276,14 +246,14 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> ConnMatrix:
     tt = permute_seq(t, sigma)
     if tt[r] == 0:
         raise DomainError("swap ratio undefined: lower coordinate vanishes")
-    return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], t, ctx)
+    return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], ctx)
 
 
 def _swap_matrix(
-    p: ParamSet, r: int, sigma: tuple[int, ...], u: complex, t, ctx: QContext
-) -> ConnMatrix:
+    p: ParamSet, r: int, sigma: tuple[int, ...], u: complex, ctx: QContext
+) -> np.ndarray:
     """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
-    at the coordinate ratio u; t is the point recorded with it."""
+    at the coordinate ratio u."""
     pp = p.permuted(sigma)
     den = _theta_den(u * pp.b[r - 1], ctx)
     S = np.eye(p.N * p.M + 1, dtype=complex)
@@ -291,7 +261,7 @@ def _swap_matrix(
         i = component_index((k, r), p.M)
         j = component_index((k, r + 1), p.M)
         S[i, i], S[i, j], S[j, i], S[j, j] = _swap_block(p, pp.beta, pp.b, k, r, u, den, ctx)
-    return ConnMatrix(kind="S", L=p.M, sigma=sigma, r=r, entries=S, eval_point=(u,), t=t)
+    return S
 
 
 def transposition_word(rho) -> list[int]:
@@ -321,7 +291,7 @@ def compose_connection(
     t,
     ctx: QContext,
     word: list[int] | None = None,
-) -> ConnMatrix:
+) -> np.ndarray:
     """Product of elementary matrices sending the (L1, sigma1) solution
     vector to the (L2, sigma2) one, all factors evaluated at the same t.
 
@@ -350,15 +320,13 @@ def compose_connection(
     # word[0] is applied last, to the ordering the walk reached before sigma2
     factors += [build_S(p, r, tau, t, ctx) for r, tau in zip(word, reversed(walk[:-1]))]
     factors += [build_B(p, Lv, sigma1, t, ctx) for Lv in range(M, L1, -1)]
-    entries = np.eye(p.N * M + 1, dtype=complex)
+    C = np.eye(p.N * M + 1, dtype=complex)
     for f in factors:
-        entries = entries @ f.entries
-    return ConnMatrix(
-        kind="composite", L=L2, sigma=sigma2, r=None, entries=entries, eval_point=(), t=t
-    )
+        C = C @ f
+    return C
 
 
-def verify_connection(lhs: SolutionVector, C: ConnMatrix, rhs: SolutionVector) -> float:
+def verify_connection(lhs: SolutionVector, C: np.ndarray, rhs: SolutionVector) -> float:
     """Max-norm relative residual of lhs = C . rhs.
 
     Both vectors must be evaluated at the same point and each must lie inside
@@ -373,4 +341,4 @@ def verify_connection(lhs: SolutionVector, C: ConnMatrix, rhs: SolutionVector) -
             f"point outside sector intersection (margins {margin_l:.3g}, "
             f"{margin_r:.3g})"
         )
-    return _rel_maxnorm(lhs.as_array(), C.entries @ rhs.as_array())
+    return _rel_maxnorm(lhs.as_array(), C @ rhs.as_array())

@@ -3,7 +3,9 @@
 At full split level the swap matrices depend on one coordinate ratio, so
 freeing that ratio turns them into spectral-parameter matrices. They satisfy
 the Yang-Baxter equation, and specializing all slot parameters to a common
-value collapses each coupling block to a 2x2 weight. That weight is constant
+value collapses each coupling block to a 2x2 weight: with every beta_i = beta,
+the (k, r), (k, r+1) block of build_Stilde(p, r, identity, u) is
+build_Wtilde(gamma_k - 2 - (M - r - 2) beta, -beta, u). That weight is constant
 diagonally conjugate to a known elliptic solution, which in turn is a
 diagonal spectral gauge of the classic face-model weight written with
 odd-theta brackets.
@@ -26,7 +28,7 @@ from .qkernel import (
     qpoch_inf,
     theta,
 )
-from .connection import ConnMatrix, _swap_matrix
+from .connection import _swap_matrix
 
 __all__ = [
     "build_Stilde",
@@ -46,7 +48,7 @@ _BRACKET_TOL = 1e-12
 
 def build_Stilde(
     p: ParamSet, r: int, sigma, ratio: complex, ctx: QContext
-) -> ConnMatrix:
+) -> np.ndarray:
     """Adjacent-swap matrix with the coordinate ratio freed to an arbitrary
     spectral argument. Entries are those of build_S with slot ordering sigma,
     evaluated at ratio instead of an actual coordinate quotient."""
@@ -54,7 +56,7 @@ def build_Stilde(
     ratio = complex(ratio)
     if ratio == 0:
         raise DomainError("spectral argument must be nonzero")
-    return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, (), ctx)
+    return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, ctx)
 
 
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:
@@ -76,7 +78,7 @@ def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> 
             sigma = perm_identity(M)
             for s, _ in reversed(factors[k + 1 :]):
                 sigma = perm_compose(sigma, perm_transposition(M, s))
-            mats.append(build_Stilde(p, pos, sigma, x, ctx).entries)
+            mats.append(build_Stilde(p, pos, sigma, x, ctx))
         return mats[0] @ mats[1] @ mats[2]
 
     lhs = product(((r, u), (r + 1, u * v), (r, v)))
@@ -111,7 +113,10 @@ def build_Wtilde(
     alpha: complex, beta: complex, u: complex, ctx: QContext
 ) -> np.ndarray:
     """2x2 weight in theta-quotient form: the coupling block of the freed
-    swap matrix when every slot parameter equals a common q-power."""
+    swap matrix when every slot parameter equals a common q-power. With
+    every beta_i = b, the (k, r), (k, r+1) block of
+    build_Stilde(p, r, identity, u) is this weight at
+    alpha = gamma_k - 2 - (M - r - 2) b and beta = -b."""
     alpha, beta, u, den, t_mb, _, e11 = _weight_head(alpha, beta, u, ctx)
     qp = ctx.qpow
     e12 = (

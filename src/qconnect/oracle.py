@@ -1,6 +1,6 @@
 """Independent verification machinery: q-difference operator residuals,
 the series transformation checks (argument swap, iterated q-integral,
-single-variable connection sum), and Casorati-determinant independence.
+single-variable connection sum), and the Casorati independence certificate.
 
 Routes here deliberately avoid the convolution engine: reference values come
 from direct shell enumeration or from re-evaluating a function at shifted
@@ -33,7 +33,6 @@ __all__ = [
     "scaled_rcond",
     "RCOND_FLOOR",
     "leading_exponents",
-    "IdentityReport",
     "CasoratiReport",
 ]
 
@@ -231,16 +230,7 @@ def eval_FNM_reference(p: ParamSet, t, ctx: QContext) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# transformation checks
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of an identity and their relative difference."""
-
-    lhs: complex
-    rhs: complex
-    residual: float
+# transformation checks: each returns the relative difference of its two sides
 
 
 def _poch_ratio(pairs, ctx: QContext) -> complex:
@@ -263,7 +253,7 @@ def _upper_ratio_hit(upper, q: complex):
     return None
 
 
-def check_duality(p: ParamSet, t, ctx: QContext) -> IdentityReport:
+def check_duality(p: ParamSet, t, ctx: QContext) -> float:
     """Role-swap transformation: the (N, M) series against the (M, N) series
     in swapped arguments times an infinite-product prefactor. The swapped side
     is enumerated independently; needs every |a_j| < 1 and |t_i| < 1."""
@@ -285,11 +275,10 @@ def check_duality(p: ParamSet, t, ctx: QContext) -> IdentityReport:
         t=p.a,
         ctx=ctx,
     )
-    rhs = pref * swapped
-    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
+    return _rel_diff(lhs, pref * swapped)
 
 
-def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
+def check_jackson(p: ParamSet, t, ctx: QContext) -> float:
     """Iterated q-integral representation: N nested geometric sums over the
     grid z = q^m (m >= 0, endpoint included) against the series value.
 
@@ -338,11 +327,10 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> IdentityReport:
             return complex(np.dot(w, P[S : S + len(w)]))
         return sum(w[m] * level(j + 1, S + m) for m in range(len(w)))
 
-    rhs = _poch_ratio(zip(p.a, p.c), ctx) * level(0, 0)
-    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
+    return _rel_diff(lhs, _poch_ratio(zip(p.a, p.c), ctx) * level(0, 0))
 
 
-def check_watson(upper, lower, t: complex, ctx: QContext) -> IdentityReport:
+def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
     """Single-variable connection sum: the value at argument t against the
     weighted sum of companion series at the reflected argument
     q prod(lower) / (prod(upper) t). Both arguments must lie inside the unit
@@ -378,7 +366,7 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> IdentityReport:
         new_upper = tuple(q * ak / bj for bj in lower) + (ak,)
         new_lower = tuple(q * ak / aj for j, aj in enumerate(upper) if j != k)
         rhs += coeff * eval_nphi(new_upper, new_lower, arg2, ctx).value
-    return IdentityReport(lhs, rhs, _rel_diff(lhs, rhs))
+    return _rel_diff(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +385,28 @@ RCOND_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class CasoratiReport:
-    """Casorati matrix of component functions along a q-power shift ladder.
-    det and rcond are taken with each column scaled to unit max magnitude;
-    rcond = sigma_min/sigma_max is the certificate, passed when it exceeds
-    RCOND_FLOOR."""
+    """Casorati matrix of component functions along a q-power shift ladder,
+    with its certificate and the certificate of its forged dependent twin.
+    rcond = sigma_min/sigma_max of the matrix with each column scaled to unit
+    max magnitude; the matrix passes when rcond exceeds RCOND_FLOOR, and the
+    twin must not exceed it."""
 
-    det: complex
     rcond: float
+    forged_rcond: float
     matrix: np.ndarray
-    shift: tuple[int, ...]
 
 
 def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
-    """Determinant and rcond test for linear independence over the field of
-    q-shift invariants: vector(point) returns all n component values at a
+    """rcond test for linear independence over the field of q-shift
+    invariants: vector(point) returns all n >= 2 component values at a
     point, and row k is vector(t * q^{k m}).
 
-    Swapping two components flips the determinant's sign and leaves rcond
-    unchanged; a repeated component makes the determinant vanish and puts
-    rcond at rounding level. Shifted points leaving the domain surface as
-    whatever error vector raises."""
+    The forged twin replaces the last column by 2 col0 + 0.5 col1 (by
+    2 col0 when n = 2), a combination of columns that stay in the matrix,
+    so its rcond sits at rounding level. Swapping two components leaves
+    rcond unchanged; a repeated component puts it at rounding level.
+    Shifted points leaving the domain surface as whatever error vector
+    raises."""
     m = tuple(int(v) for v in m)
     t = tuple(complex(v) for v in t)
     if len(m) != len(t):
@@ -428,28 +418,23 @@ def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
 
     first = row(0)
     n = len(first)
-    if n < 1:
-        raise ValueError("need at least one component")
+    if n < 2:
+        raise ValueError("need at least two components")
     A = np.array([first, *(row(k) for k in range(1, n))], dtype=complex)
-    return CasoratiReport(
-        det=complex(np.linalg.det(_column_scaled(A))), rcond=scaled_rcond(A), matrix=A, shift=m
-    )
+    forged = A.copy()
+    forged[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if n >= 3 else 2.0 * A[:, 0]
+    return CasoratiReport(scaled_rcond(A), scaled_rcond(forged), A)
 
 
-def _column_scaled(A: np.ndarray) -> np.ndarray:
-    """A with each nonzero column scaled to unit max magnitude."""
+def scaled_rcond(A: np.ndarray) -> float:
+    """sigma_min / sigma_max of A with each nonzero column scaled to unit
+    max magnitude: the certificate of casorati_independence."""
     scaled = A.copy()
     for i in range(A.shape[1]):
         peak = np.max(np.abs(scaled[:, i]))
         if peak > 0.0:
             scaled[:, i] /= peak
-    return scaled
-
-
-def scaled_rcond(A: np.ndarray) -> float:
-    """sigma_min / sigma_max of A with each column scaled to unit max
-    magnitude: the certificate of casorati_independence."""
-    sv = np.linalg.svd(_column_scaled(A), compute_uv=False)
+    sv = np.linalg.svd(scaled, compute_uv=False)
     return float(sv[-1] / sv[0])
 
 

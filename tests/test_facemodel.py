@@ -9,12 +9,14 @@ from qconnect import (
     DomainError,
     ParamSet,
     PoleError,
+    QContext,
     bracket,
     build_S,
     build_Stilde,
     build_W_akm,
     build_Wprime,
     build_Wtilde,
+    component_index,
     conj_f,
     conjugacy_residual,
     perm_compose,
@@ -54,7 +56,7 @@ def test_swap_weight_matches_ratio_form(p13, ctx):
     ident = perm_identity(3)
     S = build_S(p13, 1, ident, t3, ctx)
     St = build_Stilde(p13, 1, ident, t3[0] / t3[1], ctx)
-    assert np.abs(S.entries - St.entries).max() < 1e-14
+    assert np.abs(S - St).max() < 1e-14
 
 
 def test_swap_weight_validation(p13, ctx):
@@ -96,12 +98,12 @@ def test_braid_identity_is_sharp(p13, ctx):
     s1 = perm_transposition(3, 1)
     s2 = perm_transposition(3, 2)
     factors = [
-        build_Stilde(p13, 1, perm_compose(s1, s2), u, ctx).entries,
-        build_Stilde(p13, 2, s1, u * v, ctx).entries,
-        build_Stilde(p13, 1, ident, v, ctx).entries,
-        build_Stilde(p13, 2, perm_compose(s2, s1), v, ctx).entries,
-        build_Stilde(p13, 1, s2, u * v, ctx).entries,
-        build_Stilde(p13, 2, ident, u, ctx).entries,
+        build_Stilde(p13, 1, perm_compose(s1, s2), u, ctx),
+        build_Stilde(p13, 2, s1, u * v, ctx),
+        build_Stilde(p13, 1, ident, v, ctx),
+        build_Stilde(p13, 2, perm_compose(s2, s1), v, ctx),
+        build_Stilde(p13, 1, s2, u * v, ctx),
+        build_Stilde(p13, 2, ident, u, ctx),
     ]
     base = _six_factor_residual(factors)
     assert base < 1e-12
@@ -113,6 +115,28 @@ def test_braid_identity_is_sharp(p13, ctx):
     lam = 2.3 - 0.7j
     scaled = [lam * m for m in factors]
     assert abs(_six_factor_residual(scaled) - base) < 1e-12
+
+
+@pytest.mark.parametrize("q", [Q, 0.5 + 0.2j])
+def test_swap_block_is_face_weight(q):
+    # with every beta_i = beta, the (k, r), (k, r+1) block of the freed swap
+    # matrix is the theta-quotient weight at alpha' = gamma_k - 2 - (M-r-2) beta
+    # and -beta; a shifted alpha' misses by O(1), so the match is not loose
+    ctx_q = QContext(q=q, prod_terms=60)
+    for N in (1, 2):
+        for M in (2, 3, 4):
+            p = ParamSet(alpha=ALPHA[:N], beta=(BE_W,) * M, gamma=GAMMA[:N], q=q)
+            for r in range(1, M):
+                S = build_Stilde(p, r, perm_identity(M), U_W, ctx_q)
+                for k in range(1, N + 1):
+                    ij = [component_index((k, r), M), component_index((k, r + 1), M)]
+                    block = S[np.ix_(ij, ij)]
+                    alpha = GAMMA[k - 1] - 2 - (M - r - 2) * BE_W
+                    W = build_Wtilde(alpha, -BE_W, U_W, ctx_q)
+                    assert np.abs(block - W).max() < 1e-13 * np.abs(W).max()
+                    for shift in (1.0, 0.5):
+                        W_off = build_Wtilde(alpha + shift, -BE_W, U_W, ctx_q)
+                        assert np.abs(block - W_off).max() > 0.1 * np.abs(W_off).max()
 
 
 def test_two_state_weight_conjugacy(ctx):

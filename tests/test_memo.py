@@ -42,9 +42,9 @@ def _results(p, ctx) -> list[bytes]:
         np.asarray(build_solution_vector(p, L, SIGMA, T, ctx).components).tobytes()
         for L in LEVELS
     ]
-    out += [build_A(p, L, SIGMA, T, ctx).entries.tobytes() for L in range(3)]
-    out += [build_B(p, L, SIGMA, T, ctx).entries.tobytes() for L in range(1, 4)]
-    out += [build_S(p, r, SIGMA, T, ctx).entries.tobytes() for r in (1, 2)]
+    out += [build_A(p, L, SIGMA, T, ctx).tobytes() for L in range(3)]
+    out += [build_B(p, L, SIGMA, T, ctx).tobytes() for L in range(1, 4)]
+    out += [build_S(p, r, SIGMA, T, ctx).tobytes() for r in (1, 2)]
     return out
 
 

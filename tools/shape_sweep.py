@@ -28,11 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qconnect.cli import RunConfig, run_suite  # noqa: E402
+from qconnect.cli import _BUDGET, RunConfig, run_suite  # noqa: E402
 from qconnect.errors import BranchWarning  # noqa: E402
 
-BUDGET = 12  # the largest N*M a RunConfig accepts
-SHAPES = [(n, m) for n in range(1, BUDGET + 1) for m in range(1, BUDGET // n + 1)]
+# every shape a RunConfig accepts: N*M up to the compute budget
+SHAPES = [(n, m) for n in range(1, _BUDGET + 1) for m in range(1, _BUDGET // n + 1)]
 LEDGER = ROOT / "tests" / "failure_ledger.tsv"
 BASES = ("0.3", "0.5", "0.7", "0.5+0.2j")  # the bases the ledger holds, as written there
 
