@@ -11,6 +11,7 @@ from .errors import (
     PoleError,
     QConnectError,
     ResonanceError,
+    SamplingError,
     WordError,
 )
 from .qkernel import (
@@ -41,8 +42,6 @@ from .oracle import (
     scaled_rcond,
 )
 from .hyperseries import (
-    CharExponent,
-    ResonanceReport,
     SeriesValue,
     SolutionVector,
     build_solution_vector,
@@ -78,7 +77,6 @@ from .facemodel import (
     ybe_residual,
 )
 from .sampling import (
-    SamplingError,
     sample_domain_point,
     sample_family_overlap,
     sample_interior_point,

@@ -58,7 +58,6 @@ from .facemodel import conjugacy_residual, wprime_gauge_residual, ybe_residual
 from . import sampling
 
 _BUDGET = 12
-_SERIES_CAP = 200
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def _attempt(s: _Sample, check, digest, point, fn):
     start = time.perf_counter()
     try:
         return True, fn()
-    except (QConnectError, sampling.SamplingError, ArithmeticError) as exc:
+    except (QConnectError, ArithmeticError) as exc:
         _record(
             s, check, digest, point, start, residual=None,
             passed=False, error=f"{type(exc).__name__}: {exc}",
@@ -558,7 +557,7 @@ class RunConfig:
         return _SUITES[suite][0]
 
     def context(self) -> QContext:
-        kw = {"q": self.q, "series_cap": _SERIES_CAP}
+        kw = {"q": self.q}
         if self.tail_tol is not None:
             kw["tail_tol"] = self.tail_tol
         return QContext(**kw)

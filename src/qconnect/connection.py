@@ -27,6 +27,7 @@ from .qkernel import (
     QContext,
     _rel_maxnorm,
     _require_range,
+    _validate_perm,
     cpow,
     perm_compose,
     perm_inverse,
@@ -269,7 +270,7 @@ def transposition_word(rho) -> list[int]:
     identity records swaps m_1, m_2, ... so that
     rho = s_{m_t} o ... o s_{m_1} (function composition, m_1 applied last).
     Returned in application order [m_1, ..., m_t]."""
-    lst = [int(v) for v in rho]
+    lst = list(_validate_perm(rho))
     word: list[int] = []
     changed = True
     while changed:
@@ -334,9 +335,9 @@ def verify_connection(lhs: SolutionVector, C: np.ndarray, rhs: SolutionVector) -
     DomainError is raised)."""
     if lhs.t != rhs.t:
         raise ValueError("solution vectors evaluated at different points")
-    ok_l, margin_l = in_domain(lhs.L, lhs.sigma, lhs.params, lhs.t)
-    ok_r, margin_r = in_domain(rhs.L, rhs.sigma, rhs.params, rhs.t)
-    if not (ok_l and ok_r):
+    margin_l = in_domain(lhs.L, lhs.sigma, lhs.params, lhs.t)
+    margin_r = in_domain(rhs.L, rhs.sigma, rhs.params, rhs.t)
+    if not (margin_l > 0.0 and margin_r > 0.0):
         raise DomainError(
             f"point outside sector intersection (margins {margin_l:.3g}, "
             f"{margin_r:.3g})"

@@ -33,6 +33,10 @@ class ConfigError(QConnectError):
     """Invalid run configuration."""
 
 
+class SamplingError(QConnectError):
+    """A rejection sampler ran out of attempts."""
+
+
 class BranchWarning(UserWarning):
     """Emitted when non-integer powers are taken outside the branch-safe sector,
     where principal-branch power laws may silently break."""

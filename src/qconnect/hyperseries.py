@@ -65,8 +65,6 @@ from .qkernel import (
 __all__ = [
     "SeriesValue",
     "SolutionVector",
-    "CharExponent",
-    "ResonanceReport",
     "eval_FNM",
     "eval_nphi",
     "eval_FNM_L",
@@ -570,9 +568,10 @@ def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
     return pp, permute_seq(tuple(complex(v) for v in t), sigma), exps
 
 
-def _component(pp: ParamSet, L: int, ce: CharExponent, tt, ctx: QContext) -> complex:
-    """Component ce.component of a family set up by _family."""
-    comp, M = ce.component, pp.M
+def _component(pp: ParamSet, L: int, comp, delta, tt, ctx: QContext) -> complex:
+    """Component comp, with leading exponents delta, of a family set up by
+    _family."""
+    M = pp.M
     start = (L + 1) if comp == 0 else comp[1]
     risky = [
         i
@@ -594,7 +593,7 @@ def _component(pp: ParamSet, L: int, ce: CharExponent, tt, ctx: QContext) -> com
         series = eval_FNM_Lkl(pp, L, *comp, tt, ctx)
     pref = 1.0 + 0j
     for i in range(start, M + 1):
-        pref *= cpow(tt[i - 1], ce.delta[i - 1])
+        pref *= cpow(tt[i - 1], delta[i - 1])
     return pref * series.value
 
 
@@ -611,7 +610,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
     """
     pp, tt, exps = _family(p, L, sigma, t, ctx)
     comp = _normalize_component(which, p.N, p.M)
-    return _component(pp, L, exps[component_index(comp, p.M)], tt, ctx)
+    return _component(pp, L, comp, exps[component_index(comp, p.M)], tt, ctx)
 
 
 @dataclass(frozen=True)
@@ -635,11 +634,11 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
     pp, tt, exps = _family(p, L, sigma, t, ctx)
     comps = []
     failures: list[tuple[object, Exception]] = []
-    for ce in exps:
+    for comp, delta in zip(component_order(p.N, p.M), exps):
         try:
-            comps.append(_component(pp, L, ce, tt, ctx))
+            comps.append(_component(pp, L, comp, delta, tt, ctx))
         except Exception as exc:  # noqa: BLE001  aggregated below
-            failures.append((ce.component, exc))
+            failures.append((comp, exc))
     if failures:
         first = failures[0][1]
         detail = "; ".join(f"component {lab}: {exc}" for lab, exc in failures)
@@ -657,59 +656,33 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
 # domains, exponents, resonance
 
 
-def in_domain(L: int, sigma, p: ParamSet, t) -> tuple[bool, float]:
-    """Strict membership test for the convergence sector of the solution
-    family at split level L and slot ordering sigma: where component 0 and
-    one (k, l) component per slot l converge. The margin is the smallest
-    slack (negative when outside)."""
+def in_domain(L: int, sigma, p: ParamSet, t) -> float:
+    """Margin of t in the convergence sector of the solution family at split
+    level L and slot ordering sigma: where component 0 and one (k, l)
+    component per slot l converge. The margin is the smallest slack over
+    those conditions, positive exactly inside the sector."""
     _require_range("L", L, 0, p.M)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     bb = permute_seq(p.b, sigma)
-    margin = min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))
-    return margin > 0.0, margin
+    return min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))
 
 
-@dataclass(frozen=True)
-class CharExponent:
-    """Leading power vector of one solution component at the sector center."""
-
-    component: object
-    delta: tuple[complex, ...]
-
-
-def char_exponents(p: ParamSet, L: int) -> tuple[CharExponent, ...]:
-    """Leading exponent vectors, identity slot ordering, component order as in
-    build_solution_vector."""
+def char_exponents(p: ParamSet, L: int) -> tuple[tuple[complex, ...], ...]:
+    """Leading exponent vector (delta) of every component of the level-L
+    family at the identity slot ordering, in component_order(N, M) order."""
     M = p.M
     _require_range("L", L, 0, M)
-    out = [
-        CharExponent(0, tuple([0.0 + 0j] * L + [-bv for bv in p.beta[L:]]))
-    ]
-    for k in range(1, p.N + 1):
-        for l in range(1, M + 1):
+    out = []
+    for comp in component_order(p.N, M):
+        if comp == 0:
+            l, head = L, [0.0 + 0j] * L
+        else:
+            k, l = comp
             tail = sum(p.beta[l:])
-            if l <= L:
-                lead = 1.0 + tail - p.gamma[k - 1]
-            else:
-                lead = -p.alpha[k - 1] + tail
-            delta = [0.0 + 0j] * (l - 1) + [lead] + [-bv for bv in p.beta[l:]]
-            out.append(CharExponent((k, l), tuple(delta)))
+            lead = 1.0 + tail - p.gamma[k - 1] if l <= L else -p.alpha[k - 1] + tail
+            head = [0.0 + 0j] * (l - 1) + [lead]
+        out.append(tuple(head + [-bv for bv in p.beta[l:]]))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    """Lattice degeneracies among parameter ratios for a slot ordering.
-
-    Each violation records (description, offending value, lattice exponent).
-    """
-
-    sigma: tuple[int, ...]
-    violations: tuple[tuple[str, complex, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _resonance_ratios(p: ParamSet, products):
@@ -731,12 +704,12 @@ def _resonance_ratios(p: ParamSet, products):
             yield (c[j], name), p.c[j] / prod
 
 
-def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
-    """Scan the ratios that the solution theory requires off the q-power
-    lattice: upper/upper, coupling/coupling, and each upper or coupling value
-    against every suffix product of the reordered b-family (empty suffix
-    included)."""
-    sigma = tuple(int(v) for v in sigma)
+def check_resonance(p: ParamSet, sigma) -> tuple[tuple[str, complex, int], ...]:
+    """(label, value, lattice exponent) of every ratio that the solution
+    theory requires off the q-power lattice but that lies on it: upper/upper,
+    coupling/coupling, and each upper or coupling value against every suffix
+    product of the reordered b-family (empty suffix included). An empty
+    tuple means nonresonant."""
     bb = permute_seq(p.b, sigma)
     suffixes = [(f"suffix({len(bb) + 1})", 1.0 + 0j)]
     for i in range(len(bb), 0, -1):
@@ -746,4 +719,4 @@ def check_resonance(p: ParamSet, sigma) -> ResonanceReport:
         k = lattice_hit(value, p.q)
         if k is not None:
             bad.append(("/".join(names), value, k))
-    return ResonanceReport(sigma=sigma, violations=tuple(bad))
+    return tuple(bad)

@@ -344,6 +344,8 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
     hit = _upper_ratio_hit(upper, q)
     if hit is not None:
         raise ResonanceError("upper ratio {}/{} sits at q^{}".format(*hit))
+    if t == 0:
+        raise DomainError("reflected argument undefined at t = 0")
     arg2 = q * math.prod(lower, start=1.0 + 0j) / (
         math.prod(upper, start=1.0 + 0j) * t
     )
@@ -450,6 +452,7 @@ def leading_exponents(fn, L: int, M: int, ctx: QContext):
     1/t_i = x_{L+1} ... x_i beyond), scales each x_j by q in turn, and reads
     the exponent off the principal logarithm of the value ratio. Accuracy is
     O(1e-4), the size of the probe's chamber coordinates."""
+    _require_range("L", L, 0, M)
     q = ctx.q
     logq = np.log(complex(q))
 

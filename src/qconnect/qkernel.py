@@ -64,7 +64,7 @@ class QContext:
     """Evaluation context: the base q plus truncation/tolerance policy.
 
     prod_terms   number of factors kept in infinite products
-    series_cap   maximum shell (total degree) in multi-series evaluation
+    series_cap   maximum shell (total degree) in multi-series evaluation (200)
     tail_tol     relative shell size below which a series is considered done
 
     A context memoises qpoch_inf values and the values that depend on
@@ -80,7 +80,7 @@ class QContext:
 
     q: complex
     prod_terms: int | None = None
-    series_cap: int = 80
+    series_cap: int = 200
     tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:

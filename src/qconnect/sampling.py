@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ResonanceError
+from .errors import ResonanceError, SamplingError
 from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
@@ -60,10 +60,6 @@ _FAMILY_TRIES = 500
 _WATSON_TRIES = 200
 _LADDER_MARGIN = 0.02
 _OVERLAP_MARGIN = 0.03
-
-
-class SamplingError(RuntimeError):
-    """A rejection sampler ran out of attempts."""
 
 
 def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:
@@ -154,7 +150,7 @@ def _node_proxy(exps, m, ctx: QContext) -> float:
     the char_exponents exps: the scaled determinant tracks this
     Vandermonde-type product within a small factor, so it predicts
     conditioning without evaluating any series."""
-    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
+    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, delta))) for delta in exps]
     prod = 1.0
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -226,7 +222,7 @@ def _accept(draw, p: ParamSet, families, tries: int, margin: float,
     for _ in range(tries):
         t = draw()
         if all(
-            in_domain(L, sigma, p, pt)[1] >= margin
+            in_domain(L, sigma, p, pt) >= margin
             for pt in points(t)
             for L, sigma in families
         ):
@@ -260,6 +256,7 @@ def sample_domain_point(
     large ones start above the coupling floor inflated by the worst
     uniform shift and spread by a ratio that dominates the pair bounds."""
     M, N = p.M, p.N
+    _require_range("L", L, 0, M)
     sigma = tuple(int(v) for v in sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)

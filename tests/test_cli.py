@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qconnect import ConfigError, ConvergenceError
-from qconnect import cli, facemodel, oracle
+from qconnect import cli, connection, facemodel, oracle
 from qconnect.cli import (
     SUITES,
     RunConfig,
@@ -187,13 +187,18 @@ def test_theorem1_sample_composes_the_one_swap_word_once(monkeypatch):
 
 
 def test_run_calls_every_public_identity_check(monkeypatch):
-    # every identity check oracle and facemodel export (each public function
-    # named *residual* or check_*) is one the run driver certifies
+    # every identity check oracle, connection and facemodel export (each
+    # public function named *residual*, check_* or verify_*, and the Casorati
+    # certificate) is one the run driver certifies
     names = [
-        name for mod in (oracle, facemodel) for name in mod.__all__
-        if callable(getattr(mod, name)) and ("residual" in name or name.startswith("check_"))
-    ]
-    assert {"residual_eqn1", "check_watson", "ybe_residual", "wprime_gauge_residual"} <= set(names)
+        name for mod in (oracle, connection, facemodel) for name in mod.__all__
+        if callable(getattr(mod, name))
+        and ("residual" in name or name.startswith(("check_", "verify_")))
+    ] + ["casorati_independence"]
+    assert {
+        "residual_eqn1", "check_watson", "ybe_residual", "wprime_gauge_residual",
+        "verify_connection",
+    } <= set(names)
     missing = [name for name in names if not hasattr(cli, name)]
     assert not missing, f"the run driver never imports {missing}"
     calls = {name: _calls(monkeypatch, name) for name in names}

@@ -134,6 +134,11 @@ def test_transposition_word_factorizes():
         assert acc == rho
 
 
+def test_transposition_word_refuses_a_non_permutation():
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2: \(2, 5\)"):
+        transposition_word((2, 5))
+
+
 def test_composition_across_two_levels(p12, ctx_comp):
     C = compose_connection(p12, 0, IDENT, 2, IDENT, T_COMP, ctx_comp)
     u0 = build_solution_vector(p12, 0, IDENT, T_COMP, ctx_comp)

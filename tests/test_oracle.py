@@ -332,6 +332,14 @@ def test_watson_validation():
         check_watson((ups[0], ups[0] * 0.35**3), los, 0.45, ctx35)
 
 
+def test_watson_refuses_t_zero():
+    ctx35 = QContext(q=0.35, prod_terms=60, series_cap=200)
+    ups = (ctx35.qpow(0.4), ctx35.qpow(0.25))
+    los = (ctx35.qpow(1.2),)
+    with pytest.raises(DomainError, match=r"^reflected argument undefined at t = 0$"):
+        check_watson(ups, los, 0, ctx35)
+
+
 def test_casorati_pair(p11, ctx_long):
     vec = lambda tt: build_solution_vector(p11, 1, (1,), tt, ctx_long).components
     rep = casorati_independence(vec, (1,), (0.4,), ctx_long)
@@ -365,3 +373,10 @@ def test_leading_exponent_extraction(p11, ctx_long):
     fn = lambda tt: local_solution(p11, 1, (1,), (1, 1), tt, ctx_long)
     ext = leading_exponents(fn, 1, 1, ctx_long)
     assert abs(ext[0] - (1 - GAMMA[0])) < 1e-3
+
+
+def test_leading_exponents_range_checks_the_level(p12, ctx_long):
+    fn = lambda tt: local_solution(p12, 1, (1, 2), 0, tt, ctx_long)
+    for L in (-1, 3):
+        with pytest.raises(IndexError, match=rf"^L = {L} outside \[0, 2\]$"):
+            leading_exponents(fn, L, 2, ctx_long)

@@ -69,7 +69,7 @@ def test_strong_nonresonant_is_check_resonance_over_all_orderings(N, M):
     ]
     verdicts = []
     for p in sets:
-        verdict = all(check_resonance(p, s).ok for s in permutations(range(1, M + 1)))
+        verdict = all(check_resonance(p, s) == () for s in permutations(range(1, M + 1)))
         assert strong_nonresonant(p) == verdict
         verdicts.append(verdict)
     assert verdicts[:4] == [True] * 4 and not verdicts[-1]
@@ -193,8 +193,16 @@ def test_sample_domain_point():
     ident = perm_identity(2)
     for L in (0, 1, 2):
         t = sample_domain_point(p, L, ident, rng)
-        ok, margin = in_domain(L, ident, p, t)
-        assert ok and margin > 0.0
+        assert in_domain(L, ident, p, t) > 0.0
+
+
+def test_sample_domain_point_checks_the_level_before_drawing():
+    rng = np.random.default_rng(13)
+    p = sample_params(2, 2, Q, rng)
+    state = rng.bit_generator.state
+    with pytest.raises(IndexError, match=r"^L = 3 outside \[0, 2\]$"):
+        sample_domain_point(p, 3, perm_identity(2), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_level_overlap():
@@ -203,8 +211,8 @@ def test_sample_level_overlap():
     ident = perm_identity(2)
     for L in (0, 1):
         t = sample_level_overlap(p, L, ident, rng)
-        assert in_domain(L, ident, p, t)[0]
-        assert in_domain(L + 1, ident, p, t)[0]
+        assert in_domain(L, ident, p, t) > 0.0
+        assert in_domain(L + 1, ident, p, t) > 0.0
 
 
 def test_sample_swap_overlap():
@@ -212,8 +220,8 @@ def test_sample_swap_overlap():
     p = sample_params(2, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     ident = perm_identity(2)
     t = sample_swap_overlap(p, 1, ident, rng)
-    assert in_domain(2, ident, p, t)[0]
-    assert in_domain(2, (2, 1), p, t)[0]
+    assert in_domain(2, ident, p, t) > 0.0
+    assert in_domain(2, (2, 1), p, t) > 0.0
 
 
 def test_sample_family_overlap():
@@ -221,8 +229,8 @@ def test_sample_family_overlap():
     p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
     fam1, fam2 = (1, (1, 2)), (1, (2, 1))
     t = sample_family_overlap(p, fam1, fam2, rng)
-    assert in_domain(fam1[0], fam1[1], p, t)[0]
-    assert in_domain(fam2[0], fam2[1], p, t)[0]
+    assert in_domain(fam1[0], fam1[1], p, t) > 0.0
+    assert in_domain(fam2[0], fam2[1], p, t) > 0.0
 
 
 def test_sample_watson_feeds_the_check(ctx_long):
@@ -317,7 +325,7 @@ def test_casorati_shift_steps_separate_every_component(N, M):
         for m in sampling._shift_candidates(M, len(exps), Q):
             small = m[:-1]
             assert all(x > y > 0 for x, y in zip(small, small[1:])) and m[-1] < 0
-            nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, ce.delta))) for ce in exps]
+            nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, delta))) for delta in exps]
             for i, x in enumerate(nodes):
                 for y in nodes[i + 1:]:
                     assert abs(x - y) > 1e-8 * max(abs(x), abs(y)), (m, seed)
