@@ -100,7 +100,7 @@ def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) 
     entry(k, d, slot, den) gives the entry in row k, column d, where 0 stands
     for the constant component and den is the _theta_den of den_arg(slot);
     entries are filled row-major."""
-    sigma = tuple(int(v) for v in sigma)
+    sigma = _validate_perm(sigma)
     pp = p.permuted(sigma)
     t = tuple(complex(v) for v in t)
     b, beta = pp.b, pp.beta
@@ -126,7 +126,7 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     """Matrix sending the level-(L+1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L+1; 0 <= L <= M-1."""
-    _require_range("L", L, 0, p.M - 1)
+    L = _require_range("L", L, 0, p.M - 1)
     q, a, c = p.q, p.a, p.c
     Pa = math.prod(a, start=1.0 + 0j)
     Pc = math.prod(c, start=1.0 + 0j)
@@ -172,7 +172,7 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     """Matrix sending the level-(L-1) solution vector to the level-L one
     (same slot ordering). Nontrivial entries sit in row 0 and the rows of
     components attached to slot position L; 1 <= L <= M."""
-    _require_range("L", L, 1, p.M)
+    L = _require_range("L", L, 1, p.M)
     q, a, c = p.q, p.a, p.c
 
     def entry(k, d, s, den):
@@ -241,8 +241,8 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> np.ndarray:
     Entries depend on the coordinates only through the ratio of the two
     swapped ones, so simultaneous rescaling of both leaves the matrix fixed.
     """
-    _require_range("r", r, 1, p.M - 1)
-    sigma = tuple(int(v) for v in sigma)
+    r = _require_range("r", r, 1, p.M - 1)
+    sigma = _validate_perm(sigma)
     t = tuple(complex(v) for v in t)
     tt = permute_seq(t, sigma)
     if tt[r] == 0:
@@ -300,15 +300,15 @@ def compose_connection(
     sigma2 = sigma1 o s_{r_I} o ... o s_{r_1}; when omitted it is generated
     by bubble sort and verified. An empty product returns the identity."""
     M = p.M
-    sigma1 = tuple(int(v) for v in sigma1)
-    sigma2 = tuple(int(v) for v in sigma2)
-    _require_range("L1", L1, 0, M)
-    _require_range("L2", L2, 0, M)
+    sigma1 = _validate_perm(sigma1)
+    sigma2 = _validate_perm(sigma2)
+    L1 = _require_range("L1", L1, 0, M)
+    L2 = _require_range("L2", L2, 0, M)
     t = tuple(complex(v) for v in t)
     if word is None:
         rho = perm_compose(perm_inverse(sigma1), sigma2)
         word = transposition_word(rho)
-    word = [int(r) for r in word]
+    word = [_require_range("r", r, 1, M - 1) for r in word]
     walk = [sigma1]
     for r in reversed(word):
         walk.append(perm_compose(walk[-1], perm_transposition(M, r)))

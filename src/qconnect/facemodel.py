@@ -21,6 +21,7 @@ from .qkernel import (
     QContext,
     _rel_maxnorm,
     _require_range,
+    _validate_perm,
     cpow,
     perm_compose,
     perm_identity,
@@ -40,7 +41,6 @@ __all__ = [
     "build_Wprime",
     "conjugacy_residual",
     "wprime_gauge_residual",
-    "GAUGE_TWIST_DEFAULT",
 ]
 
 _BRACKET_TOL = 1e-12
@@ -52,11 +52,11 @@ def build_Stilde(
     """Adjacent-swap matrix with the coordinate ratio freed to an arbitrary
     spectral argument. Entries are those of build_S with slot ordering sigma,
     evaluated at ratio instead of an actual coordinate quotient."""
-    _require_range("r", r, 1, p.M - 1)
+    r = _require_range("r", r, 1, p.M - 1)
     ratio = complex(ratio)
     if ratio == 0:
         raise DomainError("spectral argument must be nonzero")
-    return _swap_matrix(p, r, tuple(int(v) for v in sigma), ratio, ctx)
+    return _swap_matrix(p, r, _validate_perm(sigma), ratio, ctx)
 
 
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:
@@ -68,7 +68,7 @@ def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> 
     Each factor's slot ordering applies the swaps of the factors to its
     right, so both sides realize the same three-slot reversal."""
     M = p.M
-    _require_range("r", r, 1, M - 2)
+    r = _require_range("r", r, 1, M - 2)
     u = complex(u)
     v = complex(v)
 
@@ -235,16 +235,7 @@ def conjugacy_residual(alpha: complex, beta: complex, u: complex, ctx: QContext)
     return float(max(d1, d2) / scale)
 
 
-GAUGE_TWIST_DEFAULT = "balanced"
-
-
-def wprime_gauge_residual(
-    alpha: complex,
-    beta: complex,
-    x: complex,
-    ctx: QContext,
-    twist: complex | str = GAUGE_TWIST_DEFAULT,
-) -> float:
+def wprime_gauge_residual(alpha: complex, beta: complex, x: complex, ctx: QContext) -> float:
     """Relative residual of the diagonal spectral gauge carrying the
     bracket-parametrized weight onto the conjugated one:
 
@@ -254,18 +245,13 @@ def wprime_gauge_residual(
     with g1 = (-alpha-3*beta)/2, g2 = (alpha+beta)/2 and the balancing
     constant m = q^{(beta+1)/2}. The second diagonal slot needs that
     constant because the bracket normalization of a unit step differs from
-    the theta normalization by exactly it; passing twist=1 evaluates the
-    plain-scalar variant, which is off by m on each off-diagonal entry."""
+    the theta normalization by exactly it; without it (m = 1) each
+    off-diagonal entry is off by m."""
     alpha = complex(alpha)
     beta = complex(beta)
     x = complex(x)
     qp = ctx.qpow
-    if twist == GAUGE_TWIST_DEFAULT:
-        m = qp((beta + 1) / 2)
-    else:
-        m = complex(twist)
-        if m == 0:
-            raise DomainError("twist must be nonzero")
+    m = qp((beta + 1) / 2)
     a_mult = qp(-alpha - 2 * beta)
     unit_mult = qp(beta + 1)
     Wp = build_Wprime(a_mult, x, unit_mult, ctx)

@@ -13,15 +13,17 @@ negligible relative to the running magnitude.
 
 Every series first screens all of its denominators, axis weights and
 coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
-raises ResonanceError however early the sum would settle. The tables are
-then built only as far as the sum reads, on a ladder of stops 48, 96,
-192, ... capped at series_cap: most series settle within the first, and a
-series that has not settled by a stop continues with the next shell, from
-axis tables rebuilt at the next stop and the last coupling table extended
-to it, so each shell is summed once and each coupling entry computed once.
-A one-sided series gets the shells of a rung from one elementwise product;
-on two sides each shell is one reduction over contiguous slices of the
-tables.
+raises ResonanceError however early the sum would settle. Every pole, here
+and in eval_nphi, is decided by qkernel.lattice_hit, the library's one rule
+for "on the lattice"; no denominator is compared with a threshold of its
+own. The tables are then built only as far as the sum reads, on a ladder of
+stops 48, 96, 192, ... capped at series_cap: most series settle within the
+first, and a series that has not settled by a stop continues with the next
+shell, from axis tables rebuilt at the next stop and the last coupling
+table extended to it, so each shell is summed once and each coupling entry
+computed once. A one-sided series gets the shells of a rung from one
+elementwise product; on two sides each shell is one reduction over
+contiguous slices of the tables.
 
 Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
@@ -51,12 +53,12 @@ from .errors import (
     ResonanceError,
 )
 from .qkernel import (
-    LATTICE_RANGE,
     ParamSet,
     QContext,
     _bits,
     _coords,
     _require_range,
+    _validate_perm,
     cpow,
     lattice_hit,
     permute_seq,
@@ -79,7 +81,6 @@ __all__ = [
     "component_index",
 ]
 
-_DEN_TOL = 1e-12
 _SECTOR = math.pi / 4.0
 
 
@@ -124,9 +125,17 @@ def _stages(cap: int) -> list[int]:
     return stops + [cap]
 
 
+def _pole(v: complex, q: complex, lo: int, hi: int) -> int | None:
+    """The n in [lo, hi] where 1 - v q^n vanishes, by lattice_hit, or None
+    (always for v = 0). It tests 1/v against q^n: a scan from q^-hi would
+    overflow for small |q|."""
+    return None if v == 0 else lattice_hit(1.0 / v, q, kmin=lo, kmax=hi)
+
+
 def _axis_products(nums, dens, ctx: QContext):
     """(prod(1 - n q^k), prod(1 - d q^k), whether a denominator vanishes)
-    for q^k in ctx._series_qpow, with read-only arrays."""
+    for q^k in ctx._series_qpow, with read-only arrays; a pole is decided by
+    _pole over the same indices."""
     qp = ctx._series_qpow
     num = np.ones(len(qp), dtype=complex)
     for u in nums:
@@ -135,7 +144,8 @@ def _axis_products(nums, dens, ctx: QContext):
     for v in dens:
         den *= 1.0 - complex(v) * qp
     num.flags.writeable = den.flags.writeable = False
-    return num, den, bool(np.any(np.abs(den) <= _DEN_TOL))
+    pole = any(_pole(v, ctx.q, 0, ctx.series_cap - 1) is not None for v in dens)
+    return num, den, pole
 
 
 def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
@@ -155,37 +165,14 @@ def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
 
 
 def _screen(nums, dens, up: int, down: int, ctx: QContext) -> int | None:
-    """Index of the first vanishing coupling denominator at indices
-    0..up-1 and -1..-down, with the arithmetic of the table, or None. The
-    table, built to any number of shells, checks nothing.
-
-    A walk stops once no factor can come near zero again: after every
-    |v q^n| < 1/4 on the plus side each later |1 - v q^n| > 1/2, and after
-    every |u q^-n| > 4 on the minus side each later
-    |1 - u q^-n| > |u q^-n| / 2."""
+    """Index of the first vanishing coupling denominator, by lattice_hit,
+    at indices 0..up-1 (factors 1 - v q^n of dens) and then -1..-down
+    (factors 1 - u q^-n of nums), or None. The table, built to any number
+    of shells, checks nothing."""
     q = ctx.q
-    vmax = max(map(abs, dens), default=0.0)
-    qk = 1.0 + 0j
-    for n in range(up):
-        den = 1.0 + 0j
-        for v in dens:
-            den *= 1.0 - v * qk
-        if abs(den) <= _DEN_TOL:
-            return n
-        if vmax * abs(qk) < 0.25:
-            break
-        qk *= q
-    umin = min(map(abs, nums), default=math.inf)
-    qk = 1.0 / q
-    for n in range(down):
-        for u in nums:
-            fden = 1.0 - u * qk
-            if abs(fden) <= _DEN_TOL * max(1.0, abs(u * qk)):
-                return -n - 1
-        if umin * abs(qk) > 4.0:
-            break
-        qk /= q
-    return None
+    plus = [n for v in dens if (n := _pole(v, q, 0, up - 1)) is not None]
+    minus = [-k for u in nums if (k := lattice_hit(u, q, kmin=1, kmax=down)) is not None]
+    return min(plus) if plus else max(minus, default=None)
 
 
 def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
@@ -368,11 +355,11 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
     t = complex(t)
     if abs(t) >= 1.0:
         raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
-    for j, lv in enumerate(lower, start=1):
-        k = lattice_hit(lv, ctx.q, kmin=-LATTICE_RANGE, kmax=0)
-        if k is not None:
-            raise ResonanceError(f"lower parameter {j} sits at q^{k}")
     q = ctx.q
+    for j, lv in enumerate(lower, start=1):
+        m = _pole(lv, q, 0, ctx.series_cap)
+        if m is not None:
+            raise ResonanceError(f"lower parameter {j} sits at q^{-m}")
 
     def terms():
         term = 1.0 + 0j
@@ -385,8 +372,6 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
             den = 1.0 - q * qm
             for lv in lower:
                 den *= 1.0 - lv * qm
-            if abs(den) <= _DEN_TOL:
-                raise ResonanceError(f"term denominator vanished at index {m}")
             term *= num / den
             qm *= q
 
@@ -441,7 +426,7 @@ def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
     (a_j / B | c_j / B), B = prod_{i>L} b_i."""
     _check_base(p, ctx)
     M = p.M
-    _require_range("L", L, 0, M)
+    L = _require_range("L", L, 0, M)
     t = _coords(t, M)
     _domain_check(_sector(p, p.b, L, 0, t))
     q = p.q
@@ -482,9 +467,9 @@ def eval_FNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     b_l t_l/(b_i t_i).
     """
     _check_base(p, ctx)
-    _require_range("L", L, 0, p.M)
-    _require_range("l", l, L + 1, p.M)
-    _require_range("k", k, 1, p.N)
+    L = _require_range("L", L, 0, p.M)
+    l = _require_range("l", l, L + 1, p.M)
+    k = _require_range("k", k, 1, p.N)
     q, a_k = p.q, p.a[k - 1]
 
     def coupling(bl_tl, tail):
@@ -504,9 +489,9 @@ def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     axis carrying ({q a_j/c_k} | {q c_j/c_k}) at argument b_l t_l/q.
     """
     _check_base(p, ctx)
-    _require_range("L", L, 0, p.M)
-    _require_range("l", l, 1, L)
-    _require_range("k", k, 1, p.N)
+    L = _require_range("L", L, 0, p.M)
+    l = _require_range("l", l, 1, L)
+    k = _require_range("k", k, 1, p.N)
     q, c_k = p.q, p.c[k - 1]
 
     def coupling(bl_tl, tail):
@@ -535,13 +520,10 @@ def component_index(comp, M: int) -> int:
 
 
 def _normalize_component(which, N: int, M: int):
-    if which == 0:
-        return 0
-    k, l = which
-    k, l = int(k), int(l)
-    _require_range("k", k, 1, N)
-    _require_range("l", l, 1, M)
-    return (k, l)
+    if isinstance(which, (tuple, list)):
+        k, l = which
+        return (_require_range("k", k, 1, N), _require_range("l", l, 1, M))
+    return _require_range("which", which, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +536,8 @@ def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
     parameters and exponents depend on p, L and sigma only and come from
     ctx's memo; the coordinates are reordered on every call."""
     _check_base(p, ctx)
-    _require_range("L", L, 0, p.M)
-    sigma = tuple(int(v) for v in sigma)
+    L = _require_range("L", L, 0, p.M)
+    sigma = _validate_perm(sigma)
 
     def setup():
         pp = p.permuted(sigma)
@@ -645,7 +627,7 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
         raise type(first)(f"{len(failures)} component(s) failed: {detail}") from first
     return SolutionVector(
         L=L,
-        sigma=tuple(int(v) for v in sigma),
+        sigma=_validate_perm(sigma),
         t=tuple(complex(v) for v in t),
         components=tuple(comps),
         params=p,
@@ -661,7 +643,7 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> float:
     level L and slot ordering sigma: where component 0 and one (k, l)
     component per slot l converge. The margin is the smallest slack over
     those conditions, positive exactly inside the sector."""
-    _require_range("L", L, 0, p.M)
+    L = _require_range("L", L, 0, p.M)
     tt = permute_seq(tuple(complex(v) for v in t), sigma)
     bb = permute_seq(p.b, sigma)
     return min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))
@@ -671,7 +653,7 @@ def char_exponents(p: ParamSet, L: int) -> tuple[tuple[complex, ...], ...]:
     """Leading exponent vector (delta) of every component of the level-L
     family at the identity slot ordering, in component_order(N, M) order."""
     M = p.M
-    _require_range("L", L, 0, M)
+    L = _require_range("L", L, 0, M)
     out = []
     for comp in component_order(p.N, M):
         if comp == 0:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResonanceError
 from .qkernel import (
-    LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, _require_range, lattice_hit, q_shift,
-    qpoch_inf, theta,
+    LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, _require_int, _require_range,
+    lattice_hit, q_shift, qpoch_inf, theta,
 )
 from .hyperseries import eval_FNM, eval_nphi
 
@@ -91,7 +91,7 @@ def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
     T scaling all coordinates by q and T_s only coordinate s. Normalized by
     the largest signed term, so an identically satisfied equation gives ~0
     and a generic function gives O(1)."""
-    _require_range("s", s, 1, p.M)
+    s = _require_range("s", s, 1, p.M)
     t = tuple(complex(v) for v in t)
     q = ctx.q
     Ca = _factored_coeffs(p.a)
@@ -116,8 +116,8 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
         [ t_r (1 - b_r T_r)(1 - T_s) - t_s (1 - b_s T_s)(1 - T_r) ] f = 0.
 
     Antisymmetric in (r, s); r = s is rejected."""
-    _require_range("r", r, 1, p.M)
-    _require_range("s", s, 1, p.M)
+    r = _require_range("r", r, 1, p.M)
+    s = _require_range("s", s, 1, p.M)
     if r == s:
         raise ValueError("pairwise equation needs two distinct slots")
     t = tuple(complex(v) for v in t)
@@ -409,7 +409,7 @@ def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
     rcond unchanged; a repeated component puts it at rounding level.
     Shifted points leaving the domain surface as whatever error vector
     raises."""
-    m = tuple(int(v) for v in m)
+    m = tuple(_require_int("m", v) for v in m)
     t = tuple(complex(v) for v in t)
     if len(m) != len(t):
         raise ValueError("shift pattern and point must have equal length")
@@ -452,7 +452,7 @@ def leading_exponents(fn, L: int, M: int, ctx: QContext):
     1/t_i = x_{L+1} ... x_i beyond), scales each x_j by q in turn, and reads
     the exponent off the principal logarithm of the value ratio. Accuracy is
     O(1e-4), the size of the probe's chamber coordinates."""
-    _require_range("L", L, 0, M)
+    L = _require_range("L", L, 0, M)
     q = ctx.q
     logq = np.log(complex(q))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -235,10 +236,22 @@ def lattice_hit(
     return None
 
 
-def _require_range(name: str, value: int, lo: int, hi: int) -> None:
-    """IndexError naming the index unless lo <= value <= hi."""
+def _require_int(name: str, value) -> int:
+    """value as an int, read by __index__: a bool, a float or any other
+    value without __index__ raises TypeError naming it, so nothing is
+    truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} = {value} is not an integer")
+    return operator.index(value)
+
+
+def _require_range(name: str, value, lo: int, hi: int) -> int:
+    """value as an int (see _require_int), or IndexError naming the index
+    unless lo <= value <= hi."""
+    value = _require_int(name, value)
     if not lo <= value <= hi:
         raise IndexError(f"{name} = {value} outside [{lo}, {hi}]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +263,9 @@ def perm_identity(size: int) -> tuple[int, ...]:
 
 
 def _validate_perm(sigma) -> tuple[int, ...]:
-    s = tuple(int(v) for v in sigma)
+    """sigma as a tuple of ints (each read by _require_int), or ValueError
+    unless it permutes 1..len(sigma)."""
+    s = tuple(_require_int("sigma entry", v) for v in sigma)
     if sorted(s) != list(range(1, len(s) + 1)):
         raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
     return s
@@ -275,7 +290,7 @@ def perm_inverse(sigma) -> tuple[int, ...]:
 
 def perm_transposition(size: int, r: int) -> tuple[int, ...]:
     """Adjacent transposition swapping r and r+1 (1 <= r <= size-1)."""
-    _require_range("r", r, 1, size - 1)
+    r = _require_range("r", r, 1, size - 1)
     out = list(range(1, size + 1))
     out[r - 1], out[r] = out[r], out[r - 1]
     return tuple(out)
@@ -292,7 +307,7 @@ def permute_seq(seq, sigma) -> tuple:
 def q_shift(t, q: complex, s: int) -> tuple[complex, ...]:
     """Multiply coordinate s (1-based) of t by q."""
     tt = list(complex(v) for v in t)
-    _require_range("s", s, 1, len(tt))
+    s = _require_range("s", s, 1, len(tt))
     tt[s - 1] *= q
     return tuple(tt)
 

@@ -22,6 +22,7 @@ from .qkernel import (
     ParamSet,
     QContext,
     _require_range,
+    _validate_perm,
     lattice_hit,
     perm_compose,
     perm_inverse,
@@ -256,8 +257,8 @@ def sample_domain_point(
     large ones start above the coupling floor inflated by the worst
     uniform shift and spread by a ratio that dominates the pair bounds."""
     M, N = p.M, p.N
-    _require_range("L", L, 0, M)
-    sigma = tuple(int(v) for v in sigma)
+    L = _require_range("L", L, 0, M)
+    sigma = _validate_perm(sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)
     lift = abs(p.q) ** -(N + 1)
@@ -291,8 +292,8 @@ def sample_level_overlap(
     annulus (balancing the two series' convergence rates), smaller slots
     ladder below it, larger ones ladder above the coupling floor."""
     M = p.M
-    _require_range("L", L, 0, M - 1)
-    sigma = tuple(int(v) for v in sigma)
+    L = _require_range("L", L, 0, M - 1)
+    sigma = _validate_perm(sigma)
     bp = permute_seq(p.b, sigma)
     Cq = _coupling_floor(p)
 
@@ -319,8 +320,8 @@ def sample_swap_overlap(
     all coordinates small, with the swapped pair's ratio near the
     log-midpoint of the annulus both orderings allow."""
     M = p.M
-    _require_range("r", r, 1, M - 1)
-    sigma = tuple(int(v) for v in sigma)
+    r = _require_range("r", r, 1, M - 1)
+    sigma = _validate_perm(sigma)
     swapped = perm_compose(sigma, perm_transposition(M, r))
     bp = permute_seq(p.b, sigma)
     aq = abs(p.q)
@@ -351,8 +352,11 @@ def sample_family_overlap(
     """Point inside the sectors of two arbitrary families, by rejection
     from per-coordinate annuli balanced against the coupling floor. Works
     when both families keep every coordinate near the unit circle's
-    inside (all levels close to M)."""
-    families = [(L, tuple(int(v) for v in s)) for L, s in (fam1, fam2)]
+    inside (all levels close to M). Both levels and both orderings are
+    checked before the first draw."""
+    families = [(_require_range("L", L, 0, p.M), _validate_perm(s)) for L, s in (fam1, fam2)]
+    if any(len(s) != p.M for _, s in families):
+        raise ValueError(f"orderings {fam1[1]} and {fam2[1]} must both permute 1..{p.M}")
     Cq = _coupling_floor(p)
 
     def draw():

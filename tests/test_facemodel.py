@@ -19,9 +19,11 @@ from qconnect import (
     component_index,
     conj_f,
     conjugacy_residual,
+    cpow,
     perm_compose,
     perm_identity,
     perm_transposition,
+    theta,
     wprime_gauge_residual,
     ybe_residual,
 )
@@ -173,12 +175,12 @@ def test_quotient_weight_basics(ctx):
 def test_gauge_identity(ctx):
     x = 0.64 + 0.18j
     assert wprime_gauge_residual(AL_W, BE_W, x, ctx) < 1e-12
-    explicit = wprime_gauge_residual(
-        AL_W, BE_W, x, ctx, twist=ctx.qpow((BE_W + 1) / 2)
-    )
-    balanced = wprime_gauge_residual(AL_W, BE_W, x, ctx)
-    assert explicit == pytest.approx(balanced, rel=1e-10, abs=1e-15)
-    # an untwisted comparison misses by an order-one margin
-    assert wprime_gauge_residual(AL_W, BE_W, x, ctx, twist=1.0) > 1e-3
-    with pytest.raises(DomainError):
-        wprime_gauge_residual(AL_W, BE_W, x, ctx, twist=0.0)
+    # the same gauge without the balancing constant (m = 1) misses by an
+    # order-one margin
+    qp = ctx.qpow
+    Wp = build_Wprime(qp(-AL_W - 2 * BE_W), x, qp(BE_W + 1), ctx)
+    gauge = np.diag([cpow(x, (AL_W + 3 * BE_W) / 2), cpow(x, -(AL_W + BE_W) / 2)])
+    lhs = cpow(x, 0.5) * (gauge @ Wp @ gauge)
+    rhs = theta(x * qp(-BE_W), ctx) / theta(qp(-BE_W), ctx) * build_W_akm(AL_W, BE_W, x, ctx)
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    assert np.abs(lhs - rhs).max() / scale > 1e-3

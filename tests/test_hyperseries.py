@@ -111,6 +111,13 @@ def test_nphi_errors(ctx_long):
         eval_nphi((0.4, 0.2), (0.5,), 0.9, tiny)
 
 
+def test_nphi_pole_past_the_first_terms(ctx_long):
+    # (l; q)_m = 0 for every m > 100: the sum is undefined, however early
+    # its first terms settle
+    with pytest.raises(ResonanceError, match=r"^lower parameter 1 sits at q\^-100$"):
+        eval_nphi((0.4, 0.2), (Q**-100,), 0.3, ctx_long)
+
+
 def test_level_series_tail_limit(p22, ctx_long):
     # with every large slot pushed to infinity only the constant term survives
     sv = eval_FNM_L(p22, 1, (0.0, 1e12), ctx_long)
@@ -381,6 +388,7 @@ _PLUS = [((0.4,), (Q,), 0.5)]
 _MINUS = [((0.3,), (Q,), 0.4)]
 _AXIS_60 = [((0.4,), (Q, Q**-60), 0.5)]
 _MINUS_AXIS_60 = [((0.3,), (Q, Q**-60), 0.4)]
+_NEAR = 1.0 + 1e-10
 
 
 _POLES = [
@@ -396,9 +404,20 @@ _POLES = [
     ([], _MINUS, (0.2, Q**60), (0.7, Q**61),
      "coupling denominator vanished at index -60 "
      "(parameter ratio on the q-power lattice)"),
+    # a pole 1e-10 off the lattice, relative, is a pole: a sum through its
+    # 1e-10 divisor, or its overflow on the minus side, means nothing
+    ([((0.4,), (Q, _NEAR * Q**-5), 0.5)], [], (0.2,), (0.7,), _AXIS_POLE),
+    (_PLUS, [((0.3,), (Q, _NEAR * Q**-5), 0.4)], (0.2,), (0.7,), _AXIS_POLE),
+    (_PLUS, [], (0.2,), (_NEAR * Q**-5,),
+     "coupling denominator vanished at index 5 "
+     "(parameter ratio on the q-power lattice)"),
+    ([], _MINUS, (0.2, _NEAR * Q**5), (0.7, 0.6),
+     "coupling denominator vanished at index -5 "
+     "(parameter ratio on the q-power lattice)"),
 ]
 _POLE_IDS = ["axis", "axis-first", "minus-axis", "minus-axis-first", "coupling-plus",
-             "coupling-minus"]
+             "coupling-minus", "axis-near", "minus-axis-near", "coupling-plus-near",
+             "coupling-minus-near"]
 
 
 @pytest.mark.parametrize("plus, minus, g_nums, g_dens, message", _POLES, ids=_POLE_IDS)

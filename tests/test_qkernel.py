@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 from qconnect import (
     ParamSet,
     QContext,
+    build_A,
+    build_S,
+    build_Stilde,
+    casorati_independence,
+    compose_connection,
     cpow,
     lattice_hit,
+    local_solution,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -20,6 +26,8 @@ from qconnect import (
     permute_seq,
     q_shift,
     qpoch_inf,
+    residual_eqn1,
+    sample_level_overlap,
     theta,
 )
 from qconnect.errors import DomainError, ResonanceError
@@ -214,6 +222,45 @@ def test_q_shift():
         q_shift(t, Q, 3)
     with pytest.raises(IndexError):
         q_shift(t, Q, 0)
+
+
+_T = (0.3 + 0.1j, 0.2 - 0.05j)
+_NOT_INTEGERS = {
+    "component-l": (lambda p, ctx: local_solution(p, 2, (1, 2), (1, 2.9), _T, ctx),
+                    "l = 2.9"),
+    "component-0": (lambda p, ctx: local_solution(p, 2, (1, 2), False, _T, ctx),
+                    "which = False"),
+    "word-letter": (lambda p, ctx: compose_connection(p, 2, (1, 2), 2, (2, 1), _T, ctx,
+                                                      word=[1.7]), "r = 1.7"),
+    "sigma-entry": (lambda p, ctx: build_Stilde(p, 1, (1.2, 2), 0.7, ctx),
+                    "sigma entry = 1.2"),
+    "level-bool": (lambda p, ctx: build_A(p, True, (1, 2), _T, ctx), "L = True"),
+    "swap-bool": (lambda p, ctx: build_S(p, True, (1, 2), _T, ctx), "r = True"),
+    "level-float": (lambda p, ctx: build_A(p, 1.0, (1, 2), _T, ctx), "L = 1.0"),
+    "swap-float": (lambda p, ctx: build_S(p, 1.0, (1, 2), _T, ctx), "r = 1.0"),
+    "residual-slot": (lambda p, ctx: residual_eqn1(abs, p, 1.0, _T, ctx), "s = 1.0"),
+    "shift-slot": (lambda p, ctx: q_shift(_T, Q, 1.0), "s = 1.0"),
+    "overlap-level": (lambda p, ctx: sample_level_overlap(p, 0.0, (1, 2),
+                                                          np.random.default_rng(0)),
+                      "L = 0.0"),
+    "casorati-shift": (lambda p, ctx: casorati_independence(abs, (1, 0.5), _T, ctx),
+                       "m = 0.5"),
+}
+
+
+@pytest.mark.parametrize("call, name", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS)
+def test_integer_arguments_are_read_not_truncated(call, name, p22, ctx):
+    """A bool, a float or any value without __index__ is refused with a
+    TypeError naming it before anything is evaluated, never truncated."""
+    with pytest.raises(TypeError, match=rf"^{name} is not an integer$"):
+        call(p22, ctx)
+
+
+def test_numpy_integers_are_read(p22, ctx):
+    sigma = np.array([2, 1])
+    assert (build_A(p22, np.int64(1), sigma, _T, ctx).tobytes()
+            == build_A(p22, 1, (2, 1), _T, ctx).tobytes())
+    assert q_shift(_T, Q, np.int32(2)) == q_shift(_T, Q, 2)
 
 
 def test_param_set_derived_values(p12, ctx):

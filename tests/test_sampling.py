@@ -233,6 +233,25 @@ def test_sample_family_overlap():
     assert in_domain(fam2[0], fam2[1], p, t) > 0.0
 
 
+@pytest.mark.parametrize(
+    "fam1, fam2, error, message",
+    [
+        ((1, (1, 2)), (3, (2, 1)), IndexError, r"^L = 3 outside \[0, 2\]$"),
+        ((-1, (1, 2)), (1, (2, 1)), IndexError, r"^L = -1 outside \[0, 2\]$"),
+        ((1, (1, 2)), (1, (2, 1, 3)), ValueError, r"must both permute 1\.\.2$"),
+        ((1, (1,)), (1, (2, 1)), ValueError, r"must both permute 1\.\.2$"),
+    ],
+    ids=["level-2", "level-1", "ordering-2", "ordering-1"],
+)
+def test_sample_family_overlap_checks_its_input_before_drawing(fam1, fam2, error, message):
+    rng = np.random.default_rng(16)
+    p = sample_params(1, 2, Q, rng, coupling_cap=0.16, min_b=0.5)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=message):
+        sample_family_overlap(p, fam1, fam2, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sample_watson_feeds_the_check(ctx_long):
     rng = np.random.default_rng(18)
     for N in (1, 2):
