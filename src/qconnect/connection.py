@@ -23,12 +23,14 @@ import numpy as np
 
 from .errors import DomainError, PoleError, WordError
 from .qkernel import (
+    LATTICE_RANGE,
     ParamSet,
     QContext,
     _rel_maxnorm,
     _require_range,
     _validate_perm,
     cpow,
+    lattice_hit,
     perm_compose,
     perm_inverse,
     perm_transposition,
@@ -47,8 +49,6 @@ __all__ = [
     "transposition_word",
 ]
 
-_THETA_TOL = 1e-12
-
 
 def _prod(args, f, ctx: QContext) -> complex:
     """prod f(args) for f = qpoch_inf or theta."""
@@ -59,14 +59,15 @@ def _prod(args, f, ctx: QContext) -> complex:
 
 
 def _den(args, f, ctx: QContext) -> complex:
-    """prod f(args) as a denominator: a vanishing factor raises PoleError."""
+    """prod f(args) as a denominator. theta vanishes on q^Z and (x; q)_inf
+    on q^-N; lattice_hit decides whether an argument sits there before its
+    factor is evaluated, and a zero raises PoleError."""
+    what, kmax = ("theta denominator", LATTICE_RANGE) if f is theta else ("infinite product", 0)
     den = 1.0 + 0j
     for x in args:
-        val = f(x, ctx)
-        if abs(val) <= _THETA_TOL:
-            what = "theta denominator" if f is theta else "infinite product"
+        if lattice_hit(x, ctx.q, kmax=kmax) is not None:
             raise PoleError(f"{what} vanished at argument {x}")
-        den *= val
+        den *= f(x, ctx)
     return den
 
 

@@ -12,11 +12,11 @@ collects all m with fixed |m|), stopping once three consecutive shells are
 negligible relative to the running magnitude.
 
 Every series first screens all of its denominators, axis weights and
-coupling, up to ctx.series_cap shells, so a parameter on the q-power lattice
-raises ResonanceError however early the sum would settle. Every pole, here
-and in eval_nphi, is decided by qkernel.lattice_hit, the library's one rule
-for "on the lattice"; no denominator is compared with a threshold of its
-own. The tables are then built only as far as the sum reads, on a ladder of
+coupling, at every index, series_cap and beyond, so a parameter on the
+q-power lattice raises ResonanceError however early the sum would settle.
+Every pole, here and in eval_nphi, is decided by qkernel.lattice_hit, the
+library's one rule for "on the lattice"; no denominator is compared with a
+threshold of its own. The tables are then built only as far as the sum reads, on a ladder of
 stops 48, 96, 192, ... capped at series_cap: most series settle within the
 first, and a series that has not settled by a stop continues with the next
 shell, from axis tables rebuilt at the next stop and the last coupling
@@ -29,8 +29,8 @@ Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
 outcome of each coupling screen, is kept in the evaluation context's memo
 (QContext) with the bits of a fresh computation. So the screen still covers
-every denominator up to series_cap, but runs once per distinct coupling in
-a context. A memoised pole raises a new ResonanceError with the same text,
+every denominator, but runs once per distinct coupling and sides in a
+context. A memoised pole raises a new ResonanceError with the same text,
 in the same order: plus axes, minus axes, coupling. The setup of a local
 solution family (its reordered parameters and leading exponents) is kept in
 the same memo, so every component of a family, whether evaluated alone by
@@ -125,17 +125,17 @@ def _stages(cap: int) -> list[int]:
     return stops + [cap]
 
 
-def _pole(v: complex, q: complex, lo: int, hi: int) -> int | None:
-    """The n in [lo, hi] where 1 - v q^n vanishes, by lattice_hit, or None
-    (always for v = 0). It tests 1/v against q^n: a scan from q^-hi would
-    overflow for small |q|."""
-    return None if v == 0 else lattice_hit(1.0 / v, q, kmin=lo, kmax=hi)
+def _pole(v: complex, q: complex) -> int | None:
+    """The n >= 0 where 1 - v q^n vanishes, by lattice_hit, or None (always
+    for v = 0). It tests 1/v against q^n, with no upper bound on n: the
+    series it guards runs past any cap."""
+    return None if v == 0 else lattice_hit(1.0 / v, q, kmin=0, kmax=math.inf)
 
 
 def _axis_products(nums, dens, ctx: QContext):
     """(prod(1 - n q^k), prod(1 - d q^k), whether a denominator vanishes)
     for q^k in ctx._series_qpow, with read-only arrays; a pole is decided by
-    _pole over the same indices."""
+    _pole at every k >= 0, past the table too."""
     qp = ctx._series_qpow
     num = np.ones(len(qp), dtype=complex)
     for u in nums:
@@ -144,7 +144,7 @@ def _axis_products(nums, dens, ctx: QContext):
     for v in dens:
         den *= 1.0 - complex(v) * qp
     num.flags.writeable = den.flags.writeable = False
-    pole = any(_pole(v, ctx.q, 0, ctx.series_cap - 1) is not None for v in dens)
+    pole = any(_pole(v, ctx.q) is not None for v in dens)
     return num, den, pole
 
 
@@ -164,22 +164,26 @@ def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
     return complex(x) * num / den
 
 
-def _screen(nums, dens, up: int, down: int, ctx: QContext) -> int | None:
+def _screen(nums, dens, plus: bool, minus: bool, q: complex) -> int | None:
     """Index of the first vanishing coupling denominator, by lattice_hit,
-    at indices 0..up-1 (factors 1 - v q^n of dens) and then -1..-down
-    (factors 1 - u q^-n of nums), or None. The table, built to any number
-    of shells, checks nothing."""
-    q = ctx.q
-    plus = [n for v in dens if (n := _pole(v, q, 0, up - 1)) is not None]
-    minus = [-k for u in nums if (k := lattice_hit(u, q, kmin=1, kmax=down)) is not None]
-    return min(plus) if plus else max(minus, default=None)
+    at indices n >= 0 (factors 1 - v q^n of dens) on a plus side and then
+    n <= -1 (factors 1 - u q^-n of nums) on a minus side, or None. Neither
+    side stops at series_cap: the series runs past it. The table, built to
+    any number of shells, checks nothing."""
+    up = [n for v in dens if (n := _pole(v, q)) is not None] if plus else []
+    if up:
+        return min(up)
+    if not minus:
+        return None
+    down = [-k for u in nums if (k := lattice_hit(u, q, kmin=1, kmax=math.inf)) is not None]
+    return max(down, default=None)
 
 
 def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
     """Weight table w[0..cap] with w[0] = 1 and w[k+1] = w[k] * ratios[k]."""
     w = np.empty(cap + 1, dtype=complex)
     w[0] = 1.0
-    np.cumprod(ratios[:cap], out=w[1:])
+    np.multiply.accumulate(ratios[:cap], out=w[1:])
     return w
 
 
@@ -300,18 +304,17 @@ def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
 
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
     """Sum over shells of the series with these axes and coupling. Every
-    denominator is screened up to ctx.series_cap first, plus axes, then
-    minus axes, then the coupling. The tables are built to _STAGE shells; a
-    sum that has not settled by a stop continues with the next shell from
-    tables grown to the next stop of _stages(series_cap), so each shell is
-    summed once."""
+    denominator is screened first, plus axes, then minus axes, then the
+    coupling. The tables are built to _STAGE shells; a sum that has not
+    settled by a stop continues with the next shell from tables grown to the
+    next stop of _stages(series_cap), so each shell is summed once."""
     cap = ctx.series_cap
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
     gkey = _bits(g_nums), _bits(g_dens)
-    up, down = (cap if plus else 0), (cap if minus else 0)
+    sides = bool(plus), bool(minus)
     pole = ctx._memoised(
-        ("screen", *gkey, up, down), lambda: _screen(g_nums, g_dens, up, down, ctx)
+        ("screen", *gkey, *sides), lambda: _screen(g_nums, g_dens, *sides, ctx.q)
     )
     if pole is not None:
         raise ResonanceError(
@@ -357,7 +360,7 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
         raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
     q = ctx.q
     for j, lv in enumerate(lower, start=1):
-        m = _pole(lv, q, 0, ctx.series_cap)
+        m = _pole(lv, q)
         if m is not None:
             raise ResonanceError(f"lower parameter {j} sits at q^{-m}")
 
@@ -652,18 +655,25 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> float:
 def char_exponents(p: ParamSet, L: int) -> tuple[tuple[complex, ...], ...]:
     """Leading exponent vector (delta) of every component of the level-L
     family at the identity slot ordering, in component_order(N, M) order."""
-    M = p.M
-    L = _require_range("L", L, 0, M)
+    L = _require_range("L", L, 0, p.M)
+    return _char_exponents(p.alpha, p.beta, p.gamma, L)
+
+
+def _char_exponents(alpha, beta, gamma, L: int) -> tuple[tuple[complex, ...], ...]:
+    """char_exponents from the exponent sequences alone, for a level L
+    already checked: a sampler scores draws with it before any ParamSet is
+    built."""
+    M = len(beta)
     out = []
-    for comp in component_order(p.N, M):
+    for comp in component_order(len(alpha), M):
         if comp == 0:
             l, head = L, [0.0 + 0j] * L
         else:
             k, l = comp
-            tail = sum(p.beta[l:])
-            lead = 1.0 + tail - p.gamma[k - 1] if l <= L else -p.alpha[k - 1] + tail
+            tail = sum(beta[l:])
+            lead = 1.0 + tail - gamma[k - 1] if l <= L else -alpha[k - 1] + tail
             head = [0.0 + 0j] * (l - 1) + [lead]
-        out.append(tuple(head + [-bv for bv in p.beta[l:]]))
+        out.append(tuple(head + [-bv for bv in beta[l:]]))
     return tuple(out)
 
 

@@ -201,9 +201,10 @@ def lattice_hit(
     x: complex,
     q: complex,
     kmin: int = -LATTICE_RANGE,
-    kmax: int = LATTICE_RANGE,
+    kmax: float = LATTICE_RANGE,
 ) -> int | None:
     """Exponent k in [kmin, kmax] with |x - q^k| < LATTICE_RTOL |q^k|, or None.
+    kmax may be math.inf, no upper bound, for any |q| != 1.
 
     Used to flag parameter ratios that degenerate onto the q-power lattice.
 

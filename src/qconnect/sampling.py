@@ -8,10 +8,27 @@ fixed box far from degenerations, parameter sets are screened against
 q-power lattice hits for every ratio the solution theory divides by, and
 points are built as geometric ladders that keep every series in its region
 even after the operator shifts a residual check applies.
+
+The Casorati parameter search scores raw draws a block of _BLOCK at a time
+and makes exactly the decisions of a per-draw loop, so its result and the
+generator state it leaves are those of that loop:
+- one rng.uniform call gives the doubles of _BLOCK per-draw calls;
+- a numpy screen of every ratio's exponent flags each draw that ParamSet
+  or strong_nonresonant could reject: it tests lattice_hit's window taken
+  twice as wide, which rounding cannot escape, and only a flagged draw gets
+  the exact check, where lattice_hit alone decides; strong_nonresonant is
+  the same screen on one row;
+- the separation proxies repeat the scalar arithmetic: real products and
+  sums in slot order, cmath.exp per node, np.hypot for Python's complex
+  abs, and math.prod in pair order;
+- a search that stops inside a block rewinds the generator to the block's
+  start and draws again only the rows it used.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -30,7 +47,7 @@ from .qkernel import (
     permute_seq,
     theta,
 )
-from .hyperseries import _resonance_ratios, char_exponents, component_order, in_domain
+from .hyperseries import _char_exponents, _resonance_ratios, component_order, in_domain
 from .oracle import _shift_points, _upper_ratio_hit
 
 __all__ = [
@@ -55,6 +72,7 @@ _PHASE = 0.6
 _THETA_CLEAR = 1e-6
 _INTERIOR = (0.2, 0.55)  # modulus range of sample_interior_point
 _PARAM_TRIES = 400  # draws per sample_params call
+_BLOCK = 12  # raw draws the Casorati search scores at a time
 # draws per point sampler, and the in_domain margin each accepted point keeps
 _TRIES = 100
 _FAMILY_TRIES = 500
@@ -63,13 +81,19 @@ _LADDER_MARGIN = 0.02
 _OVERLAP_MARGIN = 0.03
 
 
-def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:
-    """n exponents from the box, drawn by one rng.uniform call over the
-    interleaved (re, im) bounds: the doubles, and the generator state after
-    them, are those of 2n scalar calls in the same order."""
+def _draw_block(rng: np.random.Generator, n: int, rows: int = 1) -> np.ndarray:
+    """rows x n exponents from the box as a complex array, drawn by one
+    rng.uniform call over the interleaved (re, im) bounds and read as
+    (re, im) pairs: the doubles, and the generator state after them, are
+    those of 2 n rows scalar calls in the same order."""
     (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
-    v = rng.uniform((re_lo, im_lo) * n, (re_hi, im_hi) * n).tolist()
-    return [complex(re, im) for re, im in zip(v[::2], v[1::2])]
+    size = n * rows
+    v = rng.uniform((re_lo, im_lo) * size, (re_hi, im_hi) * size)
+    return v.view(complex).reshape(rows, n)
+
+
+def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:
+    return _draw_block(rng, n)[0].tolist()
 
 
 def draw_exponent(rng: np.random.Generator) -> complex:
@@ -86,22 +110,62 @@ def _subset_products(b):
         yield mask, prod
 
 
+@functools.cache
+def _ratio_exponents(N: int, M: int) -> np.ndarray:
+    """Row r: the exponent of the r-th ratio of _resonance_ratios(p,
+    _subset_products(p.b)) as integer weights on the exponents (alpha, beta,
+    gamma); the ratio is q to that combination."""
+    eye = np.eye(2 * N + M)
+    a, b, c = eye[:N], eye[N : N + M], eye[N + M :]
+    rows = []
+    for j in range(N):
+        for k in range(N):
+            if j != k:
+                rows += [a[j] - a[k], c[j] - c[k]]
+    for mask in range(1 << M):
+        bsum = sum((b[i] for i in range(M) if mask & (1 << i)), np.zeros(2 * N + M))
+        for j in range(N):
+            rows += [a[j] - bsum, c[j] - bsum]
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+def _near_lattice(q: complex, exps: np.ndarray, N: int) -> np.ndarray:
+    """(draws, ratios) mask over the ratios strong_nonresonant screens, one
+    row per row of exps (alpha, beta, gamma): True where the ratio may sit
+    on the q-power lattice.
+
+    A ratio q^e has ln|q^e| / ln|q| = Re e - Im e arg(q) / ln|q|, linear in
+    the exponents, so one matrix product gives every centre. A ratio is kept
+    when lattice_hit's window around its centre, taken twice as wide, holds
+    an integer. Rounding, here and in the scalar ratio lattice_hit reads,
+    moves a centre by a few units in the last place, far less than the
+    added half window 2 LATTICE_RTOL / |ln|q||, so every ratio that
+    lattice_hit could match is kept: the mask is a superset, and lattice_hit
+    alone decides. The c_j that ParamSet screens are the ratios over the
+    empty subset."""
+    logq = cmath.log(q)
+    centre = (exps.real - exps.imag * (logq.imag / logq.real)) @ _ratio_exponents(
+        N, exps.shape[1] - 2 * N
+    ).T
+    width = 4 * LATTICE_RTOL / abs(logq.real)
+    return np.floor(centre + width) >= np.ceil(centre - width)
+
+
 def strong_nonresonant(p: ParamSet) -> bool:
     """check_resonance for every slot ordering at once: the ratios are
     taken against the product of b over every subset of slots (suffix
     products of any ordering are subsets).
 
-    One numpy pass keeps the ratios x whose lattice_hit window around
-    ln|x| / ln|q|, taken twice as wide, holds an integer, so the rounding
-    of numpy's abs and log can only add candidates; lattice_hit alone
-    decides each candidate."""
+    It is the one-row case of the Casorati search's screen: _near_lattice
+    keeps every ratio that could sit on the lattice, and lattice_hit alone
+    decides each one kept."""
+    near = np.flatnonzero(_near_lattice(p.q, np.array([p.alpha + p.beta + p.gamma]), p.N)[0])
+    if not near.size:
+        return True
     values = [value for _, value in _resonance_ratios(p, _subset_products(p.b))]
-    lq = math.log(abs(p.q))
-    width = 4 * LATTICE_RTOL / abs(lq)
-    with np.errstate(divide="ignore"):
-        centre = np.log(np.abs(np.array(values))) / lq
-    near = np.floor(centre + width) >= np.ceil(centre - width)
-    return all(lattice_hit(values[i], p.q) is None for i in np.flatnonzero(near))
+    return all(lattice_hit(values[i], p.q) is None for i in near)
 
 
 def sample_params(
@@ -146,19 +210,52 @@ def _overlap_params(N: int, M: int, q: complex, rng: np.random.Generator) -> Par
     return sample_params(N, M, q, rng, coupling_cap=0.16, min_b=0.5)
 
 
-def _node_proxy(exps, m, ctx: QContext) -> float:
-    """Separation of the per-component shift multipliers q^{m . delta} over
-    the char_exponents exps: the scaled determinant tracks this
+def _node_proxies(exps, cands, q: complex) -> list[list[float]]:
+    """proxies[d][c]: the separation of the per-component shift multipliers
+    q^{m . delta}, m = cands[c], over the char_exponents exps[d] of draw d:
+    the product of |x_i - x_j| over node pairs i < j, divided by
+    max(1, |x_i|)^(n-1) per node. The scaled determinant tracks this
     Vandermonde-type product within a small factor, so it predicts
-    conditioning without evaluating any series."""
-    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, delta))) for delta in exps]
-    prod = 1.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            prod *= abs(nodes[i] - nodes[j])
-    for x in nodes:
-        prod /= max(1.0, abs(x)) ** (len(nodes) - 1)
-    return prod
+    conditioning without evaluating any series.
+
+    Each value has the bits of the scalar formula: m . delta is summed slot
+    by slot from real products, as Python's sum of complex products is, and
+    times log q by the four real operations of a Python complex product;
+    each node is cmath.exp of that (QContext.qpow's arithmetic); np.hypot is
+    Python's complex abs; and the distances are multiplied in pair order by
+    math.prod."""
+    delta = np.array(exps)[:, None]  # draw, -, component, slot
+    m = np.array(cands, dtype=float)[:, None]  # candidate, -, slot
+    zr = zi = 0.0
+    for slot in range(m.shape[-1]):
+        zr = zr + m[..., slot] * delta.real[..., slot]
+        zi = zi + m[..., slot] * delta.imag[..., slot]
+    logq = cmath.log(q)
+    w = np.empty(zr.shape, dtype=complex)
+    w.real = zr * logq.real - zi * logq.imag
+    w.imag = zr * logq.imag + zi * logq.real
+    nodes = np.fromiter(map(cmath.exp, w.ravel().tolist()), complex, w.size)
+    nodes = nodes.reshape(-1, w.shape[-1])  # (draw, candidate), component
+    n = nodes.shape[-1]
+    i, j = _pairs(n)
+    diff = nodes[:, i] - nodes[:, j]
+    proxies = list(map(math.prod, np.hypot(diff.real, diff.imag).tolist()))
+    sizes = np.hypot(nodes.real, nodes.imag)
+    for r in np.flatnonzero((sizes > 1.0).any(axis=1)).tolist():
+        for size in sizes[r].tolist():
+            if size > 1.0:
+                proxies[r] /= size ** (n - 1)
+    c = len(cands)
+    return [proxies[d : d + c] for d in range(0, len(proxies), c)]
+
+
+@functools.cache
+def _pairs(n: int):
+    """Read-only index arrays (i, j) of the node pairs i < j, i major."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _shift_candidates(M: int, n_rows: int, q: complex):
@@ -176,25 +273,76 @@ def _shift_candidates(M: int, n_rows: int, q: complex):
     return [tuple(range(a + M - 2, a - 1, -1)) + (-b,) for a in (1, 2, 3) for b in bs]
 
 
+def _params(e, N: int, M: int, q: complex) -> ParamSet | None:
+    """The ParamSet of one draw e = (alpha, beta, gamma), or None when
+    sample_params would reject it: its c-screen raises or it is not
+    strong_nonresonant."""
+    try:
+        p = ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q)
+    except ResonanceError:
+        return None
+    return p if strong_nonresonant(p) else None
+
+
 def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Generator):
     """(params, shift) of the best-separated of up to 60 generic draws for
     the level-L Casorati matrix, stopping at the first whose proxy reaches
-    the floor."""
+    the floor: the draws of sample_params(N, M, q, rng) in turn, each scored
+    by its best shift candidate (the first on a tie), the best replaced only
+    by a strictly larger proxy. 400 rejected draws in a row raise
+    sample_params' SamplingError.
+
+    Raw draws are screened and scored _BLOCK at a time, with the same
+    decisions: _near_lattice flags every draw that ParamSet or
+    strong_nonresonant could reject, and only a flagged draw gets that exact
+    check; _node_proxies gives the scalar proxies bit for bit. A search that
+    stops inside a block sets the generator back to the block's start and
+    draws again the rows it used, so it leaves the generator where a
+    per-draw loop would."""
+    L = _require_range("L", L, 0, M)
+    q = ctx.q
     n = len(component_order(N, M))
     # per-pair separation 0.34 is comfortably generic; the floor is its
     # product over all node pairs
     proxy_floor = 0.34 ** (n * (n - 1) / 2)
-    cands = _shift_candidates(M, n, ctx.q)
+    cands = _shift_candidates(M, n, q)
+    cols = 2 * N + M
     best = (-1.0, None, None)
-    for _ in range(60):
-        p = sample_params(N, M, ctx.q, rng)
-        exps = char_exponents(p, L)
-        prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
-        if prox > best[0]:
-            best = (prox, p, m)
-        if prox >= proxy_floor:
-            break
-    return best[1:]
+    accepted = misses = 0
+    while True:
+        start = rng.bit_generator.state
+        block = _draw_block(rng, cols, _BLOCK)
+        draws = block.tolist()
+        flagged = _near_lattice(q, block, N).any(axis=1).tolist()
+        keep = [i for i, e in enumerate(draws) if not flagged[i] or _params(e, N, M, q)]
+        exps = [_char_exponents(draws[i][:N], draws[i][N : N + M], draws[i][N + M :], L)
+                for i in keep]
+        scores = dict(zip(keep, _node_proxies(exps, cands, q) if keep else []))
+        for i, e in enumerate(draws):
+            if i not in scores:
+                misses += 1
+                if misses == _PARAM_TRIES:
+                    _rewind(rng, start, cols, i + 1)
+                    raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
+                continue
+            misses = 0
+            accepted += 1
+            row = scores[i]
+            c = max(range(len(cands)), key=row.__getitem__)
+            if row[c] > best[0]:
+                best = (row[c], e, cands[c])
+            if row[c] >= proxy_floor or accepted == 60:
+                _rewind(rng, start, cols, i + 1)
+                e, m = best[1:]
+                return ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q), m
+
+
+def _rewind(rng: np.random.Generator, state, cols: int, used: int) -> None:
+    """Leave rng as if only the first `used` rows of the block drawn from
+    state had been drawn."""
+    if used < _BLOCK:
+        rng.bit_generator.state = state
+        _draw_block(rng, cols, used)
 
 
 def _polar(rng: np.random.Generator, modulus: float) -> complex:

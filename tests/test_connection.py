@@ -22,7 +22,8 @@ from qconnect import (
     transposition_word,
     verify_connection,
 )
-from qconnect import QContext
+from qconnect import QContext, connection
+from qconnect.qkernel import qpoch_inf, theta
 from conftest import Q
 
 IDENT = (1, 2)
@@ -117,6 +118,27 @@ def test_builder_theta_pole(p22, ctx_long, build, arg):
     with pytest.raises(PoleError) as err:
         build(p22, ctx_long)
     assert str(err.value) == f"theta denominator vanished at argument {arg}"
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7])
+@pytest.mark.parametrize(
+    "factor, k, what",
+    [
+        (theta, -5, "theta denominator"),
+        (theta, 0, "theta denominator"),
+        (theta, 5, "theta denominator"),
+        (qpoch_inf, 0, "infinite product"),
+        (qpoch_inf, -3, "infinite product"),
+    ],
+    ids=["theta-5", "theta0", "theta5", "qpoch0", "qpoch-3"],
+)
+def test_denominator_near_a_zero_is_a_pole(q, factor, k, what):
+    # theta vanishes on q^Z and (x; q)_inf on q^-N: an argument 1e-10 off,
+    # relative, is a pole at every k and q, whatever the factor's modulus
+    x = q**k * (1 + 1e-10)
+    with pytest.raises(PoleError) as err:
+        connection._den((x,), factor, QContext(q=q))
+    assert str(err.value) == f"{what} vanished at argument {x}"
 
 
 def test_transposition_word_factorizes():

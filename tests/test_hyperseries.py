@@ -118,6 +118,29 @@ def test_nphi_pole_past_the_first_terms(ctx_long):
         eval_nphi((0.4, 0.2), (Q**-100,), 0.3, ctx_long)
 
 
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        (lambda ctx: eval_nphi((0.4, 0.2), (Q**-250,), 0.3, ctx),
+         r"^lower parameter 1 sits at q\^-250$"),
+        (lambda ctx: _shell_series([((0.4,), (Q, Q**-250), 0.5)], [], (0.2,), (0.7,), ctx),
+         r"^axis weight recurrence hit a vanishing denominator"),
+        (lambda ctx: _shell_series(_PLUS, [], (0.2,), (Q**-250,), ctx),
+         r"^coupling denominator vanished at index 250 "),
+        (lambda ctx: _shell_series([], _MINUS, (0.2, Q**250), (0.7, 0.6), ctx),
+         r"^coupling denominator vanished at index -250 "),
+        (lambda ctx: eval_nphi((0.4, 0.2), (Q**-50,), 0.3, QContext(q=Q, series_cap=40)),
+         r"^lower parameter 1 sits at q\^-50$"),
+    ],
+    ids=["nphi", "axis", "coupling-plus", "coupling-minus", "nphi-small-cap"],
+)
+def test_pole_past_series_cap(evaluate, message, ctx_long):
+    # every term past the pole divides by zero, so the series is undefined
+    # however early its first shells settle, and whatever series_cap is
+    with pytest.raises(ResonanceError, match=message):
+        evaluate(ctx_long)
+
+
 def test_level_series_tail_limit(p22, ctx_long):
     # with every large slot pushed to infinity only the constant term survives
     sv = eval_FNM_L(p22, 1, (0.0, 1e12), ctx_long)

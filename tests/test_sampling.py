@@ -12,6 +12,7 @@ from qconnect import (
     SamplingError,
     char_exponents,
     check_resonance,
+    component_order,
     check_watson,
     in_domain,
     perm_identity,
@@ -348,3 +349,125 @@ def test_casorati_shift_steps_separate_every_component(N, M):
             for i, x in enumerate(nodes):
                 for y in nodes[i + 1:]:
                     assert abs(x - y) > 1e-8 * max(abs(x), abs(y)), (m, seed)
+
+
+# The Casorati search as a per-draw loop: the reference for the block search.
+def _node_proxy(exps, m, ctx):
+    nodes = [ctx.qpow(sum(mm * d for mm, d in zip(m, delta))) for delta in exps]
+    prod = 1.0
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            prod *= abs(nodes[i] - nodes[j])
+    for x in nodes:
+        prod /= max(1.0, abs(x)) ** (len(nodes) - 1)
+    return prod
+
+
+def _per_draw_casorati_params(N, M, L, ctx, rng):
+    n = len(component_order(N, M))
+    proxy_floor = 0.34 ** (n * (n - 1) / 2)
+    cands = sampling._shift_candidates(M, n, ctx.q)
+    best = (-1.0, None, None)
+    for _ in range(60):
+        p = sample_params(N, M, ctx.q, rng)
+        exps = char_exponents(p, L)
+        prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
+        if prox > best[0]:
+            best = (prox, p, m)
+        if prox >= proxy_floor:
+            break
+    return best[1:]
+
+
+def _search(search, N, M, q, seed):
+    """(exponent bits and shift, or the error text; the generator's state)."""
+    rng = np.random.default_rng(seed)
+    try:
+        p, m = search(N, M, M - 1, QContext(q=q), rng)
+        got = np.array(p.alpha + p.beta + p.gamma).tobytes(), m
+    except SamplingError as exc:
+        got = str(exc)
+    return got, rng.bit_generator.state, rng.random()
+
+
+_SHAPES = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
+_LEDGER_BASES = [0.3, 0.5, 0.7, 0.5 + 0.2j]
+
+
+@pytest.mark.parametrize("q", _LEDGER_BASES)
+def test_block_search_matches_per_draw_search(q):
+    for N, M in _SHAPES:
+        for seed in range(3):
+            ref = _search(_per_draw_casorati_params, N, M, q, seed)
+            assert _search(sampling._casorati_params, N, M, q, seed) == ref, (N, M, seed)
+
+
+_FORCED_SHAPES = [(1, 1), (2, 3), (3, 3), (1, 6), (4, 2)]
+
+
+_near_lattice = sampling._near_lattice
+
+
+def _flag_every_draw(q, exps, N):
+    return np.ones(_near_lattice(q, exps, N).shape, dtype=bool)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5 + 0.2j])
+def test_block_search_with_every_draw_flagged(q, monkeypatch):
+    monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
+    for N, M in _FORCED_SHAPES:
+        for seed in range(3):
+            ref = _search(_per_draw_casorati_params, N, M, q, seed)
+            assert _search(sampling._casorati_params, N, M, q, seed) == ref, (N, M, seed)
+
+
+def test_block_search_with_every_draw_rejected(monkeypatch):
+    monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
+    monkeypatch.setattr(sampling, "strong_nonresonant", lambda p: False)
+    for N, M in _FORCED_SHAPES:
+        ref = _search(_per_draw_casorati_params, N, M, Q, 0)
+        assert ref[0] == f"no nonresonant parameters in {_PARAM_TRIES} draws"
+        assert _search(sampling._casorati_params, N, M, Q, 0) == ref, (N, M)
+
+
+@pytest.mark.parametrize("q", _LEDGER_BASES)
+def test_node_proxies_match_the_scalar_proxy(q):
+    # exponents well outside the sampler's box, so that some nodes exceed 1
+    # in modulus and the max(1, |x|)^(n-1) divisions run
+    rng = np.random.default_rng(31)
+    ctx = QContext(q=q)
+    divided = 0
+    for N, M in [(1, 2), (2, 3), (3, 3), (1, 6)]:
+        n = N * M + 1
+        cands = sampling._shift_candidates(M, n, q)
+        exps = [
+            tuple(tuple(complex(re, im) for re, im in row) for row in draw)
+            for draw in rng.uniform(-1.5, 1.5, (5, n, M, 2)).tolist()
+        ]
+        got = sampling._node_proxies(exps, cands, q)
+        assert got == [[_node_proxy(e, m, ctx) for m in cands] for e in exps]
+        divided += sum(
+            abs(ctx.qpow(sum(mm * d for mm, d in zip(m, delta)))) > 1.0
+            for e in exps for m in cands for delta in e
+        )
+    assert divided > 0
+
+
+def test_hypot_is_complex_abs():
+    rng = np.random.default_rng(32)
+    z = rng.standard_normal(200_002).view(complex) * np.exp(rng.uniform(-30, 30, 100_001))
+    d = z[1:] - z[:-1]
+    assert np.hypot(d.real, d.imag).tolist() == [abs(v) for v in d.tolist()]
+
+
+def test_planted_c_on_the_lattice_is_flagged_and_rejected():
+    # c_1 = q^-3 (1 + 1e-9): ParamSet's c-screen refuses it
+    N, M = 2, 2
+    gamma1 = -3 + math.log1p(1e-9) / math.log(Q)
+    e = [ALPHA[0], ALPHA[1], BETA[0], BETA[1], gamma1, GAMMA[1]]
+    near = sampling._near_lattice(Q, np.array([e]), N)
+    assert near.shape == (1, len(sampling._ratio_exponents(N, M)))
+    assert near.any()
+    assert sampling._params(e, N, M, Q) is None
+    with pytest.raises(ResonanceError, match="c_1 sits on the nonpositive power lattice"):
+        ParamSet(e[:N], e[N : N + M], e[N + M :], Q)
