@@ -25,6 +25,7 @@ from .errors import ConfigError, QConnectError
 from .qkernel import (
     ParamSet,
     QContext,
+    _bits,
     _rel_diff,
     _rel_maxnorm,
     perm_compose,
@@ -333,11 +334,28 @@ def _two_route(p, t, ctx):
     return _rel_diff(eval_FNM(p, t, ctx).value, eval_FNM_reference(p, t, ctx))
 
 
+def _point_cache(f):
+    """f with its values kept per point for one sample, keyed by the
+    point's exact bits (-0.0 and 0.0 stay apart). An evaluation that raises
+    is not kept, so it raises again, with the same text, for the next check
+    that asks for it."""
+    values = {}
+
+    def cached(t):
+        key = _bits(t)
+        if key not in values:
+            values[key] = f(t)
+        return values[key]
+
+    return cached
+
+
 def _suite_system(s: _Sample):
     N, M = s.cfg.N, s.cfg.M
     p, t = _draw(s, "coupled slot 1", lambda: sampling._generic_sample(N, M, s.ctx.q, s.rng))
     dg = _digest(p)
-    f = lambda tt: eval_FNM(p, tt, s.ctx).value
+    # the six (2,3) checks evaluate F 30 times at 15 distinct points
+    f = _point_cache(lambda tt: eval_FNM(p, tt, s.ctx).value)
     for i in range(1, M + 1):
         _run_check(s, f"coupled slot {i}", dg, t, lambda: residual_eqn1(f, p, i, t, s.ctx))
     for r in range(1, M + 1):

@@ -146,7 +146,7 @@ def qpoch_inf(a: complex, ctx: QContext) -> complex:
     a = complex(a)
     return ctx._memoised(
         ("qpoch_inf", _PAIR(a.real, a.imag)),
-        lambda: complex(np.prod(1.0 - a * ctx._qpow_table)),
+        lambda: complex(np.multiply.reduce(1.0 - a * ctx._qpow_table)),
     )
 
 

@@ -9,19 +9,20 @@ q-power lattice hits for every ratio the solution theory divides by, and
 points are built as geometric ladders that keep every series in its region
 even after the operator shifts a residual check applies.
 
-The Casorati parameter search scores raw draws a block of _BLOCK at a time
-and makes exactly the decisions of a per-draw loop, so its result and the
-generator state it leaves are those of that loop:
-- one rng.uniform call gives the doubles of _BLOCK per-draw calls;
-- a numpy screen of every ratio's exponent flags each draw that ParamSet
-  or strong_nonresonant could reject: it tests lattice_hit's window taken
-  twice as wide, which rounding cannot escape, and only a flagged draw gets
-  the exact check, where lattice_hit alone decides; strong_nonresonant is
-  the same screen on one row;
-- the separation proxies repeat the scalar arithmetic: real products and
-  sums in slot order, cmath.exp per node, np.hypot for Python's complex
-  abs, and math.prod in pair order;
-- a search that stops inside a block rewinds the generator to the block's
+One walker, _walk, makes every parameter draw, for sample_params and for
+the Casorati search alike. It makes exactly the decisions of a per-draw
+loop, so its result and the generator state it leaves are that loop's:
+- one rng.uniform call gives a block's doubles: _BLOCK rows, but a first
+  block of one row where that draw is as good as always accepted
+  (sample_params without bounds);
+- a numpy screen decides most rows: _near_lattice flags every draw that
+  ParamSet or strong_nonresonant could reject (lattice_hit's window taken
+  twice as wide, which rounding cannot escape), and the coupling cap and
+  |b| floor are estimated from the exponents with a relative band _BAND
+  around each bound, 10^5 times any rounding seen; a flagged row, or one
+  inside a band, gets the exact per-draw rule, and only it and the winner
+  become a ParamSet;
+- a walk that stops inside a block rewinds the generator to the block's
   start and draws again only the rows it used.
 """
 
@@ -47,7 +48,7 @@ from .qkernel import (
     permute_seq,
     theta,
 )
-from .hyperseries import _char_exponents, _resonance_ratios, component_order, in_domain
+from .hyperseries import _resonance_ratios, component_order, in_domain
 from .oracle import _shift_points, _upper_ratio_hit
 
 __all__ = [
@@ -72,7 +73,8 @@ _PHASE = 0.6
 _THETA_CLEAR = 1e-6
 _INTERIOR = (0.2, 0.55)  # modulus range of sample_interior_point
 _PARAM_TRIES = 400  # draws per sample_params call
-_BLOCK = 12  # raw draws the Casorati search scores at a time
+_BLOCK = 12  # draws per block of a parameter walk
+_BAND = 1e-9  # relative band around a bound inside which the exact rule decides
 # draws per point sampler, and the in_domain margin each accepted point keeps
 _TRIES = 100
 _FAMILY_TRIES = 500
@@ -86,10 +88,17 @@ def _draw_block(rng: np.random.Generator, n: int, rows: int = 1) -> np.ndarray:
     rng.uniform call over the interleaved (re, im) bounds and read as
     (re, im) pairs: the doubles, and the generator state after them, are
     those of 2 n rows scalar calls in the same order."""
-    (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
-    size = n * rows
-    v = rng.uniform((re_lo, im_lo) * size, (re_hi, im_hi) * size)
+    v = rng.uniform(*_box(n * rows))
     return v.view(complex).reshape(rows, n)
+
+
+@functools.cache
+def _box(size: int) -> np.ndarray:
+    """Read-only rows (low, high) of size interleaved (re, im) box bounds."""
+    (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
+    bounds = np.array([(re_lo, im_lo) * size, (re_hi, im_hi) * size])
+    bounds.flags.writeable = False
+    return bounds
 
 
 def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:
@@ -158,7 +167,7 @@ def strong_nonresonant(p: ParamSet) -> bool:
     taken against the product of b over every subset of slots (suffix
     products of any ordering are subsets).
 
-    It is the one-row case of the Casorati search's screen: _near_lattice
+    It is the one-row case of the parameter walk's screen: _near_lattice
     keeps every ratio that could sit on the lattice, and lattice_hit alone
     decides each one kept."""
     near = np.flatnonzero(_near_lattice(p.q, np.array([p.alpha + p.beta + p.gamma]), p.N)[0])
@@ -183,20 +192,13 @@ def sample_params(
     coupling_cap and min_b restrict to sets whose sector boundaries leave
     room for overlap points with fast-converging series: the coupling
     constant q prod c/a below the cap and every |b| above the floor. Used
-    by the suites that evaluate two solution families at one point."""
-    for _ in range(_PARAM_TRIES):
-        e = _draw_exponents(rng, 2 * N + M)
-        try:
-            p = ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q)
-        except ResonanceError:
-            continue
-        if coupling_cap is not None and _coupling_floor(p) > coupling_cap:
-            continue
-        if min_b is not None and min(abs(b) for b in p.b) < min_b:
-            continue
-        if strong_nonresonant(p):
-            return p
-    raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
+    by the suites that evaluate two solution families at one point. The
+    draws come from _walk, with the result and generator state of a
+    per-draw loop."""
+    # without bounds the first draw is accepted (3,600 of 3,600 seeded calls)
+    first = 1 if coupling_cap is None and min_b is None else _BLOCK
+    e = _walk(N, M, q, rng, lambda block, keep: keep[0], first, coupling_cap, min_b)
+    return _paramset(e, N, M, q)
 
 
 def _generic_sample(N: int, M: int, q: complex, rng: np.random.Generator):
@@ -208,6 +210,85 @@ def _overlap_params(N: int, M: int, q: complex, rng: np.random.Generator) -> Par
     """sample_params for the suites that evaluate two solution families at
     one point."""
     return sample_params(N, M, q, rng, coupling_cap=0.16, min_b=0.5)
+
+
+def _params(e, N: int, M: int, q: complex, coupling_cap=None, min_b=None) -> ParamSet | None:
+    """The exact rule: the ParamSet of one draw e = (alpha, beta, gamma),
+    or None when sample_params' per-draw checks reject it."""
+    try:
+        p = _paramset(e, N, M, q)
+    except ResonanceError:
+        return None
+    if coupling_cap is not None and _coupling_floor(p) > coupling_cap:
+        return None
+    if min_b is not None and min(abs(b) for b in p.b) < min_b:
+        return None
+    return p if strong_nonresonant(p) else None
+
+
+def _paramset(e, N: int, M: int, q: complex) -> ParamSet:
+    return ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q)
+
+
+def _screen(block: np.ndarray, N: int, M: int, q: complex, coupling_cap, min_b):
+    """(accept, exact) masks over the rows of a block of draws: exact marks
+    the rows _near_lattice flags or whose bound estimate lies within a
+    relative _BAND of its bound, and accept is the verdict on the rest. The
+    estimates, exp(log|q| + sum_j Re((gamma_j - alpha_j) log q)) for the
+    coupling constant and exp(min_i Re(beta_i log q)) for min |b_i|, differ
+    from the scalar values by rounding alone, at most 3e-15 relative over
+    shapes up to N M = 12 and |q| from 0.05 to 0.95, far inside the band."""
+    exact = _near_lattice(q, block, N).any(axis=1)
+    accept = np.ones(len(block), dtype=bool)
+    logq = cmath.log(q)
+    if coupling_cap is not None:
+        gap = block[:, N + M :] - block[:, :N]
+        floor = np.exp(math.log(abs(q)) + (gap * logq).real.sum(axis=1))
+        accept &= floor <= coupling_cap
+        exact |= abs(floor - coupling_cap) <= _BAND * abs(coupling_cap)
+    if min_b is not None:
+        low = np.exp((block[:, N : N + M] * logq).real.min(axis=1))
+        accept &= low >= min_b
+        exact |= abs(low - min_b) <= _BAND * abs(min_b)
+    return accept, exact
+
+
+def _walk(N: int, M: int, q: complex, rng: np.random.Generator, visit, first: int,
+          coupling_cap: float | None = None, min_b: float | None = None) -> list:
+    """The one parameter-draw loop. visit(block, keep) gets each block of
+    draws (rows alpha, beta, gamma) that has rows sample_params' rules
+    accept, keep, and returns the row at which the search stops, or None to
+    draw on; that row is returned. _PARAM_TRIES rejected draws in a row
+    raise. The first block has `first` rows, later ones _BLOCK, and a walk
+    that stops or raises inside a block rewinds the generator to where a
+    per-draw loop leaves it."""
+    cols = 2 * N + M
+    if not (0.0 < abs(q) < 1.0 and N > 0 and M > 0):  # ParamSet raises at the first draw
+        _paramset(_draw_block(rng, cols)[0].tolist(), N, M, q)
+    misses, rows = 0, first
+    while True:
+        start = rng.bit_generator.state if rows > 1 else None  # one row is never rewound
+        block = _draw_block(rng, cols, rows)
+        accept, exact = _screen(block, N, M, q, coupling_cap, min_b)
+        keep = [i for i in range(rows) if (
+            _params(block[i].tolist(), N, M, q, coupling_cap, min_b) if exact[i] else accept[i])]
+        if misses + (keep[0] if keep else rows) >= _PARAM_TRIES:
+            _rewind(rng, start, cols, rows, _PARAM_TRIES - misses)
+            raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
+        stop = visit(block, keep) if keep else None
+        if stop is not None:
+            _rewind(rng, start, cols, rows, stop + 1)
+            return block[stop].tolist()
+        misses = rows - 1 - keep[-1] if keep else misses + rows
+        rows = _BLOCK
+
+
+def _rewind(rng: np.random.Generator, state, cols: int, rows: int, used: int) -> None:
+    """Leave rng as if only the first `used` of the `rows` rows of the block
+    drawn from state had been drawn."""
+    if used < rows:
+        rng.bit_generator.state = state
+        _draw_block(rng, cols, used)
 
 
 def _node_proxies(exps, cands, q: complex) -> list[list[float]]:
@@ -224,7 +305,7 @@ def _node_proxies(exps, cands, q: complex) -> list[list[float]]:
     each node is cmath.exp of that (QContext.qpow's arithmetic); np.hypot is
     Python's complex abs; and the distances are multiplied in pair order by
     math.prod."""
-    delta = np.array(exps)[:, None]  # draw, -, component, slot
+    delta = np.asarray(exps)[:, None]  # draw, -, component, slot
     m = np.array(cands, dtype=float)[:, None]  # candidate, -, slot
     zr = zi = 0.0
     for slot in range(m.shape[-1]):
@@ -273,15 +354,22 @@ def _shift_candidates(M: int, n_rows: int, q: complex):
     return [tuple(range(a + M - 2, a - 1, -1)) + (-b,) for a in (1, 2, 3) for b in bs]
 
 
-def _params(e, N: int, M: int, q: complex) -> ParamSet | None:
-    """The ParamSet of one draw e = (alpha, beta, gamma), or None when
-    sample_params would reject it: its c-screen raises or it is not
-    strong_nonresonant."""
-    try:
-        p = ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q)
-    except ResonanceError:
-        return None
-    return p if strong_nonresonant(p) else None
+def _block_exponents(draws: np.ndarray, N: int, M: int, L: int) -> np.ndarray:
+    """_char_exponents of every row (alpha, beta, gamma) of draws, as a
+    (rows, components, M) array with the same bits: column by column, each
+    tail is 0.0 + beta_l + beta_{l+1} + ... in slot order, as Python's sum
+    adds, and each lead is 1.0 + tail - gamma_k or -alpha_k + tail."""
+    alpha, beta, gamma = draws[:, :N], draws[:, N : N + M], draws[:, N + M :]
+    comps = component_order(N, M)
+    out = np.zeros((len(draws), len(comps), M), dtype=complex)
+    out[:, 0, L:] = -beta[:, L:]
+    for r, (k, l) in enumerate(comps[1:], start=1):
+        tail = 0j
+        for j in range(l, M):
+            tail = tail + beta[:, j]
+        out[:, r, l - 1] = 1.0 + tail - gamma[:, k - 1] if l <= L else -alpha[:, k - 1] + tail
+        out[:, r, l:] = -beta[:, l:]
+    return out
 
 
 def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Generator):
@@ -292,13 +380,10 @@ def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Gener
     by a strictly larger proxy. 400 rejected draws in a row raise
     sample_params' SamplingError.
 
-    Raw draws are screened and scored _BLOCK at a time, with the same
-    decisions: _near_lattice flags every draw that ParamSet or
-    strong_nonresonant could reject, and only a flagged draw gets that exact
-    check; _node_proxies gives the scalar proxies bit for bit. A search that
-    stops inside a block sets the generator back to the block's start and
-    draws again the rows it used, so it leaves the generator where a
-    per-draw loop would."""
+    The draws come from _walk, a block at a time; the kept rows of a block
+    get their exponent vectors from _block_exponents and their proxies from
+    _node_proxies, both bit for bit the scalar values, and only the winner
+    becomes a ParamSet."""
     L = _require_range("L", L, 0, M)
     q = ctx.q
     n = len(component_order(N, M))
@@ -306,43 +391,22 @@ def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Gener
     # product over all node pairs
     proxy_floor = 0.34 ** (n * (n - 1) / 2)
     cands = _shift_candidates(M, n, q)
-    cols = 2 * N + M
     best = (-1.0, None, None)
-    accepted = misses = 0
-    while True:
-        start = rng.bit_generator.state
-        block = _draw_block(rng, cols, _BLOCK)
-        draws = block.tolist()
-        flagged = _near_lattice(q, block, N).any(axis=1).tolist()
-        keep = [i for i, e in enumerate(draws) if not flagged[i] or _params(e, N, M, q)]
-        exps = [_char_exponents(draws[i][:N], draws[i][N : N + M], draws[i][N + M :], L)
-                for i in keep]
-        scores = dict(zip(keep, _node_proxies(exps, cands, q) if keep else []))
-        for i, e in enumerate(draws):
-            if i not in scores:
-                misses += 1
-                if misses == _PARAM_TRIES:
-                    _rewind(rng, start, cols, i + 1)
-                    raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
-                continue
-            misses = 0
+    accepted = 0
+
+    def visit(block, keep):
+        nonlocal best, accepted
+        for i, row in zip(keep, _node_proxies(_block_exponents(block[keep], N, M, L), cands, q)):
             accepted += 1
-            row = scores[i]
             c = max(range(len(cands)), key=row.__getitem__)
             if row[c] > best[0]:
-                best = (row[c], e, cands[c])
+                best = (row[c], block[i].tolist(), cands[c])
             if row[c] >= proxy_floor or accepted == 60:
-                _rewind(rng, start, cols, i + 1)
-                e, m = best[1:]
-                return ParamSet(alpha=e[:N], beta=e[N : N + M], gamma=e[N + M :], q=q), m
+                return i
+        return None
 
-
-def _rewind(rng: np.random.Generator, state, cols: int, used: int) -> None:
-    """Leave rng as if only the first `used` rows of the block drawn from
-    state had been drawn."""
-    if used < _BLOCK:
-        rng.bit_generator.state = state
-        _draw_block(rng, cols, used)
+    _walk(N, M, q, rng, visit, _BLOCK)
+    return _paramset(best[1], N, M, q), best[2]
 
 
 def _polar(rng: np.random.Generator, modulus: float) -> complex:

@@ -11,6 +11,7 @@ import pytest
 
 from qconnect import ConfigError, ConvergenceError
 from qconnect import cli, connection, facemodel, oracle
+from qconnect.qkernel import _bits
 from qconnect.cli import (
     SUITES,
     RunConfig,
@@ -206,8 +207,28 @@ def test_run_calls_every_public_identity_check(monkeypatch):
     assert [name for name, made in calls.items() if not made] == []
 
 
+def test_system_sample_evaluates_F_once_per_point(monkeypatch):
+    calls = _calls(monkeypatch, "eval_FNM")
+    rep = run_suite(RunConfig(N=2, M=3, suites=("system",), samples=1))
+    assert len(rep.records) == 6 and rep.passed
+    # the three slot and three pairwise checks ask for F at 30 points, 15 distinct
+    points = [_bits(args[1]) for args, _ in calls]
+    assert len(points) == len(set(points)) == 15
+
+
+def test_point_cache_keeps_signed_zeros_apart():
+    seen = []
+    f = cli._point_cache(lambda t: seen.append(t) or len(seen))
+    assert [f((0j, 0.5)), f((0j, 0.5)), f((complex(-0.0, 0.0), 0.5)), f((0j, 0.5))] == [1, 1, 2, 1]
+
+
 @pytest.mark.parametrize(
-    "suite, name", [("connection", "build_solution_vector"), ("theorem1", "compose_connection")]
+    "suite, name",
+    [
+        ("connection", "build_solution_vector"),
+        ("theorem1", "compose_connection"),
+        ("system", "eval_FNM"),
+    ],
 )
 def test_failed_build_raises_again_for_each_record(monkeypatch, suite, name):
     def fail(*args, **kw):

@@ -53,6 +53,18 @@ def test_qpoch_inf_matches_long_product(ctx):
         assert abs(qpoch_inf(a, ctx) - ref) < 1e-14
 
 
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.5 + 0.2j])
+def test_qpoch_inf_product_has_np_prod_bits(q):
+    # qpoch_inf multiplies with np.multiply.reduce, np.prod's own ufunc loop
+    # without its wrapper
+    ctx = QContext(q=q)
+    rng = np.random.default_rng(43)
+    args = np.exp(rng.uniform(-4, 4, 2000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+    got = [qpoch_inf(a, ctx) for a in args.tolist()]
+    ref = [complex(np.prod(1.0 - a * ctx._qpow_table)) for a in args.tolist()]
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
 def test_theta_zeros(ctx):
     assert abs(theta(1.0, ctx)) < 1e-15
     assert abs(theta(Q, ctx)) < 1e-15

@@ -28,6 +28,7 @@ from qconnect import (
 )
 from qconnect import sampling
 from qconnect.errors import ResonanceError
+from qconnect.hyperseries import _char_exponents
 from qconnect.qkernel import LATTICE_RTOL, lattice_hit
 from qconnect.sampling import (
     EXPONENT_IM,
@@ -35,6 +36,7 @@ from qconnect.sampling import (
     _PARAM_TRIES,
     _coupling_floor,
     _resonance_ratios,
+    _near_lattice,
     _subset_products,
     draw_exponent,
 )
@@ -136,28 +138,102 @@ def _scalar_params(N, M, q, rng, coupling_cap=None, min_b=None):
             continue
         if min_b is not None and min(abs(b) for b in p.b) < min_b:
             continue
-        if strong_nonresonant(p):
+        # looked up in the module, so a test that patches the screen there
+        # patches the reference too
+        if sampling.strong_nonresonant(p):
             return p
     raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
 
 
 def _outcome(draw, seed):
-    """(exponent bits or the error text, the generator's next double)."""
+    """(exponent bits or the error text, the generator's state and next double)."""
     rng = np.random.default_rng(seed)
     try:
         p = draw(rng)
         got = np.array(p.alpha + p.beta + p.gamma).tobytes()
     except SamplingError as exc:
         got = str(exc)
-    return got, rng.random()
+    return got, rng.bit_generator.state, rng.random()
+
+
+def _assert_walk_matches_scalar(shapes, q, bounds, seeds):
+    for N, M in shapes:
+        for seed in seeds:
+            ref = _outcome(lambda rng: _scalar_params(N, M, q, rng, **bounds), seed)
+            got = _outcome(lambda rng: sample_params(N, M, q, rng, **bounds), seed)
+            assert got == ref, (N, M, seed)
+
+
+_SHAPES = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
+_LEDGER_BASES = [0.3, 0.5, 0.7, 0.5 + 0.2j]
+_OVERLAP = {"coupling_cap": 0.16, "min_b": 0.5}
+_BOUNDS = [{}, _OVERLAP, {"min_b": 0.5}]
 
 
 @pytest.mark.parametrize("N, M", [(1, 1), (2, 3), (3, 3), (4, 1)])
-@pytest.mark.parametrize("overlap", [{}, {"coupling_cap": 0.16, "min_b": 0.5}])
+@pytest.mark.parametrize("overlap", [{}, _OVERLAP])
 def test_batched_draws_match_scalar_stream(N, M, overlap):
-    for seed in range(4):
-        ref = _outcome(lambda rng: _scalar_params(N, M, Q, rng, **overlap), seed)
-        assert _outcome(lambda rng: sample_params(N, M, Q, rng, **overlap), seed) == ref
+    _assert_walk_matches_scalar([(N, M)], Q, overlap, range(4))
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS, ids=["none", "overlap", "min_b"])
+@pytest.mark.parametrize("q", _LEDGER_BASES)
+def test_walk_matches_scalar_stream_at_every_shape(q, bounds):
+    assert len(_SHAPES) == 35
+    _assert_walk_matches_scalar(_SHAPES, q, bounds, range(3))
+
+
+_FORCED_SHAPES = [(1, 1), (2, 3), (3, 3), (1, 6), (4, 2)]
+
+
+def _flag_every_draw(q, exps, N):
+    return np.ones(_near_lattice(q, exps, N).shape, dtype=bool)
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS, ids=["none", "overlap", "min_b"])
+def test_walk_with_every_draw_flagged(bounds, monkeypatch):
+    monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
+    for q in (0.3, 0.5 + 0.2j):
+        _assert_walk_matches_scalar(_FORCED_SHAPES, q, bounds, range(3))
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS[1:], ids=["overlap", "min_b"])
+def test_walk_with_every_draw_in_a_band(bounds, monkeypatch):
+    # every bound estimate lies in its band, so the exact rule decides every draw
+    monkeypatch.setattr(sampling, "_BAND", math.inf)
+    for q in (0.3, 0.5 + 0.2j):
+        _assert_walk_matches_scalar(_FORCED_SHAPES, q, bounds, range(3))
+
+
+@pytest.mark.parametrize("bounds", [{"min_b": 0.95}, {}], ids=["floor", "none"])
+def test_walk_gives_up_where_the_loop_does(bounds, monkeypatch):
+    # no |b| reaches 0.95 on the box; without bounds, where the walk's first
+    # block is one row, the exact rule is made to refuse every draw
+    if not bounds:
+        monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
+        monkeypatch.setattr(sampling, "strong_nonresonant", lambda p: False)
+    for N, M in _FORCED_SHAPES:
+        for seed in range(3):
+            ref = _outcome(lambda rng: _scalar_params(N, M, Q, rng, **bounds), seed)
+            assert ref[0] == f"no nonresonant parameters in {_PARAM_TRIES} draws"
+            assert _outcome(lambda rng: sample_params(N, M, Q, rng, **bounds), seed) == ref
+
+
+@pytest.mark.parametrize("which", ["coupling_cap", "min_b"])
+@pytest.mark.parametrize("side", [0, -1, 1])
+def test_walk_with_a_bound_planted_on_the_first_draw(which, side):
+    # the bound sits on the first draw's exact value, or one unit in the last
+    # place beside it: the numpy estimate may round to either side of it, and
+    # only the exact rule gives the per-draw verdict
+    for seed in range(12):
+        e = _scalar_exponents(np.random.default_rng(seed), 5)
+        p = ParamSet(e[:1], e[1:4], e[4:], Q)
+        value = _coupling_floor(p) if which == "coupling_cap" else min(abs(b) for b in p.b)
+        bound = math.nextafter(value, side * math.inf) if side else value
+        ref = _outcome(lambda rng: _scalar_params(1, 3, Q, rng, **{which: bound}), seed)
+        assert _outcome(lambda rng: sample_params(1, 3, Q, rng, **{which: bound}), seed) == ref
+        within = value <= bound if which == "coupling_cap" else value >= bound
+        assert (ref[0] == np.array(e).tobytes()) == (within and strong_nonresonant(p)), seed
 
 
 def test_draw_exponent_matches_scalar_stream():
@@ -369,7 +445,7 @@ def _per_draw_casorati_params(N, M, L, ctx, rng):
     cands = sampling._shift_candidates(M, n, ctx.q)
     best = (-1.0, None, None)
     for _ in range(60):
-        p = sample_params(N, M, ctx.q, rng)
+        p = _scalar_params(N, M, ctx.q, rng)
         exps = char_exponents(p, L)
         prox, m = max(((_node_proxy(exps, mm, ctx), mm) for mm in cands), key=lambda pm: pm[0])
         if prox > best[0]:
@@ -390,30 +466,32 @@ def _search(search, N, M, q, seed):
     return got, rng.bit_generator.state, rng.random()
 
 
-_SHAPES = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
-_LEDGER_BASES = [0.3, 0.5, 0.7, 0.5 + 0.2j]
+@pytest.fixture
+def exponents_checked(monkeypatch):
+    """Assert, for every row the block search scores, that its exponent
+    vectors have the bits of the scalar _char_exponents."""
+    block_exponents = sampling._block_exponents
+
+    def checked(draws, N, M, L):
+        out = block_exponents(draws, N, M, L)
+        for row, got in zip(draws.tolist(), out):
+            ref = _char_exponents(row[:N], row[N : N + M], row[N + M :], L)
+            assert got.tobytes() == np.array(ref, dtype=complex).tobytes()
+        return out
+
+    monkeypatch.setattr(sampling, "_block_exponents", checked)
 
 
 @pytest.mark.parametrize("q", _LEDGER_BASES)
-def test_block_search_matches_per_draw_search(q):
+def test_block_search_matches_per_draw_search(q, exponents_checked):
     for N, M in _SHAPES:
         for seed in range(3):
             ref = _search(_per_draw_casorati_params, N, M, q, seed)
             assert _search(sampling._casorati_params, N, M, q, seed) == ref, (N, M, seed)
 
 
-_FORCED_SHAPES = [(1, 1), (2, 3), (3, 3), (1, 6), (4, 2)]
-
-
-_near_lattice = sampling._near_lattice
-
-
-def _flag_every_draw(q, exps, N):
-    return np.ones(_near_lattice(q, exps, N).shape, dtype=bool)
-
-
 @pytest.mark.parametrize("q", [0.3, 0.5 + 0.2j])
-def test_block_search_with_every_draw_flagged(q, monkeypatch):
+def test_block_search_with_every_draw_flagged(q, monkeypatch, exponents_checked):
     monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
     for N, M in _FORCED_SHAPES:
         for seed in range(3):
