@@ -26,7 +26,6 @@ from .qkernel import (
     LATTICE_RANGE,
     ParamSet,
     QContext,
-    _PAIR,
     _rel_maxnorm,
     _require_range,
     _validate_perm,
@@ -60,23 +59,17 @@ def _prod(args, f, ctx: QContext) -> complex:
 
 
 def _den(args, f, ctx: QContext) -> complex:
-    """prod f(args) as a denominator. theta vanishes on q^Z and (x; q)_inf
-    on q^-N; lattice_hit decides whether an argument sits there before its
-    factor is evaluated, and a zero raises PoleError. A product argument
-    depends only on the parameters, as qpoch_inf's value does, so its
-    decision is kept in the context memo under the argument's exact bits;
-    a theta argument depends on the point and is decided once per matrix."""
-    what, kmax = ("theta denominator", LATTICE_RANGE) if f is theta else ("infinite product", 0)
+    """prod f(args) as a denominator, for f = qpoch_inf, theta or an odd
+    theta such as facemodel.bracket. (x; q)_inf vanishes on q^-N and a theta
+    on q^Z; lattice_hit decides whether an argument sits there before its
+    factor is evaluated, and a zero raises PoleError."""
+    if f is qpoch_inf:
+        what, kmax = "infinite product", 0
+    else:
+        what, kmax = f"{f.__name__} denominator", LATTICE_RANGE
     den = 1.0 + 0j
     for x in args:
-        if f is theta:
-            hit = lattice_hit(x, ctx.q, kmax=kmax)
-        else:
-            z = complex(x)
-            hit = ctx._memoised(
-                ("pole", _PAIR(z.real, z.imag), kmax), lambda: lattice_hit(z, ctx.q, kmax=kmax)
-            )
-        if hit is not None:
+        if lattice_hit(x, ctx.q, kmax=kmax) is not None:
             raise PoleError(f"{what} vanished at argument {x}")
         den *= f(x, ctx)
     return den

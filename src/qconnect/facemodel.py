@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .qkernel import (
     ParamSet,
     QContext,
@@ -29,7 +29,7 @@ from .qkernel import (
     qpoch_inf,
     theta,
 )
-from .connection import _swap_matrix
+from .connection import _den, _swap_matrix
 
 __all__ = [
     "build_Stilde",
@@ -42,8 +42,6 @@ __all__ = [
     "conjugacy_residual",
     "wprime_gauge_residual",
 ]
-
-_BRACKET_TOL = 1e-12
 
 
 def build_Stilde(
@@ -91,20 +89,20 @@ def _theta_pow(z: complex, ctx: QContext) -> complex:
 
 
 def _weight_head(alpha: complex, beta: complex, u: complex, ctx: QContext):
-    """What build_Wtilde and build_W_akm share: the coerced inputs, the theta
-    denominator theta(u q^-beta), theta(q^-beta), theta(q^(-alpha-2beta))
-    and the entry e11."""
+    """What build_Wtilde and build_W_akm share: the coerced inputs, the
+    spectral theta theta(u q^-beta), theta(q^-beta), the height theta
+    theta(q^(-alpha-2beta)) and the entry e11. _den decides the spectral and
+    height thetas; every other denominator of the two weights vanishes only
+    where the height theta does."""
     alpha = complex(alpha)
     beta = complex(beta)
     u = complex(u)
     if u == 0:
         raise DomainError("spectral argument must be nonzero")
     qp = ctx.qpow
-    den = theta(u * qp(-beta), ctx)
-    if abs(den) <= _BRACKET_TOL:
-        raise PoleError("theta denominator vanished at the spectral argument")
+    den = _den((u * qp(-beta),), theta, ctx)
     t_mb = _theta_pow(-beta, ctx)
-    t_a2b = _theta_pow(-alpha - 2 * beta, ctx)
+    t_a2b = _den((qp(-alpha - 2 * beta),), theta, ctx)
     e11 = cpow(u, alpha + 3 * beta + 1) * t_mb * theta(u * qp(alpha + 2 * beta + 1), ctx) / (t_a2b * den)
     return alpha, beta, u, den, t_mb, t_a2b, e11
 
@@ -167,16 +165,14 @@ def conj_f(alpha: complex, beta: complex, ctx: QContext) -> complex:
     conjugated weights: diag(1, f) and diag(f, 1) both work."""
     qp = ctx.qpow
     num = qpoch_inf(qp(alpha + 3 * beta + 2), ctx) * qpoch_inf(qp(alpha + beta + 1), ctx)
-    den = qpoch_inf(qp(alpha + 2 * beta + 2), ctx) * qpoch_inf(qp(alpha + 2 * beta + 1), ctx)
-    if abs(den) <= _BRACKET_TOL:
-        raise PoleError("conjugation scalar denominator vanished")
-    return num / den
+    return num / _den((qp(alpha + 2 * beta + 2), qp(alpha + 2 * beta + 1)), qpoch_inf, ctx)
 
 
 def bracket(x: complex, ctx: QContext) -> complex:
     """Odd theta value in multiplicative parametrization:
     q^{1/8} (x^{1/2} - x^{-1/2}) / i times (qx, q/x, q)_inf.
-    Vanishes exactly at x = 1; half powers on the principal branch."""
+    Vanishes exactly on q^Z: at x = 1 by its sine part and at the other
+    powers by a product factor. Half powers on the principal branch."""
     x = complex(x)
     if x == 0:
         raise DomainError("bracket argument must be nonzero")
@@ -200,10 +196,8 @@ def build_Wprime(
     a_mult = complex(a_mult)
     u_mult = complex(u_mult)
     unit_mult = complex(unit_mult)
-    br_a = bracket(a_mult, ctx)
-    br_1 = bracket(unit_mult, ctx)
-    if abs(br_a) <= _BRACKET_TOL or abs(br_1) <= _BRACKET_TOL:
-        raise PoleError("bracket denominator vanished")
+    br_a = _den((a_mult,), bracket, ctx)
+    br_1 = _den((unit_mult,), bracket, ctx)
     br_u = bracket(u_mult, ctx)
     e11 = bracket(a_mult / u_mult, ctx) / br_a
     e12 = (
@@ -260,8 +254,6 @@ def wprime_gauge_residual(alpha: complex, beta: complex, x: complex, ctx: QConte
     left = np.diag([cpow(x, -g1), cpow(x, -g2) / m])
     right = np.diag([cpow(x, -g1), cpow(x, -g2) * m])
     lhs = cpow(x, 0.5) * (left @ Wp @ right)
-    den = _theta_pow(-beta, ctx)
-    if abs(den) <= _BRACKET_TOL:
-        raise PoleError("theta normalization vanished")
+    den = _den((qp(-beta),), theta, ctx)
     rhs = theta(x * qp(-beta), ctx) / den * build_W_akm(alpha, beta, x, ctx)
     return _rel_maxnorm(lhs, rhs)

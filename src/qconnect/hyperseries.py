@@ -661,8 +661,8 @@ def char_exponents(p: ParamSet, L: int) -> tuple[tuple[complex, ...], ...]:
 
 def _char_exponents(alpha, beta, gamma, L: int) -> tuple[tuple[complex, ...], ...]:
     """char_exponents from the exponent sequences alone, for a level L
-    already checked: a sampler scores draws with it before any ParamSet is
-    built."""
+    already checked. sampling._block_exponents computes the same vectors
+    for a whole block of draws."""
     M = len(beta)
     out = []
     for comp in component_order(len(alpha), M):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResonanceError
+from .errors import ConvergenceError, DomainError, PoleError, ResonanceError
 from .qkernel import (
     LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, _require_int, _require_range,
     lattice_hit, q_shift, qpoch_inf, theta,
@@ -334,7 +334,8 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
     """Single-variable connection sum: the value at argument t against the
     weighted sum of companion series at the reflected argument
     q prod(lower) / (prod(upper) t). Both arguments must lie inside the unit
-    disc; upper-parameter ratios must stay off the q-power lattice."""
+    disc; upper-parameter ratios must stay off the q-power lattice, and t
+    off q^Z, where the weights' denominator theta(t) vanishes."""
     upper = tuple(complex(v) for v in upper)
     lower = tuple(complex(v) for v in lower)
     if len(upper) != len(lower) + 1:
@@ -355,6 +356,9 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
         raise DomainError(
             f"reflected argument must satisfy |.| < 1, got {abs(arg2):.6g}"
         )
+    k = lattice_hit(t, q)
+    if k is not None:
+        raise PoleError(f"theta(t) vanished: t sits at q^{k}")
     lhs = eval_nphi(upper, lower, t, ctx).value
     th_t = theta(t, ctx)
     rhs = 0j

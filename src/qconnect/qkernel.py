@@ -213,8 +213,10 @@ def lattice_hit(
     integers in that window around ln|x| / ln|q| are tested, in increasing
     order; the factor 2 leaves room for rounding in the logarithms. Each one
     is tested against the running power q^kmin q q ... q, so the result is
-    the first k a scan over the whole range would find. x = 0, inf and nan
-    match nothing.
+    the first k a scan over the whole range would find. Where q^kmin
+    overflows (|q| below about 1.5e-5 at kmin = -64), the running power
+    starts at the window's first integer instead. x = 0, inf and nan match
+    nothing.
     """
     x = complex(x)
     ax = abs(x)
@@ -229,8 +231,11 @@ def lattice_hit(
         hi = min(kmax, math.floor(centre + width))
     if lo > hi:
         return None
-    qk = q**kmin
-    for k in range(kmin, hi + 1):
+    try:
+        start, qk = kmin, q**kmin
+    except ArithmeticError:
+        start, qk = lo, q**lo
+    for k in range(start, hi + 1):
         if k >= lo and abs(x - qk) < LATTICE_RTOL * abs(qk):
             return k
         qk *= q

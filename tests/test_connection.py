@@ -23,7 +23,7 @@ from qconnect import (
     verify_connection,
 )
 from qconnect import QContext, connection
-from qconnect.qkernel import lattice_hit, qpoch_inf, theta
+from qconnect.qkernel import qpoch_inf, theta
 from conftest import Q
 
 IDENT = (1, 2)
@@ -141,33 +141,23 @@ def test_denominator_near_a_zero_is_a_pole(q, factor, k, what):
     assert str(err.value) == f"{what} vanished at argument {x}"
 
 
-def test_product_pole_decision_is_kept_per_argument(monkeypatch):
-    # a product denominator's argument depends only on the parameters: its
-    # lattice_hit decision is made once per context, a pole included, and
-    # a theta argument is decided at each call
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args)
-        return lattice_hit(*args, **kw)
-
-    monkeypatch.setattr(connection, "lattice_hit", counted)
+def test_product_denominator_decides_each_argument():
+    # every call decides each argument afresh and keeps nothing in the
+    # context memo: the value is the plain product, and a pole anywhere in
+    # the list raises with its own text on every call
     ctx = QContext(q=Q)
     args = (0.2 + 0.1j, 0.7 + 0j, 0.2 + 0.1j)
     for _ in range(2):
         assert connection._den(args, qpoch_inf, ctx) == (
             qpoch_inf(args[0], ctx) * qpoch_inf(args[1], ctx) * qpoch_inf(args[2], ctx)
         )
-    assert len(calls) == 2
     pole = Q**-2 * (1 + 1e-10) + 0j
     for _ in range(2):
         with pytest.raises(PoleError) as err:
             connection._den((args[1], pole, args[0]), qpoch_inf, ctx)
         assert str(err.value) == f"infinite product vanished at argument {pole}"
-    assert len(calls) == 3
-    for _ in range(2):
-        connection._den((args[0],), theta, ctx)
-    assert len(calls) == 5
+    connection._den((args[0],), theta, ctx)
+    assert {key[0] for key in ctx._memo} == {"qpoch_inf"}
 
 
 def test_transposition_word_factorizes():

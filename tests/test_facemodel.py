@@ -163,6 +163,47 @@ def test_two_state_weight_pole(ctx):
         conjugacy_residual(AL_W, BE_W, u_pole, ctx)
 
 
+_WEIGHT_CHECKS = [build_Wtilde, build_W_akm, conjugacy_residual]
+_BASES = [0.3, 0.7, 0.5 + 0.2j]
+
+
+@pytest.mark.parametrize("q", _BASES)
+@pytest.mark.parametrize("k", [-5, 0, 5])
+@pytest.mark.parametrize("check", _WEIGHT_CHECKS)
+def test_spectral_theta_near_a_zero_is_a_pole(q, k, check):
+    # theta(u q^-beta) vanishes on q^Z: a u 1e-10 off, relative, is a pole
+    # at every k and base, whatever the theta's modulus there
+    ctx_q = QContext(q=q)
+    alpha, beta = 0.45, 0.3
+    u = q**k * (1 + 1e-10) * ctx_q.qpow(beta)
+    with pytest.raises(PoleError, match="^theta denominator vanished"):
+        check(alpha, beta, u, ctx_q)
+
+
+@pytest.mark.parametrize("q", _BASES)
+@pytest.mark.parametrize("alpha, beta", [(0.2, 0.4), (0.3 + 0.1j, 0.35 - 0.05j)])
+@pytest.mark.parametrize("check", _WEIGHT_CHECKS)
+def test_height_theta_zero_is_a_pole(q, alpha, beta, check):
+    # alpha + 2 beta = 1: the height theta theta(q^(-alpha-2beta)) vanishes,
+    # and with it the weights' product denominators
+    with pytest.raises(PoleError, match="^theta denominator vanished"):
+        check(alpha, beta, 0.9 + 0.1j, QContext(q=q))
+
+
+@pytest.mark.parametrize("q", _BASES)
+@pytest.mark.parametrize("k", [-3, 0, 3])
+def test_bracket_denominator_near_a_zero_is_a_pole(q, k):
+    # a bracket vanishes on all of q^Z, as theta does
+    ctx_q = QContext(q=q)
+    x = q**k * (1 + 1e-10)
+    a0 = ctx_q.qpow(-AL_W - 2 * BE_W)
+    unit = ctx_q.qpow(BE_W + 1)
+    for a_mult, unit_mult in ((x, unit), (a0, x)):
+        with pytest.raises(PoleError) as err:
+            build_Wprime(a_mult, U_W, unit_mult, ctx_q)
+        assert str(err.value) == f"bracket denominator vanished at argument {complex(x)}"
+
+
 def test_quotient_weight_basics(ctx):
     a0 = ctx.qpow(-AL_W - 2 * BE_W)
     unit = ctx.qpow(BE_W + 1)

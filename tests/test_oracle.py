@@ -9,6 +9,7 @@ from qconnect import (
     ConvergenceError,
     DomainError,
     ParamSet,
+    PoleError,
     QContext,
     ResonanceError,
     build_solution_vector,
@@ -338,6 +339,17 @@ def test_watson_refuses_t_zero():
     los = (ctx35.qpow(1.2),)
     with pytest.raises(DomainError, match=r"^reflected argument undefined at t = 0$"):
         check_watson(ups, los, 0, ctx35)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.5 + 0.2j])
+@pytest.mark.parametrize("t_of_q", [lambda q: q, lambda q: q * q, lambda q: q * (1 + 1e-10)],
+                         ids=["q", "q^2", "q(1+1e-10)"])
+def test_watson_refuses_theta_pole(q, t_of_q):
+    # the weights divide by theta(t), which vanishes on q^Z: a t on or
+    # 1e-10 off the lattice is a pole, not a division by zero or a residual
+    t = t_of_q(q)
+    with pytest.raises(PoleError, match=r"^theta\(t\) vanished: t sits at q\^[12]$"):
+        check_watson((0.9, 0.8), (0.05,), t, QContext(q=q))
 
 
 def test_casorati_pair(p11, ctx_long):

@@ -30,7 +30,8 @@ from qconnect import (
     sample_level_overlap,
     theta,
 )
-from qconnect.errors import DomainError, ResonanceError
+from qconnect import connection
+from qconnect.errors import DomainError, PoleError, ResonanceError
 
 Q = 0.3
 
@@ -198,6 +199,19 @@ def test_lattice_hit_range_ends(q):
     assert lattice_hit(q**0, q, kmin=-64, kmax=0) == 0
     assert lattice_hit(q**1, q, kmin=-64, kmax=0) is None
     assert lattice_hit(q**-65, q, kmin=-64, kmax=0) is None
+
+
+@pytest.mark.parametrize("q", [1e-5, 1e-5 + 1e-6j, 1e-9 + 0j])
+def test_lattice_hit_decides_at_small_bases(q):
+    # q**-64 overflows (or divides by zero) here, so the running power
+    # starts at the window: each screen that calls it still decides
+    assert lattice_hit(q**3, q) == 3
+    assert lattice_hit(q**-2, q) == -2
+    assert lattice_hit(q**3 * 1.5, q) is None
+    with pytest.raises(ResonanceError, match=r"c_1 ~ q\^-1$"):
+        ParamSet(alpha=(0.5,), beta=(0.5,), gamma=(-1.0,), q=q)
+    with pytest.raises(PoleError, match="^theta denominator vanished"):
+        connection._den((q**2,), theta, QContext(q=q))
 
 
 @pytest.mark.parametrize(
