@@ -463,8 +463,8 @@ def _suite_independence(s: _Sample):
     p, shift = _draw(s, check, lambda: sampling._casorati_params(N, M, L, s.ctx, s.rng))
     dg = _digest(p)
     t = _draw(s, check, lambda: sampling.sample_domain_point(p, L, sig, s.rng), dg)
-    vector = lambda tt: tuple(local_solution(p, L, sig, c, tt, s.ctx) for c in comps)
-    ok, cas = _attempt(s, check, dg, t, lambda: casorati_independence(vector, shift, t, s.ctx))
+    columns = [partial(local_solution, p, L, sig, c, ctx=s.ctx) for c in comps]
+    ok, cas = _attempt(s, check, dg, t, lambda: casorati_independence(columns, shift, t, s.ctx))
     if not ok:
         return
     # one rcond floor certifies the true matrix and refuses its forged twin

@@ -22,8 +22,17 @@ first, and a series that has not settled by a stop continues with the next
 shell, from axis tables rebuilt at the next stop and the last coupling
 table extended to it, so each shell is summed once and each coupling entry
 computed once. A one-sided series gets the shells of a rung from one
-elementwise product; on two sides each shell is one reduction over
-contiguous slices of the tables.
+elementwise product. On two sides the products of a block of shells are
+gathered into one table, and each shell is one reduction of its contiguous
+entries.
+
+The engine evaluates one series at R points at once (_series_rows): the
+points share every screen, axis product, coupling table and gather index,
+and only the axis arguments differ. Each point gets its own row of axis
+tables and of each block table, each shell is one reduction over all the
+rows, and a point leaves the batch once its sum has settled. Every value
+has the bits of an evaluation at that point alone; a single series
+(_shell_series) is the one-row case.
 
 Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
@@ -35,11 +44,15 @@ in the same order: plus axes, minus axes, coupling. The setup of a local
 solution family (its reordered parameters and leading exponents) is kept in
 the same memo, so every component of a family, whether evaluated alone by
 local_solution or together by build_solution_vector, reads one setup.
+local_solution also takes a sequence of points and evaluates the
+component at all of them in one pass of the engine: the columns of a
+Casorati matrix.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -148,11 +161,13 @@ def _axis_products(nums, dens, ctx: QContext):
     return num, den, pole
 
 
-def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
+def _axis_ratios(axis, ctx: QContext) -> list[np.ndarray]:
     """Term ratios x * prod(1 - n q^k) / prod(1 - d q^k) of one axis for
-    k = 0..series_cap-1, or ResonanceError if any denominator vanishes.
-    The products come from ctx's memo; only x depends on the point."""
-    nums, dens, x = axis
+    k = 0..series_cap-1, an array per point, or ResonanceError if any
+    denominator vanishes. The axis is (nums, dens, xs), one argument x per
+    point; the products come from ctx's memo, and only x depends on the
+    point."""
+    nums, dens, xs = axis
     num, den, pole = ctx._memoised(
         ("axis", _bits(nums), _bits(dens)), lambda: _axis_products(nums, dens, ctx)
     )
@@ -161,7 +176,7 @@ def _axis_ratios(axis, ctx: QContext) -> np.ndarray:
             "axis weight recurrence hit a vanishing denominator "
             "(a lower parameter degenerated onto the q-power lattice)"
         )
-    return complex(x) * num / den
+    return [complex(x) * num / den for x in xs]
 
 
 def _screen(nums, dens, plus: bool, minus: bool, q: complex) -> int | None:
@@ -240,74 +255,164 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -
     return g
 
 
-def _settle(terms, ctx: QContext, failure) -> SeriesValue:
-    """Sum of terms, done once three in a row fall below tail_tol relative to
-    the largest partial sum so far. When the terms run out it raises
-    ConvergenceError(failure(last relative term size))."""
-    total = 0j
-    mag = 1e-300
-    run: list[float] = []  # relative sizes of the current run of small terms
-    for n, term in enumerate(terms, start=1):
-        total += term
-        mag = max(mag, abs(total))
-        rel = abs(term) / mag
-        run = run + [rel] if rel < ctx.tail_tol else []
-        if len(run) == 3:
-            return SeriesValue(total, n, max(run))
-    raise ConvergenceError(failure(rel))
+class _Sum:
+    """Running sum of one series, settled once three terms in a row fall
+    below tail_tol relative to the largest partial sum so far. It keeps the
+    count and the largest relative size of the current run of small terms."""
+
+    __slots__ = ("total", "mag", "n", "small", "worst", "rel")
+
+    def __init__(self) -> None:
+        self.total = 0j
+        self.mag = 1e-300
+        self.n = self.small = 0
+        self.worst = self.rel = 0.0
+
+    def add(self, terms, tol: float) -> SeriesValue | None:
+        """Add terms in order; the SeriesValue once the sum settles (the
+        terms after that one are not read), else None."""
+        total, mag, n, small, worst, rel = (
+            self.total, self.mag, self.n, self.small, self.worst, self.rel
+        )
+        for term in terms:
+            n += 1
+            total += term
+            size = abs(total)
+            if size > mag:
+                mag = size
+            rel = abs(term) / mag
+            if rel < tol:
+                small += 1
+                if rel > worst:
+                    worst = rel
+                if small == 3:
+                    return SeriesValue(total, n, worst)
+            else:
+                small = 0
+                worst = 0.0
+        self.total, self.mag, self.n, self.small, self.worst, self.rel = (
+            total, mag, n, small, worst, rel
+        )
+        return None
 
 
-def _shells(plus, minus, g_nums, g_dens, gkey, ctx: QContext):
-    """Shell sums for shells 0..ctx.series_cap, given each axis's term
-    ratios; every series has at least one axis. The coupling tables come
-    from ctx's memo under gkey, the exact bits of (g_nums, g_dens).
+# Shells per product table on two sides. The first block holds the shells
+# most series need (about 20 at the median in the run suites).
+_BLOCK = 24
+# Shells reduced at a time while no sum has begun a run of small terms: a
+# sum settles on the third shell of such a chunk at the earliest, so at
+# most three reductions are spent past it.
+_ASK = 6
+_ONE = np.ones(1, dtype=complex)
+_ONE.flags.writeable = False
 
-    The tables are built to the stops of _stages(ctx.series_cap) in turn,
-    each rung's coupling table extended from the last one's, and a rung is
-    built only when the sum asks for a shell past the one before. A
-    one-sided series has one term per shell, so all the shells of a rung are
-    one elementwise product. On two sides shell s pairs plus degree j with
-    minus degree s - j, j = 0..s: contiguous slices of the plus table, the
-    reversed minus table and every second coupling entry."""
 
-    def combined(axes, stop) -> np.ndarray:
+@functools.cache
+def _gather(first: int, last: int, down: int):
+    """Gather indices of shells first..last on two sides, for a minus table
+    with top index down and a coupling table with offset down: shell s
+    pairs plus degree j with minus degree s - j and coupling entry
+    down - s + 2 j, j = 0..s, each shell's entries contiguous; with the
+    (start, end) of each shell's entries."""
+    sizes = np.arange(first + 1, last + 2)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    s = np.repeat(np.arange(first, last + 1), sizes)
+    j = np.arange(len(s)) - np.repeat(starts, sizes)
+    index = j, s - j, down - s + 2 * j
+    for arr in index:
+        arr.flags.writeable = False
+    return *index, tuple(zip(starts.tolist(), ends.tolist()))
+
+
+def _block_table(cp: np.ndarray, cm: np.ndarray, g: np.ndarray, first: int, last: int):
+    """(table, bounds): the products of shells first..last on two sides, one
+    C-contiguous row per row of the plus and minus tables cp and cm, and
+    each shell's (start, end) in a row. Shell s's entries are, bit for bit,
+    cp[:s+1] * cm[s::-1] * g[down-s : down+s+1 : 2] of each row, down the
+    top index of cm."""
+    j, k, n, bounds = _gather(first, last, cm.shape[1] - 1)
+    return cp.take(j, 1) * cm.take(k, 1) * g[n], bounds
+
+
+def _shells(plus, minus, g_nums, g_dens, gkey, live, ask, ctx: QContext):
+    """Shell sums for shells 0..ctx.series_cap of the rows in live, given
+    each axis's term ratios, one array per point; every series has at least
+    one axis. The coupling tables come from ctx's memo under gkey, the exact
+    bits of (g_nums, g_dens).
+
+    Each item is (rows, sums): per row of rows, its sums of the next shells
+    in order. The caller removes a row from live once it needs no more
+    shells, and the tables built after that leave it out. The tables are
+    built to the stops of _stages(ctx.series_cap) in turn, for the rows live
+    then, each rung's coupling table extended from the last one's, and a
+    rung is built only when a row asks for a shell past the one before. A
+    one-sided series has one term per shell, so all the shells of a rung
+    are one elementwise product per row. On two sides shell s pairs plus
+    degree j with minus degree s - j, j = 0..s, with every second coupling
+    entry: the products of a block of _BLOCK shells, for every row, are
+    gathered into one table by indices kept per (first shell, last shell,
+    down), and each shell is one reduction of its contiguous entries over
+    all the table's rows. The shells are reduced ask[0] at a time, a count
+    the caller sets before it asks for more."""
+
+    def combined(axes, stop) -> list:
         if not axes:
-            return np.ones(1, dtype=complex)
-        c = _axis_table(axes[0], stop)
-        for ratios in axes[1:]:
-            c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
-        return c
+            return [_ONE] * len(rows)
+        out = []
+        for r in rows:
+            c = _axis_table(axes[0][r], stop)
+            for ratios in axes[1:]:
+                c = np.convolve(c, _axis_table(ratios[r], stop))[: stop + 1]
+            out.append(c)
+        return out
 
     start = 0
     stage = None
     for stop in _stages(ctx.series_cap):
+        rows = tuple(live)
         cp = combined(plus, stop)
         cm = combined(minus, stop)
-        up = len(cp) - 1
-        down = len(cm) - 1
+        up = len(cp[0]) - 1
+        down = len(cm[0]) - 1
         g = ctx._memoised(
             ("coupling", *gkey, up, down),
             lambda: _coupling_table(g_nums, g_dens, up, down, ctx, stage),
         )
         stage = g, up, down
         if not down:
-            yield from (cp * cm[0] * g)[start:].tolist()
+            yield rows, [(c * m[0] * g)[start:].tolist() for c, m in zip(cp, cm)]
         elif not up:
-            yield from (cp[0] * cm * g[::-1])[start:].tolist()
+            yield rows, [(c[0] * m * g[::-1])[start:].tolist() for c, m in zip(cp, cm)]
         else:
-            for s in range(start, stop + 1):
-                yield complex(np.add.reduce(
-                    cp[: s + 1] * cm[s::-1] * g[down - s : down + s + 1 : 2]
-                ))
+            cp, cm = np.array(cp), np.array(cm)
+            for first in range(start, stop + 1, _BLOCK):
+                if len(live) < len(rows):
+                    keep = [rows.index(r) for r in live]
+                    cp, cm, rows = cp[keep], cm[keep], tuple(live)
+                table, bounds = _block_table(cp, cm, g, first, min(first + _BLOCK - 1, stop))
+                i = 0
+                while i < len(bounds):
+                    chunk = bounds[i : i + ask[0]]
+                    i += len(chunk)
+                    # reduce(x, 1), not axis=-1: the keyword costs 1.2 us a call
+                    yield rows, list(zip(*[np.add.reduce(table[:, a:b], 1).tolist()
+                                           for a, b in chunk]))
         start = stop + 1
 
 
-def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
-    """Sum over shells of the series with these axes and coupling. Every
-    denominator is screened first, plus axes, then minus axes, then the
-    coupling. The tables are built to _STAGE shells; a sum that has not
-    settled by a stop continues with the next shell from tables grown to the
-    next stop of _stages(series_cap), so each shell is summed once."""
+def _series_rows(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> list:
+    """Sum over shells of one series at R points, each axis (nums, dens, xs)
+    with one argument x per point: per point its SeriesValue, or the
+    ConvergenceError of a sum that has not settled by shell series_cap.
+    Every denominator is screened first, for all points at once, plus axes,
+    then minus axes, then the coupling, and a pole raises ResonanceError.
+    The tables are built to _STAGE shells; a sum that has not settled by a
+    stop continues with the next shell from tables grown to the next stop of
+    _stages(series_cap), so each shell is summed once. A point leaves the
+    batch once its sum has settled. The shells are asked for _ASK at a time
+    while no live sum has begun a run of small terms, else as many as no
+    live sum can settle before: 3 less the longest current run."""
     cap = ctx.series_cap
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
@@ -321,11 +426,43 @@ def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> Serie
             f"coupling denominator vanished at index {pole} "
             "(parameter ratio on the q-power lattice)"
         )
+    runs = [_Sum() for _ in (plus or minus)[0]]  # one per point of the first axis
+    out: list = [None] * len(runs)
+    live = list(range(len(runs)))
+    ask = [_ASK]
+    tol = ctx.tail_tol
+    for rows, sums in _shells(plus, minus, g_nums, g_dens, gkey, live, ask, ctx):
+        most = 0
+        for r, terms in zip(rows, sums):
+            if out[r] is None:
+                run = runs[r]
+                value = out[r] = run.add(terms, tol)
+                if value is not None:
+                    live.remove(r)
+                elif run.small > most:
+                    most = run.small
+        if not live:
+            return out
+        ask[0] = 3 - most if most else _ASK
+    for r in live:
+        out[r] = ConvergenceError(
+            f"series did not settle within {cap} shells "
+            f"(last relative shell size {runs[r].rel:.3e})"
+        )
+    return out
 
-    def failure(last):
-        return f"series did not settle within {cap} shells (last relative shell size {last:.3e})"
 
-    return _settle(_shells(plus, minus, g_nums, g_dens, gkey, ctx), ctx, failure)
+def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
+    """Sum over shells of the series with these axes (nums, dens, x) and
+    coupling: the one-point case of _series_rows, raising its error."""
+    (value,) = _series_rows(
+        [(nums, dens, (x,)) for nums, dens, x in plus_axes],
+        [(nums, dens, (x,)) for nums, dens, x in minus_axes],
+        g_nums, g_dens, ctx,
+    )
+    if isinstance(value, ConvergenceError):
+        raise value
+    return value
 
 
 def _plain_axis(b: complex, x: complex, q: complex):
@@ -378,9 +515,10 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
             term *= num / den
             qm *= q
 
-    return _settle(terms(), ctx, lambda _: (
-        f"single-variable sum did not settle within {ctx.series_cap} terms"
-    ))
+    value = _Sum().add(terms(), ctx.tail_tol)
+    if value is None:
+        raise ConvergenceError(f"single-variable sum did not settle within {ctx.series_cap} terms")
+    return value
 
 
 def _domain_check(labels_and_ratios) -> None:
@@ -428,8 +566,14 @@ def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
     coupling runs over the signed split sum with parameter quotient
     (a_j / B | c_j / B), B = prod_{i>L} b_i."""
     _check_base(p, ctx)
+    L = _require_range("L", L, 0, p.M)
+    return _shell_series(*_split_axes(p, L, t), ctx)
+
+
+def _split_axes(p: ParamSet, L: int, t):
+    """(plus axes, minus axes, coupling nums, coupling dens) of eval_FNM_L
+    at t, once t passes its sector check."""
     M = p.M
-    L = _require_range("L", L, 0, M)
     t = _coords(t, M)
     _domain_check(_sector(p, p.b, L, 0, t))
     q = p.q
@@ -438,27 +582,34 @@ def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
     B = math.prod(p.b[L:], start=1.0 + 0j)
     g_nums = tuple(aj / B for aj in p.a)
     g_dens = tuple(cj / B for cj in p.c)
-    return _shell_series(plus, minus, g_nums, g_dens, ctx)
+    return plus, minus, g_nums, g_dens
 
 
-def _slot_series(p: ParamSet, L: int, l: int, t, coupling, ctx: QContext) -> SeriesValue:
-    """Split series attached to lower slot l. Slots before l are plus axes in
+def _slot_axes(p: ParamSet, L: int, l: int, t, k: int):
+    """Axes and coupling of the split series attached to lower slot l and
+    slot k, at t once it passes its sector check: eval_FNM_Lkl when l > L,
+    eval_GNM_Lkl when l <= L. Slots before l are plus axes in
     q t_i/(b_l t_l), slots after l minus axes in b_l t_l/(b_i t_i); the
-    distinguished axis goes right after slot L, on the plus side when l > L.
-    coupling(b_l t_l, prod_{i>l} b_i) gives that axis and the coupling
-    quotient pair."""
+    distinguished axis goes right after slot L, on the plus side when
+    l > L."""
     t = _coords(t, p.M)
     _domain_check(_sector(p, p.b, L, l, t))
     q = p.q
     bl_tl = p.b[l - 1] * t[l - 1]
-    axis, g_nums, g_dens = coupling(bl_tl, math.prod(p.b[l:], start=1.0 + 0j))
+    tail = math.prod(p.b[l:], start=1.0 + 0j)
     plus = [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(l - 1)]
     minus = [_plain_axis(p.b[i], bl_tl / (p.b[i] * t[i]), q) for i in range(l, p.M)]
     if l > L:
-        plus.insert(L, axis)
-    else:
-        minus.insert(L - l, axis)
-    return _shell_series(plus, minus, g_nums, g_dens, ctx)
+        a_k = p.a[k - 1]
+        nums = tuple(q * a_k / cj for cj in p.c)
+        dens = tuple(q * a_k / aj for aj in p.a)
+        plus.insert(L, (nums, dens, _coupling(p) / bl_tl))
+        return plus, minus, (a_k / tail,), (q * a_k / (p.b[l - 1] * tail),)
+    c_k = p.c[k - 1]
+    nums = tuple(q * aj / c_k for aj in p.a)
+    dens = tuple(q * cj / c_k for cj in p.c)
+    minus.insert(L - l, (nums, dens, bl_tl / q))
+    return plus, minus, (c_k / (q * tail),), (c_k / (p.b[l - 1] * tail),)
 
 
 def eval_FNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> SeriesValue:
@@ -473,14 +624,7 @@ def eval_FNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     L = _require_range("L", L, 0, p.M)
     l = _require_range("l", l, L + 1, p.M)
     k = _require_range("k", k, 1, p.N)
-    q, a_k = p.q, p.a[k - 1]
-
-    def coupling(bl_tl, tail):
-        nums = tuple(q * a_k / cj for cj in p.c)
-        dens = tuple(q * a_k / aj for aj in p.a)
-        return (nums, dens, _coupling(p) / bl_tl), (a_k / tail,), (q * a_k / (p.b[l - 1] * tail),)
-
-    return _slot_series(p, L, l, t, coupling, ctx)
+    return _shell_series(*_slot_axes(p, L, l, t, k), ctx)
 
 
 def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> SeriesValue:
@@ -495,14 +639,7 @@ def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     L = _require_range("L", L, 0, p.M)
     l = _require_range("l", l, 1, L)
     k = _require_range("k", k, 1, p.N)
-    q, c_k = p.q, p.c[k - 1]
-
-    def coupling(bl_tl, tail):
-        nums = tuple(q * aj / c_k for aj in p.a)
-        dens = tuple(q * cj / c_k for cj in p.c)
-        return (nums, dens, bl_tl / q), (c_k / (q * tail),), (c_k / (p.b[l - 1] * tail),)
-
-    return _slot_series(p, L, l, t, coupling, ctx)
+    return _shell_series(*_slot_axes(p, L, l, t, k), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +670,9 @@ def _normalize_component(which, N: int, M: int):
 # local solutions
 
 
-def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
-    """Setup shared by every component of the (L, sigma) family at t: the
-    reordered parameters and coordinates and the leading exponents. The
-    parameters and exponents depend on p, L and sigma only and come from
-    ctx's memo; the coordinates are reordered on every call."""
+def _family(p: ParamSet, L: int, sigma, ctx: QContext):
+    """Setup shared by every component of the (L, sigma) family: the
+    reordered parameters and the leading exponents, from ctx's memo."""
     _check_base(p, ctx)
     L = _require_range("L", L, 0, p.M)
     sigma = _validate_perm(sigma)
@@ -546,21 +681,33 @@ def _family(p: ParamSet, L: int, sigma, t, ctx: QContext):
         pp = p.permuted(sigma)
         return pp, char_exponents(pp, L)
 
-    pp, exps = ctx._memoised(
+    return ctx._memoised(
         ("family", _bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits(p.q), L, sigma),
         setup,
     )
-    return pp, permute_seq(tuple(complex(v) for v in t), sigma), exps
 
 
-def _component(pp: ParamSet, L: int, comp, delta, tt, ctx: QContext) -> complex:
-    """Component comp, with leading exponents delta, of a family set up by
-    _family."""
-    M = pp.M
-    start = (L + 1) if comp == 0 else comp[1]
+def _reorder(t, sigma) -> tuple[complex, ...]:
+    """The coordinates of point t reordered by sigma."""
+    return permute_seq(tuple(complex(v) for v in t), sigma)
+
+
+def _axes(pp: ParamSet, L: int, comp, tt):
+    """Axes and coupling of component comp's split series at the reordered
+    point tt, once tt passes its sector check."""
+    if comp == 0:
+        return _split_axes(pp, L, tt)
+    k, l = comp
+    return _slot_axes(pp, L, l, tt, k)
+
+
+def _warn_branch(tt, start: int) -> None:
+    """BranchWarning when a coordinate start.. carrying a power prefactor
+    lies outside the sector |Arg| < pi/4, reported at the caller of the
+    public entry point."""
     risky = [
         i
-        for i in range(start, M + 1)
+        for i in range(start, len(tt) + 1)
         if tt[i - 1] != 0 and abs(cmath.phase(tt[i - 1])) >= _SECTOR
     ]
     if risky:
@@ -568,21 +715,63 @@ def _component(pp: ParamSet, L: int, comp, delta, tt, ctx: QContext) -> complex:
             f"coordinates {risky} lie outside the branch-safe sector; "
             "principal powers may break shift identities",
             BranchWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    if comp == 0:
-        series = eval_FNM_L(pp, L, tt, ctx)
-    elif comp[1] <= L:
-        series = eval_GNM_Lkl(pp, L, *comp, tt, ctx)
-    else:
-        series = eval_FNM_Lkl(pp, L, *comp, tt, ctx)
+
+
+def _prefactor(tt, delta, start: int) -> complex:
+    """prod_{i >= start} tt_i ** delta_i, principal powers."""
     pref = 1.0 + 0j
-    for i in range(start, M + 1):
+    for i in range(start, len(tt) + 1):
         pref *= cpow(tt[i - 1], delta[i - 1])
-    return pref * series.value
+    return pref
 
 
-def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> complex:
+def _component(pp: ParamSet, L: int, comp, delta, tt, ctx: QContext) -> complex:
+    """Component comp, with leading exponents delta, of a family set up by
+    _family, at the reordered point tt."""
+    start = (L + 1) if comp == 0 else comp[1]
+    _warn_branch(tt, start)
+    series = _shell_series(*_axes(pp, L, comp, tt), ctx)
+    return _prefactor(tt, delta, start) * series.value
+
+
+def _component_rows(pp: ParamSet, L: int, comp, delta, points, sigma, ctx: QContext) -> list:
+    """Component comp of a family set up by _family at each of points, in
+    one pass of _series_rows: per point its value, with the bits of
+    _component, or the exception its evaluation raised there. The points
+    share every axis and coupling but the axis arguments."""
+    start = (L + 1) if comp == 0 else comp[1]
+    out: list = []
+    rows = []  # (position, reordered point, axes) of each point in the sector
+    for pt in points:
+        try:
+            tt = _reorder(pt, sigma)
+            _warn_branch(tt, start)
+            rows.append((len(out), tt, _axes(pp, L, comp, tt)))
+            out.append(None)
+        except Exception as exc:  # noqa: BLE001  returned in the point's place
+            out.append(exc)
+    if not rows:
+        return out
+    *sides, g_nums, g_dens = rows[0][2]
+    batch = [
+        [(nums, dens, [row[2][side][a][2] for row in rows])
+         for a, (nums, dens, _) in enumerate(axes)]
+        for side, axes in enumerate(sides)
+    ]
+    try:
+        values = _series_rows(*batch, g_nums, g_dens, ctx)
+    except Exception as exc:  # noqa: BLE001  a pole of the series, at every point
+        values = [exc] * len(rows)
+    for (i, tt, _), value in zip(rows, values):
+        if isinstance(value, SeriesValue):
+            value = _prefactor(tt, delta, start) * value.value
+        out[i] = value
+    return out
+
+
+def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     """Single component of the local solution vector at split level L and
     slot ordering sigma.
 
@@ -592,8 +781,23 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext) -> compl
     series. Emits BranchWarning when a coordinate carrying a power
     prefactor lies outside the sector |Arg| < pi/4 (power laws for the
     composite shifts are then no longer guaranteed).
+
+    t may also be a sequence of points (ndim 2): the component at each, a
+    tuple, from one family setup and one pass of the series engine, with
+    the bits of one call per point. The first point whose evaluation fails
+    raises its error.
     """
-    pp, tt, exps = _family(p, L, sigma, t, ctx)
+    pp, exps = _family(p, L, sigma, ctx)
+    if np.ndim(t) == 2:
+        comp = _normalize_component(which, p.N, p.M)
+        values = _component_rows(
+            pp, L, comp, exps[component_index(comp, p.M)], t, sigma, ctx
+        )
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+        return tuple(values)
+    tt = _reorder(t, sigma)
     comp = _normalize_component(which, p.N, p.M)
     return _component(pp, L, comp, exps[component_index(comp, p.M)], tt, ctx)
 
@@ -616,7 +820,8 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
     """Evaluate every component (the distinguished one first, then (k, l) in
     row-major order) from one family setup. Component failures are
     aggregated into one error that names the offending components."""
-    pp, tt, exps = _family(p, L, sigma, t, ctx)
+    pp, exps = _family(p, L, sigma, ctx)
+    tt = _reorder(t, sigma)
     comps = []
     failures: list[tuple[object, Exception]] = []
     for comp, delta in zip(component_order(p.N, p.M), exps):

@@ -402,31 +402,37 @@ class CasoratiReport:
     matrix: np.ndarray
 
 
-def casorati_independence(vector, m, t, ctx: QContext) -> CasoratiReport:
+def casorati_independence(columns, m, t, ctx: QContext) -> CasoratiReport:
     """rcond test for linear independence over the field of q-shift
-    invariants: vector(point) returns all n >= 2 component values at a
-    point, and row k is vector(t * q^{k m}).
+    invariants: columns are n >= 2 component functions, and row k of the
+    matrix holds them at the ladder point t * q^{k m}, k = 0..n-1. Each
+    column is called once, with all n points in order, and returns its n
+    values. If a column raises, the cells are evaluated again one point at a
+    time, column((point,))[0], row k then column j, so the error raised is
+    the first one that evaluating the matrix row by row meets.
 
     The forged twin replaces the last column by 2 col0 + 0.5 col1 (by
     2 col0 when n = 2), a combination of columns that stay in the matrix,
     so its rcond sits at rounding level. Swapping two components leaves
     rcond unchanged; a repeated component puts it at rounding level.
-    Shifted points leaving the domain surface as whatever error vector
+    Shifted points leaving the domain surface as whatever error a column
     raises."""
     m = tuple(_require_int("m", v) for v in m)
     t = tuple(complex(v) for v in t)
     if len(m) != len(t):
         raise ValueError("shift pattern and point must have equal length")
-    q = ctx.q
-
-    def row(k: int):
-        return vector(tuple(v * q ** (k * mv) for v, mv in zip(t, m)))
-
-    first = row(0)
-    n = len(first)
+    columns = tuple(columns)
+    n = len(columns)
     if n < 2:
         raise ValueError("need at least two components")
-    A = np.array([first, *(row(k) for k in range(1, n))], dtype=complex)
+    q = ctx.q
+    points = [tuple(v * q ** (k * mv) for v, mv in zip(t, m)) for k in range(n)]
+    A = np.empty((n, n), dtype=complex)
+    try:
+        for j, column in enumerate(columns):
+            A[:, j] = column(points)
+    except Exception:  # noqa: BLE001  raised again in row-by-row order
+        A[:] = [[column((point,))[0] for column in columns] for point in points]
     forged = A.copy()
     forged[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if n >= 3 else 2.0 * A[:, 0]
     return CasoratiReport(scaled_rcond(A), scaled_rcond(forged), A)

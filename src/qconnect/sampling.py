@@ -12,9 +12,9 @@ even after the operator shifts a residual check applies.
 One walker, _walk, makes every parameter draw, for sample_params and for
 the Casorati search alike. It makes exactly the decisions of a per-draw
 loop, so its result and the generator state it leaves are that loop's:
-- one rng.uniform call gives a block's doubles: _BLOCK rows, but a first
-  block of one row where that draw is as good as always accepted
-  (sample_params without bounds);
+- one rng.random call gives a block's doubles, scaled to the box as
+  rng.uniform scales them: _BLOCK rows, but a first block of one row where
+  that draw is as good as always accepted (sample_params without bounds);
 - a numpy screen decides most rows: _near_lattice flags every draw that
   ParamSet or strong_nonresonant could reject (lattice_hit's window taken
   twice as wide, which rounding cannot escape), and the coupling cap and
@@ -84,21 +84,24 @@ _OVERLAP_MARGIN = 0.03
 
 
 def _draw_block(rng: np.random.Generator, n: int, rows: int = 1) -> np.ndarray:
-    """rows x n exponents from the box as a complex array, drawn by one
-    rng.uniform call over the interleaved (re, im) bounds and read as
-    (re, im) pairs: the doubles, and the generator state after them, are
-    those of 2 n rows scalar calls in the same order."""
-    v = rng.uniform(*_box(n * rows))
+    """rows x n exponents from the box as a complex array, read as (re, im)
+    pairs of low + span * rng.random(2 n rows) over the interleaved bounds:
+    the doubles, and the generator state after them, are those of one
+    rng.uniform call over the same bounds (its low + (high - low) * draw),
+    without its per-call checks of array bounds."""
+    low, span = _box(n * rows)
+    v = low + span * rng.random(2 * n * rows)
     return v.view(complex).reshape(rows, n)
 
 
 @functools.cache
-def _box(size: int) -> np.ndarray:
-    """Read-only rows (low, high) of size interleaved (re, im) box bounds."""
+def _box(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (low, high - low) of size interleaved (re, im) box bounds."""
     (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
-    bounds = np.array([(re_lo, im_lo) * size, (re_hi, im_hi) * size])
-    bounds.flags.writeable = False
-    return bounds
+    low = np.array((re_lo, im_lo) * size)
+    span = np.array((re_hi, im_hi) * size) - low
+    low.flags.writeable = span.flags.writeable = False
+    return low, span
 
 
 def _draw_exponents(rng: np.random.Generator, n: int) -> list[complex]:

@@ -3,6 +3,7 @@
 a single pass/fail line so a -s run reads as a checklist."""
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -230,8 +231,8 @@ def test_criterion_09_independence():
         15.702143690317696 + 10.462462597866931j,
     )
     ident = perm_identity(2)
-    vec = lambda tt: build_solution_vector(p, 1, ident, tt, CTX).components
-    rep = casorati_independence(vec, (3, -1), t, CTX)
+    cols = [partial(local_solution, p, 1, ident, c, ctx=CTX) for c in component_order(2, 2)]
+    rep = casorati_independence(cols, (3, -1), t, CTX)
 
     ok = rep.rcond > RCOND_FLOOR >= rep.forged_rcond
     announce(9, "independence", ok, f"rcond={rep.rcond:.3e} forged={rep.forged_rcond:.3e}")

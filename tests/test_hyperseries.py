@@ -30,7 +30,14 @@ from qconnect import (
     sample_params,
 )
 from qconnect import hyperseries
-from qconnect.hyperseries import _coupling_table, _shell_series, _stages
+from qconnect.hyperseries import (
+    _BLOCK,
+    _axis_table,
+    _block_table,
+    _coupling_table,
+    _shell_series,
+    _stages,
+)
 from conftest import ALPHA, BETA, GAMMA, Q
 
 
@@ -345,22 +352,27 @@ _REAL_SHELLS = [
 @pytest.mark.parametrize("L, t, digest", _REAL_SHELLS)
 def test_real_series_shell_bits(L, t, digest, p23_real, monkeypatch):
     shells = []
-    settle = hyperseries._settle
+    add = hyperseries._Sum.add
 
-    def recorded(terms, ctx, failure):
+    def recorded(run, terms, tol):
         def tee():
             for term in terms:
                 shells.append(term)
                 yield term
 
-        return settle(tee(), ctx, failure)
+        return add(run, tee(), tol)
 
-    monkeypatch.setattr(hyperseries, "_settle", recorded)
+    monkeypatch.setattr(hyperseries._Sum, "add", recorded)
     eval_FNM_L(p23_real, L, t, QContext(q=Q, prod_terms=60, series_cap=200))
     h = hashlib.sha256()
     for z in shells:
         h.update(f"{z.real.hex()} {z.imag.hex()}\n".encode())
     assert h.hexdigest()[:16] == digest
+
+
+def test_nphi_convergence_error_text():
+    with pytest.raises(ConvergenceError, match=r"^single-variable sum did not settle within 20 terms$"):
+        eval_nphi((0.9, 0.99), (0.5,), 0.999, QContext(q=Q, series_cap=20))
 
 
 def test_table_ladder_stops():
@@ -469,3 +481,105 @@ def test_series_engine_pole_repeats_from_memo(plus, minus, g_nums, g_dens, messa
         errors.append(err.value)
     assert [str(e) for e in errors] == [message, message]
     assert errors[0] is not errors[1]
+
+
+# The row kernel relies on numpy giving its batched forms the bits of the
+# per-series forms they replaced. Each identity is checked at every shell
+# length 1..series_cap+1, on the blocks the kernel builds, over tables made
+# like the engine's: weights by _axis_table from ratios of modulus
+# 0.05-0.95, a coupling by _coupling_table.
+
+
+def _engine_tables(rows: int, stop: int, ctx):
+    rng = np.random.default_rng([24, rows, stop])
+
+    def weights():
+        ratios = rng.uniform(0.05, 0.95, stop) * np.exp(1j * rng.uniform(-np.pi, np.pi, stop))
+        return _axis_table(ratios, stop)
+
+    cp = np.array([weights() for _ in range(rows)])
+    cm = np.array([weights() for _ in range(rows)])
+    nums, dens = (tuple(rng.uniform(0.2, 0.9, 2) * np.exp(1j * rng.uniform(-1, 1, 2)))
+                  for _ in range(2))
+    return cp, cm, _coupling_table(nums, dens, stop, stop, ctx)
+
+
+def _kernel_blocks(rows: int, ctx):
+    """(cp, cm, g, first shell, table, bounds) of every block the two-sided
+    kernel builds up to series_cap."""
+    start = 0
+    for stop in _stages(ctx.series_cap):
+        cp, cm, g = _engine_tables(rows, stop, ctx)
+        for first in range(start, stop + 1, _BLOCK):
+            table, bounds = _block_table(cp, cm, g, first, min(first + _BLOCK - 1, stop))
+            yield cp, cm, g, first, table, bounds
+        start = stop + 1
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_block_table_matches_slice_products(rows, ctx_long):
+    lengths = set()
+    for cp, cm, g, first, table, bounds in _kernel_blocks(rows, ctx_long):
+        down = cm.shape[1] - 1
+        # add.reduce over axis 1 sums each row apart only on C order
+        assert table.flags.c_contiguous
+        for s, (a, b) in enumerate(bounds, start=first):
+            for r in range(rows):
+                plus, minus = cp[r].copy(), cm[r].copy()
+                ref = plus[: s + 1] * minus[s::-1] * g[down - s : down + s + 1 : 2]
+                assert table[r, a:b].tobytes() == ref.tobytes(), (down, s, r)
+            lengths.add(b - a)
+    assert lengths == set(range(1, ctx_long.series_cap + 2))
+
+
+@pytest.mark.parametrize("rows", [1, 4, 13])
+def test_row_reduce_matches_one_dimensional_reduce(rows, ctx_long):
+    lengths = set()
+    for *_, table, bounds in _kernel_blocks(rows, ctx_long):
+        for a, b in bounds:
+            ref = np.array([np.add.reduce(table[r, a:b].copy()) for r in range(rows)])
+            assert np.add.reduce(table[:, a:b], 1).tobytes() == ref.tobytes(), (a, b)
+            lengths.add(b - a)
+    assert lengths == set(range(1, ctx_long.series_cap + 2))
+
+
+def _settle_by_runs(terms, tol):
+    """The settle rule with the current run of small terms kept as a list:
+    (total, terms used, largest of the final three), or the last relative
+    size when the terms run out."""
+    total, mag, run = 0j, 1e-300, []
+    for n, term in enumerate(terms, start=1):
+        total += term
+        mag = max(mag, abs(total))
+        rel = abs(term) / mag
+        run = run + [rel] if rel < tol else []
+        if len(run) == 3:
+            return total, n, max(run)
+    return rel
+
+
+def test_sum_counts_the_run_of_small_terms():
+    tol = 1e-12
+    # a run broken by a large term starts again, and only the final three
+    # small terms give the tail estimate
+    terms = [1.0, 9e-13, 1e-14, 0.5, 1e-13, 1e-13, 1e-14]
+    sv = hyperseries._Sum().add(terms, tol)
+    assert (sv.value, sv.terms_used, sv.tail_estimate) == _settle_by_runs(terms, tol)
+    assert sv.tail_estimate == pytest.approx(1e-13 / 1.5)
+    # seeded terms from 1 down to 1e-15, zeros among them, added whole or in
+    # pieces: both outcomes
+    rng = np.random.default_rng(24)
+    settled = 0
+    for _ in range(2000):
+        size = 10.0 ** rng.uniform(-15, 0, 40) * rng.choice([0.0, 1.0], 40, p=[0.05, 0.95])
+        terms = (size * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))).tolist()
+        ref = _settle_by_runs(terms, tol)
+        run = hyperseries._Sum()
+        cut = int(rng.integers(0, 40))
+        sv = run.add(terms[:cut], tol) or run.add(terms[cut:], tol)
+        if isinstance(ref, tuple):
+            settled += 1
+            assert (sv.value, sv.terms_used, sv.tail_estimate) == ref
+        else:
+            assert sv is None and run.rel == ref
+    assert 0 < settled < 2000

@@ -1,6 +1,8 @@
 """Independent residual checks: difference equations, classical limits,
 duality, Casorati independence."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qconnect import (
     check_duality,
     check_jackson,
     check_watson,
+    component_order,
     eval_FNM,
     eval_FNM_reference,
     leading_exponents,
@@ -352,33 +355,41 @@ def test_watson_refuses_theta_pole(q, t_of_q):
         check_watson((0.9, 0.8), (0.05,), t, QContext(q=q))
 
 
+def _columns(p, L, sigma, ctx):
+    return [partial(local_solution, p, L, sigma, c, ctx=ctx) for c in component_order(p.N, p.M)]
+
+
 def test_casorati_pair(p11, ctx_long):
-    vec = lambda tt: build_solution_vector(p11, 1, (1,), tt, ctx_long).components
-    rep = casorati_independence(vec, (1,), (0.4,), ctx_long)
+    cols = _columns(p11, 1, (1,), ctx_long)
+    rep = casorati_independence(cols, (1,), (0.4,), ctx_long)
     assert rep.matrix.shape == (2, 2)
     assert rep.rcond > RCOND_FLOOR >= rep.forged_rcond
     assert scaled_rcond(rep.matrix) == rep.rcond
+    # row k is the solution vector at t q^k, bit for bit
+    rows = [build_solution_vector(p11, 1, (1,), (0.4 * Q**k,), ctx_long).components
+            for k in range(2)]
+    assert rep.matrix.tobytes() == np.array(rows, dtype=complex).tobytes()
     # n = 2: the forged twin's last column is twice the first
     forged = rep.matrix.copy()
     forged[:, 1] = 2.0 * rep.matrix[:, 0]
     assert scaled_rcond(forged) == rep.forged_rcond
 
-    swapped = casorati_independence(lambda tt: vec(tt)[::-1], (1,), (0.4,), ctx_long)
+    swapped = casorati_independence(cols[::-1], (1,), (0.4,), ctx_long)
     assert np.array_equal(swapped.matrix, rep.matrix[:, ::-1])
     assert swapped.rcond == pytest.approx(rep.rcond, rel=1e-12)
 
-    repeated = casorati_independence(lambda tt: vec(tt)[:1] * 2, (1,), (0.4,), ctx_long)
+    repeated = casorati_independence(cols[:1] * 2, (1,), (0.4,), ctx_long)
     assert repeated.rcond <= RCOND_FLOOR
 
 
 def test_casorati_validation(p11, ctx_long):
-    f = lambda tt: (1.0 + 0j,)
+    f = lambda points: [1.0 + 0j] * len(points)
     with pytest.raises(ValueError):
-        casorati_independence(lambda tt: (), (1,), (0.4,), ctx_long)
+        casorati_independence([], (1,), (0.4,), ctx_long)
     with pytest.raises(ValueError):
-        casorati_independence(f, (1,), (0.4,), ctx_long)
+        casorati_independence([f], (1,), (0.4,), ctx_long)
     with pytest.raises(ValueError):
-        casorati_independence(f, (1, 2), (0.4,), ctx_long)
+        casorati_independence([f, f], (1, 2), (0.4,), ctx_long)
 
 
 def test_leading_exponent_extraction(p11, ctx_long):

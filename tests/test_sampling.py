@@ -51,6 +51,21 @@ def test_draw_exponent_box():
         assert EXPONENT_IM[0] <= z.imag <= EXPONENT_IM[1]
 
 
+@pytest.mark.parametrize("n, rows", [(1, 1), (3, 12), (12, 1), (7, 12), (1, 12)])
+def test_draw_block_matches_uniform(n, rows):
+    """A block's doubles and the generator state after it are those of one
+    rng.uniform call over the interleaved box bounds."""
+    (re_lo, re_hi), (im_lo, im_hi) = EXPONENT_RE, EXPONENT_IM
+    low = np.array((re_lo, im_lo) * (n * rows))
+    high = np.array((re_hi, im_hi) * (n * rows))
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = sampling._draw_block(rng, n, rows)
+        assert block.shape == (rows, n)
+        assert block.view(float).tobytes() == ref.uniform(low, high).tobytes(), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+
+
 def test_strong_nonresonant_detects_planted_collisions(p22):
     assert strong_nonresonant(p22)
     p_eq = ParamSet((ALPHA[0], ALPHA[0]), BETA[:2], GAMMA[:2], Q)
