@@ -11,11 +11,19 @@ Every builder returns the complex (N*M+1) x (N*M+1) array, laid out like the
 solution vector: index 0 first, then (k, l) in row-major order, so the
 matrices are identity outside row/column 0 and the rows/columns attached to
 the moved slot.
+
+A matrix is evaluated in two steps (_matrix_values). First every entry gives
+its argument lists; then every (x; q)_inf factor of every entry, the theta
+factors included, is one row of one batched product, reduced at once with
+qpoch_inf's bits. A numpy screen flags the denominator arguments that may sit
+on the q-power lattice, and lattice_hit decides each flagged one, so a pole
+raises PoleError at the entry, and in the order, of an entry-by-entry walk.
+facemodel's scalar denominators go through _den, under the same pole rule
+(_pole). The builders keep nothing in the context memo.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -24,6 +32,7 @@ import numpy as np
 from .errors import DomainError, PoleError, WordError
 from .qkernel import (
     LATTICE_RANGE,
+    LATTICE_RTOL,
     ParamSet,
     QContext,
     _rel_maxnorm,
@@ -50,47 +59,106 @@ __all__ = [
 ]
 
 
-def _prod(args, f, ctx: QContext) -> complex:
-    """prod f(args) for f = qpoch_inf or theta."""
-    out = 1.0 + 0j
-    for x in args:
-        out *= f(x, ctx)
-    return out
-
-
-def _den(args, f, ctx: QContext) -> complex:
-    """prod f(args) as a denominator, for f = qpoch_inf, theta or an odd
-    theta such as facemodel.bracket. (x; q)_inf vanishes on q^-N and a theta
-    on q^Z; lattice_hit decides whether an argument sits there before its
-    factor is evaluated, and a zero raises PoleError."""
+def _pole(x: complex, f, ctx: QContext) -> None:
+    """Raise PoleError if x is a zero of the denominator factor f: (x; q)_inf
+    (f = qpoch_inf) vanishes on q^-N and a theta (f = theta, or an odd theta
+    such as facemodel.bracket) on q^Z, and lattice_hit decides."""
     if f is qpoch_inf:
         what, kmax = "infinite product", 0
     else:
         what, kmax = f"{f.__name__} denominator", LATTICE_RANGE
+    if lattice_hit(x, ctx.q, kmax=kmax) is not None:
+        raise PoleError(f"{what} vanished at argument {x}")
+
+
+def _den(args, f, ctx: QContext) -> complex:
+    """prod f(args) as a denominator, for f = qpoch_inf, theta or an odd
+    theta such as facemodel.bracket: _pole decides each argument before its
+    factor is evaluated. facemodel's scalar denominators come here; a
+    connection matrix's are decided by the same _pole in _matrix_values."""
     den = 1.0 + 0j
     for x in args:
-        if lattice_hit(x, ctx.q, kmax=kmax) is not None:
-            raise PoleError(f"{what} vanished at argument {x}")
+        _pole(x, f, ctx)
         den *= f(x, ctx)
     return den
 
 
-def _theta_den(arg: complex, ctx: QContext):
-    """theta(arg) as the theta denominator every entry of one matrix shares,
-    behind a zero-argument function: it is evaluated once, at the first entry
-    that divides by it, so a pole raises PoleError from that entry."""
-    return functools.cache(lambda: _den((arg,), theta, ctx))
+def _qpoch_rows(x: np.ndarray, ctx: QContext) -> np.ndarray:
+    """(x_i; q)_inf for every x_i of the complex array x: one C-ordered
+    (len(x), prod_terms) table reduced along axis 1, so each value has
+    qpoch_inf's bits."""
+    return np.multiply.reduce(1.0 - x[:, None] * ctx._qpow_table, 1)
 
 
-def _entry(pnum, pden, th, den, x, power, ctx: QContext) -> complex:
-    """One connection-matrix entry: prod (pnum;q)_inf / prod (pden;q)_inf
-    times theta(th) / den() times the principal power x**power, where den is
-    the matrix's _theta_den."""
-    return (
-        _prod(pnum, qpoch_inf, ctx) / _den(pden, qpoch_inf, ctx)
-        * (_prod((th,), theta, ctx) / den())
-        * cpow(x, power)
-    )
+def _flags(x: np.ndarray, q: complex) -> np.ndarray:
+    """Where lattice_hit(x_i, q) may find a power in [-LATTICE_RANGE,
+    LATTICE_RANGE]: the window it tests around ln|x_i| / ln|q|, taken twice
+    as wide (numpy's abs and log may round apart from Python's), holds an
+    integer of that range. Never at 0, inf or nan."""
+    lq = math.log(abs(q))
+    ax = np.abs(x)
+    finite = (ax > 0.0) & (ax < math.inf)
+    centre = np.log(np.where(finite, ax, 1.0)) / lq
+    width = 4 * LATTICE_RTOL / -lq
+    lo = np.maximum(np.ceil(centre - width), -LATTICE_RANGE)
+    hi = np.minimum(np.floor(centre + width), LATTICE_RANGE)
+    return finite & (lo <= hi)
+
+
+def _matrix_values(entries, den_arg: complex, ctx: QContext) -> list[complex]:
+    """Values of a matrix's entries, in order. Entry (pnum, pden, th, x,
+    power) is prod (pnum; q)_inf / prod (pden; q)_inf times
+    theta(th) / theta(den_arg) times the principal power x**power; every
+    entry shares the theta denominator.
+
+    Every (y; q)_inf factor is one row of one _qpoch_rows table: the
+    numerators, the product denominators, the two factors (th; q)_inf
+    (q/th; q)_inf of each theta and the two of den_arg's. Each product is
+    then taken from 1.0+0j in list order, so a value has the bits of a walk
+    through qpoch_inf, theta and _den. _flags screens every row, and _pole
+    decides each flagged denominator. Errors come at the entry and in the
+    order of that walk: an entry's product denominators in list order, then
+    its theta (DomainError at 0), then, at the first entry, the shared
+    theta denominator."""
+    q = ctx.q
+    rows = []
+    for pnum, pden, th, _, _ in entries:
+        rows += pnum
+        rows += pden
+        # no q/0: theta raises at 0 before this row is read
+        rows += (th, q / th) if th != 0 else (th, th)
+    rows += (den_arg, q / den_arg) if den_arg != 0 else (den_arg, den_arg)
+    rows = np.array(rows, dtype=complex)
+    flags = _flags(rows, q).tolist()
+    qp = _qpoch_rows(rows, ctx).tolist()
+
+    def theta_at(i: int, y: complex) -> complex:
+        """theta(y) from rows i and i+1, times 1.0+0j as a one-factor
+        product starts: that can flip the sign of a zero part"""
+        if y == 0:
+            theta(y, ctx)  # raises theta's DomainError
+        return (1.0 + 0j) * (qp[i] * qp[i + 1])
+
+    last = len(qp) - 2  # den_arg's two rows close the table
+    den = None
+    out = []
+    i = 0
+    for pnum, pden, th, x, power in entries:
+        j = i + len(pnum)
+        k = j + len(pden)
+        num = math.prod(qp[i:j], start=1.0 + 0j)
+        for y, flagged in zip(pden, flags[j:k]):
+            if flagged:
+                _pole(y, qpoch_inf, ctx)
+        value = num / math.prod(qp[j:k], start=1.0 + 0j)
+        th_value = theta_at(k, th)
+        if den is None:
+            if flags[last]:
+                _pole(den_arg, theta, ctx)
+            den = theta_at(last, den_arg)
+        out.append(value * (th_value / den) * cpow(x, power))
+        i = k + 2
+    return out
 
 
 # The moved slot s of a level step, in the permuted ordering: x = t_s, b = b_s,
@@ -102,13 +170,12 @@ _Slot = namedtuple("_Slot", "x b beta Bfull Btail beta_from beta_after")
 def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) -> np.ndarray:
     """Level-step matrix on slot position s of ordering sigma: the identity
     except row/column 0 and the rows/columns of the components (k, s).
-    entry(k, d, slot, den) gives the entry in row k, column d, where 0 stands
-    for the constant component and den is the _theta_den of den_arg(slot);
-    entries are filled row-major."""
+    entry(k, d, slot) gives the _matrix_values entry in row k, column d,
+    where 0 stands for the constant component, and den_arg(slot) the theta
+    denominator they share; entries are evaluated row-major."""
     sigma = _validate_perm(sigma)
-    pp = p.permuted(sigma)
     t = tuple(complex(v) for v in t)
-    b, beta = pp.b, pp.beta
+    b, beta = permute_seq(p.b, sigma), permute_seq(p.beta, sigma)
     slot = _Slot(
         x=permute_seq(t, sigma)[s - 1],
         b=b[s - 1],
@@ -118,12 +185,14 @@ def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) 
         beta_from=sum(beta[s - 1 :]),
         beta_after=sum(beta[s:]),
     )
-    den = _theta_den(den_arg(slot), ctx)
-    idx = [0] + [component_index((k, s), p.M) for k in range(1, p.N + 1)]
+    n = p.N + 1
+    entries = [entry(k, d, slot) for k in range(n) for d in range(n)]
+    values = iter(_matrix_values(entries, den_arg(slot), ctx))
+    idx = [0] + [component_index((k, s), p.M) for k in range(1, n)]
     C = np.eye(p.N * p.M + 1, dtype=complex)
-    for k, row in enumerate(idx):
-        for d, col in enumerate(idx):
-            C[row, col] = entry(k, d, slot, den)
+    for row in idx:
+        for col in idx:
+            C[row, col] = next(values)
     return C
 
 
@@ -136,38 +205,36 @@ def build_A(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     Pa = math.prod(a, start=1.0 + 0j)
     Pc = math.prod(c, start=1.0 + 0j)
 
-    def entry(k, d, s, den):
+    def entry(k, d, s):
         x, Bf, Bt = s.x, s.Bfull, s.Btail
         ao = [aj for j, aj in enumerate(a, 1) if j != k]
         co = [cj for j, cj in enumerate(c, 1) if j != d]
         if k == 0 and d == 0:
-            return _entry(
+            return (
                 [q * Bt / aj for aj in a] + [q * Bf / cj for cj in c],
                 [q * Bf / aj for aj in a] + [q * Bt / cj for cj in c],
-                x * Pa / Pc, den, x, -s.beta, ctx,
+                x * Pa / Pc, x, -s.beta,
             )
         if k == 0:
             cd = c[d - 1]
-            return _entry(
+            return (
                 [cd / aj for aj in a] + [q * Bf / cj for cj in co] + [s.b],
                 [q * Bf / aj for aj in a] + [cd / cj for cj in co] + [cd / (q * Bt)],
-                x * Pa * cd / (q * Bt * Pc), den, x,
-                -1.0 - s.beta_from + p.gamma[d - 1], ctx,
+                x * Pa * cd / (q * Bt * Pc), x, -1.0 - s.beta_from + p.gamma[d - 1],
             )
         ak = a[k - 1]
         if d == 0:
-            return _entry(
+            return (
                 [q * Bt / aj for aj in ao] + [q / s.b] + [q * ak / cj for cj in c],
                 [q * ak / aj for aj in ao] + [q * ak / Bf] + [q * Bt / cj for cj in c],
-                x * Bf * Pa / (ak * Pc), den, x, -p.alpha[k - 1] + s.beta_after, ctx,
+                x * Bf * Pa / (ak * Pc), x, -p.alpha[k - 1] + s.beta_after,
             )
         cd = c[d - 1]
-        return _entry(
+        return (
             [cd / aj for aj in ao] + [cd / Bf] + [q * ak / cj for cj in co] + [ak / Bt],
             [q * ak / aj for aj in ao] + [q * ak / Bf] + [cd / cj for cj in co]
             + [cd / (q * Bt)],
-            x * s.b * Pa * cd / (q * Pc * ak), den, x,
-            -1.0 - p.alpha[k - 1] + p.gamma[d - 1], ctx,
+            x * s.b * Pa * cd / (q * Pc * ak), x, -1.0 - p.alpha[k - 1] + p.gamma[d - 1],
         )
 
     return _level_matrix(p, L + 1, sigma, t, lambda s: s.x * s.b * Pa / Pc, entry, ctx)
@@ -180,46 +247,47 @@ def build_B(p: ParamSet, L: int, sigma, t, ctx: QContext) -> np.ndarray:
     L = _require_range("L", L, 1, p.M)
     q, a, c = p.q, p.a, p.c
 
-    def entry(k, d, s, den):
+    def entry(k, d, s):
         x, Bf, Bt = s.x, s.Bfull, s.Btail
         ao = [aj for j, aj in enumerate(a, 1) if j != d]
         co = [cj for j, cj in enumerate(c, 1) if j != k]
         if k == 0 and d == 0:
-            return _entry(
+            return (
                 [aj / Bt for aj in a] + [cj / Bf for cj in c],
                 [aj / Bf for aj in a] + [cj / Bt for cj in c],
-                x * s.b, den, x, s.beta, ctx,
+                x * s.b, x, s.beta,
             )
         if k == 0:
             ad = a[d - 1]
-            return _entry(
+            return (
                 [cj / ad for cj in c] + [aj / Bt for aj in ao] + [s.b],
                 [cj / Bt for cj in c] + [aj / ad for aj in ao] + [Bf / ad],
-                x * ad / Bt, den, x, p.alpha[d - 1] - s.beta_after, ctx,
+                x * ad / Bt, x, p.alpha[d - 1] - s.beta_after,
             )
         ck = c[k - 1]
         if d == 0:
-            return _entry(
+            return (
                 [cj / Bf for cj in co] + [q / s.b] + [q * aj / ck for aj in a],
                 [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / Bf for aj in a],
-                x * q * Bf / ck, den, x, 1.0 + s.beta_from - p.gamma[k - 1], ctx,
+                x * q * Bf / ck, x, 1.0 + s.beta_from - p.gamma[k - 1],
             )
         ad = a[d - 1]
-        return _entry(
+        return (
             [cj / ad for cj in co] + [q * Bt / ad] + [q * aj / ck for aj in ao]
             + [q * Bf / ck],
             [q * cj / ck for cj in co] + [q * q * Bt / ck] + [aj / ad for aj in ao]
             + [Bf / ad],
-            x * q * ad / ck, den, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1], ctx,
+            x * q * ad / ck, x, 1.0 + p.alpha[d - 1] - p.gamma[k - 1],
         )
 
     return _level_matrix(p, L, sigma, t, lambda s: s.x, entry, ctx)
 
 
-def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, den, ctx: QContext):
-    """2x2 block of the adjacent-swap matrix for coupling slot k, acting on
-    positions (r, r+1) of the slots reordered to beta, b; den is the
-    _theta_den of u b_r."""
+def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex):
+    """The four _matrix_values entries of the adjacent-swap matrix's 2x2
+    block for coupling slot k, acting on positions (r, r+1) of the slots
+    reordered to beta, b, in the order (r, r), (r, r+1), (r+1, r),
+    (r+1, r+1); their theta denominator is theta(u b_r)."""
     q = p.q
     ck = p.c[k - 1]
     gk = p.gamma[k - 1]
@@ -228,14 +296,14 @@ def _swap_block(p: ParamSet, beta, b, k: int, r: int, u: complex, den, ctx: QCon
     Pr = b[r - 1] * P2
     Pfull = b[r - 1] * P1
     return (
-        _entry([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)],
-               u * ck / (q * P1), den, u, -1.0 - sum(beta[r - 1 :]) + gk, ctx),
-        _entry([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck],
-               u, den, u, -beta[r - 1], ctx),
-        _entry([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)],
-               u * b[r - 1] / b[r], den, u, -beta[r], ctx),
-        _entry([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck],
-               u * q * Pr / ck, den, u, 1.0 + sum(beta[r + 1 :]) - gk, ctx),
+        ([q / b[r], b[r - 1]], [q * q * Pr / ck, ck / (q * P1)],
+         u * ck / (q * P1), u, -1.0 - sum(beta[r - 1 :]) + gk),
+        ([q * q * P2 / ck, q * Pfull / ck], [q * q * Pr / ck, q * P1 / ck],
+         u, u, -beta[r - 1]),
+        ([ck / Pfull, ck / (q * P2)], [ck / Pr, ck / (q * P1)],
+         u * b[r - 1] / b[r], u, -beta[r]),
+        ([q / b[r - 1], b[r]], [ck / Pr, q * P1 / ck],
+         u * q * Pr / ck, u, 1.0 + sum(beta[r + 1 :]) - gk),
     )
 
 
@@ -259,14 +327,15 @@ def _swap_matrix(
     p: ParamSet, r: int, sigma: tuple[int, ...], u: complex, ctx: QContext
 ) -> np.ndarray:
     """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
-    at the coordinate ratio u."""
-    pp = p.permuted(sigma)
-    den = _theta_den(u * pp.b[r - 1], ctx)
+    at the coordinate ratio u; blocks are evaluated in slot order k."""
+    b, beta = permute_seq(p.b, sigma), permute_seq(p.beta, sigma)
+    entries = [e for k in range(1, p.N + 1) for e in _swap_block(p, beta, b, k, r, u)]
+    values = _matrix_values(entries, u * b[r - 1], ctx)
     S = np.eye(p.N * p.M + 1, dtype=complex)
     for k in range(1, p.N + 1):
         i = component_index((k, r), p.M)
         j = component_index((k, r + 1), p.M)
-        S[i, i], S[i, j], S[j, i], S[j, j] = _swap_block(p, pp.beta, pp.b, k, r, u, den, ctx)
+        S[i, i], S[i, j], S[j, i], S[j, j] = values[4 * k - 4 : 4 * k]
     return S
 
 

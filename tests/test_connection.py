@@ -1,12 +1,15 @@
 """Connection matrices: single steps, compositions, braid words."""
 
+import cmath
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from qconnect import (
     DomainError,
+    ParamSet,
     PoleError,
     SolutionVector,
     WordError,
@@ -23,8 +26,8 @@ from qconnect import (
     verify_connection,
 )
 from qconnect import QContext, connection
-from qconnect.qkernel import qpoch_inf, theta
-from conftest import Q
+from qconnect.qkernel import LATTICE_RTOL, lattice_hit, qpoch_inf, theta
+from conftest import ALPHA, BETA, GAMMA, Q
 
 IDENT = (1, 2)
 SWAP = (2, 1)
@@ -120,6 +123,63 @@ def test_builder_theta_pole(p22, ctx_long, build, arg):
     assert str(err.value) == f"theta denominator vanished at argument {arg}"
 
 
+def _planted(q, k):
+    """Exponent e with q**e = q**-k (1 + 1e-10): a product denominator
+    argument that close to the lattice is a pole."""
+    return -k + cmath.log(1 + 1e-10) / cmath.log(q)
+
+
+def _pole_case(case, q, k):
+    """(build, argument): a builder call whose first pole, in entry order,
+    is the planted product-denominator argument."""
+    q = complex(q)
+    alpha, beta, gamma = list(ALPHA[:2]), BETA[:2], list(GAMMA[:2])
+    if case in ("A", "A-theta"):
+        # entry (0,0): q Bf / a_1 with Bf = b_1 b_2
+        alpha[0] = 1 + beta[0] + beta[1] - _planted(q, k)
+    elif case == "A-later":
+        # q a_1 / Bf sits in rows 1..N only; row 0 reads q Bf / a_1 = q^(2+k)
+        alpha[0] = beta[0] + beta[1] - 1 + _planted(q, k)
+    elif case == "B":
+        # entry (0,0): a_1 / Bf with Bf = b_2
+        alpha[0] = beta[1] + _planted(q, k)
+    else:
+        # the (i, i) entry of the second coupling block: c_2 / (q b_2)
+        gamma[1] = 1 + beta[1] + _planted(q, k)
+    p = ParamSet(alpha=alpha, beta=beta, gamma=gamma, q=q)
+    ctx = QContext(q=q)
+    Bf = math.prod(p.b, start=1.0 + 0j)
+    t = (0.3 + 0.04j, 0.27 - 0.02j)
+    if case == "A":
+        return lambda: build_A(p, 0, IDENT, t, ctx), q * Bf / p.a[0]
+    if case == "A-theta":
+        # t_1 puts the shared theta denominator x b_1 Pa / Pc on q^2 as well
+        Pa = math.prod(p.a, start=1.0 + 0j)
+        Pc = math.prod(p.c, start=1.0 + 0j)
+        t = (q**2 * Pc / (p.b[0] * Pa), t[1])
+        return lambda: build_A(p, 0, IDENT, t, ctx), q * Bf / p.a[0]
+    if case == "A-later":
+        return lambda: build_A(p, 0, IDENT, t, ctx), q * p.a[0] / Bf
+    if case == "B":
+        return lambda: build_B(p, 2, IDENT, t, ctx), p.a[0] / math.prod(p.b[1:], start=1.0 + 0j)
+    arg = p.c[1] / (q * math.prod(p.b[1:], start=1.0 + 0j))
+    if case == "S":
+        return lambda: build_S(p, 1, IDENT, t, ctx), arg
+    return lambda: build_Stilde(p, 1, IDENT, 0.8 - 0.1j, ctx), arg
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.5 + 0.2j])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("case", ["A", "A-theta", "A-later", "B", "S", "Stilde"])
+def test_builder_product_pole_order(case, q, k):
+    # a matrix raises the first pole of its entries in row-major order, and
+    # within an entry a product denominator before the shared theta one
+    build, arg = _pole_case(case, q, k)
+    with pytest.raises(PoleError) as err:
+        build()
+    assert str(err.value) == f"infinite product vanished at argument {arg}"
+
+
 @pytest.mark.parametrize("q", [0.3, 0.7])
 @pytest.mark.parametrize(
     "factor, k, what",
@@ -158,6 +218,47 @@ def test_product_denominator_decides_each_argument():
         assert str(err.value) == f"infinite product vanished at argument {pole}"
     connection._den((args[0],), theta, ctx)
     assert {key[0] for key in ctx._memo} == {"qpoch_inf"}
+
+
+BASES = [0.05, 0.3, 0.7, 0.95, 0.5 + 0.2j, -0.6 + 0.3j, 0.05j]
+
+
+def _batch_args(rng) -> np.ndarray:
+    """Seeded complex and real arguments with repeats and signed zeros."""
+    z = rng.uniform(-2, 2, (60, 2)) @ np.array([1, 1j])
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    signed = [complex(-0.5, 0.0), complex(-0.5, -0.0), complex(0.0, 0.7), complex(-0.0, 0.7)]
+    return np.array([*z, *z[:10], *rng.uniform(-2, 2, 20), *zeros, *signed], dtype=complex)
+
+
+@pytest.mark.parametrize("q", BASES)
+def test_batched_rows_have_qpoch_inf_bits(q):
+    # one C-ordered table reduced along axis 1 gives qpoch_inf's bits; a
+    # k-major table reduced along axis 0 does not (most parts differ)
+    ctx = QContext(q=q)
+    x = _batch_args(np.random.default_rng(25))
+    ref = np.array([qpoch_inf(v, ctx) for v in x.tolist()])
+    assert connection._qpoch_rows(x, ctx).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q", BASES)
+def test_flags_cover_every_lattice_hit(q):
+    # every argument lattice_hit puts on q^k, k in [-64, 64], is flagged
+    rtol = LATTICE_RTOL
+    eps = [s * e for e in (0.0, 1e-12, 1e-9, 5e-9, 0.999 * rtol, rtol, 1.5 * rtol, 2 * rtol)
+           for s in (1, -1, 1j, -1j, (1 + 1j) / 2**0.5)]
+    x = [complex(q) ** k * (1 + e) for k in range(-64, 65) for e in eps]
+    hits = [lattice_hit(v, q) is not None for v in x]
+    flags = connection._flags(np.array(x), complex(q)).tolist()
+    assert sum(hits) > 129
+    assert all(f for f, h in zip(flags, hits) if h)
+
+
+def test_flags_off_the_plane():
+    x = [0j, complex(-0.0, -0.0), complex(math.inf, 1.0), complex(1.0, -math.inf),
+         complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.nan, math.inf)]
+    for q in BASES:
+        assert not connection._flags(np.array(x), complex(q)).any()
 
 
 def test_transposition_word_factorizes():

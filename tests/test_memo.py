@@ -9,7 +9,9 @@ from qconnect import (
     build_A,
     build_B,
     build_S,
+    build_Stilde,
     build_solution_vector,
+    compose_connection,
     component_order,
     local_solution,
     qpoch_inf,
@@ -83,6 +85,22 @@ def test_signed_zero_gets_its_own_entry():
     assert kinds.count("qpoch_inf") == 2
     assert kinds.count("axis") == 3  # pos, neg and the minus axis
     assert kinds.count("screen") == 2
+
+
+def test_builders_leave_the_memo_as_found(p23):
+    # a matrix's (x; q)_inf factors come from one batched table, so the
+    # builders neither add, drop nor reorder memo entries
+    ctx = _fresh()
+    for L in LEVELS:
+        build_solution_vector(p23, L, SIGMA, T, ctx)
+    before = list(ctx._memo.items())
+    assert before
+    results = _results(p23, ctx)[len(LEVELS):]
+    build_Stilde(p23, 1, SIGMA, 0.8 - 0.1j, ctx)
+    compose_connection(p23, 0, (1, 2, 3), 1, SIGMA, T, ctx)
+    assert list(ctx._memo) == [key for key, _ in before]
+    assert all(ctx._memo[key] is value for key, value in before)
+    assert results == _results(p23, _fresh())[len(LEVELS):]
 
 
 def test_memo_bounded_over_a_run(monkeypatch):
