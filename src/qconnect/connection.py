@@ -35,6 +35,7 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _permute,
     _rel_maxnorm,
     _require_range,
     _validate_perm,
@@ -43,7 +44,6 @@ from .qkernel import (
     perm_compose,
     perm_inverse,
     perm_transposition,
-    permute_seq,
     qpoch_inf,
     theta,
 )
@@ -175,9 +175,9 @@ def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) 
     denominator they share; entries are evaluated row-major."""
     sigma = _validate_perm(sigma)
     t = tuple(complex(v) for v in t)
-    b, beta = permute_seq(p.b, sigma), permute_seq(p.beta, sigma)
+    b, beta = _permute(p.b, sigma), _permute(p.beta, sigma)
     slot = _Slot(
-        x=permute_seq(t, sigma)[s - 1],
+        x=_permute(t, sigma)[s - 1],
         b=b[s - 1],
         beta=beta[s - 1],
         Bfull=math.prod(b[s - 1 :], start=1.0 + 0j),
@@ -317,7 +317,7 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> np.ndarray:
     r = _require_range("r", r, 1, p.M - 1)
     sigma = _validate_perm(sigma)
     t = tuple(complex(v) for v in t)
-    tt = permute_seq(t, sigma)
+    tt = _permute(t, sigma)
     if tt[r] == 0:
         raise DomainError("swap ratio undefined: lower coordinate vanishes")
     return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], ctx)
@@ -328,7 +328,7 @@ def _swap_matrix(
 ) -> np.ndarray:
     """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
     at the coordinate ratio u; blocks are evaluated in slot order k."""
-    b, beta = permute_seq(p.b, sigma), permute_seq(p.beta, sigma)
+    b, beta = _permute(p.b, sigma), _permute(p.beta, sigma)
     entries = [e for k in range(1, p.N + 1) for e in _swap_block(p, beta, b, k, r, u)]
     values = _matrix_values(entries, u * b[r - 1], ctx)
     S = np.eye(p.N * p.M + 1, dtype=complex)

@@ -26,13 +26,17 @@ elementwise product. On two sides the products of a block of shells are
 gathered into one table, and each shell is one reduction of its contiguous
 entries.
 
-The engine evaluates one series at R points at once (_series_rows): the
-points share every screen, axis product, coupling table and gather index,
-and only the axis arguments differ. Each point gets its own row of axis
-tables and of each block table, each shell is one reduction over all the
-rows, and a point leaves the batch once its sum has settled. Every value
-has the bits of an evaluation at that point alone; a single series
-(_shell_series) is the one-row case.
+The engine sums several series, each at its own points, in one pass
+(_series_rows). A row is a (series, point) pair. The points of one series
+share every screen, axis product and coupling table, and only the axis
+arguments differ; the rows are summed by side pattern (plus only, minus
+only, two-sided), and all the rows of a pattern share each gather index.
+Each row gets its own row of axis tables and of each block table, each
+series multiplies its own coupling table into its rows, each shell is one
+reduction over all the rows, and a row leaves the batch once its sum has
+settled. Every value has the bits of an evaluation of that series at that
+point alone; a single series at one point (_shell_series) is the one-row
+case. Each series keeps its own error: a pole fails its rows only.
 
 Only the axis arguments x depend on the evaluation point. The rest, each
 axis's numerator and denominator products, each coupling table and the
@@ -44,9 +48,10 @@ in the same order: plus axes, minus axes, coupling. The setup of a local
 solution family (its reordered parameters and leading exponents) is kept in
 the same memo, so every component of a family, whether evaluated alone by
 local_solution or together by build_solution_vector, reads one setup.
-local_solution also takes a sequence of points and evaluates the
-component at all of them in one pass of the engine: the columns of a
-Casorati matrix.
+build_solution_vector sums all N*M+1 components of a vector in one pass of
+the engine, one series each. local_solution also takes a sequence of
+points and evaluates the component at all of them in one pass, one series
+at n points: the columns of a Casorati matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -70,6 +76,7 @@ from .qkernel import (
     QContext,
     _bits,
     _coords,
+    _permute,
     _require_range,
     _validate_perm,
     cpow,
@@ -328,92 +335,88 @@ def _gather(first: int, last: int, down: int):
 def _block_table(cp: np.ndarray, cm: np.ndarray, g: np.ndarray, first: int, last: int):
     """(table, bounds): the products of shells first..last on two sides, one
     C-contiguous row per row of the plus and minus tables cp and cm, and
-    each shell's (start, end) in a row. Shell s's entries are, bit for bit,
-    cp[:s+1] * cm[s::-1] * g[down-s : down+s+1 : 2] of each row, down the
-    top index of cm."""
+    each shell's (start, end) in a row. g is the coupling table of every
+    row, or one row of coupling table per row. Shell s's entries are, bit
+    for bit, cp[:s+1] * cm[s::-1] * g[down-s : down+s+1 : 2] of each row,
+    down the top index of cm."""
     j, k, n, bounds = _gather(first, last, cm.shape[1] - 1)
-    return cp.take(j, 1) * cm.take(k, 1) * g[n], bounds
+    return cp.take(j, 1) * cm.take(k, 1) * g.take(n, -1), bounds
 
 
-def _shells(plus, minus, g_nums, g_dens, gkey, live, ask, ctx: QContext):
-    """Shell sums for shells 0..ctx.series_cap of the rows in live, given
-    each axis's term ratios, one array per point; every series has at least
-    one axis. The coupling tables come from ctx's memo under gkey, the exact
-    bits of (g_nums, g_dens).
+def _shells(rows, couplings, live, ask, ctx: QContext):
+    """Shell sums for shells 0..ctx.series_cap of the rows in live. Row r is
+    rows[r] = (plus, minus, s, ...): the term ratios of each of its plus and
+    minus axes at its point, and the index s of its series' coupling
+    couplings[s] = (g_nums, g_dens, gkey), gkey the exact bits of the nums
+    and dens. All rows have the same sides, each with at least one axis.
 
     Each item is (rows, sums): per row of rows, its sums of the next shells
     in order. The caller removes a row from live once it needs no more
     shells, and the tables built after that leave it out. The tables are
     built to the stops of _stages(ctx.series_cap) in turn, for the rows live
-    then, each rung's coupling table extended from the last one's, and a
-    rung is built only when a row asks for a shell past the one before. A
-    one-sided series has one term per shell, so all the shells of a rung
-    are one elementwise product per row. On two sides shell s pairs plus
-    degree j with minus degree s - j, j = 0..s, with every second coupling
-    entry: the products of a block of _BLOCK shells, for every row, are
+    then, each series' coupling table read from ctx's memo once per rung
+    and extended from its last one, and a rung is built only when a row
+    asks for a shell past the one before. A one-sided series has one term
+    per shell, so all the shells of a rung are one elementwise product per
+    row. On two sides shell s pairs plus degree j with minus degree s - j,
+    j = 0..s, with every second coupling entry: the products of a block of
+    _BLOCK shells, for every row with the coupling table of its series, are
     gathered into one table by indices kept per (first shell, last shell,
     down), and each shell is one reduction of its contiguous entries over
-    all the table's rows. The shells are reduced ask[0] at a time, a count
-    the caller sets before it asks for more."""
+    all the table's rows. The
+    shells are reduced ask[0] at a time, a count the caller sets before it
+    asks for more."""
 
-    def combined(axes, stop) -> list:
+    def combined(axes, stop):
         if not axes:
-            return [_ONE] * len(rows)
-        out = []
-        for r in rows:
-            c = _axis_table(axes[0][r], stop)
-            for ratios in axes[1:]:
-                c = np.convolve(c, _axis_table(ratios[r], stop))[: stop + 1]
-            out.append(c)
-        return out
+            return _ONE
+        c = _axis_table(axes[0], stop)
+        for ratios in axes[1:]:
+            c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
+        return c
 
     start = 0
-    stage = None
+    stages: dict = {}
     for stop in _stages(ctx.series_cap):
-        rows = tuple(live)
-        cp = combined(plus, stop)
-        cm = combined(minus, stop)
+        batch = tuple(live)
+        cp = [combined(rows[r][0], stop) for r in batch]
+        cm = [combined(rows[r][1], stop) for r in batch]
         up = len(cp[0]) - 1
         down = len(cm[0]) - 1
-        g = ctx._memoised(
-            ("coupling", *gkey, up, down),
-            lambda: _coupling_table(g_nums, g_dens, up, down, ctx, stage),
-        )
-        stage = g, up, down
+        for s in dict.fromkeys(rows[r][2] for r in batch):
+            g_nums, g_dens, gkey = couplings[s]
+            g = ctx._memoised(
+                ("coupling", *gkey, up, down),
+                lambda: _coupling_table(g_nums, g_dens, up, down, ctx, stages.get(s)),
+            )
+            stages[s] = g, up, down
+        gs = [stages[rows[r][2]][0] for r in batch]
         if not down:
-            yield rows, [(c * m[0] * g)[start:].tolist() for c, m in zip(cp, cm)]
+            yield batch, [(c * m[0] * gr)[start:].tolist() for c, m, gr in zip(cp, cm, gs)]
         elif not up:
-            yield rows, [(c[0] * m * g[::-1])[start:].tolist() for c, m in zip(cp, cm)]
+            yield batch, [(c[0] * m * gr[::-1])[start:].tolist() for c, m, gr in zip(cp, cm, gs)]
         else:
-            cp, cm = np.array(cp), np.array(cm)
+            cp, cm, gs = np.array(cp), np.array(cm), np.array(gs)
             for first in range(start, stop + 1, _BLOCK):
-                if len(live) < len(rows):
-                    keep = [rows.index(r) for r in live]
-                    cp, cm, rows = cp[keep], cm[keep], tuple(live)
-                table, bounds = _block_table(cp, cm, g, first, min(first + _BLOCK - 1, stop))
+                if len(live) < len(batch):
+                    keep = [batch.index(r) for r in live]
+                    cp, cm, gs, batch = cp[keep], cm[keep], gs[keep], tuple(live)
+                table, bounds = _block_table(cp, cm, gs, first, min(first + _BLOCK - 1, stop))
                 i = 0
                 while i < len(bounds):
                     chunk = bounds[i : i + ask[0]]
                     i += len(chunk)
                     # reduce(x, 1), not axis=-1: the keyword costs 1.2 us a call
-                    yield rows, list(zip(*[np.add.reduce(table[:, a:b], 1).tolist()
-                                           for a, b in chunk]))
+                    yield batch, list(zip(*[np.add.reduce(table[:, a:b], 1).tolist()
+                                            for a, b in chunk]))
         start = stop + 1
 
 
-def _series_rows(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> list:
-    """Sum over shells of one series at R points, each axis (nums, dens, xs)
-    with one argument x per point: per point its SeriesValue, or the
-    ConvergenceError of a sum that has not settled by shell series_cap.
-    Every denominator is screened first, for all points at once, plus axes,
-    then minus axes, then the coupling, and a pole raises ResonanceError.
-    The tables are built to _STAGE shells; a sum that has not settled by a
-    stop continues with the next shell from tables grown to the next stop of
-    _stages(series_cap), so each shell is summed once. A point leaves the
-    batch once its sum has settled. The shells are asked for _ASK at a time
-    while no live sum has begun a run of small terms, else as many as no
-    live sum can settle before: 3 less the longest current run."""
-    cap = ctx.series_cap
+def _screened(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext):
+    """(plus ratios, minus ratios, coupling) of one series once every one of
+    its denominators passes the screen, plus axes, then minus axes, then
+    the coupling; a pole raises ResonanceError. The coupling is (g_nums,
+    g_dens, gkey), gkey their exact bits."""
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
     gkey = _bits(g_nums), _bits(g_dens)
@@ -426,41 +429,74 @@ def _series_rows(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> list:
             f"coupling denominator vanished at index {pole} "
             "(parameter ratio on the q-power lattice)"
         )
-    runs = [_Sum() for _ in (plus or minus)[0]]  # one per point of the first axis
-    out: list = [None] * len(runs)
-    live = list(range(len(runs)))
-    ask = [_ASK]
+    return plus, minus, (g_nums, g_dens, gkey)
+
+
+def _series_rows(series, ctx: QContext) -> list:
+    """Sums over shells of several series, each at its own points, in one
+    pass. A series is (plus_axes, minus_axes, g_nums, g_dens), each axis
+    (nums, dens, xs) with one argument x per point, and a row is one of its
+    points. Per row, series by series and point by point: its SeriesValue,
+    the ConvergenceError of a sum that has not settled by shell series_cap,
+    or the ResonanceError of a pole of its series (see _screened).
+
+    The rows are summed by side pattern, plus only, minus only and
+    two-sided, in one _shells pass each, and a row leaves the batch once its
+    sum has settled. The shells are asked for _ASK at a time while no live
+    sum has begun a run of small terms, else as many as no live sum can
+    settle before: 3 less the longest current run."""
+    out: list = []
+    groups: dict = {}  # sides -> (rows, couplings)
+    for plus_axes, minus_axes, g_nums, g_dens in series:
+        points = len((plus_axes or minus_axes)[0][2])
+        try:
+            plus, minus, coupling = _screened(plus_axes, minus_axes, g_nums, g_dens, ctx)
+        except ResonanceError as exc:
+            out += [exc] * points
+            continue
+        rows, couplings = groups.setdefault((bool(plus), bool(minus)), ([], []))
+        couplings.append(coupling)
+        for i in range(points):
+            rows.append(([r[i] for r in plus], [r[i] for r in minus], len(couplings) - 1, len(out)))
+            out.append(None)
     tol = ctx.tail_tol
-    for rows, sums in _shells(plus, minus, g_nums, g_dens, gkey, live, ask, ctx):
-        most = 0
-        for r, terms in zip(rows, sums):
-            if out[r] is None:
-                run = runs[r]
-                value = out[r] = run.add(terms, tol)
-                if value is not None:
-                    live.remove(r)
-                elif run.small > most:
-                    most = run.small
-        if not live:
-            return out
-        ask[0] = 3 - most if most else _ASK
-    for r in live:
-        out[r] = ConvergenceError(
-            f"series did not settle within {cap} shells "
-            f"(last relative shell size {runs[r].rel:.3e})"
-        )
+    for rows, couplings in groups.values():
+        runs = [_Sum() for _ in rows]
+        live = list(range(len(rows)))
+        ask = [_ASK]
+        for batch, sums in _shells(rows, couplings, live, ask, ctx):
+            most = 0
+            for r, terms in zip(batch, sums):
+                pos = rows[r][3]
+                if out[pos] is None:
+                    run = runs[r]
+                    value = out[pos] = run.add(terms, tol)
+                    if value is not None:
+                        live.remove(r)
+                    elif run.small > most:
+                        most = run.small
+            if not live:
+                break
+            ask[0] = 3 - most if most else _ASK
+        for r in live:
+            out[rows[r][3]] = ConvergenceError(
+                f"series did not settle within {ctx.series_cap} shells "
+                f"(last relative shell size {runs[r].rel:.3e})"
+            )
     return out
 
 
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
     """Sum over shells of the series with these axes (nums, dens, x) and
-    coupling: the one-point case of _series_rows, raising its error."""
+    coupling: the one-series, one-point case of _series_rows, raising its
+    error."""
     (value,) = _series_rows(
-        [(nums, dens, (x,)) for nums, dens, x in plus_axes],
-        [(nums, dens, (x,)) for nums, dens, x in minus_axes],
-        g_nums, g_dens, ctx,
+        [([(nums, dens, (x,)) for nums, dens, x in plus_axes],
+          [(nums, dens, (x,)) for nums, dens, x in minus_axes],
+          g_nums, g_dens)],
+        ctx,
     )
-    if isinstance(value, ConvergenceError):
+    if isinstance(value, Exception):
         raise value
     return value
 
@@ -521,8 +557,10 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
     return value
 
 
-def _domain_check(labels_and_ratios) -> None:
-    bad = [lab for lab, r in labels_and_ratios if not r < 1.0]
+def _domain_check(conditions) -> None:
+    """DomainError naming every condition of _sector whose ratio is not
+    below 1; a label is formatted only for such a condition."""
+    bad = [label.format(i) for r, label, i in conditions if not r < 1.0]
     if bad:
         raise DomainError("outside convergence region: " + "; ".join(bad))
 
@@ -539,26 +577,26 @@ def _coupling(p: ParamSet) -> complex:
 
 
 def _sector(p: ParamSet, b, L: int, l: int, t):
-    """(label, ratio) for every convergence condition of one component of
-    the level-L family on reordered slots b, t: component 0 when l = 0, any
-    (k, l) component otherwise. The family's sector is where all of its
-    components converge."""
+    """(ratio, label, i) for every convergence condition of one component
+    of the level-L family on reordered slots b, t: component 0 when l = 0,
+    any (k, l) component otherwise; label.format(i) names the condition.
+    The family's sector is where all of its components converge."""
     q, big = p.q, _coupling(p)
     if l == 0:
         for i in range(L):
-            yield f"|t_{i + 1}| >= 1", abs(t[i])
+            yield abs(t[i]), "|t_{}| >= 1", i + 1
         for i in range(L, len(t)):
-            yield f"tail ratio at i = {i + 1} >= 1", _abs_ratio(big, b[i] * t[i])
+            yield _abs_ratio(big, b[i] * t[i]), "tail ratio at i = {} >= 1", i + 1
         return
     bl_tl = b[l - 1] * t[l - 1]
     if l <= L:
-        yield f"|t_{l}| >= 1", abs(t[l - 1])
+        yield abs(t[l - 1]), "|t_{}| >= 1", l
     else:
-        yield "distinguished ratio >= 1", _abs_ratio(big, bl_tl)
+        yield _abs_ratio(big, bl_tl), "distinguished ratio >= 1", l
     for i in range(l - 1):
-        yield f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[i], bl_tl)
+        yield _abs_ratio(q * t[i], bl_tl), "ratio at i = {} >= 1", i + 1
     for i in range(l, len(t)):
-        yield f"ratio at i = {i + 1} >= 1", _abs_ratio(q * t[l - 1], b[i] * t[i])
+        yield _abs_ratio(q * t[l - 1], b[i] * t[i]), "ratio at i = {} >= 1", i + 1
 
 
 def eval_FNM_L(p: ParamSet, L: int, t, ctx: QContext) -> SeriesValue:
@@ -688,8 +726,9 @@ def _family(p: ParamSet, L: int, sigma, ctx: QContext):
 
 
 def _reorder(t, sigma) -> tuple[complex, ...]:
-    """The coordinates of point t reordered by sigma."""
-    return permute_seq(tuple(complex(v) for v in t), sigma)
+    """The coordinates of point t reordered by sigma, a permutation that
+    _family has checked."""
+    return _permute(tuple(complex(v) for v in t), sigma)
 
 
 def _axes(pp: ParamSet, L: int, comp, tt):
@@ -703,19 +742,22 @@ def _axes(pp: ParamSet, L: int, comp, tt):
 
 def _warn_branch(tt, start: int) -> None:
     """BranchWarning when a coordinate start.. carrying a power prefactor
-    lies outside the sector |Arg| < pi/4, reported at the caller of the
-    public entry point."""
+    lies outside the sector |Arg| < pi/4, reported at the first caller
+    outside this module: the caller of the public entry point."""
     risky = [
         i
         for i in range(start, len(tt) + 1)
         if tt[i - 1] != 0 and abs(cmath.phase(tt[i - 1])) >= _SECTOR
     ]
     if risky:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"coordinates {risky} lie outside the branch-safe sector; "
             "principal powers may break shift identities",
             BranchWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
@@ -727,48 +769,53 @@ def _prefactor(tt, delta, start: int) -> complex:
     return pref
 
 
-def _component(pp: ParamSet, L: int, comp, delta, tt, ctx: QContext) -> complex:
-    """Component comp, with leading exponents delta, of a family set up by
-    _family, at the reordered point tt."""
-    start = (L + 1) if comp == 0 else comp[1]
-    _warn_branch(tt, start)
-    series = _shell_series(*_axes(pp, L, comp, tt), ctx)
-    return _prefactor(tt, delta, start) * series.value
+def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
+    """Components of a family set up by _family, all in one pass of
+    _series_rows. A cell (comp, delta, points) is a component, its leading
+    exponents and reordered points, and is one series at those of its
+    points that pass its sector check: they share every axis and coupling
+    but the axis arguments. Per cell, per point: the component's value,
+    with the bits of that component evaluated at that point alone, or the
+    exception its evaluation raised there."""
+    out = []
+    series = []
+    placed = []  # (cell's values, position, point, start, delta) of each row
+    for comp, delta, points in cells:
+        start = (L + 1) if comp == 0 else comp[1]
+        values: list = []
+        axes = []
+        for tt in points:
+            try:
+                _warn_branch(tt, start)
+                axes.append(_axes(pp, L, comp, tt))
+            except Exception as exc:  # noqa: BLE001  returned in the point's place
+                values.append(exc)
+                continue
+            placed.append((values, len(values), tt, start, delta))
+            values.append(None)
+        out.append(values)
+        if axes:
+            *sides, g_nums, g_dens = axes[0]
+            # one series: each axis with its argument at every point
+            batched = [[(nums, dens, [a[side][i][2] for a in axes])
+                        for i, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
+            series.append((*batched, g_nums, g_dens))
+    for (values, i, tt, start, delta), value in zip(placed, _series_rows(series, ctx)):
+        if isinstance(value, SeriesValue):
+            try:
+                value = _prefactor(tt, delta, start) * value.value
+            except Exception as exc:  # noqa: BLE001  returned in the point's place
+                value = exc
+        values[i] = value
+    return out
 
 
 def _component_rows(pp: ParamSet, L: int, comp, delta, points, sigma, ctx: QContext) -> list:
-    """Component comp of a family set up by _family at each of points, in
-    one pass of _series_rows: per point its value, with the bits of
-    _component, or the exception its evaluation raised there. The points
-    share every axis and coupling but the axis arguments."""
-    start = (L + 1) if comp == 0 else comp[1]
-    out: list = []
-    rows = []  # (position, reordered point, axes) of each point in the sector
-    for pt in points:
-        try:
-            tt = _reorder(pt, sigma)
-            _warn_branch(tt, start)
-            rows.append((len(out), tt, _axes(pp, L, comp, tt)))
-            out.append(None)
-        except Exception as exc:  # noqa: BLE001  returned in the point's place
-            out.append(exc)
-    if not rows:
-        return out
-    *sides, g_nums, g_dens = rows[0][2]
-    batch = [
-        [(nums, dens, [row[2][side][a][2] for row in rows])
-         for a, (nums, dens, _) in enumerate(axes)]
-        for side, axes in enumerate(sides)
-    ]
-    try:
-        values = _series_rows(*batch, g_nums, g_dens, ctx)
-    except Exception as exc:  # noqa: BLE001  a pole of the series, at every point
-        values = [exc] * len(rows)
-    for (i, tt, _), value in zip(rows, values):
-        if isinstance(value, SeriesValue):
-            value = _prefactor(tt, delta, start) * value.value
-        out[i] = value
-    return out
+    """Component comp, with leading exponents delta, of a family set up by
+    _family at each of points (reordered by sigma here): one series at n
+    points of _solution_rows, per point its value or its exception."""
+    (values,) = _solution_rows(pp, L, [(comp, delta, [_reorder(pt, sigma) for pt in points])], ctx)
+    return values
 
 
 def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
@@ -788,18 +835,15 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     raises its error.
     """
     pp, exps = _family(p, L, sigma, ctx)
-    if np.ndim(t) == 2:
-        comp = _normalize_component(which, p.N, p.M)
-        values = _component_rows(
-            pp, L, comp, exps[component_index(comp, p.M)], t, sigma, ctx
-        )
-        for value in values:
-            if isinstance(value, Exception):
-                raise value
-        return tuple(values)
-    tt = _reorder(t, sigma)
     comp = _normalize_component(which, p.N, p.M)
-    return _component(pp, L, comp, exps[component_index(comp, p.M)], tt, ctx)
+    ladder = np.ndim(t) == 2
+    values = _component_rows(
+        pp, L, comp, exps[component_index(comp, p.M)], t if ladder else [t], sigma, ctx
+    )
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return tuple(values) if ladder else values[0]
 
 
 @dataclass(frozen=True)
@@ -818,17 +862,14 @@ class SolutionVector:
 
 def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> SolutionVector:
     """Evaluate every component (the distinguished one first, then (k, l) in
-    row-major order) from one family setup. Component failures are
-    aggregated into one error that names the offending components."""
+    row-major order) from one family setup, each one series of one pass of
+    the series engine. Component failures are aggregated into one error
+    that names the offending components."""
     pp, exps = _family(p, L, sigma, ctx)
     tt = _reorder(t, sigma)
-    comps = []
-    failures: list[tuple[object, Exception]] = []
-    for comp, delta in zip(component_order(p.N, p.M), exps):
-        try:
-            comps.append(_component(pp, L, comp, delta, tt, ctx))
-        except Exception as exc:  # noqa: BLE001  aggregated below
-            failures.append((comp, exc))
+    order = component_order(p.N, p.M)
+    comps = [v for (v,) in _solution_rows(pp, L, [(c, d, [tt]) for c, d in zip(order, exps)], ctx)]
+    failures = [(lab, v) for lab, v in zip(order, comps) if isinstance(v, Exception)]
     if failures:
         first = failures[0][1]
         detail = "; ".join(f"component {lab}: {exc}" for lab, exc in failures)
@@ -852,9 +893,10 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> float:
     component per slot l converge. The margin is the smallest slack over
     those conditions, positive exactly inside the sector."""
     L = _require_range("L", L, 0, p.M)
-    tt = permute_seq(tuple(complex(v) for v in t), sigma)
-    bb = permute_seq(p.b, sigma)
-    return min(1.0 - r for l in range(len(tt) + 1) for _, r in _sector(p, bb, L, l, tt))
+    tt = tuple(complex(v) for v in t)
+    sigma = _validate_perm(sigma)
+    tt, bb = _permute(tt, sigma), _permute(p.b, sigma)
+    return min(1.0 - r for l in range(len(tt) + 1) for r, _, _ in _sector(p, bb, L, l, tt))
 
 
 def char_exponents(p: ParamSet, L: int) -> tuple[tuple[complex, ...], ...]:

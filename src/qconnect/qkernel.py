@@ -304,10 +304,14 @@ def perm_transposition(size: int, r: int) -> tuple[int, ...]:
 
 def permute_seq(seq, sigma) -> tuple:
     """Position i of the result holds entry sigma(i) of the input."""
-    s = _validate_perm(sigma)
-    if len(s) != len(seq):
+    return _permute(seq, _validate_perm(sigma))
+
+
+def _permute(seq, sigma) -> tuple:
+    """permute_seq for a sigma that _validate_perm has already accepted."""
+    if len(sigma) != len(seq):
         raise ValueError("size mismatch")
-    return tuple(seq[v - 1] for v in s)
+    return tuple(seq[v - 1] for v in sigma)
 
 
 def q_shift(t, q: complex, s: int) -> tuple[complex, ...]:

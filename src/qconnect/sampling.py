@@ -39,13 +39,13 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _permute,
     _require_range,
     _validate_perm,
     lattice_hit,
     perm_compose,
     perm_inverse,
     perm_transposition,
-    permute_seq,
     theta,
 )
 from .hyperseries import _resonance_ratios, component_order, in_domain
@@ -449,7 +449,7 @@ def _accept(draw, p: ParamSet, families, tries: int, margin: float,
 def _place(rng: np.random.Generator, mods, sigma) -> tuple[complex, ...]:
     """Point whose reordered coordinate i has modulus mods[i] (sigma maps
     reordered slots to original coordinates)."""
-    return permute_seq([_polar(rng, m) for m in mods], perm_inverse(sigma))
+    return _permute([_polar(rng, m) for m in mods], perm_inverse(sigma))
 
 
 def _ladder_above(mods, start: int, prev: float, Cq: float, bp, lift: float,
@@ -474,7 +474,7 @@ def sample_domain_point(
     M, N = p.M, p.N
     L = _require_range("L", L, 0, M)
     sigma = _validate_perm(sigma)
-    bp = permute_seq(p.b, sigma)
+    bp = _permute(p.b, sigma)
     Cq = _coupling_floor(p)
     lift = abs(p.q) ** -(N + 1)
 
@@ -509,7 +509,7 @@ def sample_level_overlap(
     M = p.M
     L = _require_range("L", L, 0, M - 1)
     sigma = _validate_perm(sigma)
-    bp = permute_seq(p.b, sigma)
+    bp = _permute(p.b, sigma)
     Cq = _coupling_floor(p)
 
     def draw():
@@ -538,7 +538,7 @@ def sample_swap_overlap(
     r = _require_range("r", r, 1, M - 1)
     sigma = _validate_perm(sigma)
     swapped = perm_compose(sigma, perm_transposition(M, r))
-    bp = permute_seq(p.b, sigma)
+    bp = _permute(p.b, sigma)
     aq = abs(p.q)
 
     def draw():
