@@ -77,6 +77,7 @@ from .qkernel import (
     _bits,
     _coords,
     _permute,
+    _pole_index,
     _require_range,
     _validate_perm,
     cpow,
@@ -145,17 +146,10 @@ def _stages(cap: int) -> list[int]:
     return stops + [cap]
 
 
-def _pole(v: complex, q: complex) -> int | None:
-    """The n >= 0 where 1 - v q^n vanishes, by lattice_hit, or None (always
-    for v = 0). It tests 1/v against q^n, with no upper bound on n: the
-    series it guards runs past any cap."""
-    return None if v == 0 else lattice_hit(1.0 / v, q, kmin=0, kmax=math.inf)
-
-
 def _axis_products(nums, dens, ctx: QContext):
     """(prod(1 - n q^k), prod(1 - d q^k), whether a denominator vanishes)
     for q^k in ctx._series_qpow, with read-only arrays; a pole is decided by
-    _pole at every k >= 0, past the table too."""
+    _pole_index at every k >= 0, past the table too."""
     qp = ctx._series_qpow
     num = np.ones(len(qp), dtype=complex)
     for u in nums:
@@ -164,7 +158,7 @@ def _axis_products(nums, dens, ctx: QContext):
     for v in dens:
         den *= 1.0 - complex(v) * qp
     num.flags.writeable = den.flags.writeable = False
-    pole = any(_pole(v, ctx.q) is not None for v in dens)
+    pole = any(_pole_index(v, ctx.q) is not None for v in dens)
     return num, den, pole
 
 
@@ -192,7 +186,7 @@ def _screen(nums, dens, plus: bool, minus: bool, q: complex) -> int | None:
     n <= -1 (factors 1 - u q^-n of nums) on a minus side, or None. Neither
     side stops at series_cap: the series runs past it. The table, built to
     any number of shells, checks nothing."""
-    up = [n for v in dens if (n := _pole(v, q)) is not None] if plus else []
+    up = [n for v in dens if (n := _pole_index(v, q)) is not None] if plus else []
     if up:
         return min(up)
     if not minus:
@@ -265,19 +259,21 @@ def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -
 class _Sum:
     """Running sum of one series, settled once three terms in a row fall
     below tail_tol relative to the largest partial sum so far. It keeps the
-    count and the largest relative size of the current run of small terms."""
+    count and the largest relative size of the current run of small terms,
+    and value, the SeriesValue once the sum has settled."""
 
-    __slots__ = ("total", "mag", "n", "small", "worst", "rel")
+    __slots__ = ("total", "mag", "n", "small", "worst", "rel", "value")
 
     def __init__(self) -> None:
         self.total = 0j
         self.mag = 1e-300
         self.n = self.small = 0
         self.worst = self.rel = 0.0
+        self.value = None
 
     def add(self, terms, tol: float) -> SeriesValue | None:
-        """Add terms in order; the SeriesValue once the sum settles (the
-        terms after that one are not read), else None."""
+        """Add terms in order; value once the sum settles (the terms after
+        that one are not read), else None."""
         total, mag, n, small, worst, rel = (
             self.total, self.mag, self.n, self.small, self.worst, self.rel
         )
@@ -293,7 +289,8 @@ class _Sum:
                 if rel > worst:
                     worst = rel
                 if small == 3:
-                    return SeriesValue(total, n, worst)
+                    self.value = SeriesValue(total, n, worst)
+                    return self.value
             else:
                 small = 0
                 worst = 0.0
@@ -306,10 +303,6 @@ class _Sum:
 # Shells per product table on two sides. The first block holds the shells
 # most series need (about 20 at the median in the run suites).
 _BLOCK = 24
-# Shells reduced at a time while no sum has begun a run of small terms: a
-# sum settles on the third shell of such a chunk at the earliest, so at
-# most three reductions are spent past it.
-_ASK = 6
 _ONE = np.ones(1, dtype=complex)
 _ONE.flags.writeable = False
 
@@ -343,29 +336,27 @@ def _block_table(cp: np.ndarray, cm: np.ndarray, g: np.ndarray, first: int, last
     return cp.take(j, 1) * cm.take(k, 1) * g.take(n, -1), bounds
 
 
-def _shells(rows, couplings, live, ask, ctx: QContext):
-    """Shell sums for shells 0..ctx.series_cap of the rows in live. Row r is
+def _shells(rows, couplings, runs, ctx: QContext) -> list:
+    """Add shells 0..ctx.series_cap of each row to its running sum, runs[r]
+    of row r, and return the rows whose sums never settled. Row r is
     rows[r] = (plus, minus, s, ...): the term ratios of each of its plus and
     minus axes at its point, and the index s of its series' coupling
     couplings[s] = (g_nums, g_dens, gkey), gkey the exact bits of the nums
     and dens. All rows have the same sides, each with at least one axis.
 
-    Each item is (rows, sums): per row of rows, its sums of the next shells
-    in order. The caller removes a row from live once it needs no more
-    shells, and the tables built after that leave it out. The tables are
-    built to the stops of _stages(ctx.series_cap) in turn, for the rows live
-    then, each series' coupling table read from ctx's memo once per rung
-    and extended from its last one, and a rung is built only when a row
-    asks for a shell past the one before. A one-sided series has one term
-    per shell, so all the shells of a rung are one elementwise product per
-    row. On two sides shell s pairs plus degree j with minus degree s - j,
-    j = 0..s, with every second coupling entry: the products of a block of
-    _BLOCK shells, for every row with the coupling table of its series, are
-    gathered into one table by indices kept per (first shell, last shell,
-    down), and each shell is one reduction of its contiguous entries over
-    all the table's rows. The
-    shells are reduced ask[0] at a time, a count the caller sets before it
-    asks for more."""
+    A row is dropped once its sum has settled, and the tables built after
+    that leave it out. The tables are built to the stops of
+    _stages(ctx.series_cap) in turn, for the rows left then, each series'
+    coupling table read from ctx's memo once per rung and extended from its
+    last one, and a rung is built only while a row is left. A one-sided
+    series has one term per shell, so all the shells of a rung are one
+    elementwise product per row. On two sides shell s pairs plus degree j
+    with minus degree s - j, j = 0..s, with every second coupling entry:
+    the products of a block of _BLOCK shells, for every row with the
+    coupling table of its series, are gathered into one table by indices
+    kept per (first shell, last shell, down), and each shell is one
+    reduction of its contiguous entries over all the table's rows. All the
+    shells of a block are reduced before any sum reads them."""
 
     def combined(axes, stop):
         if not axes:
@@ -375,41 +366,52 @@ def _shells(rows, couplings, live, ask, ctx: QContext):
             c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
         return c
 
+    def unsettled(batch, sums):
+        """Positions in batch of the rows whose sums have not settled once
+        each has added its shell sums."""
+        return [i for i, (r, terms) in enumerate(zip(batch, sums))
+                if runs[r].add(terms, ctx.tail_tol) is None]
+
+    live = list(range(len(rows)))
     start = 0
     stages: dict = {}
     for stop in _stages(ctx.series_cap):
-        batch = tuple(live)
-        cp = [combined(rows[r][0], stop) for r in batch]
-        cm = [combined(rows[r][1], stop) for r in batch]
+        cp = [combined(rows[r][0], stop) for r in live]
+        cm = [combined(rows[r][1], stop) for r in live]
         up = len(cp[0]) - 1
         down = len(cm[0]) - 1
-        for s in dict.fromkeys(rows[r][2] for r in batch):
+        for s in dict.fromkeys(rows[r][2] for r in live):
             g_nums, g_dens, gkey = couplings[s]
             g = ctx._memoised(
                 ("coupling", *gkey, up, down),
                 lambda: _coupling_table(g_nums, g_dens, up, down, ctx, stages.get(s)),
             )
             stages[s] = g, up, down
-        gs = [stages[rows[r][2]][0] for r in batch]
+        gs = [stages[rows[r][2]][0] for r in live]
         if not down:
-            yield batch, [(c * m[0] * gr)[start:].tolist() for c, m, gr in zip(cp, cm, gs)]
+            keep = unsettled(live, [(c * m[0] * gr)[start:].tolist()
+                                    for c, m, gr in zip(cp, cm, gs)])
         elif not up:
-            yield batch, [(c[0] * m * gr[::-1])[start:].tolist() for c, m, gr in zip(cp, cm, gs)]
+            keep = unsettled(live, [(c[0] * m * gr[::-1])[start:].tolist()
+                                    for c, m, gr in zip(cp, cm, gs)])
         else:
             cp, cm, gs = np.array(cp), np.array(cm), np.array(gs)
+            keep = range(len(live))
             for first in range(start, stop + 1, _BLOCK):
-                if len(live) < len(batch):
-                    keep = [batch.index(r) for r in live]
-                    cp, cm, gs, batch = cp[keep], cm[keep], gs[keep], tuple(live)
+                if not keep:
+                    break
+                if len(keep) < len(live):
+                    cp, cm, gs = cp[keep], cm[keep], gs[keep]
+                    live = [live[i] for i in keep]
                 table, bounds = _block_table(cp, cm, gs, first, min(first + _BLOCK - 1, stop))
-                i = 0
-                while i < len(bounds):
-                    chunk = bounds[i : i + ask[0]]
-                    i += len(chunk)
-                    # reduce(x, 1), not axis=-1: the keyword costs 1.2 us a call
-                    yield batch, list(zip(*[np.add.reduce(table[:, a:b], 1).tolist()
-                                            for a, b in chunk]))
+                # reduce(x, 1), not axis=-1: the keyword costs 1.2 us a call
+                keep = unsettled(live, zip(*[np.add.reduce(table[:, a:b], 1).tolist()
+                                             for a, b in bounds]))
+        live = [live[i] for i in keep]
+        if not live:
+            break
         start = stop + 1
+    return live
 
 
 def _screened(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext):
@@ -442,9 +444,7 @@ def _series_rows(series, ctx: QContext) -> list:
 
     The rows are summed by side pattern, plus only, minus only and
     two-sided, in one _shells pass each, and a row leaves the batch once its
-    sum has settled. The shells are asked for _ASK at a time while no live
-    sum has begun a run of small terms, else as many as no live sum can
-    settle before: 3 less the longest current run."""
+    sum has settled."""
     out: list = []
     groups: dict = {}  # sides -> (rows, couplings)
     for plus_axes, minus_axes, g_nums, g_dens in series:
@@ -459,26 +459,12 @@ def _series_rows(series, ctx: QContext) -> list:
         for i in range(points):
             rows.append(([r[i] for r in plus], [r[i] for r in minus], len(couplings) - 1, len(out)))
             out.append(None)
-    tol = ctx.tail_tol
     for rows, couplings in groups.values():
         runs = [_Sum() for _ in rows]
-        live = list(range(len(rows)))
-        ask = [_ASK]
-        for batch, sums in _shells(rows, couplings, live, ask, ctx):
-            most = 0
-            for r, terms in zip(batch, sums):
-                pos = rows[r][3]
-                if out[pos] is None:
-                    run = runs[r]
-                    value = out[pos] = run.add(terms, tol)
-                    if value is not None:
-                        live.remove(r)
-                    elif run.small > most:
-                        most = run.small
-            if not live:
-                break
-            ask[0] = 3 - most if most else _ASK
-        for r in live:
+        unsettled = _shells(rows, couplings, runs, ctx)
+        for (*_, pos), run in zip(rows, runs):
+            out[pos] = run.value
+        for r in unsettled:
             out[rows[r][3]] = ConvergenceError(
                 f"series did not settle within {ctx.series_cap} shells "
                 f"(last relative shell size {runs[r].rel:.3e})"
@@ -533,7 +519,7 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
         raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
     q = ctx.q
     for j, lv in enumerate(lower, start=1):
-        m = _pole(lv, q)
+        m = _pole_index(lv, q)
         if m is not None:
             raise ResonanceError(f"lower parameter {j} sits at q^{-m}")
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, ResonanceError
 from .qkernel import (
-    LATTICE_RANGE, ParamSet, QContext, _coords, _rel_diff, _require_int, _require_range,
-    lattice_hit, q_shift, qpoch_inf, theta,
+    LATTICE_RANGE, ParamSet, QContext, _coords, _pole_index, _rel_diff, _require_int,
+    _require_range, lattice_hit, q_shift, qpoch_inf, theta,
 )
 from .hyperseries import eval_FNM, eval_nphi
 
@@ -36,7 +36,6 @@ __all__ = [
     "CasoratiReport",
 ]
 
-_DEN_TOL = 1e-12
 _JACKSON_CAP = 400  # terms per q-integral level table
 _ENUM_CAP = 400  # shells of the reference enumeration
 
@@ -154,9 +153,10 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
     is g[s] h_0[s]. Each shell appends one entry to every h_i, so shell s
     costs (M - 1)(s + 1) products.
 
-    Every coupling denominator up to the cap is screened first, so a
-    parameter on the q-power lattice raises ResonanceError however early the
-    sum would settle. The weights w_i and the coupling g then grow by one
+    Every coupling denominator, at every index n >= 0, is screened first by
+    qkernel's pole rule, so a parameter on the q-power lattice raises
+    ResonanceError however early the sum would settle, or however late the
+    pole. The weights w_i and the coupling g then grow by one
     entry per shell, so a sum that settles early pays for none of the cap:
     the cap is generous for every number of axes (arguments near the unit
     circle need hundreds of shells to clear the tail tolerance). Each entry
@@ -166,16 +166,9 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
     over its multi-indices."""
     q = ctx.q
     M = len(t)
-    dens = []
-    qn = 1.0 + 0j
-    for n in range(_ENUM_CAP):
-        den = 1.0 + 0j
-        for cj in c:
-            den *= 1.0 - cj * qn
-        if abs(den) <= _DEN_TOL:
-            raise ResonanceError(f"coupling denominator vanished at index {n}")
-        dens.append(den)
-        qn *= q
+    poles = [n for cj in c if (n := _pole_index(cj, q)) is not None]
+    if poles:
+        raise ResonanceError(f"coupling denominator vanished at index {min(poles)}")
 
     one = np.complex128(1.0)
     w_run = [one] * M  # w_i[s], numpy scalars
@@ -192,10 +185,12 @@ def _enum_series(a, b, c, t, ctx: QContext) -> complex:
             for i, (bi, ti) in enumerate(zip(b, t)):
                 w_run[i] = w_run[i] * ti * (1.0 - bi * qm) / den
                 ws[i].append(complex(w_run[i]))
-            num = 1.0 + 0j
+            num = gden = 1.0 + 0j
             for aj in a:
                 num *= 1.0 - aj * qm
-            g = g * num / dens[s - 1]
+            for cj in c:
+                gden *= 1.0 - cj * qm
+            g = g * num / gden
             qm *= q
         for axis in range(M - 2, -1, -1):
             w, inner = ws[axis], h[axis + 1]
@@ -309,14 +304,14 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> float:
     s_max = sum(len(w) - 1 for w in tables)
     P = np.empty(s_max + 2, dtype=complex)
     P[0] = _poch_ratio(((bi * ti, ti) for bi, ti in zip(p.b, t)), ctx)
+    # the factors 1 - b_i t_i q^S, S = 0..s_max, by the one pole rule
+    if any(lattice_hit(bi * ti, q, kmin=-s_max, kmax=0) is not None for bi, ti in zip(p.b, t)):
+        raise ResonanceError("q-integrand factor degenerated")
     qS = 1.0 + 0j
     for S in range(s_max + 1):
         ratio = 1.0 + 0j
         for i in range(M):
-            den = 1.0 - p.b[i] * t[i] * qS
-            if abs(den) <= _DEN_TOL:
-                raise ResonanceError("q-integrand factor degenerated")
-            ratio *= (1.0 - t[i] * qS) / den
+            ratio *= (1.0 - t[i] * qS) / (1.0 - p.b[i] * t[i] * qS)
         P[S + 1] = P[S] * ratio
         qS *= q
 

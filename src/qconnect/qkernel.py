@@ -242,6 +242,13 @@ def lattice_hit(
     return None
 
 
+def _pole_index(v: complex, q: complex) -> int | None:
+    """The n >= 0 where 1 - v q^n vanishes, by lattice_hit, or None (always
+    for v = 0). It tests 1/v against q^n, with no upper bound on n: the
+    series it guards runs past any cap."""
+    return None if v == 0 else lattice_hit(1.0 / v, q, kmin=0, kmax=math.inf)
+
+
 def _require_int(name: str, value) -> int:
     """value as an int, read by __index__: a bool, a float or any other
     value without __index__ raises TypeError naming it, so nothing is

@@ -13,8 +13,7 @@ One walker, _walk, makes every parameter draw, for sample_params and for
 the Casorati search alike. It makes exactly the decisions of a per-draw
 loop, so its result and the generator state it leaves are that loop's:
 - one rng.random call gives a block's doubles, scaled to the box as
-  rng.uniform scales them: _BLOCK rows, but a first block of one row where
-  that draw is as good as always accepted (sample_params without bounds);
+  rng.uniform scales them, _BLOCK rows at a time;
 - a numpy screen decides most rows: _near_lattice flags every draw that
   ParamSet or strong_nonresonant could reject (lattice_hit's window taken
   twice as wide, which rounding cannot escape), and the coupling cap and
@@ -198,9 +197,7 @@ def sample_params(
     by the suites that evaluate two solution families at one point. The
     draws come from _walk, with the result and generator state of a
     per-draw loop."""
-    # without bounds the first draw is accepted (3,600 of 3,600 seeded calls)
-    first = 1 if coupling_cap is None and min_b is None else _BLOCK
-    e = _walk(N, M, q, rng, lambda block, keep: keep[0], first, coupling_cap, min_b)
+    e = _walk(N, M, q, rng, lambda block, keep: keep[0], coupling_cap, min_b)
     return _paramset(e, N, M, q)
 
 
@@ -256,40 +253,39 @@ def _screen(block: np.ndarray, N: int, M: int, q: complex, coupling_cap, min_b):
     return accept, exact
 
 
-def _walk(N: int, M: int, q: complex, rng: np.random.Generator, visit, first: int,
+def _walk(N: int, M: int, q: complex, rng: np.random.Generator, visit,
           coupling_cap: float | None = None, min_b: float | None = None) -> list:
     """The one parameter-draw loop. visit(block, keep) gets each block of
     draws (rows alpha, beta, gamma) that has rows sample_params' rules
     accept, keep, and returns the row at which the search stops, or None to
     draw on; that row is returned. _PARAM_TRIES rejected draws in a row
-    raise. The first block has `first` rows, later ones _BLOCK, and a walk
-    that stops or raises inside a block rewinds the generator to where a
-    per-draw loop leaves it."""
+    raise. Each block has _BLOCK rows, and a walk that stops or raises
+    inside a block rewinds the generator to where a per-draw loop leaves
+    it."""
     cols = 2 * N + M
     if not (0.0 < abs(q) < 1.0 and N > 0 and M > 0):  # ParamSet raises at the first draw
         _paramset(_draw_block(rng, cols)[0].tolist(), N, M, q)
-    misses, rows = 0, first
+    misses = 0
     while True:
-        start = rng.bit_generator.state if rows > 1 else None  # one row is never rewound
-        block = _draw_block(rng, cols, rows)
+        start = rng.bit_generator.state
+        block = _draw_block(rng, cols, _BLOCK)
         accept, exact = _screen(block, N, M, q, coupling_cap, min_b)
-        keep = [i for i in range(rows) if (
+        keep = [i for i in range(_BLOCK) if (
             _params(block[i].tolist(), N, M, q, coupling_cap, min_b) if exact[i] else accept[i])]
-        if misses + (keep[0] if keep else rows) >= _PARAM_TRIES:
-            _rewind(rng, start, cols, rows, _PARAM_TRIES - misses)
+        if misses + (keep[0] if keep else _BLOCK) >= _PARAM_TRIES:
+            _rewind(rng, start, cols, _PARAM_TRIES - misses)
             raise SamplingError(f"no nonresonant parameters in {_PARAM_TRIES} draws")
         stop = visit(block, keep) if keep else None
         if stop is not None:
-            _rewind(rng, start, cols, rows, stop + 1)
+            _rewind(rng, start, cols, stop + 1)
             return block[stop].tolist()
-        misses = rows - 1 - keep[-1] if keep else misses + rows
-        rows = _BLOCK
+        misses = _BLOCK - 1 - keep[-1] if keep else misses + _BLOCK
 
 
-def _rewind(rng: np.random.Generator, state, cols: int, rows: int, used: int) -> None:
-    """Leave rng as if only the first `used` of the `rows` rows of the block
+def _rewind(rng: np.random.Generator, state, cols: int, used: int) -> None:
+    """Leave rng as if only the first `used` of the _BLOCK rows of the block
     drawn from state had been drawn."""
-    if used < rows:
+    if used < _BLOCK:
         rng.bit_generator.state = state
         _draw_block(rng, cols, used)
 
@@ -408,7 +404,7 @@ def _casorati_params(N: int, M: int, L: int, ctx: QContext, rng: np.random.Gener
                 return i
         return None
 
-    _walk(N, M, q, rng, visit, _BLOCK)
+    _walk(N, M, q, rng, visit)
     return _paramset(best[1], N, M, q), best[2]
 
 

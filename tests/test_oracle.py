@@ -29,8 +29,11 @@ from qconnect import (
     residual_eqn2,
     scaled_rcond,
 )
-from qconnect.oracle import _DEN_TOL, _ENUM_CAP, _enum_series, _factored_coeffs
+from qconnect.hyperseries import _screen
+from qconnect.oracle import _ENUM_CAP, _enum_series, _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
+
+_DEN_TOL = 1e-12  # the up-front reference tables' vanishing-denominator threshold
 
 TP = (0.3 + 0.02j, 0.25 - 0.03j)
 
@@ -252,6 +255,22 @@ def test_partial_sums_raise_the_walks_resonance(ctx_long):
     assert str(sums.value) == str(walk.value) == "coupling denominator vanished at index 3"
 
 
+_POLE_BASES = [0.3, 0.5, 0.7, 0.5 + 0.2j]
+
+
+@pytest.mark.parametrize("q", _POLE_BASES)
+def test_resonance_past_the_shell_cap_raises(q):
+    # c_2 = q^-450: the coupling denominator vanishes at index 450, past the
+    # enumeration's 400 shells; the engine's screen names the same index
+    ctx = QContext(q=q, series_cap=200)
+    a, b, _, t = _interior_args(np.random.default_rng(45), 2, 3)
+    c = (0.8 + 0.1j, q**-450)
+    with pytest.raises(ResonanceError) as exc:
+        _enum_series(a, b, c, t, ctx)
+    assert str(exc.value) == "coupling denominator vanished at index 450"
+    assert _screen(a, c, True, False, q) == 450
+
+
 def test_duality_single_slot(p11, ctx_long):
     assert check_duality(p11, (0.4,), ctx_long) < 1e-10
 
@@ -308,6 +327,17 @@ def test_jackson_sum_two_slots(p22, ctx_long):
             for _ in range(2)
         )
         assert check_jackson(p22, t, ctx_long) < 1e-10
+
+
+@pytest.mark.parametrize("q", _POLE_BASES)
+def test_jackson_integrand_factor_on_the_lattice_raises(q):
+    # b_1 t_1 = q^-2 (1 + 1e-10): the factor 1 - b_1 t_1 q^2 is -1e-10, a
+    # pole by lattice_hit's relative window
+    ctx = QContext(q=q, series_cap=200)
+    p = ParamSet(ALPHA[:1], (-2.8 + 0.1j, BETA[1]), GAMMA[:1], q)
+    t = (q**-2 * (1 + 1e-10) / p.b[0], 0.3)
+    with pytest.raises(ResonanceError, match="q-integrand factor degenerated"):
+        check_jackson(p, t, ctx)
 
 
 def test_watson_transform_frozen():

@@ -222,8 +222,8 @@ def test_walk_with_every_draw_in_a_band(bounds, monkeypatch):
 
 @pytest.mark.parametrize("bounds", [{"min_b": 0.95}, {}], ids=["floor", "none"])
 def test_walk_gives_up_where_the_loop_does(bounds, monkeypatch):
-    # no |b| reaches 0.95 on the box; without bounds, where the walk's first
-    # block is one row, the exact rule is made to refuse every draw
+    # no |b| reaches 0.95 on the box; without bounds, where nearly every
+    # draw is accepted, the exact rule is made to refuse every draw
     if not bounds:
         monkeypatch.setattr(sampling, "_near_lattice", _flag_every_draw)
         monkeypatch.setattr(sampling, "strong_nonresonant", lambda p: False)
