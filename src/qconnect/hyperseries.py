@@ -38,16 +38,15 @@ settled. Every value has the bits of an evaluation of that series at that
 point alone; a single series at one point (_shell_series) is the one-row
 case. Each series keeps its own error: a pole fails its rows only.
 
-Only the axis arguments x depend on the evaluation point. The rest, each
-axis's numerator and denominator products, each coupling table and the
-outcome of each coupling screen, is kept in the evaluation context's memo
-(QContext) with the bits of a fresh computation. So the screen still covers
-every denominator, but runs once per distinct coupling and sides in a
-context. A memoised pole raises a new ResonanceError with the same text,
-in the same order: plus axes, minus axes, coupling. The setup of a local
-solution family (its reordered parameters and leading exponents) is kept in
-the same memo, so every component of a family, whether evaluated alone by
-local_solution or together by build_solution_vector, reads one setup.
+Only the axis arguments x depend on the evaluation point. Each axis's
+numerator and denominator products, with whether a denominator vanishes,
+and each coupling table are kept in the evaluation context's memo
+(QContext) with the bits of a fresh computation; a memoised axis pole
+raises a new ResonanceError with the same text. Each series screens its
+coupling itself, after its axes, so the first pole raises in the order plus
+axes, minus axes, coupling. Each call sets up its local solution family (the
+reordered parameters and leading exponents) once, so every component that
+build_solution_vector evaluates reads one setup.
 build_solution_vector sums all N*M+1 components of a vector in one pass of
 the engine, one series each. local_solution also takes a sequence of
 points and evaluates the component at all of them in one pass, one series
@@ -421,17 +420,13 @@ def _screened(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext):
     g_dens, gkey), gkey their exact bits."""
     plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
     minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
-    gkey = _bits(g_nums), _bits(g_dens)
-    sides = bool(plus), bool(minus)
-    pole = ctx._memoised(
-        ("screen", *gkey, *sides), lambda: _screen(g_nums, g_dens, *sides, ctx.q)
-    )
+    pole = _screen(g_nums, g_dens, bool(plus), bool(minus), ctx.q)
     if pole is not None:
         raise ResonanceError(
             f"coupling denominator vanished at index {pole} "
             "(parameter ratio on the q-power lattice)"
         )
-    return plus, minus, (g_nums, g_dens, gkey)
+    return plus, minus, (g_nums, g_dens, (_bits(g_nums), _bits(g_dens)))
 
 
 def _series_rows(series, ctx: QContext) -> list:
@@ -695,20 +690,12 @@ def _normalize_component(which, N: int, M: int):
 
 
 def _family(p: ParamSet, L: int, sigma, ctx: QContext):
-    """Setup shared by every component of the (L, sigma) family: the
-    reordered parameters and the leading exponents, from ctx's memo."""
+    """Setup shared by every component of the (L, sigma) family that one
+    call evaluates: the reordered parameters and the leading exponents."""
     _check_base(p, ctx)
     L = _require_range("L", L, 0, p.M)
-    sigma = _validate_perm(sigma)
-
-    def setup():
-        pp = p.permuted(sigma)
-        return pp, char_exponents(pp, L)
-
-    return ctx._memoised(
-        ("family", _bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits(p.q), L, sigma),
-        setup,
-    )
+    pp = p.permuted(_validate_perm(sigma))
+    return pp, char_exponents(pp, L)
 
 
 def _reorder(t, sigma) -> tuple[complex, ...]:

@@ -9,7 +9,6 @@ points, sharing only the scalar primitives with the series module.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -315,14 +314,19 @@ def check_jackson(p: ParamSet, t, ctx: QContext) -> float:
         P[S + 1] = P[S] * ratio
         qS *= q
 
-    @functools.cache  # subtrees repeat across (j, S); the sum order is unchanged
-    def level(j: int, S: int) -> complex:
-        w = tables[j]
-        if j == N - 1:
-            return complex(np.dot(w, P[S : S + len(w)]))
-        return sum(w[m] * level(j + 1, S + m) for m in range(len(w)))
+    return _rel_diff(lhs, _poch_ratio(zip(p.a, p.c), ctx) * _jackson_sum(tables, P, s_max))
 
-    return _rel_diff(lhs, _poch_ratio(zip(p.a, p.c), ctx) * level(0, 0))
+
+def _jackson_sum(tables, P, s_max: int) -> complex:
+    """sum_m prod_j tables[j][m_j] P[m_1 + ... + m_N], one level at a time from
+    the innermost: level j holds its sum over m_j, ..., m_N at every
+    S = m_1 + ... + m_{j-1}, and the level outside it reads each of them."""
+    w = tables[-1]
+    level = [complex(np.dot(w, P[S : S + len(w)])) for S in range(s_max - len(w) + 2)]
+    for w in reversed(tables[:-1]):
+        level = [sum(w[m] * level[S + m] for m in range(len(w)))
+                 for S in range(len(level) - len(w) + 1)]
+    return level[0]
 
 
 def check_watson(upper, lower, t: complex, ctx: QContext) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,8 +40,6 @@ LATTICE_RANGE = 64
 
 # Entries a context's memo holds; the oldest is dropped to make room.
 _MEMO_SIZE = 256
-# exact bits of one complex value (re, im): the scalar form of _bits
-_PAIR = struct.Struct("2d").pack
 
 
 def _bits(values) -> bytes:
@@ -68,15 +65,13 @@ class QContext:
     series_cap   maximum shell (total degree) in multi-series evaluation (200)
     tail_tol     relative shell size below which a series is considered done
 
-    A context memoises qpoch_inf values and the values that depend on
-    parameters but never on the evaluation point: the series engine's axis
-    products, coupling tables and coupling screens, and each solution
-    family's setup (reordered parameters and leading exponents). A key holds
-    the exact bits of its arguments (it tells -0.0 from 0.0), and a value is
-    made by the code a fresh context runs, so a reused context gives the
-    same bits as a fresh one. The memo keeps at most _MEMO_SIZE entries and
-    belongs to this instance: run_suite uses one context per run, and no two
-    runs share a value.
+    A context memoises the series engine's axis products and coupling
+    tables: they depend on the parameters but never on the evaluation
+    point. A key holds the exact bits of its arguments (it tells -0.0 from
+    0.0), and a value is made by the code a fresh context runs, so a reused
+    context gives the same bits as a fresh one. The memo keeps at most
+    _MEMO_SIZE entries and belongs to this instance: run_suite uses one
+    context per run, and no two runs share a value.
     """
 
     q: complex
@@ -140,14 +135,9 @@ class QContext:
 def qpoch_inf(a: complex, ctx: QContext) -> complex:
     """Truncated infinite product prod_{k>=0} (1 - a q^k).
 
-    Total function of a; the truncation length is ctx.prod_terms. Memoised
-    on ctx.
+    Total function of a; the truncation length is ctx.prod_terms.
     """
-    a = complex(a)
-    return ctx._memoised(
-        ("qpoch_inf", _PAIR(a.real, a.imag)),
-        lambda: complex(np.multiply.reduce(1.0 - a * ctx._qpow_table)),
-    )
+    return complex(np.multiply.reduce(1.0 - complex(a) * ctx._qpow_table))
 
 
 def theta(x: complex, ctx: QContext) -> complex:

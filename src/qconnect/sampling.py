@@ -317,7 +317,7 @@ def _node_proxies(exps, cands, q: complex) -> list[list[float]]:
     nodes = np.fromiter(map(cmath.exp, w.ravel().tolist()), complex, w.size)
     nodes = nodes.reshape(-1, w.shape[-1])  # (draw, candidate), component
     n = nodes.shape[-1]
-    i, j = _pairs(n)
+    i, j = np.triu_indices(n, 1)
     diff = nodes[:, i] - nodes[:, j]
     proxies = list(map(math.prod, np.hypot(diff.real, diff.imag).tolist()))
     sizes = np.hypot(nodes.real, nodes.imag)
@@ -327,15 +327,6 @@ def _node_proxies(exps, cands, q: complex) -> list[list[float]]:
                 proxies[r] /= size ** (n - 1)
     c = len(cands)
     return [proxies[d : d + c] for d in range(0, len(proxies), c)]
-
-
-@functools.cache
-def _pairs(n: int):
-    """Read-only index arrays (i, j) of the node pairs i < j, i major."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def _shift_candidates(M: int, n_rows: int, q: complex):

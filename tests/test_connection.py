@@ -217,7 +217,7 @@ def test_product_denominator_decides_each_argument():
             connection._den((args[1], pole, args[0]), qpoch_inf, ctx)
         assert str(err.value) == f"infinite product vanished at argument {pole}"
     connection._den((args[0],), theta, ctx)
-    assert {key[0] for key in ctx._memo} == {"qpoch_inf"}
+    assert not ctx._memo
 
 
 BASES = [0.05, 0.3, 0.7, 0.95, 0.5 + 0.2j, -0.6 + 0.3j, 0.05j]

@@ -464,13 +464,15 @@ def test_series_engine_pole_past_first_stage(plus, minus, g_nums, g_dens, messag
 
 @pytest.mark.parametrize("plus, minus, g_nums, g_dens, message", _POLES, ids=_POLE_IDS)
 def test_series_engine_pole_repeats_from_memo(plus, minus, g_nums, g_dens, message):
-    """A pole read from the context's memo raises a new error with the same
-    text, an axis pole still beats a coupling pole memoised first, and a
-    coupling screened on the plus side alone is screened again for a series
-    with minus axes."""
+    """A pole raises a new error with the same text on every call of a
+    context that has met the same coupling before: an axis pole, read from
+    the memo on the second call, still beats a coupling pole, and a coupling
+    met on the plus side alone is screened again for a series with minus
+    axes."""
     ctx = QContext(q=Q, prod_terms=60, series_cap=200)
     # the same coupling without the axis poles, on the plus side alone and
-    # then on the same sides, so its screen outcomes are in the memo first
+    # then on the same sides, so each coupling that passes its screen has its
+    # tables in the memo first
     for warm in ((_PLUS, []), (_PLUS if plus else [], _MINUS if minus else [])):
         with contextlib.suppress(ResonanceError, ConvergenceError):
             _shell_series(*warm, g_nums, g_dens, ctx)

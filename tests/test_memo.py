@@ -82,9 +82,8 @@ def test_signed_zero_gets_its_own_entry():
         _bits(ref.value), ref.terms_used, ref.tail_estimate
     )
     kinds = [key[0] for key in ctx._memo]
-    assert kinds.count("qpoch_inf") == 2
+    assert "qpoch_inf" not in kinds and "screen" not in kinds
     assert kinds.count("axis") == 3  # pos, neg and the minus axis
-    assert kinds.count("screen") == 2
 
 
 def test_builders_leave_the_memo_as_found(p23):
@@ -117,7 +116,7 @@ def test_memo_bounded_over_a_run(monkeypatch):
         return out
 
     monkeypatch.setattr(QContext, "_memoised", tracked)
-    cfg = cli.RunConfig(N=3, M=3, samples=2, suites=("connection", "theorem1", "independence"))
+    cfg = cli.RunConfig(N=3, M=3, samples=3, suites=("connection", "theorem1", "independence"))
     cli.run_suite(cfg)
     # validate() makes a throwaway context; the run itself uses one
     assert len(made) == 2 and not made[0].__dict__.get("_memo")
@@ -147,8 +146,6 @@ def test_family_setup_memo_gives_fresh_bits(p23):
         local_solution(p23, L, SIGMA, (1, 1), near, used)
         local_solution(other, L, SIGMA, 0, sample_domain_point(other, L, SIGMA, rng), used)
     local_solution(p23, 2, (1, 2, 3), 0, sample_domain_point(p23, 2, (1, 2, 3), rng), used)
-    families = {key[1:] for key in used._memo if key[0] == "family"}
-    assert len(families) == 2 * len(LEVELS) + 1
     assert _family_bits(p23, used) == fresh
     assert _family_bits(p23, used) == fresh
 
@@ -160,4 +157,3 @@ def test_signed_zero_beta_gets_its_own_family():
     ctx = _fresh()
     _family_bits(pos, ctx, levels=(3,))
     assert _family_bits(neg, ctx, levels=(3,)) == _family_bits(neg, _fresh(), levels=(3,))
-    assert sum(key[0] == "family" for key in ctx._memo) == 2

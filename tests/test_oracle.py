@@ -1,7 +1,7 @@
 """Independent residual checks: difference equations, classical limits,
 duality, Casorati independence."""
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -27,8 +27,11 @@ from qconnect import (
     qpoch_inf,
     residual_eqn1,
     residual_eqn2,
+    sample_interior_point,
+    sample_params,
     scaled_rcond,
 )
+from qconnect import oracle
 from qconnect.hyperseries import _screen
 from qconnect.oracle import _ENUM_CAP, _enum_series, _factored_coeffs
 from conftest import ALPHA, BETA, GAMMA, Q
@@ -338,6 +341,46 @@ def test_jackson_integrand_factor_on_the_lattice_raises(q):
     t = (q**-2 * (1 + 1e-10) / p.b[0], 0.3)
     with pytest.raises(ResonanceError, match="q-integrand factor degenerated"):
         check_jackson(p, t, ctx)
+
+
+def _jackson_recursion(tables, P, s_max: int) -> complex:
+    """The reference for oracle._jackson_sum: the nested sum by a recursion
+    over (level, S), each subtree memoised, with the same operands in the
+    same order."""
+    N = len(tables)
+
+    @cache
+    def level(j: int, S: int) -> complex:
+        w = tables[j]
+        if j == N - 1:
+            return complex(np.dot(w, P[S : S + len(w)]))
+        return sum(w[m] * level(j + 1, S + m) for m in range(len(w)))
+
+    return level(0, 0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.5 + 0.2j])
+def test_jackson_sum_has_the_bits_of_the_recursion(q, monkeypatch):
+    # N = 1 has no outer level; (12, 1) nests twelve
+    ctx = QContext(q=q, series_cap=200)
+    cases = []
+    for N, M in ((1, 1), (2, 3), (3, 3), (5, 1), (6, 2), (12, 1)):
+        rng = np.random.default_rng([28, N, M])
+        cases.append((sample_params(N, M, q, rng), sample_interior_point(M, rng)))
+    # and the (2, 3) point with a signed zero for its second coordinate
+    p, t = cases[1]
+    cases.append((p, (t[0], complex(-0.0, -0.0), t[2])))
+    one_pass = oracle._jackson_sum
+    for p, t in cases:
+        out = []
+        for nested in (one_pass, _jackson_recursion):
+            sums = []
+            monkeypatch.setattr(
+                oracle, "_jackson_sum", lambda *args: sums.append(nested(*args)) or sums[0]
+            )
+            residual = check_jackson(p, t, ctx)
+            out.append([np.array([v], dtype=complex).tobytes() for v in (residual, *sums)])
+        assert out[0] == out[1]
 
 
 def test_watson_transform_frozen():
