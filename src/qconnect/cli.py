@@ -26,9 +26,9 @@ from .qkernel import (
     ParamSet,
     QContext,
     _bits,
+    _compose,
     _rel_diff,
     _rel_maxnorm,
-    perm_compose,
     perm_identity,
     perm_transposition,
 )
@@ -40,6 +40,7 @@ from .hyperseries import (
 )
 from .oracle import (
     RCOND_FLOOR,
+    _shift_points,
     casorati_independence,
     check_duality,
     check_jackson,
@@ -334,12 +335,12 @@ def _two_route(p, t, ctx):
     return _rel_diff(eval_FNM(p, t, ctx).value, eval_FNM_reference(p, t, ctx))
 
 
-def _point_cache(f):
+def _point_cache(f, known=()):
     """f with its values kept per point for one sample, keyed by the
-    point's exact bits (-0.0 and 0.0 stay apart). An evaluation that raises
-    is not kept, so it raises again, with the same text, for the next check
-    that asks for it."""
-    values = {}
+    point's exact bits (-0.0 and 0.0 stay apart), starting from the known
+    {bits: value}. An evaluation that raises is not kept, so it raises
+    again, with the same text, for the next check that asks for it."""
+    values = dict(known)
 
     def cached(t):
         key = _bits(t)
@@ -354,8 +355,16 @@ def _suite_system(s: _Sample):
     N, M = s.cfg.N, s.cfg.M
     p, t = _draw(s, "coupled slot 1", lambda: sampling._generic_sample(N, M, s.ctx.q, s.rng))
     dg = _digest(p)
-    # the six (2,3) checks evaluate F 30 times at 15 distinct points
-    f = _point_cache(lambda tt: eval_FNM(p, tt, s.ctx).value)
+    # the six (2,3) checks read F 30 times at 15 distinct points, all from one
+    # engine pass; if it raises, a point is evaluated alone when a check asks
+    # for it, so each record gets the error of its own points
+    points = {_bits(pt): pt for pt in _shift_points(t, s.ctx.q, N, M)}
+    try:
+        values = eval_FNM(p, list(points.values()), s.ctx)
+        known = {key: v.value for key, v in zip(points, values)}
+    except Exception:  # noqa: BLE001  raised again, check by check, below
+        known = {}
+    f = _point_cache(lambda tt: eval_FNM(p, tt, s.ctx).value, known)
     for i in range(1, M + 1):
         _run_check(s, f"coupled slot {i}", dg, t, lambda: residual_eqn1(f, p, i, t, s.ctx))
     for r in range(1, M + 1):
@@ -414,7 +423,7 @@ def _suite_connection(s: _Sample):
     t2 = _draw(s, f"swap step r={r}", lambda: sampling.sample_swap_overlap(p, r, sig, rng), dg)
     _check_connection(
         s, f"swap step r={r}", dg, t2, _vectors(s, p, t2), partial(build_S, p, r, sig, t2, ctx),
-        (M, sig), (M, perm_compose(sig, perm_transposition(M, r))),
+        (M, sig), (M, _compose(sig, perm_transposition(M, r))),
     )
 
 
@@ -433,7 +442,7 @@ def _suite_theorem1(s: _Sample):
         )
         return
     sig1 = perm_identity(M)
-    sig2 = perm_compose(sig1, perm_transposition(M, 1))
+    sig2 = _compose(sig1, perm_transposition(M, 1))
     L = M - 1
     t = _draw(
         s, "composite path",
@@ -454,6 +463,24 @@ def _suite_theorem1(s: _Sample):
     _run_check(s, "word agreement", dg, t, word_agreement)
 
 
+def _casorati_columns(p, L, sig, comps, ctx):
+    """casorati_independence's columns, comps[j] of the (L, sig) family in
+    column j. Columns called at the same points read one local_solution
+    call over every label there, kept by the points' exact bits unless it
+    raises: at the ladder the whole matrix is one engine pass, and in the
+    row-by-row re-walk after a raise each row is one call, whose first
+    failing label is the error that walk meets."""
+    values = {}
+
+    def column(j, points):
+        key = _bits(points)
+        if key not in values:
+            values[key] = local_solution(p, L, sig, comps, points, ctx)
+        return values[key][j]
+
+    return [partial(column, j) for j in range(len(comps))]
+
+
 def _suite_independence(s: _Sample):
     N, M = s.cfg.N, s.cfg.M
     sig = perm_identity(M)
@@ -463,7 +490,7 @@ def _suite_independence(s: _Sample):
     p, shift = _draw(s, check, lambda: sampling._casorati_params(N, M, L, s.ctx, s.rng))
     dg = _digest(p)
     t = _draw(s, check, lambda: sampling.sample_domain_point(p, L, sig, s.rng), dg)
-    columns = [partial(local_solution, p, L, sig, c, ctx=s.ctx) for c in comps]
+    columns = _casorati_columns(p, L, sig, comps, s.ctx)
     ok, cas = _attempt(s, check, dg, t, lambda: casorati_independence(columns, shift, t, s.ctx))
     if not ok:
         return

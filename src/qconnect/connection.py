@@ -35,13 +35,13 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _compose,
     _permute,
     _rel_maxnorm,
     _require_range,
     _validate_perm,
     cpow,
     lattice_hit,
-    perm_compose,
     perm_inverse,
     perm_transposition,
     qpoch_inf,
@@ -380,12 +380,12 @@ def compose_connection(
     L2 = _require_range("L2", L2, 0, M)
     t = tuple(complex(v) for v in t)
     if word is None:
-        rho = perm_compose(perm_inverse(sigma1), sigma2)
+        rho = _compose(perm_inverse(sigma1), sigma2)
         word = transposition_word(rho)
     word = [_require_range("r", r, 1, M - 1) for r in word]
     walk = [sigma1]
     for r in reversed(word):
-        walk.append(perm_compose(walk[-1], perm_transposition(M, r)))
+        walk.append(_compose(walk[-1], perm_transposition(M, r)))
     if walk[-1] != sigma2:
         raise WordError(
             f"word {word} sends {sigma1} to {walk[-1]}, not to requested {sigma2}"

@@ -19,11 +19,11 @@ from .errors import DomainError
 from .qkernel import (
     ParamSet,
     QContext,
+    _compose,
     _rel_maxnorm,
     _require_range,
     _validate_perm,
     cpow,
-    perm_compose,
     perm_identity,
     perm_transposition,
     qpoch_inf,
@@ -75,7 +75,7 @@ def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> 
         for k, (pos, x) in enumerate(factors):
             sigma = perm_identity(M)
             for s, _ in reversed(factors[k + 1 :]):
-                sigma = perm_compose(sigma, perm_transposition(M, s))
+                sigma = _compose(sigma, perm_transposition(M, s))
             mats.append(build_Stilde(p, pos, sigma, x, ctx))
         return mats[0] @ mats[1] @ mats[2]
 

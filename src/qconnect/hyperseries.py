@@ -48,9 +48,11 @@ axes, minus axes, coupling. Each call sets up its local solution family (the
 reordered parameters and leading exponents) once, so every component that
 build_solution_vector evaluates reads one setup.
 build_solution_vector sums all N*M+1 components of a vector in one pass of
-the engine, one series each. local_solution also takes a sequence of
-points and evaluates the component at all of them in one pass, one series
-at n points: the columns of a Casorati matrix.
+the engine, one series each. local_solution also takes a list of
+components and a sequence of points, and evaluates every component at all
+of them in one pass, one series per component at n points: a whole
+Casorati matrix. eval_FNM likewise takes a sequence of points, one series
+at all of them in one pass: every point the q-difference residuals read.
 """
 
 from __future__ import annotations
@@ -490,13 +492,43 @@ def _plain_axis(b: complex, x: complex, q: complex):
 # series evaluators
 
 
-def eval_FNM(p: ParamSet, t, ctx: QContext) -> SeriesValue:
+def _merged(axes):
+    """One series of _series_rows from the axes and coupling of one series
+    at several points, as _split_axes or _slot_axes give them: each axis
+    with its argument at every point."""
+    *sides, g_nums, g_dens = axes[0]
+    batched = [[(nums, dens, [a[side][i][2] for a in axes])
+                for i, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
+    return (*batched, g_nums, g_dens)
+
+
+def eval_FNM(p: ParamSet, t, ctx: QContext):
     """Principal multi-series: coupling (a_1..a_N | c_1..c_N) over the total
     degree, one plain axis (b_i; t_i) per lower slot. Requires |t_i| < 1.
 
     This is the split series at L = M: every axis expands in t_i and the
-    coupling quotient B is the empty product 1."""
-    return eval_FNM_L(p, p.M, t, ctx)
+    coupling quotient B is the empty product 1.
+
+    t may also be a sequence of points (ndim 2): a tuple of SeriesValues,
+    one per point, from one pass of the series engine, with the bits of one
+    call per point. The first point whose evaluation fails raises its
+    error."""
+    if np.ndim(t) != 2:
+        return eval_FNM_L(p, p.M, t, ctx)
+    _check_base(p, ctx)
+    values, axes = [], []
+    for pt in t:
+        try:
+            axes.append(_split_axes(p, p.M, pt))
+            values.append(None)
+        except Exception as exc:  # noqa: BLE001  raised in the point's turn
+            values.append(exc)
+    rows = iter(_series_rows([_merged(axes)], ctx) if axes else ())
+    values = [next(rows) if v is None else v for v in values]
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return tuple(values)
 
 
 def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
@@ -768,11 +800,7 @@ def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
             values.append(None)
         out.append(values)
         if axes:
-            *sides, g_nums, g_dens = axes[0]
-            # one series: each axis with its argument at every point
-            batched = [[(nums, dens, [a[side][i][2] for a in axes])
-                        for i, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
-            series.append((*batched, g_nums, g_dens))
+            series.append(_merged(axes))
     for (values, i, tt, start, delta), value in zip(placed, _series_rows(series, ctx)):
         if isinstance(value, SeriesValue):
             try:
@@ -786,7 +814,8 @@ def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
 def _component_rows(pp: ParamSet, L: int, comp, delta, points, sigma, ctx: QContext) -> list:
     """Component comp, with leading exponents delta, of a family set up by
     _family at each of points (reordered by sigma here): one series at n
-    points of _solution_rows, per point its value or its exception."""
+    points of _solution_rows, per point its value or its exception. It is
+    the one-label case of what local_solution evaluates."""
     (values,) = _solution_rows(pp, L, [(comp, delta, [_reorder(pt, sigma) for pt in points])], ctx)
     return values
 
@@ -803,20 +832,25 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     composite shifts are then no longer guaranteed).
 
     t may also be a sequence of points (ndim 2): the component at each, a
-    tuple, from one family setup and one pass of the series engine, with
-    the bits of one call per point. The first point whose evaluation fails
-    raises its error.
+    tuple. which may also be a list of component labels (0 or (k, l) pairs,
+    every one checked first): a tuple with one entry per label, each what
+    a call for that label alone returns. Every label at every point comes
+    from one family setup and one pass of the series engine, with the bits
+    of one call per label and point. The first (label, point) whose
+    evaluation fails, label by label, raises its error.
     """
     pp, exps = _family(p, L, sigma, ctx)
-    comp = _normalize_component(which, p.N, p.M)
+    labels = isinstance(which, list) and not all(isinstance(w, (int, np.integer)) for w in which)
+    comps = [_normalize_component(w, p.N, p.M) for w in (which if labels else [which])]
     ladder = np.ndim(t) == 2
-    values = _component_rows(
-        pp, L, comp, exps[component_index(comp, p.M)], t if ladder else [t], sigma, ctx
-    )
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return tuple(values) if ladder else values[0]
+    points = [_reorder(pt, sigma) for pt in (t if ladder else [t])]
+    cells = _solution_rows(pp, L, [(c, exps[component_index(c, p.M)], points) for c in comps], ctx)
+    for values in cells:
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+    out = [tuple(values) if ladder else values[0] for values in cells]
+    return tuple(out) if labels else out[0]
 
 
 @dataclass(frozen=True)
@@ -868,7 +902,14 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> float:
     L = _require_range("L", L, 0, p.M)
     tt = tuple(complex(v) for v in t)
     sigma = _validate_perm(sigma)
-    tt, bb = _permute(tt, sigma), _permute(p.b, sigma)
+    return _margin(p, L, sigma, _permute(p.b, sigma), tt)
+
+
+def _margin(p: ParamSet, L: int, sigma, bb, t) -> float:
+    """in_domain at a level in range and a checked sigma, with bb the
+    b-values reordered by sigma and t a tuple of complex coordinates: what
+    a caller that tests many points against one family sets up once."""
+    tt = _permute(t, sigma)
     return min(1.0 - r for l in range(len(tt) + 1) for r, _, _ in _sector(p, bb, L, l, tt))
 
 

@@ -276,8 +276,12 @@ def _validate_perm(sigma) -> tuple[int, ...]:
 
 def perm_compose(s, t) -> tuple[int, ...]:
     """(s o t)(i) = s(t(i)); t acts first."""
-    s = _validate_perm(s)
-    t = _validate_perm(t)
+    return _compose(_validate_perm(s), _validate_perm(t))
+
+
+def _compose(s, t) -> tuple[int, ...]:
+    """perm_compose for permutations that _validate_perm has already
+    accepted."""
     if len(s) != len(t):
         raise ValueError("size mismatch")
     return tuple(s[t[i] - 1] for i in range(len(s)))

@@ -38,16 +38,16 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _compose,
     _permute,
     _require_range,
     _validate_perm,
     lattice_hit,
-    perm_compose,
     perm_inverse,
     perm_transposition,
     theta,
 )
-from .hyperseries import _resonance_ratios, component_order, in_domain
+from .hyperseries import _margin, _resonance_ratios, component_order
 from .oracle import _shift_points, _upper_ratio_hit
 
 __all__ = [
@@ -421,13 +421,16 @@ def _accept(draw, p: ParamSet, families, tries: int, margin: float,
             failure: str, points=lambda t: (t,)) -> tuple[complex, ...]:
     """The one acceptance rule: the first of `tries` draws t for which every
     point in points(t) lies in every (L, sigma) family's sector with
-    in_domain margin at least `margin`."""
+    in_domain margin at least `margin`. The caller has checked each
+    family's level and sigma, and p.b is reordered by each sigma once per
+    call."""
+    checked = [(L, sigma, _permute(p.b, sigma)) for L, sigma in families]
     for _ in range(tries):
         t = draw()
         if all(
-            in_domain(L, sigma, p, pt) >= margin
+            _margin(p, L, sigma, bb, pt) >= margin
             for pt in points(t)
-            for L, sigma in families
+            for L, sigma, bb in checked
         ):
             return t
     raise SamplingError(failure)
@@ -524,7 +527,7 @@ def sample_swap_overlap(
     M = p.M
     r = _require_range("r", r, 1, M - 1)
     sigma = _validate_perm(sigma)
-    swapped = perm_compose(sigma, perm_transposition(M, r))
+    swapped = _compose(sigma, perm_transposition(M, r))
     bp = _permute(p.b, sigma)
     aq = abs(p.q)
 

@@ -22,7 +22,7 @@ from qconnect import (
     perm_identity,
     sampling,
 )
-from qconnect import hyperseries
+from qconnect import cli, hyperseries
 from conftest import ALPHA, BETA, GAMMA
 
 SHAPES = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
@@ -178,6 +178,98 @@ def test_each_column_is_called_once_with_every_ladder_point(p22, ctx_long):
     rep = casorati_independence([partial(column, c) for c in comps], (2, -1),
                                 (0.3, 5.0), ctx_long)
     assert calls == [(c, 5) for c in comps]
+    rows = _ladder((0.3, 5.0), (2, -1), ctx_long.q, 5)
+    ref = [[local_solution(p22, L, sig, c, pt, ctx_long) for c in comps] for pt in rows]
+    assert rep.matrix.tobytes() == np.array(ref, dtype=complex).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# every label of a Casorati matrix in one local_solution call
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.5 + 0.2j], ids=["0.3", "0.5", "0.7", "0.5+0.2j"])
+@pytest.mark.parametrize("N, M", [(2, 3), (3, 3), (1, 6)])
+def test_label_list_has_the_bits_of_one_call_per_label(q, N, M):
+    """local_solution with the list of every label, at the n ladder points
+    and at one point, has the bits of one call per label."""
+    ctx = QContext(q=q)
+    rng = np.random.default_rng([29, N, M])
+    L, sig = M - 1, perm_identity(M)
+    comps = component_order(N, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        for _ in range(2):
+            p, m = sampling._casorati_params(N, M, L, ctx, rng)
+            t = sampling.sample_domain_point(p, L, sig, rng)
+            for at in (_ladder(t, m, q, len(comps)), t):
+                ref = [local_solution(p, L, sig, c, at, ctx) for c in comps]
+                batch = local_solution(p, L, sig, comps, at, ctx)
+                assert len(batch) == len(ref)
+                for got, want in zip(batch, ref):
+                    if at is t:
+                        got, want = (got,), (want,)
+                    assert [_key(v) for v in got] == [_key(v) for v in want], (N, M)
+
+
+_PLANTED = {
+    "row leaves the sector": (_P23, 2, (-2, 0, -2), _T23, QContext(q=0.3), DomainError),
+    "resonant component": (
+        ParamSet(alpha=(ALPHA[0], ALPHA[0] + 2), beta=BETA[:2], gamma=GAMMA[:2], q=0.3), 1,
+        (-2, -2), (0.35401694729068706 - 0.20994478510654518j, 89.64815522558595 - 12.629487881699509j),
+        QContext(q=0.3), ResonanceError,
+    ),
+    "unsettled row": (
+        ParamSet(
+            alpha=(0.24454800413188843 - 0.19604952724304647j,),
+            beta=(0.35914595180109454 - 0.159680835538031j, 0.8350630151438381 + 0.055973025310065816j,
+                  0.6795304442579129 - 0.08436914963706231j),
+            gamma=(0.28935728147886175 - 0.12786051531324777j,),
+            q=0.3,
+        ),
+        2, (-1, 0, -1),
+        (0.09777898166322245 - 0.004015707999911802j, 0.2830538797548225 - 0.059862604170553224j,
+         8.106573532621349 - 4.0297776565772745j),
+        QContext(q=0.3, series_cap=30), ConvergenceError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLANTED))
+def test_label_list_raises_the_first_failing_label(case):
+    """At the ladder, the list of every label raises the type and text of
+    the first per-label call that raises; and the run driver's Casorati
+    columns, which read that one call, raise the error that a walk over the
+    cells row by row meets first."""
+    p, L, m, t, ctx, kind = _PLANTED[case]
+    sig = perm_identity(p.M)
+    comps = component_order(p.N, p.M)
+    points = _ladder(t, m, ctx.q, len(comps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        ref = [_outcome(lambda c=c: local_solution(p, L, sig, c, points, ctx)) for c in comps]
+        first = next(v for v in ref if isinstance(v, Exception))
+        batch = _outcome(lambda: local_solution(p, L, sig, comps, points, ctx))
+        assert isinstance(batch, Exception) and _key(batch) == _key(first)
+        by_rows, _ = _row_by_row(p, L, sig, m, t, ctx)
+        assert isinstance(by_rows, kind)
+        with pytest.raises(type(by_rows)) as err:
+            casorati_independence(cli._casorati_columns(p, L, sig, comps, ctx), m, t, ctx)
+    assert str(err.value) == str(by_rows)
+
+
+def test_driver_columns_read_one_call_for_the_whole_matrix(p22, ctx_long, monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[3])
+        return local_solution(*args, **kw)
+
+    monkeypatch.setattr(cli, "local_solution", counted)
+    L, sig = 1, perm_identity(2)
+    comps = component_order(2, 2)
+    rep = casorati_independence(cli._casorati_columns(p22, L, sig, comps, ctx_long), (2, -1),
+                                (0.3, 5.0), ctx_long)
+    assert calls == [comps]
     rows = _ladder((0.3, 5.0), (2, -1), ctx_long.q, 5)
     ref = [[local_solution(p22, L, sig, c, pt, ctx_long) for c in comps] for pt in rows]
     assert rep.matrix.tobytes() == np.array(ref, dtype=complex).tobytes()

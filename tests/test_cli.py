@@ -211,9 +211,24 @@ def test_system_sample_evaluates_F_once_per_point(monkeypatch):
     calls = _calls(monkeypatch, "eval_FNM")
     rep = run_suite(RunConfig(N=2, M=3, suites=("system",), samples=1))
     assert len(rep.records) == 6 and rep.passed
-    # the three slot and three pairwise checks ask for F at 30 points, 15 distinct
-    points = [_bits(args[1]) for args, _ in calls]
-    assert len(points) == len(set(points)) == 15
+    # the three slot and three pairwise checks ask for F at 30 points, 15
+    # distinct: one call evaluates exactly those, each once
+    assert len(calls) == 1
+    (p, points, ctx), _ = calls[0]
+    read = set()
+
+    def f(pt):
+        read.add(_bits(pt))
+        return 1.0
+
+    t = rep.records[0].point
+    for i in range(1, 4):
+        oracle.residual_eqn1(f, p, i, t, ctx)
+        for j in range(i + 1, 4):
+            oracle.residual_eqn2(f, p, i, j, t, ctx)
+    points = [_bits(pt) for pt in points]
+    assert len(points) == len(set(points)) == len(read) == 15
+    assert set(points) == read
 
 
 def test_point_cache_keeps_signed_zeros_apart():
@@ -236,7 +251,10 @@ def test_failed_build_raises_again_for_each_record(monkeypatch, suite, name):
 
     calls = _calls(monkeypatch, name, fail)
     rep = run_suite(RunConfig(suites=(suite,), samples=1))
-    assert len(rep.records) == len(calls) >= 2
+    # a system sample first asks for every point in one call; after that
+    # fails, each record asks again for the points it reads
+    batched = suite == "system"
+    assert len(rep.records) + batched == len(calls) and len(rep.records) >= 2
     assert {r.error for r in rep.records} == {"ConvergenceError: stub did not settle"}
 
 

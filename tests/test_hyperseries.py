@@ -585,3 +585,33 @@ def test_sum_counts_the_run_of_small_terms():
         else:
             assert sv is None and run.rel == ref
     assert 0 < settled < 2000
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.5 + 0.2j], ids=["0.3", "0.7", "0.5+0.2j"])
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 3), (3, 3), (1, 6)])
+def test_FNM_at_many_points_has_the_bits_of_one_call_per_point(q, N, M):
+    ctx = QContext(q=q)
+    rng = np.random.default_rng([29, N, M])
+    p = sample_params(N, M, q, rng)
+    points = [sample_interior_point(M, rng) for _ in range(6)]
+    points.append(tuple(v * q for v in points[0]))
+    got = eval_FNM(p, points, ctx)
+    want = [eval_FNM(p, pt, ctx) for pt in points]
+    assert [(v.value.real.hex(), v.value.imag.hex(), v.terms_used, v.tail_estimate) for v in got] \
+        == [(v.value.real.hex(), v.value.imag.hex(), v.terms_used, v.tail_estimate) for v in want]
+
+
+def test_FNM_at_many_points_raises_the_first_failing_point(p22, ctx_long):
+    inside, outside = (0.3 + 0.1j, -0.2j), (1.2 + 0j, 0.1 + 0j)
+    with pytest.raises(DomainError) as one:
+        eval_FNM(p22, outside, ctx_long)
+    with pytest.raises(DomainError) as many:
+        eval_FNM(p22, [inside, outside, (0.1 + 0j, 1.5 + 0j)], ctx_long)
+    assert str(many.value) == str(one.value) == "outside convergence region: |t_1| >= 1"
+    # an unsettled point raises in its turn, before a later point that leaves the disc
+    short = QContext(q=0.3, prod_terms=60, series_cap=3)
+    with pytest.raises(ConvergenceError) as one:
+        eval_FNM(p22, inside, short)
+    with pytest.raises(ConvergenceError) as many:
+        eval_FNM(p22, [inside, outside], short)
+    assert str(many.value) == str(one.value)

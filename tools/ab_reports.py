@@ -6,8 +6,9 @@ the inputs of a perfbench workload, RunConfig(seed=seed*1000 + i) for
 i = 0..inputs-1, through each as emit_report(run_suite(cfg)). The side that
 runs first alternates from input to input, and each side makes one untimed
 run of input 0 first. One line per input gives both wall times and the ratio
-A/B (above 1 when B is faster); the summary gives the median ratio, its
-quartiles and the ratio of the summed times. For each input whose reports
+A/B (above 1 when B is faster), and beside them both process CPU times and
+their ratio; the summary gives the median wall ratio, its quartiles and the
+ratio of the summed times, then the same for CPU time. For each input whose reports
 differ, one more line names the suites whose records differ, with each side's
 count of passing records there. Exits 1 if any report differs:
 
@@ -15,7 +16,10 @@ count of passing records there. Exits 1 if any report differs:
 
 It refuses fewer than 16 inputs. On a shared two-core machine a median of 8
 cannot resolve a 5% change: two identical copies of one checkout read median
-A/B 0.983 (quartiles 0.873, 1.009) at 8 inputs of all-2x3, seed 3.
+A/B 0.983 (quartiles 0.873, 1.009) at 8 inputs of all-2x3, seed 3. Wall
+time there is also swayed by other tenants: one checkout against itself at
+32 inputs of all-2x3 read median wall A/B 0.985, quartiles 0.830-1.071 and
+total 0.911, so judge a change of a few percent by CPU time.
 """
 
 import argparse
@@ -44,11 +48,18 @@ def load_cli(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def report(cli, config: dict, seed: int) -> tuple[float, str]:
-    """(wall seconds, report text) of one run."""
-    start = time.perf_counter()
+def report(cli, config: dict, seed: int) -> tuple[float, float, str]:
+    """(wall seconds, process CPU seconds, report text) of one run."""
+    start, cpu = time.perf_counter(), time.process_time()
     text = cli.emit_report(cli.run_suite(cli.RunConfig(**config, seed=seed)))
-    return time.perf_counter() - start, text
+    return time.perf_counter() - start, time.process_time() - cpu, text
+
+
+def summary(name: str, ratios, totals) -> str:
+    """Median A/B of one kind of time, its quartiles and the total A/B."""
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
+    return (f"{name} median A/B {med:.3f} (quartiles {q1:.3f}, {q3:.3f}); "
+            f"total A/B {totals[0] / totals[1]:.3f}")
 
 
 def differing_suites(text_a: str, text_b: str) -> list[str]:
@@ -79,27 +90,30 @@ def main(argv=None) -> int:
     for cli in sides:
         report(cli, config, input_seed(args.seed, 0))
     print(f"{args.workload}: A = {args.a}, B = {args.b}", flush=True)
-    ratios, totals, differ = [], [0.0, 0.0], 0
+    ratios, cpu_ratios, totals, cpu_totals, differ = [], [], [0.0, 0.0], [0.0, 0.0], 0
     for i in range(args.inputs):
         seed = input_seed(args.seed, i)
         order = (0, 1) if i % 2 == 0 else (1, 0)
         runs = {side: report(sides[side], config, seed) for side in order}
-        (ta, text_a), (tb, text_b) = runs[0], runs[1]
+        (ta, ca, text_a), (tb, cb, text_b) = runs[0], runs[1]
         same = text_a == text_b
         differ += not same
         totals[0] += ta
         totals[1] += tb
+        cpu_totals[0] += ca
+        cpu_totals[1] += cb
         ratios.append(ta / tb)
+        cpu_ratios.append(ca / cb)
         first = "AB"[order[0]]
         status = "same" if same else "REPORTS DIFFER"
         print(f"seed {seed:>6}  {first} first  A {ta:.3f} s  B {tb:.3f} s  "
-              f"A/B {ta / tb:.3f}  {status}", flush=True)
+              f"A/B {ta / tb:.3f}  cpu A {ca:.3f} s  B {cb:.3f} s  A/B {ca / cb:.3f}  {status}",
+              flush=True)
         if not same:
             suites = differing_suites(text_a, text_b)
             print(f"  records differ in: {', '.join(suites) or 'no suite'}", flush=True)
-    q1, med, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{len(ratios)} inputs: median A/B {med:.3f} (quartiles {q1:.3f}, {q3:.3f}); "
-          f"total A/B {totals[0] / totals[1]:.3f}; {differ} report(s) differ")
+    print(f"{len(ratios)} inputs: {summary('wall', ratios, totals)}; {differ} report(s) differ")
+    print(f"{len(ratios)} inputs: {summary('cpu', cpu_ratios, cpu_totals)}")
     return 1 if differ else 0
 
 
