@@ -336,10 +336,11 @@ def _two_route(p, t, ctx):
 
 
 def _point_cache(f, known=()):
-    """f with its values kept per point for one sample, keyed by the
-    point's exact bits (-0.0 and 0.0 stay apart), starting from the known
-    {bits: value}. An evaluation that raises is not kept, so it raises
-    again, with the same text, for the next check that asks for it."""
+    """f with its values kept for one sample, keyed by the exact bits of its
+    argument, a point or a sequence of points (-0.0 and 0.0 stay apart),
+    starting from the known {bits: value}. An evaluation that raises is not
+    kept, so it raises again, with the same text, for the next check that
+    asks for it."""
     values = dict(known)
 
     def cached(t):
@@ -465,20 +466,12 @@ def _suite_theorem1(s: _Sample):
 
 def _casorati_columns(p, L, sig, comps, ctx):
     """casorati_independence's columns, comps[j] of the (L, sig) family in
-    column j. Columns called at the same points read one local_solution
-    call over every label there, kept by the points' exact bits unless it
-    raises: at the ladder the whole matrix is one engine pass, and in the
-    row-by-row re-walk after a raise each row is one call, whose first
-    failing label is the error that walk meets."""
-    values = {}
-
-    def column(j, points):
-        key = _bits(points)
-        if key not in values:
-            values[key] = local_solution(p, L, sig, comps, points, ctx)
-        return values[key][j]
-
-    return [partial(column, j) for j in range(len(comps))]
+    column j. Every column reads one local_solution call over every label
+    at its points, through _point_cache: at the ladder the whole matrix is
+    one engine pass, and in the row-by-row re-walk after a raise each row is
+    one call, whose first failing label is the error that walk meets."""
+    matrix = _point_cache(lambda points: local_solution(p, L, sig, comps, points, ctx))
+    return [lambda points, j=j: matrix(points)[j] for j in range(len(comps))]
 
 
 def _suite_independence(s: _Sample):

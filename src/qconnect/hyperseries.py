@@ -35,8 +35,11 @@ Each row gets its own row of axis tables and of each block table, each
 series multiplies its own coupling table into its rows, each shell is one
 reduction over all the rows, and a row leaves the batch once its sum has
 settled. Every value has the bits of an evaluation of that series at that
-point alone; a single series at one point (_shell_series) is the one-row
-case. Each series keeps its own error: a pole fails its rows only.
+point alone. Each series keeps its own error: a pole fails its rows only.
+Points become rows in one place, _point_rows: a cell is one series built
+point by point, and a point whose build raises keeps its error in its
+place. _shell_series (one series at one point), eval_FNM at many points and
+the solution rows are all cells of it.
 
 Only the axis arguments x depend on the evaluation point. Each axis's
 numerator and denominator products, with whether a denominator vanishes,
@@ -204,24 +207,25 @@ def _axis_table(ratios: np.ndarray, cap: int) -> np.ndarray:
     return w
 
 
+_ONE = np.ones(1, dtype=complex)
+_ONE.flags.writeable = False
+
+
 def _coupling_table(nums, dens, up: int, down: int, ctx: QContext, stage=None) -> np.ndarray:
     """Coupling table g[n] for n in [-down, up] (stored with offset `down`),
     g(0) = 1 and g(n) = prod_j (nums_j)_n / (dens_j)_n; nums and dens have
     equal length. The table is read-only.
 
-    stage, when given, is (table, up', down') for a table of the same
-    coupling with up' <= up and down' <= down; its entries are copied and
-    only the rest are computed, with the bits a fresh build gives them. Each
-    side runs from its last known entry, a numpy scalar as in a fresh build,
-    and its new entries are written in one slice."""
+    stage is (table, up', down') for a table of the same coupling with
+    up' <= up and down' <= down, or None for the one entry g(0): a fresh
+    build is a staged one. Its entries are copied and only the rest are
+    computed, so an extended table has the bits of a fresh one. Each side
+    runs from its last known entry, a numpy scalar, and its new entries are
+    written in one slice."""
     q = ctx.q
     g = np.empty(up + down + 1, dtype=complex)
-    if stage is None:
-        g[down] = 1.0
-        up0 = down0 = 0
-    else:
-        table, up0, down0 = stage
-        g[down - down0 : down + up0 + 1] = table
+    table, up0, down0 = stage or (_ONE, 0, 0)
+    g[down - down0 : down + up0 + 1] = table
     prev = g[down + up0]
     new = []
     qk = 1.0 + 0j
@@ -304,8 +308,6 @@ class _Sum:
 # Shells per product table on two sides. The first block holds the shells
 # most series need (about 20 at the median in the run suites).
 _BLOCK = 24
-_ONE = np.ones(1, dtype=complex)
-_ONE.flags.writeable = False
 
 
 @functools.cache
@@ -469,19 +471,54 @@ def _series_rows(series, ctx: QContext) -> list:
     return out
 
 
+def _merged(built):
+    """One series of _series_rows from the axes and coupling of one series
+    at several points: each axis with its argument at every point."""
+    *sides, g_nums, g_dens = built[0]
+    batched = [[(nums, dens, [b[side][i][2] for b in built])
+                for i, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
+    return (*batched, g_nums, g_dens)
+
+
+def _point_rows(cells, ctx: QContext) -> list:
+    """Several series, each at its own points, as rows of one _series_rows
+    pass. A cell (axes, points) is one series: axes(point) gives its axes
+    (nums, dens, x) and coupling at that point, or raises. Per cell, per
+    point: the point's SeriesValue, with the bits of that series at that
+    point alone, or the exception raised there, by axes or by the sum."""
+    out, series, placed = [], [], []
+    for axes, points in cells:
+        values, built = [], []
+        for pt in points:
+            try:
+                built.append(axes(pt))
+            except Exception as exc:  # noqa: BLE001  returned in the point's place
+                values.append(exc)
+                continue
+            placed.append((values, len(values)))
+            values.append(None)
+        out.append(values)
+        if built:
+            series.append(_merged(built))
+    for (values, i), value in zip(placed, _series_rows(series, ctx)):
+        values[i] = value
+    return out
+
+
+def _raised(values) -> list:
+    """values once none is an exception; else the first one raises."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
+
+
 def _shell_series(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext) -> SeriesValue:
     """Sum over shells of the series with these axes (nums, dens, x) and
-    coupling: the one-series, one-point case of _series_rows, raising its
+    coupling: the one-cell, one-point case of _point_rows, raising its
     error."""
-    (value,) = _series_rows(
-        [([(nums, dens, (x,)) for nums, dens, x in plus_axes],
-          [(nums, dens, (x,)) for nums, dens, x in minus_axes],
-          g_nums, g_dens)],
-        ctx,
-    )
-    if isinstance(value, Exception):
-        raise value
-    return value
+    (values,) = _point_rows([(lambda _: (plus_axes, minus_axes, g_nums, g_dens), [None])], ctx)
+    return _raised(values)[0]
 
 
 def _plain_axis(b: complex, x: complex, q: complex):
@@ -490,16 +527,6 @@ def _plain_axis(b: complex, x: complex, q: complex):
 
 # ---------------------------------------------------------------------------
 # series evaluators
-
-
-def _merged(axes):
-    """One series of _series_rows from the axes and coupling of one series
-    at several points, as _split_axes or _slot_axes give them: each axis
-    with its argument at every point."""
-    *sides, g_nums, g_dens = axes[0]
-    batched = [[(nums, dens, [a[side][i][2] for a in axes])
-                for i, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
-    return (*batched, g_nums, g_dens)
 
 
 def eval_FNM(p: ParamSet, t, ctx: QContext):
@@ -516,19 +543,8 @@ def eval_FNM(p: ParamSet, t, ctx: QContext):
     if np.ndim(t) != 2:
         return eval_FNM_L(p, p.M, t, ctx)
     _check_base(p, ctx)
-    values, axes = [], []
-    for pt in t:
-        try:
-            axes.append(_split_axes(p, p.M, pt))
-            values.append(None)
-        except Exception as exc:  # noqa: BLE001  raised in the point's turn
-            values.append(exc)
-    rows = iter(_series_rows([_merged(axes)], ctx) if axes else ())
-    values = [next(rows) if v is None else v for v in values]
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return tuple(values)
+    (values,) = _point_rows([(functools.partial(_split_axes, p, p.M), t)], ctx)
+    return tuple(_raised(values))
 
 
 def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
@@ -736,9 +752,15 @@ def _reorder(t, sigma) -> tuple[complex, ...]:
     return _permute(tuple(complex(v) for v in t), sigma)
 
 
+def _start(L: int, comp) -> int:
+    """First coordinate of component comp that carries a power prefactor."""
+    return (L + 1) if comp == 0 else comp[1]
+
+
 def _axes(pp: ParamSet, L: int, comp, tt):
     """Axes and coupling of component comp's split series at the reordered
-    point tt, once tt passes its sector check."""
+    point tt, once tt passes its sector check (after its BranchWarning)."""
+    _warn_branch(tt, _start(L, comp))
     if comp == 0:
         return _split_axes(pp, L, tt)
     k, l = comp
@@ -776,48 +798,21 @@ def _prefactor(tt, delta, start: int) -> complex:
 
 def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
     """Components of a family set up by _family, all in one pass of
-    _series_rows. A cell (comp, delta, points) is a component, its leading
-    exponents and reordered points, and is one series at those of its
-    points that pass its sector check: they share every axis and coupling
-    but the axis arguments. Per cell, per point: the component's value,
-    with the bits of that component evaluated at that point alone, or the
-    exception its evaluation raised there."""
-    out = []
-    series = []
-    placed = []  # (cell's values, position, point, start, delta) of each row
-    for comp, delta, points in cells:
-        start = (L + 1) if comp == 0 else comp[1]
-        values: list = []
-        axes = []
-        for tt in points:
-            try:
-                _warn_branch(tt, start)
-                axes.append(_axes(pp, L, comp, tt))
-            except Exception as exc:  # noqa: BLE001  returned in the point's place
-                values.append(exc)
-                continue
-            placed.append((values, len(values), tt, start, delta))
-            values.append(None)
-        out.append(values)
-        if axes:
-            series.append(_merged(axes))
-    for (values, i, tt, start, delta), value in zip(placed, _series_rows(series, ctx)):
-        if isinstance(value, SeriesValue):
-            try:
-                value = _prefactor(tt, delta, start) * value.value
-            except Exception as exc:  # noqa: BLE001  returned in the point's place
-                value = exc
-        values[i] = value
-    return out
-
-
-def _component_rows(pp: ParamSet, L: int, comp, delta, points, sigma, ctx: QContext) -> list:
-    """Component comp, with leading exponents delta, of a family set up by
-    _family at each of points (reordered by sigma here): one series at n
-    points of _solution_rows, per point its value or its exception. It is
-    the one-label case of what local_solution evaluates."""
-    (values,) = _solution_rows(pp, L, [(comp, delta, [_reorder(pt, sigma) for pt in points])], ctx)
-    return values
+    _point_rows. A cell (comp, delta, points) is a component, its leading
+    exponents and reordered points: one series at those points. Per cell,
+    per point: the component's value, with the bits of that component
+    evaluated at that point alone, or the exception its evaluation raised
+    there."""
+    rows = _point_rows([(functools.partial(_axes, pp, L, comp), points)
+                        for comp, _, points in cells], ctx)
+    for (comp, delta, points), values in zip(cells, rows):
+        for i, (tt, value) in enumerate(zip(points, values)):
+            if isinstance(value, SeriesValue):
+                try:
+                    values[i] = _prefactor(tt, delta, _start(L, comp)) * value.value
+                except Exception as exc:  # noqa: BLE001  returned in the point's place
+                    values[i] = exc
+    return rows
 
 
 def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
@@ -833,22 +828,22 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
 
     t may also be a sequence of points (ndim 2): the component at each, a
     tuple. which may also be a list of component labels (0 or (k, l) pairs,
-    every one checked first): a tuple with one entry per label, each what
-    a call for that label alone returns. Every label at every point comes
-    from one family setup and one pass of the series engine, with the bits
-    of one call per label and point. The first (label, point) whose
-    evaluation fails, label by label, raises its error.
+    every one checked first; a list of exactly two ints is one (k, l)
+    label): a tuple with one entry per label, each what a call for that
+    label alone returns. Every label at every point comes from one family
+    setup and one pass of the series engine, with the bits of one call per
+    label and point. The first (label, point) whose evaluation fails, label
+    by label, raises its error.
     """
     pp, exps = _family(p, L, sigma, ctx)
-    labels = isinstance(which, list) and not all(isinstance(w, (int, np.integer)) for w in which)
+    labels = isinstance(which, list) and not (
+        len(which) == 2 and all(isinstance(w, (int, np.integer)) for w in which)
+    )
     comps = [_normalize_component(w, p.N, p.M) for w in (which if labels else [which])]
     ladder = np.ndim(t) == 2
     points = [_reorder(pt, sigma) for pt in (t if ladder else [t])]
     cells = _solution_rows(pp, L, [(c, exps[component_index(c, p.M)], points) for c in comps], ctx)
-    for values in cells:
-        for value in values:
-            if isinstance(value, Exception):
-                raise value
+    _raised([value for values in cells for value in values])
     out = [tuple(values) if ladder else values[0] for values in cells]
     return tuple(out) if labels else out[0]
 

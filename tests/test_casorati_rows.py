@@ -82,7 +82,8 @@ def test_ladder_rows_match_one_call_per_point(q, monkeypatch):
             for comp, delta in zip(component_order(N, M), exps):
                 ref = [_outcome(lambda pt=pt: local_solution(p, L, sig, comp, pt, ctx))
                        for pt in points]
-                rows = hyperseries._component_rows(pp, L, comp, delta, points, sig, ctx)
+                (rows,) = hyperseries._solution_rows(
+                    pp, L, [(comp, delta, [hyperseries._reorder(pt, sig) for pt in points])], ctx)
                 assert [_key(v) for v in rows] == [_key(v) for v in ref], (N, M, comp)
                 batch = _outcome(lambda: local_solution(p, L, sig, comp, points, ctx))
                 first = next((v for v in ref if isinstance(v, Exception)), None)
@@ -209,6 +210,25 @@ def test_label_list_has_the_bits_of_one_call_per_label(q, N, M):
                     if at is t:
                         got, want = (got,), (want,)
                     assert [_key(v) for v in got] == [_key(v) for v in want], (N, M)
+
+
+def test_one_label_list_is_a_list_of_labels():
+    """[0] is a list of one label: a 1-tuple with the bits of the call with
+    0, at one point and at a ladder. A list of two ints stays one (k, l)
+    label, so [0, 0] raises the range error of k = 0."""
+    ctx = QContext(q=0.3)
+    rng = np.random.default_rng(3)
+    p = sampling.sample_params(2, 2, 0.3, rng)
+    L, sig = 1, perm_identity(2)
+    t = sampling.sample_domain_point(p, L, sig, rng)
+    for at in (t, _ladder(t, (1, 0), 0.3, 3)):
+        (got,) = local_solution(p, L, sig, [0], at, ctx)
+        want = local_solution(p, L, sig, 0, at, ctx)
+        if at is t:
+            got, want = (got,), (want,)
+        assert [_key(v) for v in got] == [_key(v) for v in want]
+    with pytest.raises(IndexError, match=r"k = 0 outside \[1, 2\]"):
+        local_solution(p, L, sig, [0, 0], t, ctx)
 
 
 _PLANTED = {

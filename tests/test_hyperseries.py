@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -615,3 +616,28 @@ def test_FNM_at_many_points_raises_the_first_failing_point(p22, ctx_long):
     with pytest.raises(ConvergenceError) as many:
         eval_FNM(p22, [inside, outside], short)
     assert str(many.value) == str(one.value)
+
+
+def test_point_rows_keep_each_error_at_its_point(p22, ctx_long):
+    """Two cells whose points fail to build before, between and after points
+    that sum: each point of _point_rows holds what one evaluation there
+    gives, its SeriesValue or the error its build raised."""
+    inside = [(0.3 + 0.1j, -0.2j), (0.1 + 0j, 0.25 + 0.05j)]
+    outside = [(1.2 + 0j, 0.1 + 0j), (0.1 + 0j, 1.5 + 0j)]
+    points = [outside[0], inside[0], outside[1], inside[1]]
+    cells = [(partial(hyperseries._split_axes, p22, 2), points),
+             (partial(hyperseries._split_axes, p22, 2), points[::-1])]
+
+    def key(value):
+        if isinstance(value, Exception):
+            return type(value).__name__, str(value)
+        return value.value.real.hex(), value.value.imag.hex(), value.terms_used, value.tail_estimate
+
+    def one(axes, pt):
+        try:
+            return hyperseries._shell_series(*axes(pt), ctx_long)
+        except DomainError as exc:
+            return exc
+
+    for (axes, pts), values in zip(cells, hyperseries._point_rows(cells, ctx_long)):
+        assert [key(v) for v in values] == [key(one(axes, pt)) for pt in pts]
