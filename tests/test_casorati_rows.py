@@ -55,14 +55,15 @@ def test_ladder_rows_match_one_call_per_point(q, monkeypatch):
     ladder starts near the edge of the sector, so its first rows need the
     96- and 192-shell rungs and some do not settle at all."""
     shells = []
-    series_rows = hyperseries._series_rows
+    point_rows = hyperseries._point_rows
 
     def recorded(*args):
-        out = series_rows(*args)
-        shells.extend(v.terms_used for v in out if isinstance(v, hyperseries.SeriesValue))
+        out = point_rows(*args)
+        shells.extend(v.terms_used for values in out for v in values
+                      if isinstance(v, hyperseries.SeriesValue))
         return out
 
-    monkeypatch.setattr(hyperseries, "_series_rows", recorded)
+    monkeypatch.setattr(hyperseries, "_point_rows", recorded)
     ctx = QContext(q=q)
     failed = 0
     with warnings.catch_warnings():

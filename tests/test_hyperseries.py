@@ -641,3 +641,43 @@ def test_point_rows_keep_each_error_at_its_point(p22, ctx_long):
 
     for (axes, pts), values in zip(cells, hyperseries._point_rows(cells, ctx_long)):
         assert [key(v) for v in values] == [key(one(axes, pt)) for pt in pts]
+
+
+
+def test_point_rows_put_a_series_pole_only_where_the_points_built(p22, ctx_long):
+    """A cell whose series has a coupling pole: the points whose build
+    raised keep their own error, and only the points that built hold the
+    pole's ResonanceError."""
+    inside = [(0.3 + 0.1j, -0.2j), (0.1 + 0j, 0.25 + 0.05j)]
+    outside = [(1.2 + 0j, 0.1 + 0j), (0.1 + 0j, 1.5 + 0j)]
+    points = [outside[0], inside[0], outside[1], inside[1]]
+
+    def axes(pt):
+        plus, minus, _, _ = hyperseries._split_axes(p22, 2, pt)
+        return plus, minus, (0.2,), (Q**-3,)
+
+    (values,) = hyperseries._point_rows([(axes, points)], ctx_long)
+    assert [(type(v).__name__, str(v)) for v in values] == [
+        ("DomainError", "outside convergence region: |t_1| >= 1"),
+        ("ResonanceError", "coupling denominator vanished at index 3 "
+                           "(parameter ratio on the q-power lattice)"),
+        ("DomainError", "outside convergence region: |t_2| >= 1"),
+        ("ResonanceError", "coupling denominator vanished at index 3 "
+                           "(parameter ratio on the q-power lattice)"),
+    ]
+
+def test_wrong_coordinate_count_names_M(ctx_long):
+    """A point with other than M coordinates raises the ValueError of
+    eval_FNM, naming M and the count given, at every entry point that reads
+    one through a slot ordering."""
+    p = sample_params(2, 2, 0.3, np.random.default_rng(3))
+    calls = [
+        (1, lambda: local_solution(p, 1, (1, 2), 0, (0.1,), ctx_long)),
+        (0, lambda: local_solution(p, 1, (1, 2), 0, [], ctx_long)),
+        (3, lambda: build_solution_vector(p, 1, (1, 2), (0.1, 0.2, 0.3), ctx_long)),
+        (1, lambda: in_domain(1, (1, 2), p, (0.1,))),
+        (1, lambda: eval_FNM(p, (0.1,), ctx_long)),
+    ]
+    for got, call in calls:
+        with pytest.raises(ValueError, match=f"^expected 2 coordinates, got {got}$"):
+            call()

@@ -10,7 +10,10 @@ A/B (above 1 when B is faster), and beside them both process CPU times and
 their ratio; the summary gives the median wall ratio, its quartiles and the
 ratio of the summed times, then the same for CPU time. For each input whose reports
 differ, one more line names the suites whose records differ, with each side's
-count of passing records there. Exits 1 if any report differs:
+count of passing records there, and a drift report follows (see drift): every
+pass/fail flip, the range of old/new residual ratios of each (suite, check)
+whose residuals moved, and the records left unpaired on each side. Exits 1 if
+any report differs:
 
     python tools/ab_reports.py PARENT_CHECKOUT . --workload families-3x3 --inputs 48
 
@@ -26,6 +29,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import statistics
 import sys
 import time
@@ -75,6 +79,41 @@ def differing_suites(text_a: str, text_b: str) -> list[str]:
     return out
 
 
+def _ratio(old: float, new: float) -> float:
+    """old / new, 1 when both are equal (0 included), inf for new = 0 alone."""
+    return 1.0 if old == new else old / new if new else math.inf
+
+
+def drift(text_a: str, text_b: str) -> list[str]:
+    """Drift report of report B against report A, one line each. Records are
+    paired by (suite, check, digest, point), the n-th record of a key in A
+    with the n-th in B. Lines: each pair whose pass/fail flips; per (suite,
+    check) whose residuals moved, the smallest and largest old/new residual
+    ratio over its pairs where both have a residual; then the number of
+    records of each side that found no pair."""
+    keyed: list[dict] = [{}, {}]
+    for text, by in zip((text_a, text_b), keyed):
+        for r in json.loads(text)["records"]:
+            by.setdefault((r["suite"], r["check"], r["digest"], json.dumps(r["point"])), []).append(r)
+    lines, ratios, unpaired, verdict = [], {}, [0, 0], ("fail", "pass")
+    for key in sorted(keyed[0].keys() | keyed[1].keys()):
+        a, b = (by.get(key, []) for by in keyed)
+        unpaired[0] += max(len(a) - len(b), 0)
+        unpaired[1] += max(len(b) - len(a), 0)
+        for old, new in zip(a, b):
+            if old["pass"] != new["pass"]:
+                lines.append(f"flip {key[0]} / {key[1]} (digest {key[2]}): "
+                             f"{verdict[old['pass']]} -> {verdict[new['pass']]}")
+            if old["residual"] is not None and new["residual"] is not None:
+                ratios.setdefault(key[:2], []).append(_ratio(old["residual"], new["residual"]))
+    for (suite, check), rs in sorted(ratios.items()):
+        if min(rs) != 1.0 or max(rs) != 1.0:
+            lines.append(f"residual old/new {suite} / {check}: {min(rs):.3g} to {max(rs):.3g} "
+                         f"over {len(rs)} pair(s)")
+    lines.append(f"unpaired records: {unpaired[0]} in A, {unpaired[1]} in B")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=Path, help="checkout A (the baseline)")
@@ -112,6 +151,8 @@ def main(argv=None) -> int:
         if not same:
             suites = differing_suites(text_a, text_b)
             print(f"  records differ in: {', '.join(suites) or 'no suite'}", flush=True)
+            for line in drift(text_a, text_b):
+                print(f"  {line}", flush=True)
     print(f"{len(ratios)} inputs: {summary('wall', ratios, totals)}; {differ} report(s) differ")
     print(f"{len(ratios)} inputs: {summary('cpu', cpu_ratios, cpu_totals)}")
     return 1 if differ else 0
