@@ -35,9 +35,12 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _check_base,
     _compose,
+    _coords,
     _permute,
     _rel_maxnorm,
+    _reorder,
     _require_range,
     _validate_perm,
     cpow,
@@ -173,11 +176,11 @@ def _level_matrix(p: ParamSet, s: int, sigma, t, den_arg, entry, ctx: QContext) 
     entry(k, d, slot) gives the _matrix_values entry in row k, column d,
     where 0 stands for the constant component, and den_arg(slot) the theta
     denominator they share; entries are evaluated row-major."""
-    sigma = _validate_perm(sigma)
-    t = tuple(complex(v) for v in t)
+    _check_base(p, ctx)
+    sigma = _validate_perm(sigma, p.M)
     b, beta = _permute(p.b, sigma), _permute(p.beta, sigma)
     slot = _Slot(
-        x=_permute(t, sigma)[s - 1],
+        x=_reorder(t, sigma)[s - 1],
         b=b[s - 1],
         beta=beta[s - 1],
         Bfull=math.prod(b[s - 1 :], start=1.0 + 0j),
@@ -315,9 +318,8 @@ def build_S(p: ParamSet, r: int, sigma, t, ctx: QContext) -> np.ndarray:
     swapped ones, so simultaneous rescaling of both leaves the matrix fixed.
     """
     r = _require_range("r", r, 1, p.M - 1)
-    sigma = _validate_perm(sigma)
-    t = tuple(complex(v) for v in t)
-    tt = _permute(t, sigma)
+    sigma = _validate_perm(sigma, p.M)
+    tt = _reorder(t, sigma)
     if tt[r] == 0:
         raise DomainError("swap ratio undefined: lower coordinate vanishes")
     return _swap_matrix(p, r, sigma, tt[r - 1] / tt[r], ctx)
@@ -328,6 +330,7 @@ def _swap_matrix(
 ) -> np.ndarray:
     """Adjacent-swap matrix at positions r, r+1 of ordering sigma, evaluated
     at the coordinate ratio u; blocks are evaluated in slot order k."""
+    _check_base(p, ctx)
     b, beta = _permute(p.b, sigma), _permute(p.beta, sigma)
     entries = [e for k in range(1, p.N + 1) for e in _swap_block(p, beta, b, k, r, u)]
     values = _matrix_values(entries, u * b[r - 1], ctx)
@@ -373,12 +376,13 @@ def compose_connection(
     The swap word (r_1, ..., r_I) must satisfy
     sigma2 = sigma1 o s_{r_I} o ... o s_{r_1}; when omitted it is generated
     by bubble sort and verified. An empty product returns the identity."""
+    _check_base(p, ctx)
     M = p.M
-    sigma1 = _validate_perm(sigma1)
-    sigma2 = _validate_perm(sigma2)
+    sigma1 = _validate_perm(sigma1, M)
+    sigma2 = _validate_perm(sigma2, M)
     L1 = _require_range("L1", L1, 0, M)
     L2 = _require_range("L2", L2, 0, M)
-    t = tuple(complex(v) for v in t)
+    t = _coords(t, M)
     if word is None:
         rho = _compose(perm_inverse(sigma1), sigma2)
         word = transposition_word(rho)
@@ -404,9 +408,11 @@ def compose_connection(
 def verify_connection(lhs: SolutionVector, C: np.ndarray, rhs: SolutionVector) -> float:
     """Max-norm relative residual of lhs = C . rhs.
 
-    Both vectors must be evaluated at the same point and each must lie inside
-    its own convergence sector (otherwise the comparison is meaningless and a
-    DomainError is raised)."""
+    Both vectors must be built from one parameter set and evaluated at the
+    same point, and each must lie inside its own convergence sector
+    (otherwise the comparison is meaningless and a DomainError is raised)."""
+    if lhs.params != rhs.params:
+        raise ValueError("solution vectors built from different parameter sets")
     if lhs.t != rhs.t:
         raise ValueError("solution vectors evaluated at different points")
     margin_l = in_domain(lhs.L, lhs.sigma, lhs.params, lhs.t)

@@ -54,7 +54,7 @@ def build_Stilde(
     ratio = complex(ratio)
     if ratio == 0:
         raise DomainError("spectral argument must be nonzero")
-    return _swap_matrix(p, r, _validate_perm(sigma), ratio, ctx)
+    return _swap_matrix(p, r, _validate_perm(sigma, p.M), ratio, ctx)
 
 
 def ybe_residual(p: ParamSet, r: int, u: complex, v: complex, ctx: QContext) -> float:

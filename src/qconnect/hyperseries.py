@@ -79,9 +79,11 @@ from .qkernel import (
     ParamSet,
     QContext,
     _bits,
+    _check_base,
     _coords,
     _permute,
     _pole_index,
+    _reorder,
     _require_range,
     _validate_perm,
     cpow,
@@ -125,11 +127,6 @@ class SeriesValue:
 
 # ---------------------------------------------------------------------------
 # engine
-
-
-def _check_base(p: ParamSet, ctx: QContext) -> None:
-    if p.q != ctx.q:
-        raise ValueError("parameter set was built for a different base q")
 
 
 # Shells in the first table build. Most series settle well within it (about
@@ -698,11 +695,11 @@ def component_order(N: int, M: int) -> list:
 
 
 def component_index(comp, M: int) -> int:
-    """Flat position of a component label inside the vector."""
+    """Flat position of a label 0 or (k, l), k >= 1, 1 <= l <= M, in the vector."""
     if comp == 0:
         return 0
     k, l = comp
-    return (k - 1) * M + l
+    return (_require_range("k", k, 1, math.inf) - 1) * M + _require_range("l", l, 1, M)
 
 
 def _normalize_component(which, N: int, M: int):
@@ -721,14 +718,8 @@ def _family(p: ParamSet, L: int, sigma, ctx: QContext):
     call evaluates: the reordered parameters and the leading exponents."""
     _check_base(p, ctx)
     L = _require_range("L", L, 0, p.M)
-    pp = p.permuted(_validate_perm(sigma))
+    pp = p.permuted(sigma)
     return pp, char_exponents(pp, L)
-
-
-def _reorder(t, sigma) -> tuple[complex, ...]:
-    """The coordinates of point t reordered by sigma, a permutation of 1..M
-    that _family has checked; ValueError unless t has M coordinates."""
-    return _permute(_coords(t, len(sigma)), sigma)
 
 
 def _start(L: int, comp) -> int:
@@ -814,6 +805,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     label and point. The first (label, point) whose evaluation fails, label
     by label, raises its error.
     """
+    sigma = _validate_perm(sigma, p.M)
     pp, exps = _family(p, L, sigma, ctx)
     labels = isinstance(which, list) and not (
         len(which) == 2 and all(isinstance(w, (int, np.integer)) for w in which)
@@ -846,8 +838,10 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
     row-major order) from one family setup, each one series of one pass of
     the series engine. Component failures are aggregated into one error
     that names the offending components."""
+    sigma = _validate_perm(sigma, p.M)
     pp, exps = _family(p, L, sigma, ctx)
-    tt = _reorder(t, sigma)
+    t = _coords(t, p.M)
+    tt = _permute(t, sigma)
     order = component_order(p.N, p.M)
     comps = [v for (v,) in _solution_rows(pp, L, [(c, d, [tt]) for c, d in zip(order, exps)], ctx)]
     failures = [(lab, v) for lab, v in zip(order, comps) if isinstance(v, Exception)]
@@ -857,8 +851,8 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
         raise type(first)(f"{len(failures)} component(s) failed: {detail}") from first
     return SolutionVector(
         L=L,
-        sigma=_validate_perm(sigma),
-        t=tuple(complex(v) for v in t),
+        sigma=sigma,
+        t=t,
         components=tuple(comps),
         params=p,
     )
@@ -875,7 +869,7 @@ def in_domain(L: int, sigma, p: ParamSet, t) -> float:
     those conditions, positive exactly inside the sector."""
     L = _require_range("L", L, 0, p.M)
     tt = _coords(t, p.M)
-    sigma = _validate_perm(sigma)
+    sigma = _validate_perm(sigma, p.M)
     return _margin(p, L, sigma, _permute(p.b, sigma), tt)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, ResonanceError
 from .qkernel import (
-    LATTICE_RANGE, ParamSet, QContext, _coords, _pole_index, _rel_diff, _require_int,
-    _require_range, lattice_hit, q_shift, qpoch_inf, theta,
+    LATTICE_RANGE, ParamSet, QContext, _check_base, _coords, _pole_index, _rel_diff,
+    _require_int, _require_range, lattice_hit, q_shift, qpoch_inf, theta,
 )
 from .hyperseries import eval_FNM, eval_nphi
 
@@ -89,8 +89,9 @@ def residual_eqn1(f, p: ParamSet, s: int, t, ctx: QContext) -> float:
     T scaling all coordinates by q and T_s only coordinate s. Normalized by
     the largest signed term, so an identically satisfied equation gives ~0
     and a generic function gives O(1)."""
+    _check_base(p, ctx)
     s = _require_range("s", s, 1, p.M)
-    t = tuple(complex(v) for v in t)
+    t = _coords(t, p.M)
     q = ctx.q
     Ca = _factored_coeffs(p.a)
     Cc = _factored_coeffs(tuple(cj / q for cj in p.c))
@@ -114,11 +115,12 @@ def residual_eqn2(f, p: ParamSet, r: int, s: int, t, ctx: QContext) -> float:
         [ t_r (1 - b_r T_r)(1 - T_s) - t_s (1 - b_s T_s)(1 - T_r) ] f = 0.
 
     Antisymmetric in (r, s); r = s is rejected."""
+    _check_base(p, ctx)
     r = _require_range("r", r, 1, p.M)
     s = _require_range("s", s, 1, p.M)
     if r == s:
         raise ValueError("pairwise equation needs two distinct slots")
-    t = tuple(complex(v) for v in t)
+    t = _coords(t, p.M)
     q = ctx.q
     f00 = f(t)
     fr = f(q_shift(t, q, r))
@@ -218,7 +220,8 @@ def _require_unit_disc(values, what: str) -> None:
 
 def eval_FNM_reference(p: ParamSet, t, ctx: QContext) -> complex:
     """Reference value of the principal multi-series by direct enumeration."""
-    t = tuple(complex(v) for v in t)
+    _check_base(p, ctx)
+    t = _coords(t, p.M)
     _require_unit_disc(t, "|t_i| < 1 required; violated at i")
     return _enum_series(p.a, p.b, p.c, t, ctx)
 

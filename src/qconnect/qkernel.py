@@ -1,5 +1,8 @@
 """Scalar building blocks: q-Pochhammer products, theta, principal powers,
-the evaluation context, parameter containers and integer-index helpers.
+the evaluation context and parameter containers, and the readers of the four
+input rules that every public entry reads its inputs through: _check_base
+(one base q), _coords and _reorder (points of M coordinates), _validate_perm
+(slot orderings) and _require_int and _require_range (integer sizes, labels).
 
 Every quantity is a plain complex number computed from a truncated infinite
 product whose length is fixed by the evaluation context, so results are
@@ -86,7 +89,9 @@ class QContext:
             raise DomainError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(q):.6g}")
         if self.prod_terms is None:
             object.__setattr__(self, "prod_terms", _default_prod_terms(q))
-        if not isinstance(self.prod_terms, int) or self.prod_terms <= 0:
+        for name in ("prod_terms", "series_cap"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+        if self.prod_terms <= 0:
             raise ValueError("prod_terms must be a positive integer")
         if self.series_cap <= 0:
             raise ValueError("series_cap must be positive")
@@ -99,8 +104,10 @@ class QContext:
 
     @cached_property
     def _qpow_table(self) -> np.ndarray:
-        """[q^0, q^1, ..., q^(prod_terms-1)]"""
-        return np.power(self.q, np.arange(self.prod_terms))
+        """[q^0, q^1, ..., q^(prod_terms-1)], read-only."""
+        qp = np.power(self.q, np.arange(self.prod_terms))
+        qp.flags.writeable = False
+        return qp
 
     @cached_property
     def _series_qpow(self) -> np.ndarray:
@@ -179,12 +186,24 @@ def _rel_diff(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+def _check_base(p: ParamSet, ctx: QContext) -> None:
+    """ValueError unless p was built for the base of ctx."""
+    if p.q != ctx.q:
+        raise ValueError("parameter set was built for a different base q")
+
+
 def _coords(t, M: int) -> tuple[complex, ...]:
     """t as M complex coordinates; ValueError for any other count."""
     t = tuple(complex(v) for v in t)
     if len(t) != M:
         raise ValueError(f"expected {M} coordinates, got {len(t)}")
     return t
+
+
+def _reorder(t, sigma) -> tuple[complex, ...]:
+    """Point t read by _coords and reordered by sigma, a permutation of 1..M
+    that _validate_perm has accepted."""
+    return _permute(_coords(t, len(sigma)), sigma)
 
 
 def lattice_hit(
@@ -265,25 +284,25 @@ def perm_identity(size: int) -> tuple[int, ...]:
     return tuple(range(1, size + 1))
 
 
-def _validate_perm(sigma) -> tuple[int, ...]:
+def _validate_perm(sigma, M: int | None = None) -> tuple[int, ...]:
     """sigma as a tuple of ints (each read by _require_int), or ValueError
-    unless it permutes 1..len(sigma)."""
+    unless it permutes 1..M (by default, 1..its own length)."""
     s = tuple(_require_int("sigma entry", v) for v in sigma)
-    if sorted(s) != list(range(1, len(s) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
+    M = len(s) if M is None else M
+    if sorted(s) != list(range(1, M + 1)):
+        raise ValueError(f"not a permutation of 1..{M}: {s}")
     return s
 
 
 def perm_compose(s, t) -> tuple[int, ...]:
-    """(s o t)(i) = s(t(i)); t acts first."""
-    return _compose(_validate_perm(s), _validate_perm(t))
+    """(s o t)(i) = s(t(i)); t acts first, and permutes 1..len(s)."""
+    s = _validate_perm(s)
+    return _compose(s, _validate_perm(t, len(s)))
 
 
 def _compose(s, t) -> tuple[int, ...]:
-    """perm_compose for permutations that _validate_perm has already
-    accepted."""
-    if len(s) != len(t):
-        raise ValueError("size mismatch")
+    """perm_compose for permutations of one size that _validate_perm has
+    already accepted."""
     return tuple(s[t[i] - 1] for i in range(len(s)))
 
 
@@ -304,14 +323,14 @@ def perm_transposition(size: int, r: int) -> tuple[int, ...]:
 
 
 def permute_seq(seq, sigma) -> tuple:
-    """Position i of the result holds entry sigma(i) of the input."""
-    return _permute(seq, _validate_perm(sigma))
+    """Position i of the result holds entry sigma(i) of the input; sigma
+    permutes 1..len(seq)."""
+    return _permute(seq, _validate_perm(sigma, len(seq)))
 
 
 def _permute(seq, sigma) -> tuple:
-    """permute_seq for a sigma that _validate_perm has already accepted."""
-    if len(sigma) != len(seq):
-        raise ValueError("size mismatch")
+    """permute_seq for a sigma that _validate_perm has already accepted
+    against len(seq)."""
     return tuple(seq[v - 1] for v in sigma)
 
 

@@ -463,7 +463,7 @@ def sample_domain_point(
     uniform shift and spread by a ratio that dominates the pair bounds."""
     M, N = p.M, p.N
     L = _require_range("L", L, 0, M)
-    sigma = _validate_perm(sigma)
+    sigma = _validate_perm(sigma, M)
     bp = _permute(p.b, sigma)
     Cq = _coupling_floor(p)
     lift = abs(p.q) ** -(N + 1)
@@ -498,7 +498,7 @@ def sample_level_overlap(
     ladder below it, larger ones ladder above the coupling floor."""
     M = p.M
     L = _require_range("L", L, 0, M - 1)
-    sigma = _validate_perm(sigma)
+    sigma = _validate_perm(sigma, M)
     bp = _permute(p.b, sigma)
     Cq = _coupling_floor(p)
 
@@ -526,7 +526,7 @@ def sample_swap_overlap(
     log-midpoint of the annulus both orderings allow."""
     M = p.M
     r = _require_range("r", r, 1, M - 1)
-    sigma = _validate_perm(sigma)
+    sigma = _validate_perm(sigma, M)
     swapped = _compose(sigma, perm_transposition(M, r))
     bp = _permute(p.b, sigma)
     aq = abs(p.q)
