@@ -21,7 +21,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import ConfigError, QConnectError
+from .errors import ConfigError, DomainError, QConnectError
 from .qkernel import (
     ParamSet,
     QContext,
@@ -580,12 +580,12 @@ class RunConfig:
             raise ConfigError(f"need N, M >= 1, got ({self.N}, {self.M})")
         if self.N * self.M > _BUDGET:
             raise ConfigError(f"N*M = {self.N * self.M} exceeds the compute budget {_BUDGET}")
-        if not 0.0 < abs(self.q) < 1.0:
-            raise ConfigError(f"need 0 < |q| < 1, got |q| = {abs(self.q)}")
         if self.cmp_tol is not None and not 0.0 < self.cmp_tol < 1.0:
             raise ConfigError("tolerances: cmp_tol must lie in (0, 1)")
         try:
             self.context()
+        except DomainError as exc:  # the base
+            raise ConfigError(str(exc)) from exc
         except ValueError as exc:
             raise ConfigError(f"tolerances: {exc}") from exc
 

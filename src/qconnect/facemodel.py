@@ -107,6 +107,14 @@ def _weight_head(alpha: complex, beta: complex, u: complex, ctx: QContext):
     return alpha, beta, u, den, t_mb, t_a2b, e11
 
 
+def _nonzero(den: complex, entry: str) -> complex:
+    """den, a product of factors that _den found nonzero, or DomainError where
+    it underflows to 0: near |q| = 1 each theta is tiny (1e-142 at q = 0.99)."""
+    if den == 0:
+        raise DomainError(f"denominator of {entry} underflows to 0")
+    return den
+
+
 def build_Wtilde(
     alpha: complex, beta: complex, u: complex, ctx: QContext
 ) -> np.ndarray:
@@ -153,7 +161,7 @@ def build_W_akm(
         * theta(u, ctx)
         * _theta_pow(-alpha - beta + 1, ctx)
         * _theta_pow(alpha + 3 * beta + 2, ctx)
-        / (t_a2b * t_a2b * den)
+        / _nonzero(t_a2b * t_a2b * den, "W e12")
     )
     e21 = cpow(u, beta) * theta(u, ctx) / den
     e22 = cpow(u, -alpha - beta) * t_mb * theta(u * qp(-alpha - 2 * beta), ctx) / (t_a2b * den)
@@ -204,7 +212,7 @@ def build_Wprime(
         br_u
         * bracket(a_mult * unit_mult, ctx)
         * bracket(a_mult / unit_mult, ctx)
-        / (br_1 * br_a * br_a)
+        / _nonzero(br_1 * br_a * br_a, "W' e12")
     )
     e21 = br_u / br_1
     e22 = bracket(a_mult * u_mult, ctx) / br_a

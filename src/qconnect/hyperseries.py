@@ -81,9 +81,11 @@ from .qkernel import (
     _bits,
     _check_base,
     _coords,
+    _nphi_args,
     _permute,
     _pole_index,
     _reorder,
+    _require_label,
     _require_range,
     _validate_perm,
     cpow,
@@ -529,13 +531,7 @@ def eval_nphi(upper, lower, t: complex, ctx: QContext) -> SeriesValue:
     Term recurrence: T_{m+1}/T_m = t prod(1 - u q^m) /
     [(1 - q^{m+1}) prod(1 - l q^m)]. Requires |t| < 1.
     """
-    upper = tuple(complex(v) for v in upper)
-    lower = tuple(complex(v) for v in lower)
-    if len(upper) != len(lower) + 1:
-        raise ValueError("need exactly one more upper than lower parameter")
-    t = complex(t)
-    if abs(t) >= 1.0:
-        raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
+    upper, lower, t = _nphi_args(upper, lower, t)
     q = ctx.q
     for j, lv in enumerate(lower, start=1):
         m = _pole_index(lv, q)
@@ -691,22 +687,15 @@ def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
 
 def component_order(N: int, M: int) -> list:
     """Vector component labels: 0, then (k, l) for k = 1..N, l = 1..M."""
+    N, M = _require_range("N", N, 1, math.inf), _require_range("M", M, 1, math.inf)
     return [0] + [(k, l) for k in range(1, N + 1) for l in range(1, M + 1)]
 
 
 def component_index(comp, M: int) -> int:
     """Flat position of a label 0 or (k, l), k >= 1, 1 <= l <= M, in the vector."""
-    if comp == 0:
-        return 0
-    k, l = comp
-    return (_require_range("k", k, 1, math.inf) - 1) * M + _require_range("l", l, 1, M)
-
-
-def _normalize_component(which, N: int, M: int):
-    if isinstance(which, (tuple, list)):
-        k, l = which
-        return (_require_range("k", k, 1, N), _require_range("l", l, 1, M))
-    return _require_range("which", which, 0, 0)
+    M = _require_range("M", M, 1, math.inf)
+    comp = _require_label("comp", comp, math.inf, M)
+    return 0 if comp == 0 else (comp[0] - 1) * M + comp[1]
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +799,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     labels = isinstance(which, list) and not (
         len(which) == 2 and all(isinstance(w, (int, np.integer)) for w in which)
     )
-    comps = [_normalize_component(w, p.N, p.M) for w in (which if labels else [which])]
+    comps = [_require_label("which", w, p.N, p.M) for w in (which if labels else [which])]
     ladder = np.ndim(t) == 2
     points = [_reorder(pt, sigma) for pt in (t if ladder else [t])]
     cells = _solution_rows(pp, L, [(c, exps[component_index(c, p.M)], points) for c in comps], ctx)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, ResonanceError
 from .qkernel import (
-    LATTICE_RANGE, ParamSet, QContext, _check_base, _coords, _pole_index, _rel_diff,
-    _require_int, _require_range, lattice_hit, q_shift, qpoch_inf, theta,
+    LATTICE_RANGE, ParamSet, QContext, _check_base, _coords, _nphi_args, _pole_index,
+    _rel_diff, _require_int, _require_range, lattice_hit, q_shift, qpoch_inf, theta,
 )
 from .hyperseries import eval_FNM, eval_nphi
 
@@ -338,11 +338,7 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
     q prod(lower) / (prod(upper) t). Both arguments must lie inside the unit
     disc; upper-parameter ratios must stay off the q-power lattice, and t
     off q^Z, where the weights' denominator theta(t) vanishes."""
-    upper = tuple(complex(v) for v in upper)
-    lower = tuple(complex(v) for v in lower)
-    if len(upper) != len(lower) + 1:
-        raise ValueError("need exactly one more upper than lower parameter")
-    t = complex(t)
+    upper, lower, t = _nphi_args(upper, lower, t)
     q = ctx.q
     hit = _upper_ratio_hit(upper, q)
     if hit is not None:
@@ -352,8 +348,6 @@ def check_watson(upper, lower, t: complex, ctx: QContext) -> float:
     arg2 = q * math.prod(lower, start=1.0 + 0j) / (
         math.prod(upper, start=1.0 + 0j) * t
     )
-    if abs(t) >= 1.0:
-        raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
     if abs(arg2) >= 1.0:
         raise DomainError(
             f"reflected argument must satisfy |.| < 1, got {abs(arg2):.6g}"
@@ -420,9 +414,7 @@ def casorati_independence(columns, m, t, ctx: QContext) -> CasoratiReport:
     Shifted points leaving the domain surface as whatever error a column
     raises."""
     m = tuple(_require_int("m", v) for v in m)
-    t = tuple(complex(v) for v in t)
-    if len(m) != len(t):
-        raise ValueError("shift pattern and point must have equal length")
+    t = _coords(t, len(m))
     columns = tuple(columns)
     n = len(columns)
     if n < 2:
@@ -464,6 +456,7 @@ def leading_exponents(fn, L: int, M: int, ctx: QContext):
     1/t_i = x_{L+1} ... x_i beyond), scales each x_j by q in turn, and reads
     the exponent off the principal logarithm of the value ratio. Accuracy is
     O(1e-4), the size of the probe's chamber coordinates."""
+    M = _require_range("M", M, 1, math.inf)
     L = _require_range("L", L, 0, M)
     q = ctx.q
     logq = np.log(complex(q))

@@ -1,8 +1,8 @@
 """Scalar building blocks: q-Pochhammer products, theta, principal powers,
-the evaluation context and parameter containers, and the readers of the four
-input rules that every public entry reads its inputs through: _check_base
-(one base q), _coords and _reorder (points of M coordinates), _validate_perm
-(slot orderings) and _require_int and _require_range (integer sizes, labels).
+the evaluation context, parameter containers, and the readers every public
+entry reads its inputs through: _require_base, _check_base (base q), _coords,
+_reorder (points), _validate_perm (orderings), _require_int, _require_range,
+_require_label (sizes, labels) and _nphi_args (one-variable series).
 
 Every quantity is a plain complex number computed from a truncated infinite
 product whose length is fixed by the evaluation context, so results are
@@ -83,12 +83,9 @@ class QContext:
     tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        q = complex(self.q)
-        object.__setattr__(self, "q", q)
-        if not 0.0 < abs(q) < 1.0:
-            raise DomainError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(q):.6g}")
+        object.__setattr__(self, "q", _require_base(self.q))
         if self.prod_terms is None:
-            object.__setattr__(self, "prod_terms", _default_prod_terms(q))
+            object.__setattr__(self, "prod_terms", _default_prod_terms(self.q))
         for name in ("prod_terms", "series_cap"):
             object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.prod_terms <= 0:
@@ -97,9 +94,9 @@ class QContext:
             raise ValueError("series_cap must be positive")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError("tail_tol must lie in (0, 1)")
-        if abs(q) ** self.prod_terms >= self.tail_tol:
+        if abs(self.q) ** self.prod_terms >= self.tail_tol:
             raise ValueError(
-                "prod_terms too small: |q|^prod_terms must fall below tail_tol"
+                f"tail_tol must exceed |q|^prod_terms = {abs(self.q) ** self.prod_terms:.2g}"
             )
 
     @cached_property
@@ -186,6 +183,14 @@ def _rel_diff(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+def _require_base(q) -> complex:
+    """q as a complex base, or DomainError unless 0 < |q| < 1."""
+    q = complex(q)
+    if not 0.0 < abs(q) < 1.0:
+        raise DomainError(f"base must satisfy 0 < |q| < 1, got |q| = {abs(q):.6g}")
+    return q
+
+
 def _check_base(p: ParamSet, ctx: QContext) -> None:
     """ValueError unless p was built for the base of ctx."""
     if p.q != ctx.q:
@@ -198,6 +203,17 @@ def _coords(t, M: int) -> tuple[complex, ...]:
     if len(t) != M:
         raise ValueError(f"expected {M} coordinates, got {len(t)}")
     return t
+
+
+def _nphi_args(upper, lower, t):
+    """upper, lower and t as complex values; ValueError unless there is one
+    more upper than lower parameter, and DomainError unless |t| < 1."""
+    upper, lower, t = tuple(map(complex, upper)), tuple(map(complex, lower)), complex(t)
+    if len(upper) != len(lower) + 1:
+        raise ValueError("need exactly one more upper than lower parameter")
+    if abs(t) >= 1.0:
+        raise DomainError(f"|t| < 1 required, got {abs(t):.6g}")
+    return upper, lower, t
 
 
 def _reorder(t, sigma) -> tuple[complex, ...]:
@@ -276,12 +292,21 @@ def _require_range(name: str, value, lo: int, hi: int) -> int:
     return value
 
 
+def _require_label(name: str, label, N, M: int):
+    """0 or (k, l), k in [1, N], l in [1, M]; else _require_int's TypeError or a ValueError."""
+    if isinstance(label, (tuple, list)) and len(label) == 2:
+        return (_require_range("k", label[0], 1, N), _require_range("l", label[1], 1, M))
+    if isinstance(label, (tuple, list)) or _require_int(name, label) != 0:
+        raise ValueError(f"{name} = {label} is neither 0 nor a pair (k, l)")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # permutations of {1..M}, one-line notation, 1-based images
 
 
 def perm_identity(size: int) -> tuple[int, ...]:
-    return tuple(range(1, size + 1))
+    return tuple(range(1, _require_range("size", size, 0, math.inf) + 1))
 
 
 def _validate_perm(sigma, M: int | None = None) -> tuple[int, ...]:
@@ -316,8 +341,8 @@ def perm_inverse(sigma) -> tuple[int, ...]:
 
 def perm_transposition(size: int, r: int) -> tuple[int, ...]:
     """Adjacent transposition swapping r and r+1 (1 <= r <= size-1)."""
-    r = _require_range("r", r, 1, size - 1)
-    out = list(range(1, size + 1))
+    out = list(perm_identity(size))
+    r = _require_range("r", r, 1, len(out) - 1)
     out[r - 1], out[r] = out[r], out[r - 1]
     return tuple(out)
 
@@ -368,9 +393,7 @@ class ParamSet:
         alpha = tuple(complex(v) for v in self.alpha)
         beta = tuple(complex(v) for v in self.beta)
         gamma = tuple(complex(v) for v in self.gamma)
-        q = complex(self.q)
-        if not 0.0 < abs(q) < 1.0:
-            raise DomainError("base must satisfy 0 < |q| < 1")
+        q = _require_base(self.q)
         if len(alpha) < 1 or len(beta) < 1:
             raise ValueError("need at least one upper and one lower family")
         if len(alpha) != len(gamma):

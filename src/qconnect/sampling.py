@@ -40,6 +40,7 @@ from .qkernel import (
     QContext,
     _compose,
     _permute,
+    _require_base,
     _require_range,
     _validate_perm,
     lattice_hit,
@@ -261,10 +262,10 @@ def _walk(N: int, M: int, q: complex, rng: np.random.Generator, visit,
     draw on; that row is returned. _PARAM_TRIES rejected draws in a row
     raise. Each block has _BLOCK rows, and a walk that stops or raises
     inside a block rewinds the generator to where a per-draw loop leaves
-    it."""
+    it. The sizes and the base are read before the first draw."""
+    N, M = _require_range("N", N, 1, math.inf), _require_range("M", M, 1, math.inf)
+    _require_base(q)
     cols = 2 * N + M
-    if not (0.0 < abs(q) < 1.0 and N > 0 and M > 0):  # ParamSet raises at the first draw
-        _paramset(_draw_block(rng, cols)[0].tolist(), N, M, q)
     misses = 0
     while True:
         start = rng.bit_generator.state
@@ -407,6 +408,7 @@ def _polar(rng: np.random.Generator, modulus: float) -> complex:
 def sample_interior_point(M: int, rng: np.random.Generator) -> tuple[complex, ...]:
     """Point with every coordinate well inside the unit disc; shifts by
     positive q-powers only shrink it, so no extra margin is needed."""
+    M = _require_range("M", M, 1, math.inf)
     return tuple(_polar(rng, rng.uniform(*_INTERIOR)) for _ in range(M))
 
 
@@ -584,6 +586,7 @@ def sample_watson(
     connection check. The lower exponents' real parts are kept ahead of
     the uppers' so the swapped-side argument stays small, and |t| balances
     the two expansion rates; theta denominators are kept clear of zeros."""
+    N = _require_range("N", N, 1, math.inf)
     ctx_probe = QContext(q=q)
     for _ in range(_WATSON_TRIES):
         alphas = _draw_exponents(rng, N + 1)

@@ -429,3 +429,42 @@ def test_malformed_input_exits_2(argv, config_text, tmp_path, capsys):
         argv = argv + [str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_run_config_refuses_a_bool_base():
+    with pytest.raises(ConfigError, match="^not a complex number: True$"):
+        RunConfig(q=True)
+
+
+@pytest.mark.parametrize("flags", [[], ["--q", "0.3"]], ids=["file", "file-and-flags"])
+def test_a_config_that_is_not_an_object_exits_2(flags, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path), *flags]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+def test_a_tail_tolerance_below_the_product_truncation_exits_2(capsys):
+    assert main(["run", "--tol", "tail=1e-300"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tolerances: tail_tol must exceed |q|^prod_terms = 5.6e-18\n")
+
+
+def test_table_gives_the_smallest_certificate_of_the_independence_suite():
+    rep = run_suite(RunConfig(N=1, M=1, samples=2, suites=("independence",)))
+    cert = rep.summary["independence"]["min_certificate"]
+    lines = [line for line in emit_report(rep, format="table").splitlines()
+             if "min certificate" in line]
+    assert len(lines) == 1 and lines[0].startswith("independence")
+    assert f"min certificate {cert:.3e}" in lines[0]
+
+
+def test_a_failing_certificate_records_no_forged_twin(monkeypatch):
+    def fail(*args, **kw):
+        raise ConvergenceError("planted")
+
+    monkeypatch.setattr(cli, "casorati_independence", fail)
+    records = run_suite(RunConfig(N=1, M=1, samples=1, suites=("independence",))).records
+    assert [(r.check, r.passed, r.error) for r in records] == [
+        ("scaled determinant", False, "ConvergenceError: planted"),
+    ]

@@ -326,3 +326,8 @@ def test_builder_entries_frozen(p23, ctx_long):
     for m in mats:
         h.update(m.tobytes())
     assert h.hexdigest()[:16] == "8290fbe3f5827aa4"
+
+
+def test_a_swap_matrix_at_a_zero_coordinate_raises_thetas_domain_error(p12, ctx):
+    with pytest.raises(DomainError, match="^theta is undefined at x = 0$"):
+        build_S(p12, 1, IDENT, (0, 0.3), ctx)

@@ -225,3 +225,15 @@ def test_gauge_identity(ctx):
     rhs = theta(x * qp(-BE_W), ctx) / theta(qp(-BE_W), ctx) * build_W_akm(AL_W, BE_W, x, ctx)
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     assert np.abs(lhs - rhs).max() / scale > 1e-3
+
+
+def test_face_weights_name_a_denominator_that_underflows():
+    # at q = 0.99 each theta is about 1e-142, and a product of three is 0
+    from qconnect.cli import RunConfig, run_suite
+
+    records = run_suite(RunConfig(q=0.99, N=1, M=1, samples=4, suites=("facemodel",))).records
+    assert len(records) == 8
+    assert {(r.check, r.error) for r in records} == {
+        ("gauge transfer", "DomainError: denominator of W' e12 underflows to 0"),
+        ("weight conjugacy", "DomainError: denominator of W e12 underflows to 0"),
+    }

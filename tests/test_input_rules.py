@@ -1,8 +1,10 @@
-"""The four input rules that qkernel owns, at every public entry they cover:
-one base q for a parameter set and a context, a point of M coordinates, a
-slot ordering that permutes 1..M, and integer sizes and labels. Each table
-below lists the entries of one rule, and a census keeps every public entry
-with the rule's inputs in its table."""
+"""The input rules that qkernel owns, at every public entry they cover: one
+base q for a parameter set and a context, a point of M coordinates, a slot
+ordering that permutes 1..M, integer indices and sizes, component labels, a
+base with 0 < |q| < 1, and the parameters of a one-variable series. Each
+table below lists the entries of one rule, and a census keeps every public
+entry with the rule's inputs, by signature or by parameter name, in its
+table."""
 
 import importlib
 import inspect
@@ -14,6 +16,8 @@ import pytest
 
 import qconnect
 from qconnect import (
+    ConfigError,
+    DomainError,
     ParamSet,
     QContext,
     build_A,
@@ -24,26 +28,35 @@ from qconnect import (
     check_duality,
     check_jackson,
     check_resonance,
+    check_watson,
     component_index,
+    component_order,
     compose_connection,
     eval_FNM,
     eval_FNM_L,
     eval_FNM_Lkl,
     eval_FNM_reference,
     eval_GNM_Lkl,
+    eval_nphi,
     in_domain,
+    leading_exponents,
     local_solution,
     perm_compose,
+    perm_identity,
+    perm_transposition,
     permute_seq,
     residual_eqn1,
     residual_eqn2,
     sample_domain_point,
+    sample_interior_point,
     sample_level_overlap,
     sample_params,
     sample_swap_overlap,
+    sample_watson,
     verify_connection,
     ybe_residual,
 )
+from qconnect.cli import RunConfig
 from conftest import ALPHA, BETA, GAMMA, Q
 
 
@@ -76,6 +89,23 @@ def _census(*params):
     """Names of the public functions whose signature has every one of params."""
     return {name for name, fn in _public_functions()
             if set(params) <= inspect.signature(fn).parameters.keys()}
+
+
+def _named(*names):
+    """"function[parameter]" for every parameter named in names of every
+    public function."""
+    return {f"{name}[{param}]" for name, fn in _public_functions()
+            for param in inspect.signature(fn).parameters if param in names}
+
+
+def _rng_untouched(call):
+    """(error type, message) of call(rng) for a fresh generator, after
+    checking that the call left the generator's state as it found it."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    outcome = _outcome(lambda: call(rng))
+    assert rng.bit_generator.state == state
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +259,131 @@ def test_context_keeps_an_integer_size_as_an_int():
     ctx = QContext(q=Q, prod_terms=np.int64(60), series_cap=np.int64(80))
     assert (ctx.prod_terms, ctx.series_cap) == (60, 80)
     assert type(ctx.prod_terms) is int and type(ctx.series_cap) is int
+
+
+CTX = QContext(q=Q)
+SIZE = {  # entry[parameter]: (call with that size, its least value)
+    "sample_params[N]": (lambda v, rng: sample_params(v, 1, Q, rng), 1),
+    "sample_params[M]": (lambda v, rng: sample_params(1, v, Q, rng), 1),
+    "sample_interior_point[M]": (lambda v, rng: sample_interior_point(v, rng), 1),
+    "sample_watson[N]": (lambda v, rng: sample_watson(v, Q, rng), 1),
+    "component_order[N]": (lambda v, rng: component_order(v, 2), 1),
+    "component_order[M]": (lambda v, rng: component_order(2, v), 1),
+    "component_index[M]": (lambda v, rng: component_index((1, 1), v), 1),
+    "leading_exponents[M]": (lambda v, rng: leading_exponents(_f, 0, v, CTX), 1),
+    "perm_identity[size]": (lambda v, rng: perm_identity(v), 0),
+    "perm_transposition[size]": (lambda v, rng: perm_transposition(v, 1), 0),
+}
+
+
+def _param(name):
+    return name.split("[")[1].rstrip("]")
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("name", sorted(SIZE))
+def test_every_size_is_an_integer(name, value):
+    call, _ = SIZE[name]
+    assert _rng_untouched(lambda rng: call(value, rng)) == (
+        TypeError, f"{_param(name)} = {value} is not an integer")
+
+
+@pytest.mark.parametrize("name", sorted(SIZE))
+def test_every_size_has_a_least_value(name):
+    call, lo = SIZE[name]
+    assert _rng_untouched(lambda rng: call(lo - 1, rng)) == (
+        IndexError, f"{_param(name)} = {lo - 1} outside [{lo}, inf]")
+
+
+def test_size_census_lists_every_parameter_named_N_M_or_size():
+    assert _named("N", "M", "size") == set(SIZE)
+
+
+LABEL = {  # entry[parameter]: call with that label
+    "component_index[comp]": lambda label: component_index(label, 2),
+    "local_solution[which]": lambda label: local_solution(P22, 2, ID2, label, (0.3, 0.25), CTX),
+    "local_solution[which] list": lambda label: local_solution(
+        P22, 2, ID2, [label], (0.3, 0.25), CTX),
+}
+
+
+@pytest.mark.parametrize("label", [(1, 2, 3), (1,), (), 1, -2], ids=repr)
+@pytest.mark.parametrize("name", sorted(LABEL))
+def test_every_label_is_0_or_a_pair(name, label):
+    param = _param(name.split()[0])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{param} = {label} is neither 0 nor a pair (k, l)") + "$"):
+        LABEL[name](label)
+
+
+@pytest.mark.parametrize("label", [0, (1, 2), [2, 1], (np.int64(1), 1)], ids=repr)
+@pytest.mark.parametrize("name", sorted(LABEL))
+def test_every_label_reader_keeps_a_valid_label(name, label):
+    assert _outcome(lambda: LABEL[name](label))[0] == "value"
+
+
+def test_label_census_lists_every_parameter_named_comp_or_which():
+    assert _named("comp", "which") == {name.split()[0] for name in LABEL}
+
+
+NPHI = {
+    "eval_nphi": lambda upper, lower, t: eval_nphi(upper, lower, t, CTX),
+    "check_watson": lambda upper, lower, t: check_watson(upper, lower, t, CTX),
+}
+_UPPER, _LOWER, _T1 = (0.35 + 0.02j, 0.5 - 0.1j), (0.6 + 0.05j,), 0.3 + 0.1j
+
+
+@pytest.mark.parametrize("lower", [(), (0.6, 0.7)], ids=["0", "2"])
+@pytest.mark.parametrize("name", sorted(NPHI))
+def test_every_one_variable_entry_needs_one_more_upper_parameter(name, lower):
+    with pytest.raises(ValueError, match="^need exactly one more upper than lower parameter$"):
+        NPHI[name](_UPPER, lower, _T1)
+
+
+@pytest.mark.parametrize("t", [1.0, -0.6 + 0.8j, 2.0])
+@pytest.mark.parametrize("name", sorted(NPHI))
+def test_every_one_variable_entry_needs_its_argument_in_the_unit_disc(name, t):
+    with pytest.raises(DomainError, match=rf"^\|t\| < 1 required, got {abs(t):.6g}$"):
+        NPHI[name](_UPPER, _LOWER, t)
+
+
+@pytest.mark.parametrize("name", sorted(NPHI))
+def test_every_one_variable_entry_reads_its_parameters_once(name):
+    call = NPHI[name]
+    assert _outcome(lambda: call(iter(_UPPER), iter(_LOWER), _T1)) == _outcome(
+        lambda: call(_UPPER, _LOWER, _T1))
+
+
+def test_one_variable_census_lists_every_entry_with_upper_and_lower_parameters():
+    assert _census("upper", "lower") == set(NPHI)
+
+
+BASE_Q = {  # every entry that takes a base q
+    "QContext": lambda q, rng: QContext(q=q),
+    "ParamSet": lambda q, rng: ParamSet(alpha=ALPHA[:1], beta=BETA[:1], gamma=GAMMA[:1], q=q),
+    "sample_params[q]": lambda q, rng: sample_params(1, 1, q, rng),
+    "sample_watson[q]": lambda q, rng: sample_watson(1, q, rng),
+}
+
+
+@pytest.mark.parametrize("q", [1.2, 0.0, 1.0, -1.0, 0.6 + 0.8j, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(BASE_Q))
+def test_every_base_lies_inside_the_unit_disc(name, q):
+    assert _rng_untouched(lambda rng: BASE_Q[name](q, rng)) == (
+        DomainError, f"base must satisfy 0 < |q| < 1, got |q| = {abs(complex(q)):.6g}")
+
+
+@pytest.mark.parametrize("q", [1.2, 0.0, 0.6 + 0.8j])
+def test_run_config_reports_the_base_rule(q):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"base must satisfy 0 < |q| < 1, got |q| = {abs(q):.6g}") + "$"):
+        RunConfig(q=q).validate()
+
+
+def test_base_q_census_lists_every_function_with_a_base():
+    # lattice_hit takes any |q| != 1, and q_shift's q is a multiplier
+    exempt = {"lattice_hit[q]", "q_shift[q]"}
+    assert _named("q") - exempt == {name for name in BASE_Q if "[" in name}
 
 
 @pytest.mark.parametrize(

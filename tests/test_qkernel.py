@@ -308,3 +308,9 @@ def test_param_set_rejects_degenerate_denominator():
     for g in (0.0, -2.0):
         with pytest.raises(ResonanceError):
             ParamSet(alpha=(0.37 + 0.11j,), beta=(0.52 - 0.08j,), gamma=(g,), q=Q)
+
+
+def test_context_names_the_tail_tolerance_its_products_reach():
+    # 33 factors at q = 0.3: |q|^33 = 5.6e-18
+    with pytest.raises(ValueError, match=r"^tail_tol must exceed \|q\|\^prod_terms = 5\.6e-18$"):
+        QContext(q=Q, tail_tol=1e-300)

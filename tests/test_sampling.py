@@ -564,3 +564,21 @@ def test_planted_c_on_the_lattice_is_flagged_and_rejected():
     assert sampling._params(e, N, M, Q) is None
     with pytest.raises(ResonanceError, match="c_1 sits on the nonpositive power lattice"):
         ParamSet(e[:N], e[N : N + M], e[N + M :], Q)
+
+
+def test_a_point_sampler_with_an_empty_overlap_raises():
+    # b_2 = q^5 leaves the swapped pair no annulus: |q| / |b_1| > |b_2| / |q|
+    p = ParamSet(alpha=(0.37 + 0.11j,), beta=(0.52 - 0.08j, 5.0), gamma=(0.81 + 0.05j,), q=0.3)
+    with pytest.raises(SamplingError, match=r"^no swap overlap point at position 1, sigma \(1, 2\)$"):
+        sample_swap_overlap(p, 1, (1, 2), np.random.default_rng(0))
+
+
+def test_the_driver_records_a_point_sampler_that_finds_no_point(monkeypatch):
+    from qconnect.cli import RunConfig, run_suite
+
+    monkeypatch.setattr(sampling, "_TRIES", 0)
+    records = run_suite(RunConfig(N=1, M=2, samples=1, suites=("connection",))).records
+    assert [(r.check, r.passed, r.error) for r in records] == [
+        ("split step L=0", False,
+         "SamplingError: no overlap point for levels 0/1, sigma (1, 2)"),
+    ]
