@@ -45,6 +45,7 @@ from .hyperseries import (
     SeriesValue,
     SolutionVector,
     build_solution_vector,
+    build_solution_vectors,
     char_exponents,
     check_resonance,
     component_index,

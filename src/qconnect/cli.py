@@ -33,7 +33,7 @@ from .qkernel import (
     perm_transposition,
 )
 from .hyperseries import (
-    build_solution_vector,
+    build_solution_vectors,
     component_order,
     eval_FNM,
     local_solution,
@@ -385,21 +385,30 @@ def _suite_watson(s: _Sample):
 
 
 def _vectors(s: _Sample, p, t):
-    """Solution vector of an (L, sigma) family of p at t, built once per
-    family. The cache belongs to one point of one sample; a build that
-    raises is not cached, so it raises again, with the same text, for the
-    next check that asks for it."""
-    return cache(lambda fam: build_solution_vector(p, *fam, t, s.ctx))
+    """vectors(families): the solution vector of each (L, sigma) family of p
+    at t. The families not yet built are built together, in one
+    build_solution_vectors call: one engine pass. The vectors belong to one
+    point of one sample, and only a call that returned keeps its vectors,
+    so a build that raises raises again, with the same text, for the next
+    check that asks for its families."""
+    built = {}
+
+    def vectors(families):
+        new = [fam for fam in families if fam not in built]
+        if new:
+            built.update(zip(new, build_solution_vectors(p, new, t, s.ctx)))
+        return [built[fam] for fam in families]
+
+    return vectors
 
 
-def _check_connection(s: _Sample, check, dg, t, vector, build, src, dst):
+def _check_connection(s: _Sample, check, dg, t, vectors, build, src, dst):
     """Record the residual of the claim dst = C . src at t, where src, dst
-    are (L, sigma) solution families given by vector and C = build() is
-    built after both are evaluated."""
+    are (L, sigma) solution families, both asked of vectors (see _vectors)
+    in one call, and C = build() is built after both are evaluated."""
 
     def residual():
-        u_src = vector(src)
-        u_dst = vector(dst)
+        u_src, u_dst = vectors((src, dst))
         return verify_connection(u_dst, build(), u_src)
 
     _run_check(s, check, dg, t, residual)
@@ -412,12 +421,12 @@ def _suite_connection(s: _Sample):
     dg = _digest(p)
     L = int(rng.integers(0, M))
     t = _draw(s, f"split step L={L}", lambda: sampling.sample_level_overlap(p, L, sig, rng), dg)
-    vector = _vectors(s, p, t)
+    vectors = _vectors(s, p, t)
     for check, build, src, dst in (
         (f"split step L={L}", partial(build_A, p, L, sig, t, ctx), (L + 1, sig), (L, sig)),
         (f"merge step L={L + 1}", partial(build_B, p, L + 1, sig, t, ctx), (L, sig), (L + 1, sig)),
     ):
-        _check_connection(s, check, dg, t, vector, build, src, dst)
+        _check_connection(s, check, dg, t, vectors, build, src, dst)
     if M < 2:
         return
     r = int(rng.integers(1, M))
@@ -429,6 +438,13 @@ def _suite_connection(s: _Sample):
 
 
 def _suite_theorem1(s: _Sample):
+    """Theorem 1 at one point t where the (M-1, id) and (M-1, s_1) families
+    both converge: "composite path" checks their vectors against the
+    product compose_connection builds, and "word agreement" compares that
+    product with the one of the word [1, 1, 1]. The two compositions share
+    one store of elementary factors at t, so each of the 4 distinct factors
+    is built once. At M = 1 no swap exists, and "round trip" checks
+    the level-0 family against itself through A_0 B_1."""
     M, ctx, rng = s.cfg.M, s.ctx, s.rng
     first = "composite path" if M >= 2 else "round trip"
     p = _draw(s, first, lambda: sampling._overlap_params(s.cfg.N, M, ctx.q, rng))
@@ -450,12 +466,14 @@ def _suite_theorem1(s: _Sample):
         lambda: sampling.sample_family_overlap(p, (L, sig1), (L, sig2), rng), dg,
     )
     # the bubble-sort word of one transposition is [1], so the composite
-    # path's matrix is also the word check's C1
-    composite = cache(partial(compose_connection, p, L, sig1, L, sig2, t, ctx))
+    # path's matrix is also the word check's C1; the word [1, 1, 1] reads
+    # A(M-1, sig2), S_1(sig1) and B(M, sig1) from the store and builds S_1(sig2)
+    factors: dict = {}
+    composite = cache(partial(compose_connection, p, L, sig1, L, sig2, t, ctx, factors=factors))
 
     def word_agreement():
         C1 = composite()
-        C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1])
+        C2 = compose_connection(p, L, sig1, L, sig2, t, ctx, word=[1, 1, 1], factors=factors)
         return _rel_maxnorm(C1, C2)
 
     _check_connection(

@@ -19,7 +19,8 @@ qpoch_inf's bits. A numpy screen flags the denominator arguments that may sit
 on the q-power lattice, and lattice_hit decides each flagged one, so a pole
 raises PoleError at the entry, and in the order, of an entry-by-entry walk.
 facemodel's scalar denominators go through _den, under the same pole rule
-(_pole). The builders keep nothing in the context memo.
+(_pole). The builders keep nothing in the context memo; compose_connection
+can share its factors through a store that its caller keeps for one point.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .qkernel import (
     LATTICE_RTOL,
     ParamSet,
     QContext,
+    _bits,
     _check_base,
     _compose,
     _coords,
@@ -369,13 +371,21 @@ def compose_connection(
     t,
     ctx: QContext,
     word: list[int] | None = None,
+    factors: dict | None = None,
 ) -> np.ndarray:
     """Product of elementary matrices sending the (L1, sigma1) solution
     vector to the (L2, sigma2) one, all factors evaluated at the same t.
 
     The swap word (r_1, ..., r_I) must satisfy
     sigma2 = sigma1 o s_{r_I} o ... o s_{r_1}; when omitted it is generated
-    by bubble sort and verified. An empty product returns the identity."""
+    by bubble sort and verified. An empty product returns the identity.
+
+    factors, when given, is a store of elementary matrices that several
+    compositions share: each factor is built once, kept read-only, and keyed
+    by the exact bits of its kind (A, B or S), its level or r, its ordering,
+    the exponents, the base of p and of ctx, t and ctx.prod_terms, so a store reused at another
+    point or parameter set never returns another key's matrix. A build that
+    raises keeps nothing."""
     _check_base(p, ctx)
     M = p.M
     sigma1 = _validate_perm(sigma1, M)
@@ -394,13 +404,26 @@ def compose_connection(
         raise WordError(
             f"word {word} sends {sigma1} to {walk[-1]}, not to requested {sigma2}"
         )
+    if factors is not None:
+        point = (_bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits((p.q, ctx.q, *t)),
+                 ctx.prod_terms)
 
-    factors = [build_A(p, Lv, sigma2, t, ctx) for Lv in range(L2, M)]
+    def factor(kind, build, index, sigma):
+        if factors is None:
+            return build(p, index, sigma, t, ctx)
+        key = (kind, index, sigma, *point)
+        if key not in factors:
+            matrix = build(p, index, sigma, t, ctx)
+            matrix.flags.writeable = False
+            factors[key] = matrix
+        return factors[key]
+
+    mats = [factor("A", build_A, Lv, sigma2) for Lv in range(L2, M)]
     # word[0] is applied last, to the ordering the walk reached before sigma2
-    factors += [build_S(p, r, tau, t, ctx) for r, tau in zip(word, reversed(walk[:-1]))]
-    factors += [build_B(p, Lv, sigma1, t, ctx) for Lv in range(M, L1, -1)]
+    mats += [factor("S", build_S, r, tau) for r, tau in zip(word, reversed(walk[:-1]))]
+    mats += [factor("B", build_B, Lv, sigma1) for Lv in range(M, L1, -1)]
     C = np.eye(p.N * M + 1, dtype=complex)
-    for f in factors:
+    for f in mats:
         C = C @ f
     return C
 

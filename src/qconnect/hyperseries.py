@@ -47,11 +47,12 @@ and each coupling table are kept in the evaluation context's memo
 (QContext) with the bits of a fresh computation; a memoised axis pole
 raises a new ResonanceError with the same text. Each series screens its
 coupling itself, after its axes, so the first pole raises in the order plus
-axes, minus axes, coupling. Each call sets up its local solution family (the
-reordered parameters and leading exponents) once, so every component that
-build_solution_vector evaluates reads one setup.
-build_solution_vector sums all N*M+1 components of a vector in one pass of
-the engine, one series each. local_solution also takes a list of
+axes, minus axes, coupling. Each call sets up each of its local solution
+families (the reordered parameters and leading exponents) once, so every
+component of a family reads one setup.
+build_solution_vectors sums all N*M+1 components of each of several vectors
+at one point in one pass of the engine, one series each, and
+build_solution_vector is its one-family case. local_solution also takes a list of
 components and a sequence of points, and evaluates every component at all
 of them in one pass, one series per component at n points: a whole
 Casorati matrix. eval_FNM likewise takes a sequence of points, one series
@@ -103,6 +104,7 @@ __all__ = [
     "eval_GNM_Lkl",
     "local_solution",
     "build_solution_vector",
+    "build_solution_vectors",
     "in_domain",
     "char_exponents",
     "check_resonance",
@@ -755,16 +757,16 @@ def _prefactor(tt, delta, start: int) -> complex:
     return pref
 
 
-def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
-    """Components of a family set up by _family, all in one pass of
-    _point_rows. A cell (comp, delta, points) is a component, its leading
-    exponents and reordered points: one series at those points. Per cell,
-    per point: the component's value, with the bits of that component
-    evaluated at that point alone, or the exception its evaluation raised
-    there."""
+def _component_rows(cells, ctx: QContext) -> list:
+    """Components of families set up by _family, all in one pass of
+    _point_rows. A cell (pp, L, comp, delta, points) is component comp of
+    the level-L family on the reordered parameters pp, its leading exponents
+    and reordered points: one series at those points. Per cell, per point:
+    the component's value, with the bits of that component evaluated at
+    that point alone, or the exception its evaluation raised there."""
     rows = _point_rows([(functools.partial(_axes, pp, L, comp), points)
-                        for comp, _, points in cells], ctx)
-    for (comp, delta, points), values in zip(cells, rows):
+                        for pp, L, comp, _, points in cells], ctx)
+    for (_, L, comp, delta, points), values in zip(cells, rows):
         for i, (tt, value) in enumerate(zip(points, values)):
             if isinstance(value, SeriesValue):
                 try:
@@ -772,6 +774,11 @@ def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
                 except Exception as exc:  # noqa: BLE001  returned in the point's place
                     values[i] = exc
     return rows
+
+
+def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
+    """_component_rows of one family: a cell is (comp, delta, points)."""
+    return _component_rows([(pp, L, *cell) for cell in cells], ctx)
 
 
 def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
@@ -826,25 +833,55 @@ def build_solution_vector(p: ParamSet, L: int, sigma, t, ctx: QContext) -> Solut
     """Evaluate every component (the distinguished one first, then (k, l) in
     row-major order) from one family setup, each one series of one pass of
     the series engine. Component failures are aggregated into one error
-    that names the offending components."""
-    sigma = _validate_perm(sigma, p.M)
-    pp, exps = _family(p, L, sigma, ctx)
-    t = _coords(t, p.M)
-    tt = _permute(t, sigma)
+    that names the offending components. The one-family case of
+    build_solution_vectors."""
+    return build_solution_vectors(p, [(L, sigma)], t, ctx)[0]
+
+
+def build_solution_vectors(p: ParamSet, families, t, ctx: QContext) -> tuple[SolutionVector, ...]:
+    """build_solution_vector of every (L, sigma) in families at one point t,
+    a tuple in the order given. Every component of every family is one
+    series of one pass of the series engine, and a family listed twice is
+    built once. Each vector has the bits of a one-family call, and the first
+    family, in the order given, whose one-family call raises raises that
+    error: a family that cannot be set up (its ordering, level, base or the
+    point) keeps its error in its place, as a failing component does."""
+    try:
+        t = _coords(t, p.M)
+    except Exception as exc:  # noqa: BLE001  raised in the place of a family
+        t = exc
+    setups: dict = {}  # (L, sigma) -> (pp, exps), in the order first given
+    places = []
+    for family in families:
+        try:
+            L, sigma = family
+            sigma = _validate_perm(sigma, p.M)
+            pp, exps = _family(p, L, sigma, ctx)
+            if isinstance(t, Exception):
+                raise t
+        except Exception as exc:  # noqa: BLE001  raised in the family's place
+            places.append(exc)
+            continue
+        setups.setdefault((L, sigma), (pp, exps))
+        places.append((L, sigma))
     order = component_order(p.N, p.M)
-    comps = [v for (v,) in _solution_rows(pp, L, [(c, d, [tt]) for c, d in zip(order, exps)], ctx)]
-    failures = [(lab, v) for lab, v in zip(order, comps) if isinstance(v, Exception)]
-    if failures:
-        first = failures[0][1]
-        detail = "; ".join(f"component {lab}: {exc}" for lab, exc in failures)
-        raise type(first)(f"{len(failures)} component(s) failed: {detail}") from first
-    return SolutionVector(
-        L=L,
-        sigma=sigma,
-        t=t,
-        components=tuple(comps),
-        params=p,
-    )
+    n = len(order)
+    rows = _component_rows([(pp, L, c, d, [_permute(t, sigma)])
+                            for (L, sigma), (pp, exps) in setups.items()
+                            for c, d in zip(order, exps)], ctx)
+    comps = {family: [v for (v,) in rows[i * n : i * n + n]] for i, family in enumerate(setups)}
+    out = []
+    for place in places:
+        if isinstance(place, Exception):
+            raise place
+        failures = [(lab, v) for lab, v in zip(order, comps[place]) if isinstance(v, Exception)]
+        if failures:
+            first = failures[0][1]
+            detail = "; ".join(f"component {lab}: {exc}" for lab, exc in failures)
+            raise type(first)(f"{len(failures)} component(s) failed: {detail}") from first
+        L, sigma = place
+        out.append(SolutionVector(L=L, sigma=sigma, t=t, components=tuple(comps[place]), params=p))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qconnect import ConfigError, ConvergenceError
-from qconnect import cli, connection, facemodel, oracle
+from qconnect import cli, connection, facemodel, hyperseries, oracle
 from qconnect.qkernel import _bits
 from qconnect.cli import (
     SUITES,
@@ -170,12 +170,30 @@ def _calls(monkeypatch, name, fn=None):
 
 
 def test_connection_sample_builds_each_family_once(monkeypatch):
-    calls = _calls(monkeypatch, "build_solution_vector")
+    calls = _calls(monkeypatch, "build_solution_vectors")
     rep = run_suite(RunConfig(suites=("connection",), samples=1))
     assert len(rep.records) == 3 and rep.passed
-    # (L, sigma, t): two families at the level-overlap point, two at the swap point
-    families = [args[1:4] for args, _ in calls]
+    # (L, sigma, t): two families at the level-overlap point, two at the swap
+    # point, each point's pair built together in one call
+    assert len(calls) == 2
+    families = [(*fam, args[2]) for args, _ in calls for fam in args[1]]
     assert len(families) == len(set(families)) == 4
+
+
+def test_connection_sample_sums_each_point_in_one_pass(monkeypatch):
+    passes = []
+    point_rows = hyperseries._point_rows
+
+    def counted(cells, ctx):
+        passes.append(len(cells))
+        return point_rows(cells, ctx)
+
+    monkeypatch.setattr(hyperseries, "_point_rows", counted)
+    rep = run_suite(RunConfig(N=2, M=3, suites=("connection",), samples=1))
+    assert len(rep.records) == 3 and rep.passed
+    # the level-overlap point, then the swap point: every component of both
+    # families at each, N*M+1 = 7 per family
+    assert passes == [14, 14]
 
 
 def test_theorem1_sample_composes_the_one_swap_word_once(monkeypatch):
@@ -240,7 +258,7 @@ def test_point_cache_keeps_signed_zeros_apart():
 @pytest.mark.parametrize(
     "suite, name",
     [
-        ("connection", "build_solution_vector"),
+        ("connection", "build_solution_vectors"),
         ("theorem1", "compose_connection"),
         ("system", "eval_FNM"),
     ],

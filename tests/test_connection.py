@@ -331,3 +331,88 @@ def test_builder_entries_frozen(p23, ctx_long):
 def test_a_swap_matrix_at_a_zero_coordinate_raises_thetas_domain_error(p12, ctx):
     with pytest.raises(DomainError, match="^theta is undefined at x = 0$"):
         build_S(p12, 1, IDENT, (0, 0.3), ctx)
+
+
+# ---------------------------------------------------------------------------
+# a store of elementary factors shared by compositions at one point
+
+T23 = (0.31 + 0.04j, 0.27 - 0.02j, 0.45 + 0.06j)
+
+
+def _counted(monkeypatch):
+    """Arguments of every connection._matrix_values call from now on."""
+    calls = []
+    matrix_values = connection._matrix_values
+
+    def counted(entries, den_arg, ctx):
+        calls.append(den_arg)
+        return matrix_values(entries, den_arg, ctx)
+
+    monkeypatch.setattr(connection, "_matrix_values", counted)
+    return calls
+
+
+def test_a_shared_store_keeps_the_bits_of_fresh_factors(p23, ctx_long, monkeypatch):
+    sig1, sig2 = (1, 2, 3), (2, 1, 3)
+    words = [None, [1, 1, 1], [2, 1, 2, 1, 2]]
+    alone = [compose_connection(p23, 2, sig1, 2, sig2, T23, ctx_long, word=w) for w in words]
+    calls = _counted(monkeypatch)
+    store = {}
+    shared = [compose_connection(p23, 2, sig1, 2, sig2, T23, ctx_long, word=w, factors=store)
+              for w in words]
+    assert [m.tobytes() for m in shared] == [m.tobytes() for m in alone]
+    # A(2, sig2), B(3, sig1) and the distinct swaps each built once
+    assert len(calls) == len(store) == 2 + len({key[1:3] for key in store if key[0] == "S"})
+    for matrix in store.values():
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2.0
+    # the public builders still return fresh writable arrays
+    fresh = [build_A(p23, 2, sig2, T23, ctx_long), build_B(p23, 3, sig1, T23, ctx_long),
+             build_S(p23, 1, sig1, T23, ctx_long)]
+    assert all(m.flags.writeable for m in fresh)
+
+
+def test_a_reused_store_never_returns_another_keys_matrix(p23, ctx_long):
+    sig1, sig2 = (1, 2, 3), (2, 1, 3)
+    store = {}
+
+    def both(p, t, ctx=ctx_long):
+        with_store = compose_connection(p, 2, sig1, 2, sig2, t, ctx, factors=store)
+        alone = compose_connection(p, 2, sig1, 2, sig2, t, ctx)
+        assert with_store.tobytes() == alone.tobytes()
+
+    both(p23, T23)
+    assert len(store) == 3
+    # another point, and one that compares equal to it but holds a -0.0
+    real = (0.31 + 0j, 0.27 + 0j, 0.45 + 0j)
+    signed = (complex(0.31, -0.0), 0.27 + 0j, 0.45 + 0j)
+    assert real == signed
+    both(p23, real)
+    both(p23, signed)
+    assert len(store) == 9
+    # two parameter sets that compare equal but differ in an exponent's zero sign
+    plain, flipped = (
+        ParamSet(alpha=p23.alpha, beta=(complex(0.52, zero), *p23.beta[1:]), gamma=p23.gamma, q=Q)
+        for zero in (0.0, -0.0)
+    )
+    assert plain == flipped
+    both(plain, T23)
+    both(flipped, T23)
+    assert len(store) == 15
+    # a context whose base compares equal to p's but holds a -0.0
+    signed_q = QContext(q=complex(Q, -0.0), prod_terms=ctx_long.prod_terms)
+    assert signed_q.q == p23.q
+    both(p23, T23, signed_q)
+    assert len(store) == 18
+
+
+def test_theorem1_sample_builds_four_elementary_matrices(monkeypatch):
+    from qconnect import cli
+
+    calls = _counted(monkeypatch)
+    rep = cli.run_suite(cli.RunConfig(N=2, M=3, suites=("theorem1",), samples=1))
+    assert [r.check for r in rep.records] == ["composite path", "word agreement"]
+    assert rep.passed
+    # A(2, sigma2), S_1(sigma1), B(3, sigma1) for the path, S_1(sigma2) for the word
+    assert len(calls) == 4

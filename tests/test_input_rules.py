@@ -25,6 +25,7 @@ from qconnect import (
     build_S,
     build_Stilde,
     build_solution_vector,
+    build_solution_vectors,
     check_duality,
     check_jackson,
     check_resonance,
@@ -122,6 +123,8 @@ BASE = {
     "eval_GNM_Lkl": lambda p, ctx: eval_GNM_Lkl(p, 3, 1, 1, T3, ctx),
     "local_solution": lambda p, ctx: local_solution(p, 3, ID3, 0, T3, ctx),
     "build_solution_vector": lambda p, ctx: build_solution_vector(p, 3, ID3, T3, ctx),
+    "build_solution_vectors": lambda p, ctx: build_solution_vectors(
+        p, [(3, ID3), (2, ID3)], T3, ctx),
     "residual_eqn1": lambda p, ctx: residual_eqn1(_f, p, 1, T3, ctx),
     "residual_eqn2": lambda p, ctx: residual_eqn2(_f, p, 1, 2, T3, ctx),
     "eval_FNM_reference": lambda p, ctx: eval_FNM_reference(p, T3, ctx),
@@ -163,6 +166,8 @@ POINT = {
     "local_solution": lambda p, t, ctx: local_solution(p, 2, ID2, 0, t, ctx),
     "local_solution[ladder]": lambda p, t, ctx: local_solution(p, 2, ID2, [0], [t], ctx),
     "build_solution_vector": lambda p, t, ctx: build_solution_vector(p, 2, ID2, t, ctx),
+    "build_solution_vectors": lambda p, t, ctx: build_solution_vectors(
+        p, [(2, ID2), (1, ID2)], t, ctx),
     "in_domain": lambda p, t, ctx: in_domain(2, ID2, p, t),
     "residual_eqn1": lambda p, t, ctx: residual_eqn1(_f, p, 1, t, ctx),
     "residual_eqn2": lambda p, t, ctx: residual_eqn2(_f, p, 1, 2, t, ctx),
@@ -201,6 +206,8 @@ def test_point_census_lists_every_entry_with_a_parameter_set_and_a_point():
 SIGMA = {
     "local_solution": lambda p, s, ctx: local_solution(p, 2, s, 0, (0.3, 0.25), ctx),
     "build_solution_vector": lambda p, s, ctx: build_solution_vector(p, 2, s, (0.3, 0.25), ctx),
+    "build_solution_vectors": lambda p, s, ctx: build_solution_vectors(
+        p, [(2, s)], (0.3, 0.25), ctx),
     "in_domain": lambda p, s, ctx: in_domain(2, s, p, (0.3, 0.25)),
     "check_resonance": lambda p, s, ctx: check_resonance(p, s),
     "ParamSet.permuted": lambda p, s, ctx: p.permuted(s),

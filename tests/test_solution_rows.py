@@ -1,7 +1,8 @@
 """Solution vectors in one engine pass: build_solution_vector gives, bit for
 bit, each component's public evaluator times its prefactor, raises the
 aggregated error those evaluators add up to, and reports a BranchWarning at
-its caller."""
+its caller; build_solution_vectors gives several families at one point in
+one pass, each with the bits and the error of a one-family call."""
 
 import warnings
 
@@ -17,6 +18,7 @@ from qconnect import (
     ResonanceError,
     SamplingError,
     build_solution_vector,
+    build_solution_vectors,
     char_exponents,
     component_order,
     cpow,
@@ -24,10 +26,15 @@ from qconnect import (
     eval_FNM_Lkl,
     eval_GNM_Lkl,
     local_solution,
+    perm_compose,
+    perm_transposition,
     permute_seq,
     sample_domain_point,
+    sample_level_overlap,
     sample_params,
+    sample_swap_overlap,
 )
+from qconnect import hyperseries, sampling
 from conftest import ALPHA, BETA, GAMMA
 
 
@@ -174,6 +181,7 @@ def test_branch_warning_names_the_caller(p11, ctx_long):
     t = (-0.5 + 0j,)
     calls = {
         "vector": lambda: build_solution_vector(p11, 1, (1,), t, ctx_long),
+        "vectors": lambda: build_solution_vectors(p11, [(1, (1,)), (0, (1,))], t, ctx_long),
         "component": lambda: local_solution(p11, 1, (1,), (1, 1), t, ctx_long),
         "ladder": lambda: local_solution(p11, 1, (1,), (1, 1), [t, (-0.4 + 0j,)], ctx_long),
     }
@@ -183,3 +191,112 @@ def test_branch_warning_names_the_caller(p11, ctx_long):
             call()
         assert caught, name
         assert {w.filename for w in caught} == {__file__}, name
+
+
+def _passes(monkeypatch):
+    """Cells of every _point_rows pass made from now on, one list per pass."""
+    passes = []
+    point_rows = hyperseries._point_rows
+
+    def counted(cells, ctx):
+        passes.append(cells)
+        return point_rows(cells, ctx)
+
+    monkeypatch.setattr(hyperseries, "_point_rows", counted)
+    return passes
+
+
+def _pairs(N, M, seed):
+    """(p, t, families): two families that converge together at t, as the
+    connection checks read them: a level step (L, sigma), (L+1, sigma) and
+    a swap (M, sigma), (M, sigma o s_r), at their own points."""
+    q = 0.3
+    rng = np.random.default_rng([N, M, seed])
+    p = sampling._overlap_params(N, M, q, rng)
+    sigma = tuple(range(1, M + 1))
+    L = int(rng.integers(0, M))
+    r = int(rng.integers(1, M))
+    return [
+        (p, sample_level_overlap(p, L, sigma, rng), [(L, sigma), (L + 1, sigma)]),
+        (p, sample_swap_overlap(p, r, sigma, rng),
+         [(M, sigma), (M, perm_compose(sigma, perm_transposition(M, r)))]),
+    ]
+
+
+@pytest.mark.parametrize("N, M", [(2, 3), (3, 3)])
+def test_families_in_one_pass_have_the_bits_of_one_family_calls(N, M, monkeypatch):
+    ctx = QContext(q=0.3)
+    compared = 0
+    for seed in range(3):
+        for p, t, families in _pairs(N, M, seed):
+            alone = [build_solution_vector(p, L, sigma, t, ctx) for L, sigma in families]
+            passes = _passes(monkeypatch)
+            together = build_solution_vectors(p, families, t, ctx)
+            monkeypatch.undo()
+            # every component of both families is one cell of one pass
+            assert len(passes) == 1 and len(passes[0]) == 2 * (N * M + 1)
+            assert together == tuple(alone)
+            for u, v in zip(together, alone):
+                assert (u.L, u.sigma, u.t) == (v.L, v.sigma, v.t)
+                assert _bits(u.components) == _bits(v.components)
+                compared += 1
+    assert compared == 12
+
+
+def _failure(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001  compared below
+        return type(exc), str(exc)
+    return None
+
+
+_SIG2 = (1, 2)
+# (p, families, t, cap): a point outside the level-0 sector of _P22 only; a
+# forced axis pole of _RESONANT at level 1 and a point outside its level-2
+# sector; a level-2 family of _P13 that does not settle in 30 shells, and a
+# point outside its level-3 sector
+_FAILING = {
+    "domain": (_P22, [(2, _SIG2), (0, _SIG2), (1, _SIG2)], (0.05, 0.5), 200),
+    "pole": (_RESONANT, [(2, _SIG2), (1, _SIG2)], (0.3, 5.0), 200),
+    "convergence": (_P13, [(3, (1, 2, 3)), (2, (1, 2, 3))], _toward_edge(2), 30),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING))
+def test_first_failing_family_raises_its_one_family_error(case):
+    p, families, t, cap = _FAILING[case]
+    ctx = QContext(q=0.3, series_cap=cap)
+    alone = [_failure(lambda fam=fam: build_solution_vector(p, *fam, t, ctx)) for fam in families]
+    assert 0 < sum(map(bool, alone)) < 3 and len(set(alone)) > 1
+    for order in (families, families[::-1]):
+        expected = next(f for f in (alone[families.index(fam)] for fam in order) if f)
+        assert _failure(lambda: build_solution_vectors(p, order, t, ctx)) == expected
+
+
+def test_family_that_cannot_be_set_up_raises_in_its_place(p22, ctx_long):
+    # a level out of range raises only when no family before it fails
+    good, bad, far = (2, _SIG2), (5, _SIG2), (0, _SIG2)
+    t = (0.05, 0.5)  # inside the level-2 sector, outside the level-0 one
+    level = (IndexError, "L = 5 outside [0, 2]")
+    assert _failure(lambda: build_solution_vectors(p22, [good, bad], t, ctx_long)) == level
+    assert _failure(lambda: build_solution_vectors(p22, [far, bad], t, ctx_long)) == _failure(
+        lambda: build_solution_vector(p22, *far, t, ctx_long))
+    # a point of the wrong length raises in the place of the first family set up
+    assert _failure(lambda: build_solution_vectors(p22, [(2, (1, 1)), good], (0.3,), ctx_long)) \
+        == (ValueError, "not a permutation of 1..2: (1, 1)")
+    assert _failure(lambda: build_solution_vectors(p22, [good, bad], (0.3,), ctx_long)) \
+        == (ValueError, "expected 2 coordinates, got 1")
+
+
+def test_a_repeated_family_is_built_once(p23, ctx_long, monkeypatch):
+    sigma = (1, 2, 3)
+    t = sample_level_overlap(p23, 2, sigma, np.random.default_rng(5))
+    passes = _passes(monkeypatch)
+    first, again, other = build_solution_vectors(
+        p23, [(2, sigma), (np.int64(2), [1, 2, 3]), (3, sigma)], t, ctx_long)
+    assert len(passes) == 1 and len(passes[0]) == 2 * (p23.N * p23.M + 1)
+    monkeypatch.undo()
+    assert first == again == build_solution_vector(p23, 2, sigma, t, ctx_long)
+    assert _bits(again.components) == _bits(first.components)
+    assert other.L == 3
