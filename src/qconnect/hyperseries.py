@@ -41,6 +41,14 @@ place for the point. Each series keeps its own error: a pole fails its
 rows only. _shell_series (one series at one point), eval_FNM at many
 points and the solution rows are all cells of it.
 
+A pass shares work between series by the identity of the objects they
+read, never by value (== and hash equate -0.0 with 0.0; exact-bits keys
+cost as much as they save), in stores that live only as long as the pass
+or rung: the N components (k, l) of lower slot l read one part of the slot
+per point (_slot_axes), each list of axis objects gets its term ratios once
+(_axis_ratios), and a rung builds the product of a row's leading axis
+tables once per run of leading ratio arrays (_shells).
+
 Only the axis arguments x depend on the evaluation point. Each axis's
 numerator and denominator products, with whether a denominator vanishes,
 and each coupling table are kept in the evaluation context's memo
@@ -48,8 +56,8 @@ and each coupling table are kept in the evaluation context's memo
 raises a new ResonanceError with the same text. Each series screens its
 coupling itself, after its axes, so the first pole raises in the order plus
 axes, minus axes, coupling. Each call sets up each of its local solution
-families (the reordered parameters and leading exponents) once, so every
-component of a family reads one setup.
+families (the reordered parameters and leading exponents, and each point
+reordered) once, so every component of a family reads one setup.
 build_solution_vectors sums all N*M+1 components of each of several vectors
 at one point in one pass of the engine, one series each, and
 build_solution_vector is its one-family case. local_solution also takes a list of
@@ -167,13 +175,17 @@ def _axis_products(nums, dens, ctx: QContext):
     return num, den, pole
 
 
-def _axis_ratios(axis, ctx: QContext) -> list[np.ndarray]:
+def _axis_ratios(axes, ctx: QContext, store: dict) -> list[np.ndarray]:
     """Term ratios x * prod(1 - n q^k) / prod(1 - d q^k) of one axis for
     k = 0..series_cap-1, an array per point, or ResonanceError if any
-    denominator vanishes. The axis is (nums, dens, xs), one argument x per
-    point; the products come from ctx's memo, and only x depends on the
-    point."""
-    nums, dens, xs = axis
+    denominator vanishes. axes holds the axis (nums, dens, x) at each point,
+    with the same nums and dens at every point; the products come from ctx's
+    memo, and only x depends on the point. store keeps the ratios, and the
+    objects, of each list of axis objects by identity."""
+    key = tuple(map(id, axes))
+    if key in store:
+        return store[key][1]
+    nums, dens, _ = axes[0]
     num, den, pole = ctx._memoised(
         ("axis", _bits(nums), _bits(dens)), lambda: _axis_products(nums, dens, ctx)
     )
@@ -182,7 +194,9 @@ def _axis_ratios(axis, ctx: QContext) -> list[np.ndarray]:
             "axis weight recurrence hit a vanishing denominator "
             "(a lower parameter degenerated onto the q-power lattice)"
         )
-    return [complex(x) * num / den for x in xs]
+    ratios = [complex(x) * num / den for _, _, x in axes]
+    store[key] = axes, ratios
+    return ratios
 
 
 def _screen(nums, dens, plus: bool, minus: bool, q: complex) -> int | None:
@@ -362,12 +376,16 @@ def _shells(rows, couplings, runs, ctx: QContext) -> None:
     reduction of its contiguous entries over all the table's rows. All the
     shells of a block are reduced before any sum reads them."""
 
-    def combined(axes, stop):
-        if not axes:
-            return _ONE
-        c = _axis_table(axes[0], stop)
-        for ratios in axes[1:]:
-            c = np.convolve(c, _axis_table(ratios, stop))[: stop + 1]
+    def combined(axes, stop, tables):
+        """Convolution of the axis tables of axes, each run of leading
+        ratio arrays kept in tables by identity."""
+        c, key = _ONE, ()
+        for ratios in axes:
+            key += (id(ratios),)
+            if key not in tables:
+                w = _axis_table(ratios, stop)
+                tables[key] = w if c is _ONE else np.convolve(c, w)[: stop + 1]
+            c = tables[key]
         return c
 
     def unsettled(batch, sums):
@@ -380,8 +398,10 @@ def _shells(rows, couplings, runs, ctx: QContext) -> None:
     start = 0
     stages: dict = {}
     for stop in _stages(ctx.series_cap):
-        cp = [combined(rows[r][0], stop) for r in live]
-        cm = [combined(rows[r][1], stop) for r in live]
+        tables: dict = {}
+        cp = [combined(rows[r][0], stop, tables) for r in live]
+        cm = [combined(rows[r][1], stop, tables) for r in live]
+        del tables  # its partial products are not read again
         up = len(cp[0]) - 1
         down = len(cm[0]) - 1
         for s in dict.fromkeys(rows[r][2] for r in live):
@@ -414,13 +434,14 @@ def _shells(rows, couplings, runs, ctx: QContext) -> None:
         start = stop + 1
 
 
-def _screened(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext):
+def _screened(plus_axes, minus_axes, g_nums, g_dens, ctx: QContext, store: dict):
     """(plus ratios, minus ratios, coupling) of one series once every one of
     its denominators passes the screen, plus axes, then minus axes, then
-    the coupling; a pole raises ResonanceError. The coupling is (g_nums,
-    g_dens, gkey), gkey their exact bits."""
-    plus = [_axis_ratios(axis, ctx) for axis in plus_axes]
-    minus = [_axis_ratios(axis, ctx) for axis in minus_axes]
+    the coupling; a pole raises ResonanceError. Each axis is its objects at
+    the points (see _axis_ratios). The coupling is (g_nums, g_dens, gkey),
+    gkey their exact bits."""
+    plus = [_axis_ratios(axes, ctx, store) for axes in plus_axes]
+    minus = [_axis_ratios(axes, ctx, store) for axes in minus_axes]
     pole = _screen(g_nums, g_dens, bool(plus), bool(minus), ctx.q)
     if pole is not None:
         raise ResonanceError(
@@ -456,16 +477,16 @@ def _point_rows(cells, ctx: QContext) -> list:
                 values.append(exc)
         out.append(values)
     groups: dict = {}  # sides -> (rows, couplings)
+    ratios: dict = {}
     for values in out:
         at = [i for i, v in enumerate(values) if not isinstance(v, Exception)]
         if not at:
             continue
         built = [values[i] for i in at]
-        *sides, g_nums, g_dens = built[0]
-        batched = [[(nums, dens, [b[side][k][2] for b in built])
-                    for k, (nums, dens, _) in enumerate(sides[side])] for side in (0, 1)]
+        _, _, g_nums, g_dens = built[0]
+        batched = [list(zip(*(b[side] for b in built))) for side in (0, 1)]
         try:
-            plus, minus, coupling = _screened(*batched, g_nums, g_dens, ctx)
+            plus, minus, coupling = _screened(*batched, g_nums, g_dens, ctx, ratios)
         except ResonanceError as exc:
             for i in at:
                 values[i] = exc
@@ -626,30 +647,49 @@ def _split_axes(p: ParamSet, L: int, t):
     return plus, minus, g_nums, g_dens
 
 
-def _slot_axes(p: ParamSet, L: int, l: int, t, k: int):
-    """Axes and coupling of the split series attached to lower slot l and
-    slot k, at t once it passes its sector check: eval_FNM_Lkl when l > L,
-    eval_GNM_Lkl when l <= L. Slots before l are plus axes in
-    q t_i/(b_l t_l), slots after l minus axes in b_l t_l/(b_i t_i); the
-    distinguished axis goes right after slot L, on the plus side when
-    l > L."""
+def _slot(p: ParamSet, L: int, l: int, t):
+    """What every k shares of the series of lower slot l at t, once t
+    passes its sector check: plain plus axes in q t_i/(b_l t_l) (slots
+    before l), plain minus axes in b_l t_l/(b_i t_i) (slots after l), the
+    distinguished argument and prod_{i>l} b_i."""
     t = _coords(t, p.M)
     _domain_check(_sector(p, p.b, L, l, t))
     q = p.q
     bl_tl = p.b[l - 1] * t[l - 1]
-    tail = math.prod(p.b[l:], start=1.0 + 0j)
     plus = [_plain_axis(p.b[i], q * t[i] / bl_tl, q) for i in range(l - 1)]
     minus = [_plain_axis(p.b[i], bl_tl / (p.b[i] * t[i]), q) for i in range(l, p.M)]
+    x = _coupling(p) / bl_tl if l > L else bl_tl / q
+    return plus, minus, x, math.prod(p.b[l:], start=1.0 + 0j)
+
+
+def _slot_axes(p: ParamSet, L: int, l: int, t, k: int, slots: dict):
+    """Axes and coupling of the split series attached to lower slot l and
+    slot k, at t once it passes its sector check: eval_FNM_Lkl when l > L,
+    eval_GNM_Lkl when l <= L. The distinguished axis goes right after slot
+    L, on the plus side when l > L. slots keeps _slot's part, or its error,
+    by the identities of p and t (which must outlive it) with L and l; an
+    error raises anew, with its type and text, for each k."""
+    key = id(p), L, l, id(t)
+    if key not in slots:
+        try:
+            slots[key] = _slot(p, L, l, t)
+        except Exception as exc:  # noqa: BLE001  raised again for each k below
+            slots[key] = exc
+    part = slots[key]
+    if isinstance(part, Exception):
+        raise type(part)(*part.args)
+    plus, minus, x, tail = part
+    q = p.q
     if l > L:
         a_k = p.a[k - 1]
         nums = tuple(q * a_k / cj for cj in p.c)
         dens = tuple(q * a_k / aj for aj in p.a)
-        plus.insert(L, (nums, dens, _coupling(p) / bl_tl))
+        plus = [*plus[:L], (nums, dens, x), *plus[L:]]
         return plus, minus, (a_k / tail,), (q * a_k / (p.b[l - 1] * tail),)
     c_k = p.c[k - 1]
     nums = tuple(q * aj / c_k for aj in p.a)
     dens = tuple(q * cj / c_k for cj in p.c)
-    minus.insert(L - l, (nums, dens, bl_tl / q))
+    minus = [*minus[: L - l], (nums, dens, x), *minus[L - l :]]
     return plus, minus, (c_k / (q * tail),), (c_k / (p.b[l - 1] * tail),)
 
 
@@ -665,7 +705,7 @@ def eval_FNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     L = _require_range("L", L, 0, p.M)
     l = _require_range("l", l, L + 1, p.M)
     k = _require_range("k", k, 1, p.N)
-    return _shell_series(*_slot_axes(p, L, l, t, k), ctx)
+    return _shell_series(*_slot_axes(p, L, l, t, k, {}), ctx)
 
 
 def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> SeriesValue:
@@ -680,7 +720,7 @@ def eval_GNM_Lkl(p: ParamSet, L: int, k: int, l: int, t, ctx: QContext) -> Serie
     L = _require_range("L", L, 0, p.M)
     l = _require_range("l", l, 1, L)
     k = _require_range("k", k, 1, p.N)
-    return _shell_series(*_slot_axes(p, L, l, t, k), ctx)
+    return _shell_series(*_slot_axes(p, L, l, t, k, {}), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +746,9 @@ def component_index(comp, M: int) -> int:
 
 def _family(p: ParamSet, L: int, sigma, ctx: QContext):
     """Setup shared by every component of the (L, sigma) family that one
-    call evaluates: the reordered parameters and the leading exponents."""
+    call evaluates: the reordered parameters and the leading exponents.
+    char_exponents checks the level; each caller reads it into an int."""
     _check_base(p, ctx)
-    L = _require_range("L", L, 0, p.M)
     pp = p.permuted(sigma)
     return pp, char_exponents(pp, L)
 
@@ -718,14 +758,15 @@ def _start(L: int, comp) -> int:
     return (L + 1) if comp == 0 else comp[1]
 
 
-def _axes(pp: ParamSet, L: int, comp, tt):
+def _axes(pp: ParamSet, L: int, comp, slots: dict, tt):
     """Axes and coupling of component comp's split series at the reordered
-    point tt, once tt passes its sector check (after its BranchWarning)."""
+    point tt, once tt passes its sector check (after its BranchWarning, one
+    per component); slots is the pass's store for _slot_axes."""
     _warn_branch(tt, _start(L, comp))
     if comp == 0:
         return _split_axes(pp, L, tt)
     k, l = comp
-    return _slot_axes(pp, L, l, tt, k)
+    return _slot_axes(pp, L, l, tt, k, slots)
 
 
 def _warn_branch(tt, start: int) -> None:
@@ -764,7 +805,8 @@ def _component_rows(cells, ctx: QContext) -> list:
     and reordered points: one series at those points. Per cell, per point:
     the component's value, with the bits of that component evaluated at
     that point alone, or the exception its evaluation raised there."""
-    rows = _point_rows([(functools.partial(_axes, pp, L, comp), points)
+    slots: dict = {}
+    rows = _point_rows([(functools.partial(_axes, pp, L, comp, slots), points)
                         for pp, L, comp, _, points in cells], ctx)
     for (_, L, comp, delta, points), values in zip(cells, rows):
         for i, (tt, value) in enumerate(zip(points, values)):
@@ -803,6 +845,7 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     """
     sigma = _validate_perm(sigma, p.M)
     pp, exps = _family(p, L, sigma, ctx)
+    L = _require_range("L", L, 0, p.M)
     labels = isinstance(which, list) and not (
         len(which) == 2 and all(isinstance(w, (int, np.integer)) for w in which)
     )
@@ -850,24 +893,25 @@ def build_solution_vectors(p: ParamSet, families, t, ctx: QContext) -> tuple[Sol
         t = _coords(t, p.M)
     except Exception as exc:  # noqa: BLE001  raised in the place of a family
         t = exc
-    setups: dict = {}  # (L, sigma) -> (pp, exps), in the order first given
+    setups: dict = {}  # (L, sigma) -> (pp, exps, points), in the order first given
     places = []
     for family in families:
         try:
             L, sigma = family
             sigma = _validate_perm(sigma, p.M)
             pp, exps = _family(p, L, sigma, ctx)
+            L = _require_range("L", L, 0, p.M)
             if isinstance(t, Exception):
                 raise t
         except Exception as exc:  # noqa: BLE001  raised in the family's place
             places.append(exc)
             continue
-        setups.setdefault((L, sigma), (pp, exps))
+        setups.setdefault((L, sigma), (pp, exps, [_permute(t, sigma)]))
         places.append((L, sigma))
     order = component_order(p.N, p.M)
     n = len(order)
-    rows = _component_rows([(pp, L, c, d, [_permute(t, sigma)])
-                            for (L, sigma), (pp, exps) in setups.items()
+    rows = _component_rows([(pp, L, c, d, points)
+                            for (L, sigma), (pp, exps, points) in setups.items()
                             for c, d in zip(order, exps)], ctx)
     comps = {family: [v for (v,) in rows[i * n : i * n + n]] for i, family in enumerate(setups)}
     out = []

@@ -294,3 +294,58 @@ def test_driver_columns_read_one_call_for_the_whole_matrix(p22, ctx_long, monkey
     rows = _ladder((0.3, 5.0), (2, -1), ctx_long.q, 5)
     ref = [[local_solution(p22, L, sig, c, pt, ctx_long) for c in comps] for pt in rows]
     assert rep.matrix.tobytes() == np.array(ref, dtype=complex).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a Casorati pass shares each lower slot's part among its N components
+
+
+def _casorati_33(ctx):
+    """(p, L, sigma, labels, ladder) of a seeded (3,3) Casorati matrix."""
+    rng = np.random.default_rng([35, 3, 3])
+    L, sig = 2, perm_identity(3)
+    p, m = sampling._casorati_params(3, 3, L, ctx, rng)
+    t = sampling.sample_domain_point(p, L, sig, rng)
+    comps = component_order(3, 3)
+    return p, L, sig, comps, _ladder(t, m, ctx.q, len(comps))
+
+
+def test_casorati_pass_has_the_bits_of_one_component_calls():
+    ctx = QContext(q=0.3)
+    p, L, sig, comps, points = _casorati_33(ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        batch = local_solution(p, L, sig, comps, points, ctx)
+        for comp, values in zip(comps, batch):
+            assert [_key(v) for v in values] == [
+                _key(_outcome(lambda pt=pt: local_solution(p, L, sig, comp, pt, ctx)))
+                for pt in points], comp
+
+
+def test_casorati_pass_builds_each_shared_axis_table_once(monkeypatch):
+    """The components of one lower slot share its plain axes' tables and the
+    products of their leading runs: 220 _axis_table calls for the seeded
+    (3,3) matrix, where one set of tables per component made 300."""
+    ctx = QContext(q=0.3)
+    p, L, sig, comps, points = _casorati_33(ctx)
+    calls = []
+    axis_table = hyperseries._axis_table
+
+    def counted(ratios, cap):
+        calls.append(cap)
+        return axis_table(ratios, cap)
+
+    monkeypatch.setattr(hyperseries, "_axis_table", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        local_solution(p, L, sig, comps, points, ctx)
+    assert len(calls) == 220
+
+
+def test_independence_suite_warns_once_per_component():
+    """BranchWarnings stay one per component and point: the complex-base
+    independence run emits 130 of them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BranchWarning)
+        cli.run_suite(cli.RunConfig(q=0.5 + 0.2j, seed=4, suites=("independence",)))
+    assert sum(issubclass(w.category, BranchWarning) for w in caught) == 130

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconnect import (
     BranchWarning,
@@ -300,3 +302,132 @@ def test_a_repeated_family_is_built_once(p23, ctx_long, monkeypatch):
     assert first == again == build_solution_vector(p23, 2, sigma, t, ctx_long)
     assert _bits(again.components) == _bits(first.components)
     assert other.L == 3
+
+
+# ---------------------------------------------------------------------------
+# one pass shares each lower slot's part among the N components of the slot
+
+
+def _alone(p, L, sigma, comp, t, ctx):
+    """Bits of one local_solution call for one component at one point, or
+    the type and text of its error."""
+    try:
+        value = local_solution(p, L, sigma, comp, t, ctx)
+    except Exception as exc:  # noqa: BLE001  compared below
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+def _shared(p, L, sigma, points, ctx):
+    """Every component of the (L, sigma) family at every point of points,
+    from one _solution_rows pass: per component, per point, the value's bits
+    or the type and text of the error in its place."""
+    pp, exps = hyperseries._family(p, L, sigma, ctx)
+    tts = [hyperseries._reorder(pt, sigma) for pt in points]
+    cells = hyperseries._solution_rows(
+        pp, L, [(c, d, tts) for c, d in zip(component_order(p.N, p.M), exps)], ctx)
+    return [[(type(v), str(v)) if isinstance(v, Exception) else (v.real.hex(), v.imag.hex())
+             for v in values] for values in cells]
+
+
+@pytest.mark.parametrize("N, M", [(2, 3), (3, 3)])
+def test_two_family_pass_has_the_bits_of_one_component_calls(N, M):
+    ctx = QContext(q=0.3)
+    compared = 0
+    for seed in range(3):
+        for p, t, families in _pairs(N, M, seed):
+            for vec in build_solution_vectors(p, families, t, ctx):
+                assert type(vec.L) is int
+                for comp, value in zip(component_order(N, M), vec.components):
+                    assert (value.real.hex(), value.imag.hex()) == _alone(
+                        p, vec.L, vec.sigma, comp, t, ctx), (seed, vec.L, vec.sigma, comp)
+                    compared += 1
+    assert compared == 12 * (N * M + 1)
+
+
+_SWEEP = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from(_SWEEP), seed=st.integers(0, 2**16), q=st.sampled_from([0.3, 0.5]))
+def test_shared_pass_has_the_bits_of_one_component_calls(shape, seed, q):
+    """At shapes N*M <= 12, every component of one pass over a point and its
+    q-shift has the bits, or the error, of a one-component call there."""
+    N, M = shape
+    ctx = QContext(q=q)
+    rng = np.random.default_rng(seed)
+    p = sample_params(N, M, q, rng)
+    L = int(rng.integers(0, M + 1))
+    sigma = tuple(int(v) + 1 for v in rng.permutation(M))
+    try:
+        t = sample_domain_point(p, L, sigma, rng)
+    except SamplingError:
+        return
+    points = [t, tuple(v * q for v in t)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        got = _shared(p, L, sigma, points, ctx)
+        want = [[_alone(p, L, sigma, c, pt, ctx) for pt in points] for c in component_order(N, M)]
+    assert got == want
+
+
+# _P23S at level 2: the point _T23S is outside the sector of slot 2 only
+# (|t_2| >= 1) and inside those of slots 1 and 3, so component 0 and the
+# components (k, 2) fail, and every other component has a value
+_P23S = ParamSet(
+    alpha=(0.249398635810561 - 0.03599895618643037j, 0.4935873507746732 - 0.18622432814304124j),
+    beta=(0.3820474171436007 - 0.1018871324364516j, 0.5088265134763928 + 0.10573857809456583j,
+          0.4196650553219654 + 0.01801501780442266j),
+    gamma=(0.8304210187357733 + 0.10686208583193774j, 0.8950794265468436 - 0.036856180756463575j),
+    q=0.3,
+)
+_T23S = (0.1271719685511743 + 0.059192626604555425j, 7.51284475421327 - 4.413348768366213j,
+         6.241539366157515 + 1.5701413766512111j)
+
+
+def test_point_outside_a_slot_sector_fails_only_that_slot():
+    ctx = QContext(q=0.3)
+    L, sigma = 2, (1, 2, 3)
+    bad = [l for l in (1, 2, 3)
+           if not all(r < 1 for r, _, _ in hyperseries._sector(_P23S, _P23S.b, L, l, _T23S))]
+    assert bad == [2]
+    pp, exps = hyperseries._family(_P23S, L, sigma, ctx)
+    comps = component_order(2, 3)
+    cells = hyperseries._solution_rows(pp, L, [(c, d, [_T23S]) for c, d in zip(comps, exps)], ctx)
+    places = dict(zip(comps, (v for (v,) in cells)))
+    failed = [c for c, v in places.items() if isinstance(v, Exception)]
+    assert failed == [0, (1, 2), (2, 2)]
+    # each failing component of the slot holds an exception of its own
+    assert places[(1, 2)] is not places[(2, 2)]
+    for comp, value in places.items():
+        got = ((type(value), str(value)) if isinstance(value, Exception)
+               else (value.real.hex(), value.imag.hex()))
+        assert got == _alone(_P23S, L, sigma, comp, _T23S, ctx), comp
+    assert str(places[(1, 2)]) == "outside convergence region: |t_2| >= 1"
+
+
+def test_points_that_differ_in_a_signed_zero_are_never_shared(p22, ctx_long):
+    """Two points equal under == but for the sign of a zero imaginary part
+    each get the bits of their own calls, and their values differ."""
+    L, sigma = 1, (1, 2)
+    pos, neg = (0.3, -5.0 + 0j), (0.3, complex(-5.0, -0.0))
+    assert pos == neg
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchWarning)
+        got = _shared(p22, L, sigma, [pos, neg], ctx_long)
+        want = [[_alone(p22, L, sigma, c, pt, ctx_long) for pt in (pos, neg)]
+                for c in component_order(2, 2)]
+        assert got == want
+        assert all(a != b for a, b in got)
+        # the store of slot parts keeps one entry per point object
+        slots: dict = {}
+        for tt in (tuple(map(complex, pos)), tuple(map(complex, neg))):
+            hyperseries._slot_axes(p22, L, 2, tt, 1, slots)
+        assert len(slots) == 2
+
+
+def test_the_level_of_a_vector_is_an_int(p22, ctx_long):
+    t = (0.3, 5.0)
+    (vec,) = build_solution_vectors(p22, [(np.int64(1), (1, 2))], t, ctx_long)
+    assert type(vec.L) is int and vec.L == 1
+    assert type(build_solution_vector(p22, np.int64(1), [1, 2], t, ctx_long).L) is int

@@ -1,6 +1,6 @@
 """Check that run reports are byte-identical to the frozen digest matrix.
 
-Runs fourteen run configurations, prints the sha256 prefix of
+Runs fifteen run configurations, prints the sha256 prefix of
 emit_report(run_suite(RunConfig(**kw))) next to the frozen value for each,
 and exits 1 if any differs. The last line gives the total wall time, about
 5 s on a shared two-core machine.
@@ -42,6 +42,9 @@ MATRIX = [
     ({"q": 0.5 + 0.2j, "seed": 4}, "5492b4f074ab70a7"),
     ({"N": 1, "M": 4, "samples": 3}, "f5f0fce65a11a2b2"),
     ({"N": 4, "M": 1, "samples": 3}, "54fa4f8ca876e6d8"),
+    # a wide family run: every lower slot of a 4-slot shape shares its part
+    # among the 3 components (k, l) of the slot
+    ({"N": 3, "M": 4, "suites": FAMILIES, "samples": 4, "seed": 3}, "1c17b44a91137c4e"),
 ]
 
 
