@@ -335,13 +335,12 @@ def _two_route(p, t, ctx):
     return _rel_diff(eval_FNM(p, t, ctx).value, eval_FNM_reference(p, t, ctx))
 
 
-def _point_cache(f, known=()):
+def _point_cache(f):
     """f with its values kept for one sample, keyed by the exact bits of its
-    argument, a point or a sequence of points (-0.0 and 0.0 stay apart),
-    starting from the known {bits: value}. An evaluation that raises is not
-    kept, so it raises again, with the same text, for the next check that
-    asks for it."""
-    values = dict(known)
+    argument, a point or a sequence of points (-0.0 and 0.0 stay apart). An
+    evaluation that raises is not kept, so it raises again, with the same
+    text, for the next check that asks for it."""
+    values = {}
 
     def cached(t):
         key = _bits(t)
@@ -357,15 +356,11 @@ def _suite_system(s: _Sample):
     p, t = _draw(s, "coupled slot 1", lambda: sampling._generic_sample(N, M, s.ctx.q, s.rng))
     dg = _digest(p)
     # the six (2,3) checks read F 30 times at 15 distinct points, all from one
-    # engine pass; if it raises, a point is evaluated alone when a check asks
-    # for it, so each record gets the error of its own points
+    # engine pass, kept once it returns; a pass that raises keeps nothing, so
+    # each check runs it again and records the same error
     points = {_bits(pt): pt for pt in _shift_points(t, s.ctx.q, N, M)}
-    try:
-        values = eval_FNM(p, list(points.values()), s.ctx)
-        known = {key: v.value for key, v in zip(points, values)}
-    except Exception:  # noqa: BLE001  raised again, check by check, below
-        known = {}
-    f = _point_cache(lambda tt: eval_FNM(p, tt, s.ctx).value, known)
+    values = cache(lambda: dict(zip(points, eval_FNM(p, list(points.values()), s.ctx))))
+    f = lambda tt: values()[_bits(tt)].value
     for i in range(1, M + 1):
         _run_check(s, f"coupled slot {i}", dg, t, lambda: residual_eqn1(f, p, i, t, s.ctx))
     for r in range(1, M + 1):
@@ -485,9 +480,9 @@ def _suite_theorem1(s: _Sample):
 def _casorati_columns(p, L, sig, comps, ctx):
     """casorati_independence's columns, comps[j] of the (L, sig) family in
     column j. Every column reads one local_solution call over every label
-    at its points, through _point_cache: at the ladder the whole matrix is
-    one engine pass, and in the row-by-row re-walk after a raise each row is
-    one call, whose first failing label is the error that walk meets."""
+    at its points, through _point_cache, so the whole matrix is one engine
+    pass. A pass that raises keeps nothing: column 0 raises its error, the
+    first failing label's, taken label by label."""
     matrix = _point_cache(lambda points: local_solution(p, L, sig, comps, points, ctx))
     return [lambda points, j=j: matrix(points)[j] for j in range(len(comps))]
 

@@ -380,12 +380,13 @@ def compose_connection(
     sigma2 = sigma1 o s_{r_I} o ... o s_{r_1}; when omitted it is generated
     by bubble sort and verified. An empty product returns the identity.
 
-    factors, when given, is a store of elementary matrices that several
-    compositions share: each factor is built once, kept read-only, and keyed
-    by the exact bits of its kind (A, B or S), its level or r, its ordering,
-    the exponents, the base of p and of ctx, t and ctx.prod_terms, so a store reused at another
-    point or parameter set never returns another key's matrix. A build that
-    raises keeps nothing."""
+    factors is a store of elementary matrices that several compositions
+    may share; a call without one uses its own, so each distinct factor of
+    the product is built once. A factor is kept read-only and keyed by the
+    exact bits of its kind (A, B or S), its level or r, its ordering, the
+    exponents, the base of p and of ctx, t and ctx.prod_terms, so a reused
+    store never returns another key's matrix. A build that raises keeps
+    nothing."""
     _check_base(p, ctx)
     M = p.M
     sigma1 = _validate_perm(sigma1, M)
@@ -404,13 +405,11 @@ def compose_connection(
         raise WordError(
             f"word {word} sends {sigma1} to {walk[-1]}, not to requested {sigma2}"
         )
-    if factors is not None:
-        point = (_bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits((p.q, ctx.q, *t)),
-                 ctx.prod_terms)
+    factors = {} if factors is None else factors
+    point = (_bits(p.alpha), _bits(p.beta), _bits(p.gamma), _bits((p.q, ctx.q, *t)),
+             ctx.prod_terms)
 
     def factor(kind, build, index, sigma):
-        if factors is None:
-            return build(p, index, sigma, t, ctx)
         key = (kind, index, sigma, *point)
         if key not in factors:
             matrix = build(p, index, sigma, t, ctx)

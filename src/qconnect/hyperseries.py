@@ -746,11 +746,14 @@ def component_index(comp, M: int) -> int:
 
 def _family(p: ParamSet, L: int, sigma, ctx: QContext):
     """Setup shared by every component of the (L, sigma) family that one
-    call evaluates: the reordered parameters and the leading exponents.
-    char_exponents checks the level; each caller reads it into an int."""
+    call evaluates, reading the ordering, then the base, then the level:
+    (L, sigma, pp, exps), the level as an int, the checked ordering, the
+    reordered parameters and the leading exponents."""
+    sigma = _validate_perm(sigma, p.M)
     _check_base(p, ctx)
+    L = _require_range("L", L, 0, p.M)
     pp = p.permuted(sigma)
-    return pp, char_exponents(pp, L)
+    return L, sigma, pp, _char_exponents(pp.alpha, pp.beta, pp.gamma, L)
 
 
 def _start(L: int, comp) -> int:
@@ -818,11 +821,6 @@ def _component_rows(cells, ctx: QContext) -> list:
     return rows
 
 
-def _solution_rows(pp: ParamSet, L: int, cells, ctx: QContext) -> list:
-    """_component_rows of one family: a cell is (comp, delta, points)."""
-    return _component_rows([(pp, L, *cell) for cell in cells], ctx)
-
-
 def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     """Single component of the local solution vector at split level L and
     slot ordering sigma.
@@ -843,16 +841,14 @@ def local_solution(p: ParamSet, L: int, sigma, which, t, ctx: QContext):
     label and point. The first (label, point) whose evaluation fails, label
     by label, raises its error.
     """
-    sigma = _validate_perm(sigma, p.M)
-    pp, exps = _family(p, L, sigma, ctx)
-    L = _require_range("L", L, 0, p.M)
+    L, sigma, pp, exps = _family(p, L, sigma, ctx)
     labels = isinstance(which, list) and not (
         len(which) == 2 and all(isinstance(w, (int, np.integer)) for w in which)
     )
     comps = [_require_label("which", w, p.N, p.M) for w in (which if labels else [which])]
     ladder = np.ndim(t) == 2
     points = [_reorder(pt, sigma) for pt in (t if ladder else [t])]
-    cells = _solution_rows(pp, L, [(c, exps[component_index(c, p.M)], points) for c in comps], ctx)
+    cells = _component_rows([(pp, L, c, exps[component_index(c, p.M)], points) for c in comps], ctx)
     _raised([value for values in cells for value in values])
     out = [tuple(values) if ladder else values[0] for values in cells]
     return tuple(out) if labels else out[0]
@@ -898,9 +894,7 @@ def build_solution_vectors(p: ParamSet, families, t, ctx: QContext) -> tuple[Sol
     for family in families:
         try:
             L, sigma = family
-            sigma = _validate_perm(sigma, p.M)
-            pp, exps = _family(p, L, sigma, ctx)
-            L = _require_range("L", L, 0, p.M)
+            L, sigma, pp, exps = _family(p, L, sigma, ctx)
             if isinstance(t, Exception):
                 raise t
         except Exception as exc:  # noqa: BLE001  raised in the family's place

@@ -403,9 +403,8 @@ def casorati_independence(columns, m, t, ctx: QContext) -> CasoratiReport:
     invariants: columns are n >= 2 component functions, and row k of the
     matrix holds them at the ladder point t * q^{k m}, k = 0..n-1. Each
     column is called once, with all n points in order, and returns its n
-    values. If a column raises, the cells are evaluated again one point at a
-    time, column((point,))[0], row k then column j, so the error raised is
-    the first one that evaluating the matrix row by row meets.
+    values. The columns are called in order, j = 0..n-1, so the error
+    raised is that of the first column that raises.
 
     The forged twin replaces the last column by 2 col0 + 0.5 col1 (by
     2 col0 when n = 2), a combination of columns that stay in the matrix,
@@ -422,11 +421,8 @@ def casorati_independence(columns, m, t, ctx: QContext) -> CasoratiReport:
     q = ctx.q
     points = [tuple(v * q ** (k * mv) for v, mv in zip(t, m)) for k in range(n)]
     A = np.empty((n, n), dtype=complex)
-    try:
-        for j, column in enumerate(columns):
-            A[:, j] = column(points)
-    except Exception:  # noqa: BLE001  raised again in row-by-row order
-        A[:] = [[column((point,))[0] for column in columns] for point in points]
+    for j, column in enumerate(columns):
+        A[:, j] = column(points)
     forged = A.copy()
     forged[:, -1] = 2.0 * A[:, 0] + 0.5 * A[:, 1] if n >= 3 else 2.0 * A[:, 0]
     return CasoratiReport(scaled_rcond(A), scaled_rcond(forged), A)

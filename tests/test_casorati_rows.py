@@ -1,6 +1,6 @@
 """Casorati columns in one pass: local_solution over the n ladder points
 gives the bits of one call per point, and casorati_independence raises the
-error that evaluating its matrix row by row meets first."""
+error that evaluating its matrix column by column meets first."""
 
 import warnings
 from functools import partial
@@ -79,12 +79,12 @@ def test_ladder_rows_match_one_call_per_point(q, monkeypatch):
             while s < 200 and in_domain(L, sig, p, back(s + 1)) > 0.01:
                 s += 1
             points = _ladder(back(s), m, q, N * M + 1)
-            pp, exps = hyperseries._family(p, L, sig, ctx)
+            _, _, pp, exps = hyperseries._family(p, L, sig, ctx)
             for comp, delta in zip(component_order(N, M), exps):
                 ref = [_outcome(lambda pt=pt: local_solution(p, L, sig, comp, pt, ctx))
                        for pt in points]
-                (rows,) = hyperseries._solution_rows(
-                    pp, L, [(comp, delta, [hyperseries._reorder(pt, sig) for pt in points])], ctx)
+                (rows,) = hyperseries._component_rows(
+                    [(pp, L, comp, delta, [hyperseries._reorder(pt, sig) for pt in points])], ctx)
                 assert [_key(v) for v in rows] == [_key(v) for v in ref], (N, M, comp)
                 batch = _outcome(lambda: local_solution(p, L, sig, comp, points, ctx))
                 first = next((v for v in ref if isinstance(v, Exception)), None)
@@ -121,15 +121,15 @@ def _assert_first_error(p, L, m, t, ctx, kind):
     sig = perm_identity(p.M)
     by_rows, by_columns = _row_by_row(p, L, sig, m, t, ctx)
     # the planted failure comes first row by row, and a walk column by
-    # column would meet another error first
+    # column meets another error first: the one casorati_independence raises
     assert isinstance(by_rows, kind)
     assert _key(by_columns) != _key(by_rows)
     columns = [partial(local_solution, p, L, sig, c, ctx=ctx) for c in component_order(p.N, p.M)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchWarning)
-        with pytest.raises(type(by_rows)) as err:
+        with pytest.raises(type(by_columns)) as err:
             casorati_independence(columns, m, t, ctx)
-    assert str(err.value) == str(by_rows)
+    assert str(err.value) == str(by_columns)
 
 
 _P23 = ParamSet(
@@ -143,11 +143,11 @@ _T23 = (0.07610109487760708 + 0.014401076020271283j, 0.2474124896746486 + 0.1025
         9.872305714112157 - 2.1395192764160043j)
 
 
-def test_shifted_row_leaving_the_sector_raises_the_row_order_error():
+def test_shifted_row_leaving_the_sector_raises_the_column_order_error():
     _assert_first_error(_P23, 2, (-2, 0, -2), _T23, QContext(q=0.3), DomainError)
 
 
-def test_resonant_component_raises_the_row_order_error():
+def test_resonant_component_raises_the_column_order_error():
     # a_2 = a_1 q^2 puts an axis pole in component (1, 2) at every point,
     # and column 0 leaves the sector at a later row
     p = ParamSet(alpha=(ALPHA[0], ALPHA[0] + 2), beta=BETA[:2], gamma=GAMMA[:2], q=0.3)
@@ -155,7 +155,7 @@ def test_resonant_component_raises_the_row_order_error():
     _assert_first_error(p, 1, (-2, -2), t, QContext(q=0.3), ResonanceError)
 
 
-def test_unsettled_row_raises_the_row_order_error():
+def test_unsettled_row_raises_the_column_order_error():
     p = ParamSet(
         alpha=(0.24454800413188843 - 0.19604952724304647j,),
         beta=(0.35914595180109454 - 0.159680835538031j, 0.8350630151438381 + 0.055973025310065816j,
@@ -259,8 +259,8 @@ _PLANTED = {
 def test_label_list_raises_the_first_failing_label(case):
     """At the ladder, the list of every label raises the type and text of
     the first per-label call that raises; and the run driver's Casorati
-    columns, which read that one call, raise the error that a walk over the
-    cells row by row meets first."""
+    columns, which read that one call, raise that first failing label's
+    error."""
     p, L, m, t, ctx, kind = _PLANTED[case]
     sig = perm_identity(p.M)
     comps = component_order(p.N, p.M)
@@ -273,9 +273,9 @@ def test_label_list_raises_the_first_failing_label(case):
         assert isinstance(batch, Exception) and _key(batch) == _key(first)
         by_rows, _ = _row_by_row(p, L, sig, m, t, ctx)
         assert isinstance(by_rows, kind)
-        with pytest.raises(type(by_rows)) as err:
+        with pytest.raises(type(first)) as err:
             casorati_independence(cli._casorati_columns(p, L, sig, comps, ctx), m, t, ctx)
-    assert str(err.value) == str(by_rows)
+    assert str(err.value) == str(first)
 
 
 def test_driver_columns_read_one_call_for_the_whole_matrix(p22, ctx_long, monkeypatch):

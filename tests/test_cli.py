@@ -225,28 +225,38 @@ def test_run_calls_every_public_identity_check(monkeypatch):
     assert [name for name, made in calls.items() if not made] == []
 
 
+SHAPES = [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12]
+
+
 def test_system_sample_evaluates_F_once_per_point(monkeypatch):
-    calls = _calls(monkeypatch, "eval_FNM")
-    rep = run_suite(RunConfig(N=2, M=3, suites=("system",), samples=1))
-    assert len(rep.records) == 6 and rep.passed
-    # the three slot and three pairwise checks ask for F at 30 points, 15
-    # distinct: one call evaluates exactly those, each once
-    assert len(calls) == 1
-    (p, points, ctx), _ = calls[0]
-    read = set()
+    # at (2,3) the three slot and three pairwise checks ask for F at 30
+    # points, 15 distinct: one call evaluates exactly those, each once. The
+    # checks look their values up by the bits of their points, so at every
+    # shape the points they read must be exactly the call's points
+    for q in (0.3, 0.5 + 0.2j):
+        for N, M in SHAPES:
+            for seed in range(3):
+                calls = _calls(monkeypatch, "eval_FNM", hyperseries.eval_FNM)
+                rep = run_suite(RunConfig(N=N, M=M, q=q, seed=seed, suites=("system",),
+                                          samples=1))
+                assert len(rep.records) == M * (M + 1) // 2 and rep.passed, (q, N, M, seed)
+                assert len(calls) == 1
+                (p, points, ctx), _ = calls[0]
+                read = set()
 
-    def f(pt):
-        read.add(_bits(pt))
-        return 1.0
+                def f(pt):
+                    read.add(_bits(pt))
+                    return 1.0
 
-    t = rep.records[0].point
-    for i in range(1, 4):
-        oracle.residual_eqn1(f, p, i, t, ctx)
-        for j in range(i + 1, 4):
-            oracle.residual_eqn2(f, p, i, j, t, ctx)
-    points = [_bits(pt) for pt in points]
-    assert len(points) == len(set(points)) == len(read) == 15
-    assert set(points) == read
+                t = rep.records[0].point
+                for i in range(1, M + 1):
+                    oracle.residual_eqn1(f, p, i, t, ctx)
+                    for j in range(i + 1, M + 1):
+                        oracle.residual_eqn2(f, p, i, j, t, ctx)
+                points = [_bits(pt) for pt in points]
+                assert len(points) == len(set(points)) == len(read), (q, N, M, seed)
+                assert set(points) == read, (q, N, M, seed)
+                assert (N, M) != (2, 3) or len(read) == 15
 
 
 def test_point_cache_keeps_signed_zeros_apart():
@@ -269,11 +279,22 @@ def test_failed_build_raises_again_for_each_record(monkeypatch, suite, name):
 
     calls = _calls(monkeypatch, name, fail)
     rep = run_suite(RunConfig(suites=(suite,), samples=1))
-    # a system sample first asks for every point in one call; after that
-    # fails, each record asks again for the points it reads
-    batched = suite == "system"
-    assert len(rep.records) + batched == len(calls) and len(rep.records) >= 2
+    assert len(rep.records) == len(calls) and len(rep.records) >= 2
     assert {r.error for r in rep.records} == {"ConvergenceError: stub did not settle"}
+
+
+def test_failed_casorati_pass_is_called_once(monkeypatch):
+    # the columns of the Casorati matrix read one local_solution call; when
+    # it raises, the check records its error without evaluating again
+    def fail(*args, **kw):
+        raise ConvergenceError("stub did not settle")
+
+    calls = _calls(monkeypatch, "local_solution", fail)
+    rep = run_suite(RunConfig(suites=("independence",), samples=1))
+    assert len(calls) == 1
+    assert [(r.check, r.passed, r.error) for r in rep.records] == [
+        ("scaled determinant", False, "ConvergenceError: stub did not settle")
+    ]
 
 
 @pytest.mark.parametrize("N, M", [(6, 2), (12, 1), (1, 12)])

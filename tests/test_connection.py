@@ -373,6 +373,21 @@ def test_a_shared_store_keeps_the_bits_of_fresh_factors(p23, ctx_long, monkeypat
     assert all(m.flags.writeable for m in fresh)
 
 
+def test_a_word_without_a_store_builds_each_distinct_factor_once(p23, ctx_long, monkeypatch):
+    sig1, sig2 = (1, 2, 3), (2, 1, 3)
+    # the product of the word [1, 1, 1] with every factor built on its own
+    want = np.eye(7, dtype=complex)
+    for m in (build_A(p23, 2, sig2, T23, ctx_long), build_S(p23, 1, sig1, T23, ctx_long),
+              build_S(p23, 1, sig2, T23, ctx_long), build_S(p23, 1, sig1, T23, ctx_long),
+              build_B(p23, 3, sig1, T23, ctx_long)):
+        want = want @ m
+    calls = _counted(monkeypatch)
+    got = compose_connection(p23, 2, sig1, 2, sig2, T23, ctx_long, word=[1, 1, 1])
+    # A(2, sig2), B(3, sig1) and S_1 at sig1 and at sig2, each built once
+    assert len(calls) == 4
+    assert got.tobytes() == want.tobytes()
+
+
 def test_a_reused_store_never_returns_another_keys_matrix(p23, ctx_long):
     sig1, sig2 = (1, 2, 3), (2, 1, 3)
     store = {}

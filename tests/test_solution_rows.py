@@ -320,12 +320,12 @@ def _alone(p, L, sigma, comp, t, ctx):
 
 def _shared(p, L, sigma, points, ctx):
     """Every component of the (L, sigma) family at every point of points,
-    from one _solution_rows pass: per component, per point, the value's bits
+    from one _component_rows pass: per component, per point, the value's bits
     or the type and text of the error in its place."""
-    pp, exps = hyperseries._family(p, L, sigma, ctx)
+    _, _, pp, exps = hyperseries._family(p, L, sigma, ctx)
     tts = [hyperseries._reorder(pt, sigma) for pt in points]
-    cells = hyperseries._solution_rows(
-        pp, L, [(c, d, tts) for c, d in zip(component_order(p.N, p.M), exps)], ctx)
+    cells = hyperseries._component_rows(
+        [(pp, L, c, d, tts) for c, d in zip(component_order(p.N, p.M), exps)], ctx)
     return [[(type(v), str(v)) if isinstance(v, Exception) else (v.real.hex(), v.imag.hex())
              for v in values] for values in cells]
 
@@ -391,9 +391,9 @@ def test_point_outside_a_slot_sector_fails_only_that_slot():
     bad = [l for l in (1, 2, 3)
            if not all(r < 1 for r, _, _ in hyperseries._sector(_P23S, _P23S.b, L, l, _T23S))]
     assert bad == [2]
-    pp, exps = hyperseries._family(_P23S, L, sigma, ctx)
+    _, _, pp, exps = hyperseries._family(_P23S, L, sigma, ctx)
     comps = component_order(2, 3)
-    cells = hyperseries._solution_rows(pp, L, [(c, d, [_T23S]) for c, d in zip(comps, exps)], ctx)
+    cells = hyperseries._component_rows([(pp, L, c, d, [_T23S]) for c, d in zip(comps, exps)], ctx)
     places = dict(zip(comps, (v for (v,) in cells)))
     failed = [c for c, v in places.items() if isinstance(v, Exception)]
     assert failed == [0, (1, 2), (2, 2)]

@@ -2,8 +2,8 @@
 
 Runs fifteen run configurations, prints the sha256 prefix of
 emit_report(run_suite(RunConfig(**kw))) next to the frozen value for each,
-and exits 1 if any differs. The last line gives the total wall time, about
-5 s on a shared two-core machine.
+and exits 1 if any differs. The last line gives the total wall time, 2 to
+3 s on a shared two-core machine.
 
 The first line names the numpy version and whether numpy's runtime CPU
 dispatch has FMA3, AVX2 and AVX512F. The series engine sums shells from

@@ -11,9 +11,9 @@ lines give the totals:
     python tools/shape_sweep.py --q 0.5+0.2j
 
 With --ledger it sweeps each base of tests/failure_ledger.tsv instead
-(about a minute), prints the failing records the ledger does not hold and
-the ledger rows that now pass, both in the ledger's own format, and exits 1
-if there is any:
+(about 20 s on a shared two-core machine), prints the failing records the
+ledger does not hold and the ledger rows that now pass, both in the
+ledger's own format, and exits 1 if there is any:
 
     python tools/shape_sweep.py --ledger
 """
